@@ -171,10 +171,6 @@ class ShiftedSparse:
             raise ContractError("need 1 <= s < p for the shifted route")
 
     @property
-    def base(self) -> UniformSparse:
-        return UniformSparse(self.p, self.s, self.magnitude)
-
-    @property
     def complement(self) -> UniformSparse:
         return UniformSparse(self.p, self.p - self.s, self.magnitude)
 
@@ -188,7 +184,11 @@ PriorSpec = Union[PointMass, UniformSparse, SingleGroupSparse, GroupSupported,
 
 
 def draw(prior: PriorSpec, rng: np.random.Generator, v=None) -> np.ndarray:
-    """One signal vector distributed according to the prior."""
+    """One signal vector distributed according to the prior.
+
+    Shifted priors are refused: they pair the sparse prior with the constant
+    shift b*1_p and are consumed only by :func:`risk_lower_bound`.
+    """
     if isinstance(prior, PointMass):
         return prior.theta.copy()
     if isinstance(prior, UniformSparse):
@@ -220,7 +220,7 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None) -> np.ndarray:
             theta[k * bs:(k + 1) * bs] = prior.magnitude
         return theta
     if isinstance(prior, ShiftedSparse):
-        return draw(prior.base, rng)
+        raise ContractError("shifted priors have no single draw; use risk_lower_bound")
     raise ContractError(f"unknown prior {type(prior)!r}")
 
 

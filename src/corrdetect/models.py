@@ -15,6 +15,24 @@ Covariance and precision act in closed form through Sherman-Morrison:
 
 and blockwise analogues for the grouped model, so no p x p matrix is ever
 materialized.
+
+Canonical order.  The equicorrelated model is invariant under every
+coordinate permutation and the grouped model under permutations within a
+group, so each has exchangeable blocks: all of p, or each group.  Sums over a
+block are plain numpy reductions of its entries in ascending order
+(:func:`ascending_rows`), which makes them bit-identical under those
+permutations.  :func:`canonical_layout` sorts every block once; because
+decorrelation is monotone within a block, the decorrelated blocks come out
+sorted too, and sums over them only check the order of large arrays.  Rank-one
+data has no exchangeable block and keeps its layout.
+
+Random stream layout.  A draw consumes k shared factors and then p noise
+coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
+consumes k injections.  ``sample(..., size=n)`` draws the n x k factors before
+the n x p noise.  Batched callers that must reproduce n single-vector draws
+instead pass rows laid out as [k factors | p noise | k injections], which is
+the order in which n sequential ``sample`` + ``decorrelate`` calls consume a
+stream.
 """
 
 from __future__ import annotations
@@ -33,6 +51,9 @@ __all__ = [
     "RankOne",
     "CorrelationModel",
     "Observation",
+    "factor_count",
+    "ascending_rows",
+    "canonical_layout",
     "sample",
     "decorrelate",
     "precision_apply",
@@ -60,6 +81,18 @@ class Equicorrelated:
     @property
     def R(self) -> int:
         return 1
+
+    @property
+    def block_size(self) -> int:
+        return self.p
+
+    def block_view(self, x: np.ndarray) -> np.ndarray:
+        """``x`` (last axis p) as (..., 1, p): all coordinates form one block."""
+        return np.asarray(x, dtype=float)[..., None, :]
+
+    def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`block_view`."""
+        return blocks[..., 0, :]
 
     def descriptor(self) -> dict:
         return {"family": "equicorrelated", "p": self.p, "gamma": self.gamma}
@@ -154,6 +187,11 @@ class RankOne:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
+    @property
+    def sign_pattern(self) -> bool:
+        """True when every |v_i| is exactly 1 (a +-1 pattern)."""
+        return bool(np.all(np.abs(self.v) == 1.0))
+
     @classmethod
     def renormalized(cls, p: int, gamma: float, v) -> "RankOne":
         """Construct after rescaling ``v`` so that ||v||^2 = p exactly."""
@@ -185,13 +223,53 @@ class Observation:
         object.__setattr__(self, "x", x)
 
 
-def sample(model: CorrelationModel, theta, rng: np.random.Generator,
-           size: Optional[int] = None, provenance: Optional[str] = None) -> Observation:
+def factor_count(model: CorrelationModel) -> int:
+    """Number k of shared factors per draw (one decorrelation injection each)."""
+    return model.R if isinstance(model, Grouped) else 1
+
+
+# Below this many entries np.sort costs less than checking the order: about
+# 1-3 us against 3-5 us for arrays of 64-512 entries (one observation's
+# blocks); at calibration blocks of ~32k entries the check is 3-13x cheaper.
+_SMALL_ARRAY = 1024
+
+
+def ascending_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with every row (last axis) in ascending order: the canonical
+    summation order.  Sorting is idempotent, so arrays of sorted rows (the
+    kernel's) are returned as is once checking is cheaper than sorting."""
+    if a.size >= _SMALL_ARRAY and (a[..., :-1] <= a[..., 1:]).all():
+        return a
+    return np.sort(a, axis=-1)
+
+
+def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
+    """Data with every exchangeable block sorted, and the model in that layout.
+
+    Returns ``(x_c, model_c)``: blocks of ``x`` (last axis p) sorted ascending
+    and laid out one after another, with ``model_c`` describing that layout
+    (contiguous groups).  Rank-one data is returned unchanged.
+    """
+    if isinstance(model, RankOne):
+        return x, model
+    # C order: numpy reductions follow the memory layout, so rows are summed
+    # the same way whatever layout the block view came in
+    x_c = np.ascontiguousarray(np.sort(model.block_view(x), axis=-1)).reshape(x.shape)
+    if isinstance(model, Grouped) and not model._contiguous:
+        model = Grouped(model.p, model.R, model.gamma)
+    return x_c, model
+
+
+def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
+           size: Optional[int] = None, provenance: Optional[str] = None, *,
+           normals: Optional[np.ndarray] = None) -> Observation:
     """Draw from the model via its additive random-effect representation.
 
     ``theta`` may be None (the null).  With ``size`` given, returns a batch of
     shape (size, p).  The shared factor(s) are drawn before the idiosyncratic
-    noise, so a fixed stream reproduces bit-identical observations.
+    noise, so a fixed stream reproduces bit-identical observations.  Instead
+    of ``rng``, ``normals`` (rows of k factors then p noise coordinates, see
+    :func:`factor_count`) supplies the standard normals for one draw per row.
     """
     p = model.p
     if theta is None:
@@ -200,23 +278,22 @@ def sample(model: CorrelationModel, theta, rng: np.random.Generator,
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (p,):
             raise ContractError("theta length must equal model dimension p")
-    shape = (p,) if size is None else (size, p)
-    sg = math.sqrt(model.gamma)
-    sn = math.sqrt(1.0 - model.gamma)
-    if isinstance(model, Equicorrelated):
-        w = rng.standard_normal(shape[:-1] + (1,))
-        z = rng.standard_normal(shape)
-        x = theta + sg * w + sn * z
-    elif isinstance(model, Grouped):
-        w = rng.standard_normal(shape[:-1] + (model.R,))
-        z = rng.standard_normal(shape)
-        x = theta + sg * w[..., model.labels] + sn * z
-    elif isinstance(model, RankOne):
-        w = rng.standard_normal(shape[:-1] + (1,))
-        z = rng.standard_normal(shape)
-        x = theta + sg * w * model.v + sn * z
+    k = factor_count(model)
+    if normals is None:
+        lead = () if size is None else (size,)
+        w = rng.standard_normal(lead + (k,))
+        z = rng.standard_normal(lead + (p,))
     else:
-        raise ContractError(f"unknown model type {type(model)!r}")
+        normals = np.asarray(normals, dtype=float)
+        if normals.shape[-1] != k + p:
+            raise ContractError(f"normals rows must hold k + p = {k + p} values")
+        w, z = normals[..., :k], normals[..., k:]
+    shared = math.sqrt(model.gamma) * w
+    if isinstance(model, Grouped):
+        shared = shared[..., model.labels]
+    elif isinstance(model, RankOne):
+        shared = shared * model.v
+    x = theta + shared + math.sqrt(1.0 - model.gamma) * z
     return Observation(x=x, model=model, provenance=provenance)
 
 
@@ -226,14 +303,21 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def decorrelate(model: CorrelationModel, x, rng: np.random.Generator) -> np.ndarray:
-    """Transform data to an identity-covariance Gaussian vector.
+def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] = None,
+                *, xi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Transform data to an identity-covariance Gaussian vector (row-wise).
 
     The correlated direction(s) are projected out, the remainder rescaled by
     1/sqrt(1-gamma), and a fresh independent Gaussian is injected along each
     removed direction.  The output mean is the centered signal
     (theta minus its projection on the correlation direction(s)) over
     sqrt(1-gamma); the output covariance is the identity.
+
+    ``x`` has shape (..., p).  The k injections per row are drawn from ``rng``
+    or given as ``xi`` of shape (..., k).  Block means and the rank-one
+    projection are plain sums in the given layout; for data in canonical
+    layout (:func:`canonical_layout`) the output is bit-identical under
+    within-block permutations, and its blocks are sorted too.
 
     Requires gamma < 1; the perfectly correlated case has its own noiseless
     test path.
@@ -243,28 +327,20 @@ def decorrelate(model: CorrelationModel, x, rng: np.random.Generator) -> np.ndar
     x = _as_array(x)
     if x.shape[-1] != model.p:
         raise ContractError("data length does not match model dimension")
+    shape = x.shape[:-1] + (factor_count(model),)
+    if xi is None:
+        xi = rng.standard_normal(shape)
+    elif xi.shape != shape:
+        raise ContractError(f"injections must have shape {shape}")
     inv = 1.0 / math.sqrt(1.0 - model.gamma)
     if isinstance(model, RankOne):
         v = model.v
-        coef = (x @ v) / model.p
-        xi = rng.standard_normal(x.shape[:-1] + (1,)) if x.ndim > 1 else rng.standard_normal()
-        resid = (x - np.multiply.outer(coef, v).reshape(x.shape)) * inv
-        return resid + (xi / math.sqrt(model.p)) * v
-    if isinstance(model, Equicorrelated):
-        model_blocks = Grouped(model.p, 1, model.gamma)
-    else:
-        model_blocks = model
-    blocks = model_blocks.block_view(x)
-    bs = model_blocks.block_size
-    if x.ndim == 1:
-        # exactly rounded block means: invariant under within-block ordering
-        means = np.array([math.fsum(b.tolist()) / bs for b in blocks])
-    else:
-        b0 = blocks[..., :1]
-        means = (b0 + (blocks - b0).mean(axis=-1, keepdims=True))[..., 0]
-    xi = rng.standard_normal(means.shape)
-    out_blocks = (blocks - means[..., None]) * inv + (xi[..., None] / math.sqrt(bs))
-    return model_blocks.scatter_blocks(out_blocks)
+        coef = (x * v).sum(axis=-1, keepdims=True) / model.p
+        return (x - coef * v) * inv + (xi / math.sqrt(model.p)) * v
+    blocks = model.block_view(x)
+    means = blocks.sum(axis=-1, keepdims=True) / model.block_size
+    out_blocks = (blocks - means) * inv + (xi[..., None] / math.sqrt(model.block_size))
+    return model.scatter_blocks(out_blocks)
 
 
 def precision_apply(model: CorrelationModel, u) -> np.ndarray:

@@ -48,7 +48,9 @@ from .models import (
     Grouped,
     Observation,
     RankOne,
+    canonical_layout,
     decorrelate,
+    factor_count,
 )
 from . import statistics as stats
 
@@ -64,6 +66,8 @@ __all__ = [
 ]
 
 _RANK_ONE_RESIDUAL_RTOL = 1e-10  # verdict tolerance for non-sign-pattern v
+_MIN_TAIL = 20  # calibration needs this many expected replications past the quantile
+_BLOCK_ELEMENTS = 1 << 15  # calibration block size budget in data entries
 
 
 def _sparse_shape(p: int, s: int) -> float:
@@ -331,28 +335,30 @@ def _plan_adaptive(p: int, gamma: float) -> list:
 # ---------------------------------------------------------------------------
 # statistic evaluation
 
+# constituent kinds computed from decorrelated data; the others read raw data
+_DECORRELATED = frozenset({"thresholded", "chisq", "chisq_scan", "thresholded_scan",
+                           "adaptive_scan"})
+
+
+def _reads_decorrelated(items) -> bool:
+    return any(kind in _DECORRELATED for _, kind, _, _ in items)
+
 
 def _constituent_value(kind: str, params: dict, x: np.ndarray,
-                       model: CorrelationModel, cache: dict,
-                       rng: np.random.Generator) -> float:
-    def xt():
-        if "xt" not in cache:
-            cache["xt"] = decorrelate(model, x, rng)
-        return cache["xt"]
-
+                       model: CorrelationModel, blocks) -> np.ndarray:
+    """One constituent's values on ``x``: decorrelated data for the kinds in
+    ``_DECORRELATED``, raw data otherwise."""
     if kind == "thresholded":
-        return stats.thresholded_sum(xt(), params["t"]).value
+        return stats.thresholded_sum(blocks(x), params["t"]).value.sum(axis=-1)
     if kind == "chisq":
-        return stats.squared_norm(xt()).value
+        return stats.squared_norm(blocks(x)).value.sum(axis=-1)
     if kind == "linear":
-        if isinstance(model, RankOne):
-            return stats.linear_projection(x, model, "pattern").value
-        m = model if isinstance(model, Equicorrelated) else Equicorrelated(model.p, model.gamma)
-        return stats.linear_projection(x, m, "global").value
+        direction = "pattern" if isinstance(model, RankOne) else "global"
+        return stats.linear_projection(x, model, direction).value
     if kind == "chisq_scan":
-        return stats.scan(model.block_view(xt()), "chisq").value
+        return stats.scan(blocks(x), "chisq").value
     if kind == "thresholded_scan":
-        return stats.scan(model.block_view(xt()), "thresholded", t=params["t"]).value
+        return stats.scan(blocks(x), "thresholded", t=params["t"]).value
     if kind == "linear_scan":
         return stats.linear_scan(x, model).value
     if kind == "thresholded_avg":
@@ -362,22 +368,37 @@ def _constituent_value(kind: str, params: dict, x: np.ndarray,
     if kind == "noiseless":
         value = stats.noiseless_residual(x, model).value
         if isinstance(model, RankOne):
-            is_sign_pattern = np.all(np.abs(np.abs(model.v) - 1.0) < 1e-15)
-            if not is_sign_pattern:
-                energy = float(x @ x)
-                value = 0.0 if value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy) else value
+            if not model.sign_pattern:
+                energy = (x * x).sum(axis=-1)
+                value = np.where(value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy),
+                                 0.0, value)
         return value
     if kind == "chisq_raw":
-        return stats.squared_norm(x).value
+        return stats.squared_norm(blocks(x)).value.sum(axis=-1)
     if kind == "adaptive_scan":
-        profile = stats.thresholded_profile(xt(), params["ts"])
-        return float(np.max(profile / params["shapes"]))
+        profile = stats.thresholded_profile(x, params["ts"])
+        return (profile / params["shapes"]).max(axis=-1)
     raise ContractError(f"unknown constituent kind {kind!r}")
 
 
-def _all_values(items, x, model, rng) -> dict:
-    cache: dict = {}
-    return {name: _constituent_value(kind, params, x, model, cache, rng)
+def _values(items, x: np.ndarray, model: CorrelationModel,
+            xi: Optional[np.ndarray] = None) -> dict:
+    """The evaluation kernel: every plan's value on each row of ``x``.
+
+    ``x`` (n, p) must be in the canonical layout of ``model``
+    (``models.canonical_layout``).  When some plan reads decorrelated data
+    (``_reads_decorrelated``), ``x`` is decorrelated once with the
+    injections ``xi`` (n, k).  Whole-p sums add per-block sums over the
+    blocks, so every sum stays in canonical order without a sort across
+    blocks.  Returns {name: (n,) array}.
+    """
+    xt = decorrelate(model, x, xi=xi) if _reads_decorrelated(items) else None
+
+    def blocks(a):
+        return a[:, None, :] if isinstance(model, RankOne) else model.block_view(a)
+
+    return {name: _constituent_value(kind, params, xt if kind in _DECORRELATED else x,
+                                     model, blocks)
             for name, kind, params, _ in items}
 
 
@@ -398,6 +419,11 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
 
     Simulates ``n_cal`` null observations once and evaluates every plan on
     each, so a composite's constituents are calibrated on a common stream.
+    Replications run in blocks of at most ``_BLOCK_ELEMENTS // p`` rows
+    through the evaluation kernel; each block takes its standard normals in
+    one draw whose rows follow the single-draw stream layout (see
+    ``models``), so the values equal those of ``n_cal`` sequential
+    ``sample`` + ``evaluate`` calls up to summation rounding.
     Refuses when fewer than 20 replications are expected beyond the quantile.
     Returns {name: ThresholdRecord}.
     """
@@ -406,17 +432,24 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
     if n_cal < 1000:
         raise ContractError("n_cal must be at least 1000")
     expected_tail = n_cal * (1.0 - q)
-    if expected_tail < 20:
+    # relative slack: 1600 * (1 - 0.9875) rounds to 19.999...
+    if expected_tail < _MIN_TAIL * (1.0 - 1e-9):
         raise CalibrationError(
             f"n_cal={n_cal} leaves only {expected_tail:.1f} expected replications "
-            f"beyond the {q} quantile; need >= 20 (raise n_cal or lower q)")
+            f"beyond the {q} quantile; need >= {_MIN_TAIL} (raise n_cal or lower q)")
     from .models import sample as draw
+    p, k = model.p, factor_count(model)
+    k_xt = k if _reads_decorrelated(items) else 0
+    rows = max(1, _BLOCK_ELEMENTS // p)
     values = {name: np.empty(n_cal) for name, _, _, _ in items}
-    for i in range(n_cal):
-        obs = draw(model, None, rng)
-        vals = _all_values(items, obs.x, model, rng)
-        for name, v in vals.items():
-            values[name][i] = v
+    for start in range(0, n_cal, rows):
+        n = min(rows, n_cal - start)
+        # one row per replication: [k factors | p noise | k_xt injections]
+        normals = rng.standard_normal((n, k + p + k_xt))
+        obs = draw(model, None, normals=normals[:, :k + p])
+        x, layout = canonical_layout(model, obs.x)
+        for name, v in _values(items, x, layout, xi=normals[:, k + p:]).items():
+            values[name][start:start + n] = v
     out = {}
     lo_q, hi_q = _wilson_bounds(q, n_cal)
     for name, arr in values.items():
@@ -503,13 +536,20 @@ def evaluate(test: TestProcedure, obs: Observation,
              rng: np.random.Generator) -> Verdict:
     """Composite verdict on one observation (OR of constituents).
 
-    The decorrelation noise is drawn fresh from ``rng`` on every call; both
-    operating modes produce bit-identical statistic values for a fixed draw.
+    The evaluation kernel applied to a batch of one.  The decorrelation noise
+    is drawn fresh from ``rng`` on every call, and only when some constituent
+    reads decorrelated data; both operating modes produce
+    bit-identical statistic values for a fixed draw.
     """
     model = obs.model
     _check_compatibility(test, model)
+    if obs.x.ndim != 1:
+        raise ContractError("evaluate takes a single observation vector")
+    x, layout = canonical_layout(model, obs.x[None, :])
     items = [(c.name, c.kind, c.params, None) for c in test.constituents]
-    values = _all_values(items, obs.x, model, rng)
+    xi = (rng.standard_normal((1, factor_count(model)))
+          if _reads_decorrelated(items) else None)
+    values = {name: float(v[0]) for name, v in _values(items, x, layout, xi).items()}
     fired = tuple(c.name for c in test.constituents if values[c.name] > c.threshold)
     thresholds = {c.name: c.threshold for c in test.constituents}
     return Verdict(reject=bool(fired), fired=fired, values=values,

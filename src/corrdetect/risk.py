@@ -36,7 +36,7 @@ from .divergences import (
     UniformSparse,
     draw as draw_prior,
 )
-from .errors import ContractError
+from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
 from .models import Equicorrelated, Grouped, RankOne, sample
 from .procedures import TestProcedure, build_test, evaluate
@@ -289,8 +289,9 @@ def _cell_model(family, p, gamma, R, v):
 def run_sweep(plan: SweepPlan) -> tuple:
     """One RiskEstimate row per cell x multiplier.
 
-    Returns (rows, cell_reports).  Per-cell failures are recorded in the
-    report and leave NaN rows; the sweep continues.
+    Returns (rows, cell_reports).  Per-cell package errors (``CorrdetectError``:
+    refused or uncharacterized configurations) are recorded in the report and
+    leave NaN rows; the sweep continues.  Any other exception propagates.
     """
     rows = []
     reports = []
@@ -343,7 +344,7 @@ def _run_cell(plan, p, s, gamma, R, cell_id, executor):
                             se=est.se_total, n_reps=plan.n_reps,
                             seed=plan.master_seed))
         return out, dict(base, cell_id=cell_id, status="ok", regime=rate.regime)
-    except Exception as exc:  # recorded, sweep continues
+    except CorrdetectError as exc:  # recorded, sweep continues; other errors are bugs
         nan_rows = [dict(base, regime="", rate_sq=float("nan"), multiplier=m,
                          type_i=float("nan"), worst_type_ii=float("nan"),
                          total=float("nan"), se=float("nan"),

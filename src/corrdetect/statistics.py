@@ -1,16 +1,23 @@
-"""Scalar statistics the tests threshold.
+"""Statistics the tests threshold, evaluated on batches of observations.
 
-Statistics never compute thresholds; thresholding lives in ``procedures``.
-Sums feeding test verdicts use ``math.fsum`` (exactly rounded, hence
-independent of summation order), which makes every statistic invariant under
-the model's coordinate permutations at the bit level.
+Every statistic takes data of shape (..., p) and reduces the last axis; a
+single vector is a batch of one and gives plain Python numbers.  Statistics
+never compute thresholds; thresholding lives in ``procedures``.
+
+Sums are plain numpy reductions in the canonical order of ``models``: the
+entries of each exchangeable block are summed in ascending order
+(``models.ascending_rows``), so every statistic is bit-identical under the
+model's coordinate permutations.  A model-free statistic treats each row as
+one block.  The evaluation kernel in ``procedures`` passes data whose blocks
+``models.canonical_layout`` has already sorted, so large batches are not
+sorted again.  Rank-one pattern projections sum in the given layout.
 
 The workhorse is the thresholded square sum
 
     Y_t = sum_i (z_i^2 - alpha(t)) 1{|z_i| >= t},
 
-computed as fsum of the selected squares minus count * alpha(t), so that at
-t = 0 it equals ||z||^2 - p exactly.
+computed as the sum of the selected squares minus count * alpha(t), so that
+at t = 0 it equals ||z||^2 - p exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .gaussian import alpha_cached
-from .models import CorrelationModel, Equicorrelated, Grouped, Observation, RankOne
+from .gaussian import alpha, alpha_cached
+from .models import CorrelationModel, Grouped, Observation, RankOne, ascending_rows
 
 __all__ = [
     "StatisticValue",
@@ -42,59 +49,69 @@ __all__ = [
 @dataclass(frozen=True)
 class StatisticValue:
     name: str
-    value: float
+    value: object  # float for one vector, array of the batch shape otherwise
     aux: dict = field(default_factory=dict)
 
 
-def _vector(z) -> np.ndarray:
+def _data(z) -> np.ndarray:
     z = z.x if isinstance(z, Observation) else np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ContractError("statistics operate on a single observation vector")
+    if z.ndim < 1:
+        raise ContractError("statistics need a coordinate axis")
     return z
 
 
-def _fsum_selected_squares(z: np.ndarray, t: float) -> tuple:
+def _out(a):
+    """Python number for a single vector's result, the array for a batch."""
+    return a.item() if a.ndim == 0 else a
+
+
+def _energy(z: np.ndarray) -> np.ndarray:
+    z = ascending_rows(z)
+    return (z * z).sum(axis=-1)
+
+
+def _tail_energy(z: np.ndarray, t: float) -> tuple:
+    z = ascending_rows(z)
     mask = np.abs(z) >= t
-    sel = z[mask]
-    return math.fsum((sel * sel).tolist()), int(sel.size)
+    count = mask.sum(axis=-1)
+    total = np.where(mask, z * z, 0.0).sum(axis=-1)
+    return total - count * alpha_cached(t), count
 
 
 def thresholded_sum(z, t: float) -> StatisticValue:
     """Y_t: excess energy of coordinates exceeding threshold t."""
     if t < 0:
         raise ContractError("threshold must be nonnegative")
-    z = _vector(z)
-    total, count = _fsum_selected_squares(z, t)
-    value = total - count * alpha_cached(t)
-    return StatisticValue("thresholded_sum", value, {"t": t, "count": count})
+    value, count = _tail_energy(_data(z), t)
+    return StatisticValue("thresholded_sum", _out(value), {"t": t, "count": _out(count)})
 
 
-def thresholded_profile(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def thresholded_profile(z, ts: np.ndarray) -> np.ndarray:
     """Y_t for a whole grid of thresholds via one sort (adaptive scans).
 
-    Uses cumulative sums rather than fsum; used only inside max-normalized
-    scan statistics where the grid evaluation must stay O(p log p).
+    Returns shape (..., len(ts)).  Uses suffix cumulative sums over |z| in
+    ascending order, so the grid evaluation stays O(p log p) per row.
     """
-    z = np.asarray(z, dtype=float)
-    a = np.sort(np.abs(z))
+    z = _data(z)
+    ts = np.asarray(ts, dtype=float)
+    a = np.sort(np.abs(z), axis=-1)
     sq = a * a
-    suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    idx = np.searchsorted(a, ts, side="left")
-    counts = a.size - idx
-    from .gaussian import alpha
-    return suffix[idx] - counts * alpha(ts)
+    suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
+                             np.zeros(a.shape[:-1] + (1,))], axis=-1)
+    rows = a.reshape(-1, a.shape[-1])
+    idx = np.stack([np.searchsorted(row, ts) for row in rows])
+    idx = idx.reshape(a.shape[:-1] + ts.shape)
+    counts = a.shape[-1] - idx
+    return np.take_along_axis(suffix, idx, axis=-1) - counts * alpha(ts)
 
 
 def squared_norm(z) -> StatisticValue:
-    """||z||^2 with exactly rounded summation."""
-    z = _vector(z)
-    value = math.fsum((z * z).tolist())
-    return StatisticValue("squared_norm", value, {})
+    """||z||^2 summed in canonical order."""
+    return StatisticValue("squared_norm", _out(_energy(_data(z))), {})
 
 
-def _block_sums(model: Grouped, x: np.ndarray) -> np.ndarray:
-    blocks = model.block_view(x)
-    return np.array([math.fsum(b.tolist()) for b in blocks])
+def _block_sums(model, x: np.ndarray) -> np.ndarray:
+    return ascending_rows(model.block_view(x)).sum(axis=-1)
 
 
 def linear_projection(x, model: CorrelationModel, direction="global",
@@ -106,30 +123,29 @@ def linear_projection(x, model: CorrelationModel, direction="global",
     <sqrt(R/p) 1_Bk, x>^2.  direction "pattern": <v/sqrt(p), x>^2 for the
     rank-one pattern, null variance 1-g+gp.
     """
-    x = _vector(x)
+    x = _data(x)
     p, g = model.p, model.gamma
     if direction == "global":
-        total = math.fsum(x.tolist())
-        bs = model.block_size if isinstance(model, Grouped) else p
-        null_var = 1.0 - g + g * bs if not isinstance(model, RankOne) else None
         if isinstance(model, RankOne):
             raise ContractError("global direction undefined for rank-one; use 'pattern'")
-        return StatisticValue("linear", total * total / p, {"null_variance": null_var})
+        total = _block_sums(model, x).sum(axis=-1)
+        return StatisticValue("linear", _out(total * total / p),
+                              {"null_variance": 1.0 - g + g * model.block_size})
     if direction == "group":
         if not isinstance(model, Grouped):
             raise ContractError("group direction requires a grouped model")
         if group is None or not (0 <= group < model.R):
             raise ContractError("group index out of range")
         sums = _block_sums(model, x)
-        value = sums[group] ** 2 * model.R / p
-        return StatisticValue("linear_group", float(value),
+        value = sums[..., group] ** 2 * model.R / p
+        return StatisticValue("linear_group", _out(value),
                               {"group": group,
                                "null_variance": 1.0 - g + g * model.block_size})
     if direction == "pattern":
         if not isinstance(model, RankOne):
             raise ContractError("pattern direction requires a rank-one model")
-        total = math.fsum((model.v * x).tolist())
-        return StatisticValue("linear_pattern", total * total / p,
+        total = (model.v * x).sum(axis=-1)
+        return StatisticValue("linear_pattern", _out(total * total / p),
                               {"null_variance": 1.0 - g + g * p})
     raise ContractError(f"unknown direction {direction!r}")
 
@@ -137,42 +153,36 @@ def linear_projection(x, model: CorrelationModel, direction="global",
 def scan(xt_blocks: np.ndarray, kind: str, t: Optional[float] = None) -> StatisticValue:
     """Per-group statistic values with the maximizing group.
 
-    ``xt_blocks`` has shape (R, p/R), usually decorrelated data.  kind
+    ``xt_blocks`` has shape (..., R, p/R), usually decorrelated data.  kind
     "chisq": per-group squared norms.  kind "thresholded": per-group Y_t
     (needs t).  The value is the maximum; the test layer applies a common
     per-group threshold, so the scan fires iff any group exceeds it.
     """
     xt_blocks = np.asarray(xt_blocks, dtype=float)
-    if xt_blocks.ndim != 2:
-        raise ContractError("scan expects equal-length group rows (R, p/R)")
+    if xt_blocks.ndim < 2:
+        raise ContractError("scan expects equal-length group rows (..., R, p/R)")
     if kind == "chisq":
-        per_group = np.array([math.fsum((b * b).tolist()) for b in xt_blocks])
+        per_group = _energy(xt_blocks)
     elif kind == "thresholded":
         if t is None or t < 0:
             raise ContractError("thresholded scan needs a nonnegative t")
-        a = alpha_cached(t)
-        vals = []
-        for b in xt_blocks:
-            total, count = _fsum_selected_squares(b, t)
-            vals.append(total - count * a)
-        per_group = np.array(vals)
+        per_group, _ = _tail_energy(xt_blocks, t)
     else:
         raise ContractError(f"unknown scan kind {kind!r}")
-    k = int(np.argmax(per_group))
-    return StatisticValue(f"{kind}_scan", float(per_group[k]),
-                          {"per_group": per_group, "argmax": k, "t": t})
+    return StatisticValue(f"{kind}_scan", _out(per_group.max(axis=-1)),
+                          {"per_group": per_group,
+                           "argmax": _out(per_group.argmax(axis=-1)), "t": t})
 
 
 def linear_scan(x, model: Grouped) -> StatisticValue:
     """Max over groups of the squared normalized group projection (raw data)."""
     if not isinstance(model, Grouped):
         raise ContractError("linear scan requires a grouped model")
-    x = _vector(x)
-    sums = _block_sums(model, x)
+    sums = _block_sums(model, _data(x))
     per_group = sums * sums * (model.R / model.p)
-    k = int(np.argmax(per_group))
-    return StatisticValue("linear_scan", float(per_group[k]),
-                          {"per_group": per_group, "argmax": k,
+    return StatisticValue("linear_scan", _out(per_group.max(axis=-1)),
+                          {"per_group": per_group,
+                           "argmax": _out(per_group.argmax(axis=-1)),
                            "null_variance": 1.0 - model.gamma + model.gamma * model.block_size})
 
 
@@ -180,8 +190,7 @@ def standardized_group_means(x, model: Grouped) -> np.ndarray:
     """R-vector sqrt(p/R) * mean_k / sqrt(1-g+g p/R): iid N(0,1) under the null."""
     if not isinstance(model, Grouped):
         raise ContractError("group means require a grouped model")
-    x = _vector(x)
-    sums = _block_sums(model, x)
+    sums = _block_sums(model, _data(x))
     bs = model.block_size
     sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
     return sums / (math.sqrt(bs) * sigma)
@@ -202,10 +211,11 @@ def averaged_group(x, model: Grouped, kind: str, t: Optional[float] = None) -> S
         sv = thresholded_sum(u, t)
         return StatisticValue("thresholded_avg", sv.value, dict(sv.aux))
     if kind == "chisq":
-        x = _vector(x)
-        sums = _block_sums(model, x)
-        value = math.fsum((sums * sums * (model.R / model.p)).tolist())
-        return StatisticValue("chisq_avg", value,
+        if not isinstance(model, Grouped):
+            raise ContractError("group means require a grouped model")
+        sums = _block_sums(model, _data(x))
+        value = (sums * sums * (model.R / model.p)).sum(axis=-1)
+        return StatisticValue("chisq_avg", _out(value),
                               {"null_scale": 1.0 - model.gamma + model.gamma * model.block_size})
     raise ContractError(f"unknown averaged kind {kind!r}")
 
@@ -215,23 +225,27 @@ def noiseless_residual(x, model: CorrelationModel) -> StatisticValue:
 
     Equicorrelated / grouped: sum_k ||x_Bk - mean(x_Bk) 1||^2, computed with
     a first-entry anchor so a block of bit-identical entries gives exactly 0.
-    Rank-one: ||x - <v,x> v / p||^2 (exact zero is attainable only for
-    sign-pattern v; verdicts use a relative tolerance there).
+    Rank-one: ||x - <v,x> v / p||^2.  For a sign pattern v this equals
+    ||u - mean(u) 1||^2 with u = v * x, computed with the same anchor, so a
+    null draw (u constant) gives exactly 0; for other v exact zero is not
+    attainable and verdicts use a relative tolerance.
     """
     if model.gamma < 1.0:
         raise ContractError("noiseless residual is only valid at gamma = 1")
-    x = _vector(x)
+    x = _data(x)
     if isinstance(model, RankOne):
-        coef = math.fsum((model.v * x).tolist()) / model.p
-        r = x - coef * model.v
-        value = math.fsum((r * r).tolist())
-        return StatisticValue("noiseless_residual", value, {"projection": coef})
-    blocks = Grouped(model.p, 1, 1.0).block_view(x) if isinstance(model, Equicorrelated) \
-        else model.block_view(x)
-    total_terms = []
-    for b in blocks:
-        d = b - b[0]
-        m = math.fsum(d.tolist()) / d.size
-        r = d - m
-        total_terms.extend((r * r).tolist())
-    return StatisticValue("noiseless_residual", math.fsum(total_terms), {})
+        u = model.v * x
+        coef = u.sum(axis=-1, keepdims=True) / model.p
+        r = _anchored_residual(u) if model.sign_pattern else x - coef * model.v
+        return StatisticValue("noiseless_residual", _out((r * r).sum(axis=-1)),
+                              {"projection": _out(coef[..., 0])})
+    r = _anchored_residual(ascending_rows(model.block_view(x)))
+    value = (r * r).reshape(x.shape).sum(axis=-1)
+    return StatisticValue("noiseless_residual", _out(value), {})
+
+
+def _anchored_residual(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` minus their means, anchored at the first entry so that a
+    row of bit-identical entries gives exactly 0."""
+    d = a - a[..., :1]
+    return d - d.sum(axis=-1, keepdims=True) / d.shape[-1]

@@ -16,6 +16,7 @@ from corrdetect.procedures import (
     model_for,
 )
 from corrdetect.rates import rate_equicorrelated
+from corrdetect.streams import substream
 
 
 def _rng(seed):
@@ -121,6 +122,13 @@ class TestCalibration:
         items = [("chisq", "chisq", {}, None)]
         with pytest.raises(CalibrationError):
             calibrate_null_quantile(items, model, 0.999, 1000, _rng(2))
+
+    def test_tail_count_survives_rounding(self):
+        # four constituents at eta=0.1: 1600 * (1 - 0.9875) rounds to 19.999...
+        test = build_test("equicorrelated", 400, "adaptive", 0.5, mode="calibrated",
+                          eta=0.1, n_cal=1600, rng=substream(0, 1))
+        assert len(test.constituents) == 4
+        assert test.calibration["n_cal"] == 1600
 
     def test_null_rejection_within_budget(self):
         # eta = 0.1 composite: type I <= 0.05 plus Monte Carlo slack

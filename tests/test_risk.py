@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from corrdetect.divergences import UniformSparse
+from corrdetect import risk
+from corrdetect.divergences import ShiftedSparse, UniformSparse
 from corrdetect.errors import ContractError
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.procedures import build_test, model_for
@@ -138,6 +139,23 @@ class TestSweep:
         assert reports[0]["status"] == "error"
         assert "uncharacterized" in reports[0]["error"]
         assert math.isnan(rows[0]["total"])
+
+    def test_non_package_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("shape bug inside a cell")
+
+        monkeypatch.setattr(risk, "estimate_risk", broken)
+        plan = SweepPlan(family="equicorrelated", p_grid=(16,), s_grid=(2,),
+                         gamma_grid=(0.5,), multipliers=(1.0,), n_reps=200,
+                         master_seed=0, mode="paper_constants", C=3.0)
+        with pytest.raises(IndexError, match="shape bug"):
+            run_sweep(plan)
+
+    def test_shifted_prior_alternative_refused(self):
+        test = build_test("equicorrelated", 16, 14, 0.3, mode="paper_constants", C=3.0)
+        with pytest.raises(ContractError, match="shifted"):
+            estimate_risk(test, model_for(test), [ShiftedSparse(16, 14, 0.5)], 100,
+                          master_seed=0)
 
     def test_grouped_default_panel_matches_regime(self):
         alts = default_alternatives("grouped", 64, 8, 0.5, 4, None, 10.0)
