@@ -6,7 +6,8 @@ and serialize a calibrated test), ``risk`` (one risk estimate from a config),
 (prior divergence reports as JSON rows), and ``selftest``.
 
 Exit codes: 0 success, 2 configuration error (with a field-path diagnostic),
-1 runtime failure.  The master seed falls back to the CORRDETECT_SEED
+1 runtime failure (for ``sweep``: some cell failed; the CSV and manifest are
+still written and the failed cells listed on stderr).  The master seed falls back to the CORRDETECT_SEED
 environment variable when no flag is given.
 """
 
@@ -297,7 +298,10 @@ def _cmd_sweep(args) -> int:
     write_manifest(plan, reports, csv_path, manifest_path, config=cfg)
     failures = [r for r in reports if r["status"] != "ok"]
     print(f"wrote {csv_path} ({len(rows)} rows; {len(failures)} failed cells)")
-    return 0
+    for r in failures:
+        print(f"error: cell {r['cell_id']} (p={r['p']}, s={r['s']}, "
+              f"gamma={r['gamma']}, R={r['R']}): {r['error']}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_divergence(args) -> int:
@@ -410,7 +414,8 @@ def _parser() -> argparse.ArgumentParser:
                                 "exact_enumeration", "monte_carlo"])
     div_p.add_argument("--magnitude", type=float, required=True)
     div_p.add_argument("--m", type=int, default=1)
-    div_p.add_argument("--signs", default="plus", choices=["plus", "match_pattern"])
+    div_p.add_argument("--signs", default="plus",
+                       choices=["plus", "match_pattern", "rademacher"])
     div_p.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
     div_p.add_argument("--seed", type=int)
     add_model_flags(div_p)

@@ -24,13 +24,26 @@ Exact computation routes:
 * otherwise: full support-pair enumeration (with an exchangeability
   reduction fixing one support when the pair count exceeds the budget) or
   plain Monte Carlo over prior pairs.
+
+Enumeration lists every support as a row of one index array, in
+``itertools.combinations`` order, so its sums are those of a loop over
+``combinations``.
+
+Monte Carlo runs in blocks of ``_BLOCK_ELEMENTS // p`` pairs (the budget
+shared with null calibration in ``models``).  Each block takes one batched
+:func:`draw` of 2n rows from the stream, rows 2i and 2i + 1 forming pair i,
+and applies the precision to the second rows in one call.  The pair inner
+products are elementwise products summed per row, not matrix products, so
+the estimate does not depend on the BLAS thread count (the rank-one precision
+itself still takes one matrix-vector product).  A batched draw consumes the
+stream differently from single draws, so estimates differ from a loop over
+single draws with the same seed; single draws are what the risk engine uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -38,6 +51,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ContractError, DomainError, SingularCovarianceError
 from .models import (
+    _BLOCK_ELEMENTS,
     CorrelationModel,
     Equicorrelated,
     Grouped,
@@ -183,45 +197,65 @@ PriorSpec = Union[PointMass, UniformSparse, SingleGroupSparse, GroupSupported,
                   ShiftedSparse]
 
 
-def draw(prior: PriorSpec, rng: np.random.Generator, v=None) -> np.ndarray:
-    """One signal vector distributed according to the prior.
+def _subsets(rng: np.random.Generator, population: int, k: int,
+             size: Optional[int]) -> np.ndarray:
+    """Uniform k-subsets of range(population).
 
-    Shifted priors are refused: they pair the sparse prior with the constant
-    shift b*1_p and are consumed only by :func:`risk_lower_bound`.
+    One subset (``size`` None) comes from ``rng.choice`` without replacement;
+    ``size`` subsets, one per row, are the positions of the k smallest of
+    ``population`` iid uniform keys per row.  Every k-subset of the keys is
+    equally likely to hold the k smallest, so the rows are exactly uniform
+    (ties, of probability below population^2 * 2^-53, aside).
     """
+    if size is None:
+        return rng.choice(population, size=k, replace=False)
+    keys = rng.random((size, population))
+    return np.argpartition(keys, k - 1, axis=-1)[:, :k]
+
+
+def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
+         size: Optional[int] = None) -> np.ndarray:
+    """Signal vector(s) distributed according to the prior.
+
+    With ``size`` given, returns ``size`` independent draws as rows of a
+    (size, p) array.  Single draws (``size`` None) and batches take their
+    subsets by different rules (see :func:`_subsets`), so a batch of one does
+    not reproduce a single draw from the same stream.  Shifted priors are
+    refused: they pair the sparse prior with the constant shift b*1_p and are
+    consumed only by :func:`risk_lower_bound`.
+    """
+    if isinstance(prior, ShiftedSparse):
+        raise ContractError("shifted priors have no single draw; use risk_lower_bound")
     if isinstance(prior, PointMass):
-        return prior.theta.copy()
+        return prior.theta.copy() if size is None else np.tile(prior.theta, (size, 1))
     if isinstance(prior, UniformSparse):
         pool = prior.universe if prior.universe is not None else np.arange(prior.p)
-        idx = rng.choice(pool, size=prior.s, replace=False)
-        theta = np.zeros(prior.p)
+        idx = pool[_subsets(rng, pool.size, prior.s, size)]
         if prior.signs == "match_pattern":
             if v is None:
                 raise ContractError("sign matching needs the pattern v")
             v = np.asarray(v, dtype=float)
-            theta[idx] = prior.magnitude * np.where(v[idx] < 0, -1.0, 1.0)
+            values = prior.magnitude * np.where(v[idx] < 0, -1.0, 1.0)
         elif prior.signs == "rademacher":
-            theta[idx] = prior.magnitude * rng.choice([-1.0, 1.0], size=prior.s)
+            values = prior.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
         else:
-            theta[idx] = prior.magnitude
-        return theta
-    if isinstance(prior, SingleGroupSparse):
+            values = prior.magnitude
+    elif isinstance(prior, SingleGroupSparse):
         bs = prior.p // prior.R
-        k = int(rng.integers(prior.R))
-        inside = rng.choice(bs, size=prior.s, replace=False)
-        theta = np.zeros(prior.p)
-        theta[k * bs + inside] = prior.magnitude
-        return theta
-    if isinstance(prior, GroupSupported):
+        k = rng.integers(prior.R, size=size)
+        idx = np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size)
+        values = prior.magnitude
+    elif isinstance(prior, GroupSupported):
         bs = prior.p // prior.R
-        groups = rng.choice(prior.R, size=prior.m, replace=False)
-        theta = np.zeros(prior.p)
-        for k in groups:
-            theta[k * bs:(k + 1) * bs] = prior.magnitude
-        return theta
-    if isinstance(prior, ShiftedSparse):
-        raise ContractError("shifted priors have no single draw; use risk_lower_bound")
-    raise ContractError(f"unknown prior {type(prior)!r}")
+        groups = _subsets(rng, prior.R, prior.m, size)
+        idx = (groups[..., None] * bs + np.arange(bs)).reshape(
+            groups.shape[:-1] + (prior.m * bs,))
+        values = prior.magnitude
+    else:
+        raise ContractError(f"unknown prior {type(prior)!r}")
+    theta = np.zeros(idx.shape[:-1] + (prior.p,))
+    np.put_along_axis(theta, idx, values, axis=-1)
+    return theta
 
 
 @dataclass(frozen=True)
@@ -458,40 +492,65 @@ def _try_overlap_sum(prior, model) -> Optional[DivergenceResult]:
     return None
 
 
-def _support_iter(prior, model):
-    """Iterate (support, signed values) configurations with probabilities."""
+def _combinations(n: int, r: int) -> np.ndarray:
+    """Every r-subset of range(n) as a row, in ``itertools.combinations`` order.
+
+    Built one position at a time: a prefix ending in c extends by each of
+    c + 1, ..., n - r + j at position j, and ``np.repeat`` keeps a prefix's
+    extensions together in ascending order, so rows stay lexicographic.
+    """
+    combos = np.arange(n - r + 1, dtype=np.intp)[:, None]
+    for j in range(1, r):
+        last = combos[:, -1]
+        counts = n - r + j - last
+        parent = np.repeat(np.arange(last.size), counts)
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack([combos[parent], last[parent] + 1 + offset])
+    return combos
+
+
+def _support_iter(prior, limit: int) -> Optional[np.ndarray]:
+    """Every support of the prior as a row of an (n, s) index array, or None
+    when there are more than ``limit``.
+
+    The prior is uniform over these supports.  Rows follow
+    ``itertools.combinations`` order (group by group for single-group priors).
+    """
     if isinstance(prior, UniformSparse):
-        pool = prior.universe if prior.universe is not None else np.arange(prior.p)
-        supports = list(combinations(pool.tolist(), prior.s))
-        return supports
+        n = math.comb(prior.population, prior.s)
+    elif isinstance(prior, SingleGroupSparse):
+        bs = prior.p // prior.R
+        n = prior.R * math.comb(bs, prior.s)
+    elif isinstance(prior, GroupSupported):
+        bs = prior.p // prior.R
+        n = math.comb(prior.R, prior.m)
+    else:
+        raise ContractError(f"enumeration does not support {type(prior)!r}")
+    if n > limit:
+        return None
+    if isinstance(prior, UniformSparse):
+        combos = _combinations(prior.population, prior.s)
+        return combos if prior.universe is None else prior.universe[combos]
     if isinstance(prior, SingleGroupSparse):
-        bs = prior.p // prior.R
-        out = []
-        for k in range(prior.R):
-            for S in combinations(range(bs), prior.s):
-                out.append(tuple(k * bs + np.asarray(S)))
-        return out
-    if isinstance(prior, GroupSupported):
-        bs = prior.p // prior.R
-        out = []
-        for groups in combinations(range(prior.R), prior.m):
-            idx = np.concatenate([np.arange(k * bs, (k + 1) * bs) for k in groups])
-            out.append(tuple(idx))
-        return out
-    raise ContractError(f"enumeration does not support {type(prior)!r}")
+        inside = _combinations(bs, prior.s)
+        return (np.arange(prior.R)[:, None, None] * bs + inside).reshape(n, prior.s)
+    groups = _combinations(prior.R, prior.m)
+    return (groups[:, :, None] * bs + np.arange(bs)).reshape(n, prior.m * bs)
 
 
 def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     if isinstance(prior, UniformSparse) and prior.signs == "rademacher":
         return None  # sign configurations are not enumerated; use monte_carlo
-    supports = _support_iter(prior, model)
-    n = len(supports)
     exchangeable = (isinstance(prior, UniformSparse) and prior.signs == "plus"
                     and isinstance(model, Equicorrelated))
-    full = n * n <= ENUMERATION_PAIR_BUDGET
-    if not full and not (exchangeable and n <= ENUMERATION_PAIR_BUDGET):
+    # the full sum needs n^2 pairs, the exchangeable reduction n
+    limit = (ENUMERATION_PAIR_BUDGET if exchangeable
+             else math.isqrt(ENUMERATION_PAIR_BUDGET))
+    idx = _support_iter(prior, limit)
+    if idx is None:
         return None
-    idx = np.asarray(supports, dtype=np.intp)
+    n = idx.shape[0]
+    full = n * n <= ENUMERATION_PAIR_BUDGET
     thetas = np.zeros((n, prior.p))
     rows = np.arange(n)[:, None]
     if isinstance(prior, UniformSparse) and prior.signs == "match_pattern":
@@ -514,11 +573,13 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
     if model.gamma >= 1.0:
         raise SingularCovarianceError("monte_carlo divergence needs gamma < 1")
+    pairs = max(1, _BLOCK_ELEMENTS // model.p)
     logs = np.empty(n_mc)
-    for i in range(n_mc):
-        th1 = draw(prior, rng, v=v)
-        th2 = draw(prior, rng, v=v)
-        logs[i] = float(th1 @ precision_apply(model, th2))
+    for start in range(0, n_mc, pairs):
+        n = min(pairs, n_mc - start)
+        thetas = draw(prior, rng, v=v, size=2 * n)  # rows 2i, 2i + 1: pair i
+        logs[start:start + n] = (thetas[0::2]
+                                 * precision_apply(model, thetas[1::2])).sum(axis=-1)
     terms = np.exp(logs - logs.max())
     total = float(terms.sum())
     mean = float(np.exp(logs.max()) * total / n_mc)

@@ -228,6 +228,12 @@ def factor_count(model: CorrelationModel) -> int:
     return model.R if isinstance(model, Grouped) else 1
 
 
+# Batched kernels (null calibration, Monte Carlo divergences) work in blocks
+# of at most this many data entries, ``_BLOCK_ELEMENTS // p`` rows of length p:
+# a fixed budget, so block boundaries never depend on the worker count.
+_BLOCK_ELEMENTS = 1 << 15
+
+
 # Below this many entries np.sort costs less than checking the order: about
 # 1-3 us against 3-5 us for arrays of 64-512 entries (one observation's
 # blocks); at calibration blocks of ~32k entries the check is 3-13x cheaper.

@@ -9,8 +9,13 @@ statistic plans:
 * ``calibrated`` (default): each constituent's threshold is the empirical
   (1 - eta/(2 m)) null quantile from seeded null replications, where m counts
   the constituents with a nondegenerate null.  The union bound then budgets
-  eta/2 for type I, mirroring the eta/2 + eta/2 accounting behind the
-  closed-form constants.
+  eta/2 for type I,
+
+      P_0(some constituent fires) <= sum_j P_0(constituent j fires)
+                                  <= m * eta/(2 m) = eta/2,
+
+  mirroring the eta/2 + eta/2 accounting behind the closed-form constants.
+  Each constituent's own budget is reported as ``budget_per_constituent``.
 
 Constituents and which regimes use them (base size b = p/R, log(eR) = 1+log R):
 
@@ -43,6 +48,7 @@ import numpy as np
 from .errors import CalibrationError, ContractError, UnsupportedRegimeError
 from .geometry import omega as pattern_omega
 from .models import (
+    _BLOCK_ELEMENTS,
     CorrelationModel,
     Equicorrelated,
     Grouped,
@@ -67,7 +73,6 @@ __all__ = [
 
 _RANK_ONE_RESIDUAL_RTOL = 1e-10  # verdict tolerance for non-sign-pattern v
 _MIN_TAIL = 20  # calibration needs this many expected replications past the quantile
-_BLOCK_ELEMENTS = 1 << 15  # calibration block size budget in data entries
 
 
 def _sparse_shape(p: int, s: int) -> float:

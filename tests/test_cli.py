@@ -103,6 +103,19 @@ class TestSweepCommand:
                         "--out", str(out2)])[0] == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_failed_cell_exits_nonzero_after_writing(self, tmp_path):
+        # grouped at gamma = 1 with s < p/R is a refused configuration
+        cfg = _sweep_config(tmp_path, model={"family": "grouped", "p": [32],
+                                             "gamma": [0.5, 1.0], "R": [4]})
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 1
+        assert "1 failed cells" in out
+        assert "gamma=1.0" in err
+        assert len((out_dir / "sweep.csv").read_text().splitlines()) == 5
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert [c["status"] for c in manifest["cells"]] == ["ok", "error"]
+
     def test_bad_group_count_diagnostic(self, tmp_path):
         cfg = _sweep_config(tmp_path, model={"family": "grouped", "p": [32],
                                              "gamma": [0.5], "R": [5]})
@@ -180,6 +193,20 @@ class TestOtherCommands:
         row = json.loads(out)
         assert row["method"] == "hypergeometric_sum"
         assert row["risk_bound"] == pytest.approx(1 - 0.5 * row["chi_sq"] ** 0.5)
+
+    def test_rademacher_divergence_is_seeded(self):
+        args = ["divergence", "--prior", "uniform_sparse", "--signs", "rademacher",
+                "--family", "eq", "--p", "40", "--s", "3", "--gamma", "0.3",
+                "--magnitude", "0.5", "--method", "monte_carlo", "--n-mc", "3000",
+                "--seed", "11"]
+        first, second = run_cli(args), run_cli(args)
+        assert first[0] == 0
+        assert first[1] == second[1]
+        row = json.loads(first[1])
+        assert row["prior"]["signs"] == "rademacher"
+        assert row["method"] == "monte_carlo" and row["stderr"] > 0
+        other = run_cli(args[:-1] + ["12"])
+        assert json.loads(other[1])["chi_sq"] != row["chi_sq"]
 
     def test_console_entry_point(self):
         proc = subprocess.run(

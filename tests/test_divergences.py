@@ -1,14 +1,17 @@
 """Divergence checks: closed forms, overlap sums vs enumeration, bounds."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
+    _combinations,
+    _support_iter,
     DivergenceResult,
     GroupSupported,
     PointMass,
@@ -23,6 +26,7 @@ from corrdetect.divergences import (
 )
 from corrdetect.errors import ContractError, SingularCovarianceError
 from corrdetect.models import Equicorrelated, Grouped, RankOne, precision_apply
+from corrdetect.streams import substream
 
 
 def brute_force_chisq(prior, model, v=None):
@@ -281,3 +285,151 @@ class TestDraw:
         prior = UniformSparse(8, 2, 1.0, signs="match_pattern")
         with pytest.raises(ContractError):
             draw(prior, np.random.default_rng(0))
+
+    def test_shifted_prior_refused_batched(self):
+        with pytest.raises(ContractError):
+            draw(ShiftedSparse(8, 3, 0.5), np.random.default_rng(0), size=4)
+
+
+# Single draws (no ``size``) feed the risk engine, so their stream use is
+# pinned: the nonzero entries (index, float.hex) of three draws from
+# default_rng(20261018), then the next uniform from that generator, as the
+# code before batched draws produced them.
+_PATTERN = np.array([1, -1, 2, -0.5, 1, -1, 1, -3, 1.0])
+_A, _B = "0x1.6666666666666p-1", "0x1.4cccccccccccdp+0"
+_C, _D = "0x1.ccccccccccccdp-1", "0x1.3333333333333p-1"
+_E = "0x1.199999999999ap+0"
+PINNED_SINGLE_DRAWS = [
+    (UniformSparse(20, 3, 0.7), None,
+     [[(12, _A), (16, _A), (19, _A)], [(0, _A), (13, _A), (14, _A)],
+      [(8, _A), (13, _A), (14, _A)]], "0x1.30d00aece4100p-9"),
+    (UniformSparse(9, 4, 1.3, signs="match_pattern"), _PATTERN,
+     [[(3, "-" + _B), (4, _B), (6, _B), (7, "-" + _B)],
+      [(0, _B), (4, _B), (6, _B), (8, _B)],
+      [(0, _B), (3, "-" + _B), (5, "-" + _B), (8, _B)]], "0x1.73a923a64e95bp-1"),
+    (UniformSparse(15, 5, 0.9, signs="rademacher"), None,
+     [[(5, _C), (7, _C), (8, "-" + _C), (10, _C), (12, _C)],
+      [(0, _C), (6, "-" + _C), (9, "-" + _C), (13, "-" + _C), (14, "-" + _C)],
+      [(1, "-" + _C), (3, _C), (5, _C), (10, "-" + _C), (14, _C)]],
+     "0x1.1ab6a6dfa9db8p-4"),
+    (UniformSparse(16, 3, 0.6, universe=np.array([1, 4, 5, 9, 11, 15])), None,
+     [[(5, _D), (11, _D), (15, _D)], [(1, _D), (9, _D), (11, _D)],
+      [(4, _D), (9, _D), (11, _D)]], "0x1.30d00aece4100p-9"),
+    (SingleGroupSparse(12, 3, 2, 1.1), None,
+     [[(10, _E), (11, _E)], [(4, _E), (6, _E)], [(1, _E), (2, _E)]],
+     "0x1.5527321162951p-1"),
+    (GroupSupported(12, 4, 2, 0.9), None,
+     [[(i, _C) for i in range(6, 12)], [(i, _C) for i in range(3, 9)],
+      [(i, _C) for i in range(6, 12)]], "0x1.8a376402e7fbdp-1"),
+]
+
+
+@pytest.mark.parametrize("prior,v,expected,after", PINNED_SINGLE_DRAWS)
+def test_single_draws_keep_their_stream(prior, v, expected, after):
+    rng = np.random.default_rng(20261018)
+    for want in expected:
+        theta = draw(prior, rng, v=v)
+        idx = np.flatnonzero(theta)
+        assert [(int(i), float(theta[i]).hex()) for i in idx] == want
+    assert float(rng.random()).hex() == after
+
+
+class TestBatchedDraw:
+    def test_rows_live_in_declared_space(self):
+        rng = np.random.default_rng(3)
+        batch = draw(UniformSparse(20, 3, 0.7), rng, size=500)
+        assert batch.shape == (500, 20)
+        assert np.all(np.count_nonzero(batch, axis=1) == 3)
+        assert np.all(batch[batch != 0] == 0.7)
+        batch = draw(SingleGroupSparse(12, 3, 2, 1.1), rng, size=500)
+        for th in batch:
+            idx = np.flatnonzero(th)
+            assert idx.size == 2 and len(set(idx // 4)) == 1
+            assert np.all(th[idx] == 1.1)
+        batch = draw(GroupSupported(12, 4, 2, 0.9), rng, size=500)
+        for th in batch:
+            blocks = th.reshape(4, 3)
+            used = [k for k in range(4) if np.any(blocks[k] != 0)]
+            assert len(used) == 2
+            assert np.all(blocks[used] == 0.9)
+
+    def test_signs_and_universe(self):
+        rng = np.random.default_rng(4)
+        prior = UniformSparse(9, 4, 1.3, signs="match_pattern")
+        batch = draw(prior, rng, v=_PATTERN, size=500)
+        assert np.all(np.count_nonzero(batch, axis=1) == 4)
+        hit = batch != 0
+        assert np.all(np.sign(batch[hit]) == np.broadcast_to(np.sign(_PATTERN), batch.shape)[hit])
+        assert np.all(np.abs(batch[hit]) == 1.3)
+        rad = draw(UniformSparse(15, 5, 0.9, signs="rademacher"), rng, size=2000)
+        assert np.all(np.count_nonzero(rad, axis=1) == 5)
+        assert set(np.unique(rad[rad != 0])) == {-0.9, 0.9}
+        assert abs(float(np.mean(rad[rad != 0] > 0)) - 0.5) < 0.03
+        universe = np.array([1, 4, 5, 9, 11, 15])
+        batch = draw(UniformSparse(16, 3, 0.6, universe=universe), rng, size=500)
+        assert np.all(np.count_nonzero(batch, axis=1) == 3)
+        assert not np.any(np.delete(batch, universe, axis=1))
+        with pytest.raises(ContractError):
+            draw(prior, rng, size=3)
+
+    def test_point_mass_tiles(self):
+        theta = np.array([0.1, -0.2, 0.3])
+        batch = draw(PointMass(theta), np.random.default_rng(0), size=4)
+        assert np.array_equal(batch, np.tile(theta, (4, 1)))
+
+    @pytest.mark.parametrize("prior,n_supports", [
+        (UniformSparse(6, 2, 1.0), 15),
+        (UniformSparse(10, 2, 1.0, universe=np.array([0, 3, 4, 7, 9])), 10),
+        (SingleGroupSparse(12, 3, 2, 1.0), 18),
+        (GroupSupported(12, 4, 2, 1.0), 6),
+    ])
+    def test_supports_are_uniform(self, prior, n_supports):
+        # every support equally likely: chi-square goodness of fit of the
+        # support counts, on a fixed seed
+        n = 30_000
+        batch = draw(prior, substream(12, 0), size=n)
+        counts = Counter(tuple(np.flatnonzero(th)) for th in batch)
+        assert len(counts) == n_supports
+        assert chisquare(list(counts.values())).pvalue > 1e-3
+
+
+class TestEnumerationSupports:
+    def test_combinations_match_itertools(self):
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                got = _combinations(n, r)
+                want = np.array(list(combinations(range(n), r)), dtype=np.intp)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, want), (n, r)
+
+    def test_supports_follow_itertools_on_pools(self):
+        universe = np.array([2, 3, 7, 8, 11, 12, 15])
+        got = _support_iter(UniformSparse(16, 3, 1.0, universe=universe), 10_000)
+        assert np.array_equal(got, list(combinations(universe.tolist(), 3)))
+        got = _support_iter(SingleGroupSparse(12, 3, 2, 1.0), 10_000)
+        want = [tuple(k * 4 + np.asarray(S)) for k in range(3)
+                for S in combinations(range(4), 2)]
+        assert np.array_equal(got, want)
+        got = _support_iter(GroupSupported(12, 4, 2, 1.0), 10_000)
+        want = [np.concatenate([np.arange(k * 3, k * 3 + 3) for k in g])
+                for g in combinations(range(4), 2)]
+        assert np.array_equal(got, want)
+
+    def test_support_limit(self):
+        assert _support_iter(UniformSparse(1024, 8, 1.0), 10 ** 6) is None
+        assert _support_iter(UniformSparse(10, 3, 1.0), 119) is None
+        assert _support_iter(UniformSparse(10, 3, 1.0), 120).shape == (120, 3)
+
+
+@pytest.mark.parametrize("prior,model,v", [
+    (SingleGroupSparse(64, 4, 3, 0.5), Grouped(64, 4, 0.4), None),
+    (GroupSupported(64, 8, 2, 0.3), Grouped(64, 8, 0.6), None),
+    (UniformSparse(64, 4, 0.5, signs="match_pattern"),
+     RankOne(64, 0.5, np.tile([1.0, -1.0], 32)), np.tile([1.0, -1.0], 32)),
+])
+def test_batched_monte_carlo_covers_exact(prior, model, v):
+    exact = ingster_suslina_chisq(prior, model, method="hypergeometric_sum", v=v)
+    mc = ingster_suslina_chisq(prior, model, method="monte_carlo", n_mc=20_000,
+                               rng=np.random.default_rng(5), v=v)
+    assert mc.stderr > 0
+    assert abs(mc.chi_sq - exact.chi_sq) <= 4 * mc.stderr

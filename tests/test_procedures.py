@@ -150,6 +150,34 @@ class TestCalibration:
                         math.sqrt(m * q * (1 - q) / n_cal))
         assert rate <= budget + 3 * se
 
+    @pytest.mark.parametrize("family,p,s,gamma,R", [
+        ("equicorrelated", 60, 55, 0.5, None),
+        ("grouped", 64, 20, 0.5, 4),
+        ("equicorrelated", 64, "adaptive", 0.5, None),
+    ])
+    def test_constituent_rejection_within_budget(self, family, p, s, gamma, R):
+        # each calibrated constituent: type I <= eta/(2m) plus Monte Carlo
+        # slack (evaluation noise plus its own quantile's level noise)
+        eta, n_check, n_cal = 0.1, 10_000, 4000
+        test = build_test(family, p, s, gamma, R=R, mode="calibrated",
+                          eta=eta, n_cal=n_cal, rng=_rng(8))
+        model = model_for(test)
+        rng = _rng(9)
+        fires = dict.fromkeys((c.name for c in test.constituents), 0)
+        for _ in range(n_check):
+            obs = sample(model, None, rng)
+            for name in evaluate(test, obs, rng).fired:
+                fires[name] += 1
+        m = len(test.constituents)
+        assert m >= 2
+        budget = eta / (2 * m)
+        assert test.calibration["budget_per_constituent"] == pytest.approx(budget)
+        q = 1 - budget
+        se = math.hypot(math.sqrt(budget * (1 - budget) / n_check),
+                        math.sqrt(q * (1 - q) / n_cal))
+        for name, count in fires.items():
+            assert count / n_check <= budget + 3 * se, (name, count)
+
     def test_modes_share_statistic_values_bitwise(self):
         kw = dict(family="equicorrelated", p=64, s=60, gamma=0.3)
         paper = build_test(**kw, mode="paper_constants", C=4.0)
