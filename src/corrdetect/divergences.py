@@ -550,7 +550,20 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     if idx is None:
         return None
     n = idx.shape[0]
-    full = n * n <= ENUMERATION_PAIR_BUDGET
+    if n * n > ENUMERATION_PAIR_BUDGET:
+        # exchangeability: fix the first support, average over the other.  The
+        # equicorrelated precision maps the first support's vector to one value
+        # on that support and one off it, so a pair term depends only on the
+        # overlap k, and the terms come from overlap counts alone.
+        first = np.zeros(prior.p, dtype=bool)
+        first[idx[0]] = True
+        w = precision_apply(model, prior.magnitude * first)
+        ks = np.arange(prior.s + 1)
+        terms = prior.magnitude * (ks * w[first][0] + (prior.s - ks) * w[~first][0])
+        supports_per_k = np.bincount(np.count_nonzero(first[idx], axis=1),
+                                     minlength=ks.size)
+        chi = float(np.exp(logsumexp(terms, b=supports_per_k) - math.log(n))) - 1.0
+        return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
     thetas = np.zeros((n, prior.p))
     rows = np.arange(n)[:, None]
     if isinstance(prior, UniformSparse) and prior.signs == "match_pattern":
@@ -560,17 +573,14 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
         thetas[rows, idx] = prior.magnitude * np.where(vv[idx] < 0, -1.0, 1.0)
     else:
         thetas[rows, idx] = prior.magnitude
-    if full:
-        gram = thetas @ precision_apply(model, thetas).T
-        chi = float(np.exp(logsumexp(gram) - 2.0 * math.log(n))) - 1.0
-        return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
-    # exchangeability: fix the first support, average over the other
-    logs = thetas @ precision_apply(model, thetas[0])
-    chi = float(np.exp(logsumexp(logs) - math.log(n))) - 1.0
+    gram = thetas @ precision_apply(model, thetas).T
+    chi = float(np.exp(logsumexp(gram) - 2.0 * math.log(n))) - 1.0
     return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
 
 
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
+    if n_mc < 2:
+        raise ContractError("monte_carlo needs n_mc >= 2 for a standard error")
     if model.gamma >= 1.0:
         raise SingularCovarianceError("monte_carlo divergence needs gamma < 1")
     pairs = max(1, _BLOCK_ELEMENTS // model.p)

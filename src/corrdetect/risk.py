@@ -6,7 +6,14 @@ generator seeded by SeedSequence(master_seed, spawn_key=(c, k, alt, i)).
 Estimates therefore depend only on (plan, master_seed), never on worker
 count or scheduling, and alternative estimates do not move when the
 alternatives list is permuted (the alternative key is a stable hash of its
-descriptor).
+descriptor; two distinct descriptors with the same hash are refused).
+
+A sweep cell is the unit of risk work: type I error does not depend on the
+separation multiplier, so ``run_sweep`` makes one ``estimate_risk`` call per
+cell, keyed by the cell number itself, on every multiplier's panel at once.
+The null is simulated once and shared by all of the cell's rows; each row
+takes the worst type II error over its own panel.  With a pool, one call
+submits all of its null and alternative chunks in a single ``map``.
 
 Separation convention: a multiplier m places alternatives at squared norm
 ||theta||^2 = m * rate_sq, where rate_sq is the branch value reported by the
@@ -81,6 +88,7 @@ class RiskEstimate:
     n_reps: int
     master_seed: int
     wall_time: float
+    se_per_alternative: dict
 
     def descriptor(self) -> dict:
         return {
@@ -89,7 +97,20 @@ class RiskEstimate:
             "se_type_i": self.se_type_i, "se_worst_type_ii": self.se_worst_type_ii,
             "se_total": self.se_total, "n_reps": self.n_reps,
             "master_seed": self.master_seed, "wall_time": self.wall_time,
+            "se_per_alternative": self.se_per_alternative,
         }
+
+    def panel(self, alternatives: Sequence) -> tuple:
+        """(worst_type_ii, its se, total, se_total) over some of the estimated
+        alternatives, as an estimate on those alone would report them."""
+        return _summary(self.type_i, self.se_type_i, self.per_alternative,
+                        self.se_per_alternative, map(_alt_key, alternatives))
+
+
+def _summary(type_i, se_i, per_alt, se_alt, keys) -> tuple:
+    worst_key = max(keys, key=per_alt.__getitem__)  # ties: first key wins
+    worst, se_ii = per_alt[worst_key], se_alt[worst_key]
+    return worst, se_ii, type_i + worst, math.hypot(se_i, se_ii)
 
 
 def _alt_key(alt) -> str:
@@ -127,7 +148,8 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
 
     ``alternatives`` mixes fixed SignalSpec vectors (evaluated as-is every
     replication) and PriorSpec distributions (redrawn per replication).
-    Null and alternative replications use disjoint derived streams.
+    Null and alternative replications use disjoint derived streams; an
+    alternative listed twice is simulated once.
     """
     if not alternatives:
         raise ContractError("alternatives must be nonempty")
@@ -135,26 +157,34 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         raise ContractError("n_reps must be at least 100")
     start_time = time.perf_counter()
     v = model.v if isinstance(model, RankOne) else None
+    keys = {}  # stream token -> descriptor key, in first-seen order
     units = [(None, _NULL_STREAM, 0)]
-    keys = []
     for alt in alternatives:
         key = _alt_key(alt)
-        keys.append(key)
-        units.append((alt, _ALT_STREAM, stable_token(key)))
-    counts = {}
+        code = stable_token(key)
+        if code in keys:
+            if keys[code] != key:
+                raise ContractError(f"alternatives {keys[code]} and {key} share "
+                                    f"stream token {code}")
+            continue
+        keys[code] = key
+        units.append((alt, _ALT_STREAM, code))
+    counts = dict.fromkeys(((kind, code) for _, kind, code in units), 0)
     own_executor = None
     try:
         if workers > 1 and executor is None:
             own_executor = ProcessPoolExecutor(max_workers=workers)
             executor = own_executor
-        for alt, kind, alt_code in units:
-            if executor is not None:
-                chunk = max(200, n_reps // (8 * max(workers, 1)))
-                tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
-                          a, min(a + chunk, n_reps), v)
-                         for a in range(0, n_reps, chunk)]
-                counts[(kind, alt_code)] = sum(executor.map(_chunk_worker, tasks))
-            else:
+        if executor is not None:
+            chunk = max(200, n_reps // (8 * max(workers, 1)))
+            tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
+                      a, min(a + chunk, n_reps), v)
+                     for alt, kind, alt_code in units
+                     for a in range(0, n_reps, chunk)]
+            for task, count in zip(tasks, executor.map(_chunk_worker, tasks)):
+                counts[task[5:7]] += count  # task[5:7] = (kind, alt_code)
+        else:
+            for alt, kind, alt_code in units:
                 counts[(kind, alt_code)] = _reject_count_chunk(
                     test, model, alt, master_seed, cell_id, kind, alt_code,
                     0, n_reps, v)
@@ -162,22 +192,20 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         if own_executor is not None:
             own_executor.shutdown()
     k_null = counts[(_NULL_STREAM, 0)]
-    type_i = k_null / n_reps
-    se_i = wilson_halfwidth(k_null, n_reps)
     per_alt = {}
     se_alt = {}
-    for (alt, kind, alt_code), key in zip(units[1:], keys):
-        k = counts[(kind, alt_code)]
+    for code, key in keys.items():
+        k = counts[(_ALT_STREAM, code)]
         per_alt[key] = (n_reps - k) / n_reps  # acceptance rate = type II
         se_alt[key] = wilson_halfwidth(n_reps - k, n_reps)
-    worst_key = max(per_alt, key=lambda k: per_alt[k])
-    worst = per_alt[worst_key]
-    se_ii = se_alt[worst_key]
+    type_i = k_null / n_reps
+    se_i = wilson_halfwidth(k_null, n_reps)
+    worst, se_ii, total, se_total = _summary(type_i, se_i, per_alt, se_alt, per_alt)
     return RiskEstimate(
         type_i=type_i, worst_type_ii=worst, per_alternative=per_alt,
-        total=type_i + worst, se_type_i=se_i, se_worst_type_ii=se_ii,
-        se_total=math.hypot(se_i, se_ii), n_reps=n_reps,
-        master_seed=master_seed, wall_time=time.perf_counter() - start_time)
+        total=total, se_type_i=se_i, se_worst_type_ii=se_ii,
+        se_total=se_total, n_reps=n_reps, master_seed=master_seed,
+        wall_time=time.perf_counter() - start_time, se_per_alternative=se_alt)
 
 
 def default_alternatives(family: str, p: int, s: int, gamma: float,
@@ -331,18 +359,20 @@ def _run_cell(plan, p, s, gamma, R, cell_id, executor):
                           C=plan.C, n_cal=plan.n_cal,
                           rng=substream(plan.master_seed, cell_id, _CAL_STREAM),
                           seed_label=f"seed={plan.master_seed}/cell={cell_id}")
+        panels = [default_alternatives(plan.family, p, s, gamma, R, plan.v,
+                                       mult * ref.value)
+                  for mult in plan.multipliers]
+        # one call per cell: the null is shared by every multiplier's row
+        est = estimate_risk(test, model, [alt for panel in panels for alt in panel],
+                            plan.n_reps, plan.master_seed, cell_id=cell_id,
+                            workers=plan.workers, executor=executor)
         out = []
-        for mult in plan.multipliers:
-            target = mult * ref.value
-            alts = default_alternatives(plan.family, p, s, gamma, R, plan.v, target)
-            est = estimate_risk(test, model, alts, plan.n_reps, plan.master_seed,
-                                cell_id=cell_id * 1000 + len(out),
-                                workers=plan.workers, executor=executor)
+        for mult, panel in zip(plan.multipliers, panels):
+            worst, _, total, se = est.panel(panel)
             out.append(dict(base, regime=rate.regime, rate_sq=rate.value,
                             multiplier=mult, type_i=est.type_i,
-                            worst_type_ii=est.worst_type_ii, total=est.total,
-                            se=est.se_total, n_reps=plan.n_reps,
-                            seed=plan.master_seed))
+                            worst_type_ii=worst, total=total, se=se,
+                            n_reps=plan.n_reps, seed=plan.master_seed))
         return out, dict(base, cell_id=cell_id, status="ok", regime=rate.regime)
     except CorrdetectError as exc:  # recorded, sweep continues; other errors are bugs
         nan_rows = [dict(base, regime="", rate_sq=float("nan"), multiplier=m,

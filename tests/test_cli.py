@@ -208,6 +208,16 @@ class TestOtherCommands:
         other = run_cli(args[:-1] + ["12"])
         assert json.loads(other[1])["chi_sq"] != row["chi_sq"]
 
+    @pytest.mark.parametrize("n_mc", ["0", "1"])
+    def test_monte_carlo_divergence_refuses_tiny_n_mc(self, n_mc):
+        code, out, err = run_cli(["divergence", "--prior", "uniform_sparse",
+                                  "--family", "eq", "--p", "16", "--s", "2",
+                                  "--gamma", "0.3", "--magnitude", "0.4",
+                                  "--method", "monte_carlo", "--n-mc", n_mc])
+        assert code == 1
+        assert out == ""
+        assert "n_mc" in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "corrdetect", "rate", "--family", "eq",

@@ -115,6 +115,23 @@ class TestUniformSparse:
                                    n_mc=60_000, rng=np.random.default_rng(0))
         assert abs(mc.chi_sq - exact.chi_sq) <= 4 * mc.stderr
 
+    @pytest.mark.parametrize("universe", [None, np.arange(2, 20)])
+    def test_exchangeable_enumeration_matches_overlap_sum(self, universe):
+        # C(22, 9) or C(18, 9) supports: past the n^2 budget, so the
+        # first-support route, with coordinates outside the universe
+        prior = UniformSparse(22, 9, 0.3, universe=universe)
+        model = Equicorrelated(22, 0.4)
+        hyp = ingster_suslina_chisq(prior, model, method="hypergeometric_sum")
+        enum = ingster_suslina_chisq(prior, model, method="exact_enumeration")
+        assert hyp.chi_sq == pytest.approx(enum.chi_sq, rel=1e-10)
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_monte_carlo_needs_two_pairs(self, n_mc):
+        with pytest.raises(ContractError, match="n_mc"):
+            ingster_suslina_chisq(UniformSparse(16, 2, 0.4), Equicorrelated(16, 0.3),
+                                  method="monte_carlo", n_mc=n_mc,
+                                  rng=np.random.default_rng(0))
+
     def test_nonincreasing_in_gamma(self):
         # Magnitude scaled as sqrt(1-gamma) (the sparse-rate prior scaling):
         # the exponent's overlap term is then gamma-free and the subtracted

@@ -9,8 +9,9 @@ from corrdetect import risk
 from corrdetect.divergences import ShiftedSparse, UniformSparse
 from corrdetect.errors import ContractError
 from corrdetect.geometry import make_sparse_signal
+from corrdetect.models import Grouped
 from corrdetect.procedures import build_test, model_for
-from corrdetect.rates import rate_equicorrelated
+from corrdetect.rates import rate_equicorrelated, rate_grouped
 from corrdetect.risk import (
     SweepPlan,
     default_alternatives,
@@ -89,6 +90,32 @@ class TestEstimateRisk:
             estimate_risk(test, model, [make_sparse_signal(32, 1, 1.0)], 50,
                           master_seed=0)
 
+    def test_colliding_stream_tokens_are_refused(self, monkeypatch):
+        test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
+        model = model_for(test)
+        monkeypatch.setattr(risk, "stable_token", lambda text: 7)
+        alts = [UniformSparse(16, 3, 1.2), UniformSparse(16, 3, 0.9)]
+        with pytest.raises(ContractError, match="stream token 7"):
+            estimate_risk(test, model, alts, 100, master_seed=0)
+
+    def test_repeated_alternative_simulated_once(self, monkeypatch):
+        test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
+        model = model_for(test)
+        alt = UniformSparse(16, 3, 1.2)
+        once = estimate_risk(test, model, [alt], 100, master_seed=2)
+        draws = []
+
+        def counting(*args, draw=risk.draw_prior, **kwargs):
+            draws.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "draw_prior", counting)
+        twice = estimate_risk(test, model, [alt, UniformSparse(16, 3, 1.2)], 100,
+                              master_seed=2)
+        assert len(draws) == 100
+        assert (twice.type_i, twice.per_alternative, twice.se_total) == (
+            once.type_i, once.per_alternative, once.se_total)
+
     def test_wilson_halfwidth_range(self):
         assert wilson_halfwidth(0, 100) > 0
         assert wilson_halfwidth(100, 100) > 0
@@ -166,3 +193,62 @@ class TestSweep:
         assert isinstance(alts2[0], GroupSupported)
         draws = alts2[0]
         assert draws.m * (64 // 4) * draws.magnitude ** 2 == pytest.approx(10.0)
+
+
+class TestSharedNull:
+    """A sweep cell makes one risk estimate; the null is shared by its rows."""
+
+    MULTIPLIERS = (0.25, 1.0, 4.0)
+
+    def _plan(self, workers=1):
+        return SweepPlan(
+            family="grouped", p_grid=(32,), R_grid=(4,), s_grid=(6,),
+            gamma_grid=(0.0, 0.5), multipliers=self.MULTIPLIERS, n_reps=200,
+            master_seed=9, mode="calibrated", eta=0.2, n_cal=1000,
+            workers=workers)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return run_sweep(self._plan())
+
+    def test_rows_equal_a_direct_estimate_on_their_panel(self, sweep):
+        rows, _ = sweep
+        plan = self._plan()
+        for cell, gamma in enumerate(plan.gamma_grid, start=1):
+            test = build_test("grouped", 32, 6, gamma, R=4, eta=plan.eta,
+                              n_cal=plan.n_cal, rng=substream(plan.master_seed, cell, 0))
+            model = Grouped(32, 4, gamma)
+            rate = rate_grouped(32, 6, gamma, 4).value
+            cell_rows = [r for r in rows if r["gamma"] == gamma]
+            assert [r["multiplier"] for r in cell_rows] == list(self.MULTIPLIERS)
+            for row, mult in zip(cell_rows, self.MULTIPLIERS):
+                panel = default_alternatives("grouped", 32, 6, gamma, 4, None, mult * rate)
+                est = estimate_risk(test, model, panel, plan.n_reps, plan.master_seed,
+                                    cell_id=cell)
+                assert (row["type_i"], row["worst_type_ii"], row["total"], row["se"]) == (
+                    est.type_i, est.worst_type_ii, est.total, est.se_total)
+
+    def test_type_i_shared_across_multipliers(self, sweep):
+        rows, _ = sweep
+        for gamma in self._plan().gamma_grid:
+            assert len({r["type_i"] for r in rows if r["gamma"] == gamma}) == 1
+
+    def test_null_simulated_once_per_cell(self, monkeypatch):
+        nulls = []
+
+        def counting(model, theta, rng, sample=risk.sample):
+            if theta is None:
+                nulls.append(1)
+            return sample(model, theta, rng)
+
+        monkeypatch.setattr(risk, "sample", counting)
+        plan = self._plan()
+        run_sweep(plan)
+        assert len(nulls) == len(plan.gamma_grid) * plan.n_reps
+
+    def test_csv_identical_across_workers(self, sweep, tmp_path):
+        rows2, _ = run_sweep(self._plan(workers=2))
+        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        write_rows_csv(sweep[0], p1)
+        write_rows_csv(rows2, p2)
+        assert p1.read_bytes() == p2.read_bytes()
