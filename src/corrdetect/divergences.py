@@ -254,7 +254,10 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
     else:
         raise ContractError(f"unknown prior {type(prior)!r}")
     theta = np.zeros(idx.shape[:-1] + (prior.p,))
-    np.put_along_axis(theta, idx, values, axis=-1)
+    if size is None:
+        theta[idx] = values
+    else:
+        np.put_along_axis(theta, idx, values, axis=-1)
     return theta
 
 
@@ -497,15 +500,26 @@ def _combinations(n: int, r: int) -> np.ndarray:
 
     Built one position at a time: a prefix ending in c extends by each of
     c + 1, ..., n - r + j at position j, and ``np.repeat`` keeps a prefix's
-    extensions together in ascending order, so rows stay lexicographic.
+    extensions together in ascending order, so rows stay lexicographic.  Each
+    level keeps only its last entries and the index of each prefix's parent;
+    the (n, r) output is then filled column by column, last to first, through
+    the composed parent indices.
     """
-    combos = np.arange(n - r + 1, dtype=np.intp)[:, None]
+    last = np.arange(n - r + 1, dtype=np.intp)
+    levels = []  # (parent index of each prefix, last entries of the parents)
     for j in range(1, r):
-        last = combos[:, -1]
         counts = n - r + j - last
         parent = np.repeat(np.arange(last.size), counts)
         offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        combos = np.column_stack([combos[parent], last[parent] + 1 + offset])
+        levels.append((parent, last))
+        last = last[parent] + 1 + offset
+    combos = np.empty((last.size, r), dtype=np.intp)
+    combos[:, r - 1] = last
+    ancestor = None
+    for j in range(r - 1, 0, -1):
+        parent, parent_last = levels.pop()
+        ancestor = parent if ancestor is None else parent[ancestor]
+        combos[:, j - 1] = parent_last[ancestor]
     return combos
 
 

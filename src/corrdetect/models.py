@@ -19,12 +19,12 @@ materialized.
 Canonical order.  The equicorrelated model is invariant under every
 coordinate permutation and the grouped model under permutations within a
 group, so each has exchangeable blocks: all of p, or each group.  Sums over a
-block are plain numpy reductions of its entries in ascending order
-(:func:`ascending_rows`), which makes them bit-identical under those
-permutations.  :func:`canonical_layout` sorts every block once; because
-decorrelation is monotone within a block, the decorrelated blocks come out
-sorted too, and sums over them only check the order of large arrays.  Rank-one
-data has no exchangeable block and keeps its layout.
+block are plain numpy reductions of its entries in ascending order, which
+makes them bit-identical under those permutations.  :func:`canonical_layout`
+sorts every block once; because decorrelation is monotone within a block, the
+decorrelated blocks come out sorted too, so the evaluation kernel sums them
+without sorting again.  Rank-one data has no exchangeable block and keeps its
+layout.
 
 Random stream layout.  A draw consumes k shared factors and then p noise
 coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
@@ -52,7 +52,6 @@ __all__ = [
     "CorrelationModel",
     "Observation",
     "factor_count",
-    "ascending_rows",
     "canonical_layout",
     "sample",
     "decorrelate",
@@ -113,6 +112,8 @@ class Grouped:
     labels: Optional[np.ndarray] = None
     _order: np.ndarray = field(init=False, repr=False)
     _contiguous: bool = field(init=False, repr=False)
+    # the model of this one's canonical layout (contiguous groups), built once
+    _canonical: "Grouped" = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -134,7 +135,10 @@ class Grouped:
         object.__setattr__(self, "labels", labels)
         order = np.argsort(labels, kind="stable")
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_contiguous", bool(np.all(order == np.arange(self.p))))
+        contiguous = bool(np.all(order == np.arange(self.p)))
+        object.__setattr__(self, "_contiguous", contiguous)
+        object.__setattr__(self, "_canonical",
+                           self if contiguous else Grouped(self.p, self.R, self.gamma))
 
     @property
     def block_size(self) -> int:
@@ -170,6 +174,8 @@ class RankOne:
     p: int
     gamma: float
     v: np.ndarray
+    # True when every |v_i| is exactly 1 (a +-1 pattern)
+    sign_pattern: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -186,11 +192,7 @@ class RankOne:
             )
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-
-    @property
-    def sign_pattern(self) -> bool:
-        """True when every |v_i| is exactly 1 (a +-1 pattern)."""
-        return bool(np.all(np.abs(self.v) == 1.0))
+        object.__setattr__(self, "sign_pattern", bool(np.all(np.abs(v) == 1.0)))
 
     @classmethod
     def renormalized(cls, p: int, gamma: float, v) -> "RankOne":
@@ -234,36 +236,20 @@ def factor_count(model: CorrelationModel) -> int:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-# Below this many entries np.sort costs less than checking the order: about
-# 1-3 us against 3-5 us for arrays of 64-512 entries (one observation's
-# blocks); at calibration blocks of ~32k entries the check is 3-13x cheaper.
-_SMALL_ARRAY = 1024
-
-
-def ascending_rows(a: np.ndarray) -> np.ndarray:
-    """``a`` with every row (last axis) in ascending order: the canonical
-    summation order.  Sorting is idempotent, so arrays of sorted rows (the
-    kernel's) are returned as is once checking is cheaper than sorting."""
-    if a.size >= _SMALL_ARRAY and (a[..., :-1] <= a[..., 1:]).all():
-        return a
-    return np.sort(a, axis=-1)
-
-
 def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
     """Data with every exchangeable block sorted, and the model in that layout.
 
     Returns ``(x_c, model_c)``: blocks of ``x`` (last axis p) sorted ascending
     and laid out one after another, with ``model_c`` describing that layout
-    (contiguous groups).  Rank-one data is returned unchanged.
+    (contiguous groups; the same object on every call).  Rank-one data is
+    returned unchanged.
     """
     if isinstance(model, RankOne):
         return x, model
     # C order: numpy reductions follow the memory layout, so rows are summed
     # the same way whatever layout the block view came in
     x_c = np.ascontiguousarray(np.sort(model.block_view(x), axis=-1)).reshape(x.shape)
-    if isinstance(model, Grouped) and not model._contiguous:
-        model = Grouped(model.p, model.R, model.gamma)
-    return x_c, model
+    return x_c, (model._canonical if isinstance(model, Grouped) else model)
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
@@ -338,15 +324,22 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
         xi = rng.standard_normal(shape)
     elif xi.shape != shape:
         raise ContractError(f"injections must have shape {shape}")
+    if isinstance(model, RankOne):
+        return _decorrelated(model, x, xi)
+    return model.scatter_blocks(_decorrelated(model, model.block_view(x), xi))
+
+
+def _decorrelated(model: CorrelationModel, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Decorrelation without checks: rank-one rows ``a`` (..., p), or blocks
+    ``a`` (..., k, p/k) of the other models, with injections ``xi`` (..., k).
+    Sums run in the given layout."""
     inv = 1.0 / math.sqrt(1.0 - model.gamma)
     if isinstance(model, RankOne):
         v = model.v
-        coef = (x * v).sum(axis=-1, keepdims=True) / model.p
-        return (x - coef * v) * inv + (xi / math.sqrt(model.p)) * v
-    blocks = model.block_view(x)
-    means = blocks.sum(axis=-1, keepdims=True) / model.block_size
-    out_blocks = (blocks - means) * inv + (xi[..., None] / math.sqrt(model.block_size))
-    return model.scatter_blocks(out_blocks)
+        coef = (a * v).sum(axis=-1, keepdims=True) / model.p
+        return (a - coef * v) * inv + (xi / math.sqrt(model.p)) * v
+    means = a.sum(axis=-1, keepdims=True) / model.block_size
+    return (a - means) * inv + (xi[..., None] / math.sqrt(model.block_size))
 
 
 def precision_apply(model: CorrelationModel, u) -> np.ndarray:

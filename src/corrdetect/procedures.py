@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -54,8 +54,9 @@ from .models import (
     Grouped,
     Observation,
     RankOne,
+    _decorrelated,
     canonical_layout,
-    decorrelate,
+    decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
     factor_count,
 )
 from . import statistics as stats
@@ -123,6 +124,14 @@ class TestProcedure:
     eta: Optional[float] = None
     C: Optional[float] = None
     calibration: Optional[dict] = None
+    # the constituents resolved for the evaluation kernel once, at
+    # construction: ((name, kind, params, threshold), ...) and whether any
+    # constituent reads decorrelated data
+    kernel_plan: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        items = tuple((c.name, c.kind, c.params, c.threshold) for c in self.constituents)
+        object.__setattr__(self, "kernel_plan", (items, _reads_decorrelated(items)))
 
     def descriptor(self) -> dict:
         return {
@@ -349,41 +358,46 @@ def _reads_decorrelated(items) -> bool:
     return any(kind in _DECORRELATED for _, kind, _, _ in items)
 
 
-def _constituent_value(kind: str, params: dict, x: np.ndarray,
-                       model: CorrelationModel, blocks) -> np.ndarray:
-    """One constituent's values on ``x``: decorrelated data for the kinds in
-    ``_DECORRELATED``, raw data otherwise."""
-    if kind == "thresholded":
-        return stats.thresholded_sum(blocks(x), params["t"]).value.sum(axis=-1)
-    if kind == "chisq":
-        return stats.squared_norm(blocks(x)).value.sum(axis=-1)
-    if kind == "linear":
-        direction = "pattern" if isinstance(model, RankOne) else "global"
-        return stats.linear_projection(x, model, direction).value
-    if kind == "chisq_scan":
-        return stats.scan(blocks(x), "chisq").value
-    if kind == "thresholded_scan":
-        return stats.scan(blocks(x), "thresholded", t=params["t"]).value
-    if kind == "linear_scan":
-        return stats.linear_scan(x, model).value
-    if kind == "thresholded_avg":
-        return stats.averaged_group(x, model, "thresholded", t=params["t"]).value
-    if kind == "chisq_avg":
-        return stats.averaged_group(x, model, "chisq").value
-    if kind == "noiseless":
-        value = stats.noiseless_residual(x, model).value
-        if isinstance(model, RankOne):
-            if not model.sign_pattern:
-                energy = (x * x).sum(axis=-1)
-                value = np.where(value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy),
-                                 0.0, value)
+def _noiseless(a, model, params):
+    if not isinstance(model, RankOne):
+        return stats._block_residual(a)
+    value = stats._pattern_residual(a[:, 0], model)
+    if model.sign_pattern:
         return value
-    if kind == "chisq_raw":
-        return stats.squared_norm(blocks(x)).value.sum(axis=-1)
-    if kind == "adaptive_scan":
-        profile = stats.thresholded_profile(x, params["ts"])
-        return (profile / params["shapes"]).max(axis=-1)
-    raise ContractError(f"unknown constituent kind {kind!r}")
+    energy = (a[:, 0] * a[:, 0]).sum(axis=-1)
+    return np.where(value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy), 0.0, value)
+
+
+def _chisq_raw(a, model, params):
+    if isinstance(model, RankOne):  # its one block keeps the given layout
+        a = np.sort(a, axis=-1)
+    return stats._energy(a).sum(axis=-1)
+
+
+def _linear(a, model, params):
+    if isinstance(model, RankOne):
+        return stats._pattern_energy(a[:, 0], model)
+    return stats._global_energy(a.sum(axis=-1), model.p)
+
+
+# constituent kind -> its statistic as a reduction (blocks, model, params) ->
+# (n,) values.  ``blocks`` (n, k, p/k) is the kernel's canonical input, raw
+# or decorrelated (``_DECORRELATED``); see ``_values``.
+_REDUCTIONS = {
+    "thresholded": lambda a, m, prm: stats._tail_energy(a, prm["t"])[0].sum(axis=-1),
+    "chisq": lambda a, m, prm: stats._energy(a).sum(axis=-1),
+    "chisq_scan": lambda a, m, prm: stats._energy(a).max(axis=-1),
+    "thresholded_scan": lambda a, m, prm: stats._tail_energy(a, prm["t"])[0].max(axis=-1),
+    "adaptive_scan": lambda a, m, prm: (stats._profile(a.reshape(a.shape[0], -1), prm["ts"])
+                                        / prm["shapes"]).max(axis=-1),
+    "linear": _linear,
+    "linear_scan": lambda a, m, prm: stats._group_energy(a.sum(axis=-1), m).max(axis=-1),
+    "thresholded_avg": lambda a, m, prm: stats._tail_energy(
+        np.sort(stats._standardized_means(a.sum(axis=-1), m), axis=-1), prm["t"])[0],
+    "chisq_avg": lambda a, m, prm: stats._group_energy(a.sum(axis=-1), m).sum(axis=-1),
+    "noiseless": _noiseless,
+    "chisq_raw": _chisq_raw,
+}
 
 
 def _values(items, x: np.ndarray, model: CorrelationModel,
@@ -391,20 +405,31 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     """The evaluation kernel: every plan's value on each row of ``x``.
 
     ``x`` (n, p) must be in the canonical layout of ``model``
-    (``models.canonical_layout``).  When some plan reads decorrelated data
-    (``_reads_decorrelated``), ``x`` is decorrelated once with the
-    injections ``xi`` (n, k).  Whole-p sums add per-block sums over the
-    blocks, so every sum stays in canonical order without a sort across
-    blocks.  Returns {name: (n,) array}.
+    (``models.canonical_layout``).  The kernel views it as blocks
+    (n, k, p/k), every block sorted; rank-one data is one block in its given
+    layout.  Plans that read decorrelated data (``_DECORRELATED``) get those
+    blocks decorrelated once with the injections ``xi`` (n, k); decorrelation
+    is monotone within a block, so they stay sorted, and rank-one rows are
+    sorted here.  Each plan's statistic is then one reduction
+    (``_REDUCTIONS``) on its blocks, with no further sort or check.
+    Whole-p sums add per-block sums over the blocks, so every sum stays in
+    canonical order.  Returns {name: (n,) array}.
     """
-    xt = decorrelate(model, x, xi=xi) if _reads_decorrelated(items) else None
-
-    def blocks(a):
-        return a[:, None, :] if isinstance(model, RankOne) else model.block_view(a)
-
-    return {name: _constituent_value(kind, params, xt if kind in _DECORRELATED else x,
-                                     model, blocks)
-            for name, kind, params, _ in items}
+    n = x.shape[0]
+    rank_one = isinstance(model, RankOne)
+    raw = x[:, None, :] if rank_one else x.reshape(n, model.R, model.block_size)
+    dec = None
+    values = {}
+    for name, kind, params, _ in items:
+        if kind in _DECORRELATED:
+            if dec is None:
+                dec = _decorrelated(model, x if rank_one else raw, xi)
+                if rank_one:
+                    dec = np.sort(dec, axis=-1)[:, None, :]
+            values[name] = _REDUCTIONS[kind](dec, model, params)
+        else:
+            values[name] = _REDUCTIONS[kind](raw, model, params)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +566,24 @@ def evaluate(test: TestProcedure, obs: Observation,
              rng: np.random.Generator) -> Verdict:
     """Composite verdict on one observation (OR of constituents).
 
-    The evaluation kernel applied to a batch of one.  The decorrelation noise
-    is drawn fresh from ``rng`` on every call, and only when some constituent
-    reads decorrelated data; both operating modes produce
-    bit-identical statistic values for a fixed draw.
+    The evaluation kernel applied to a batch of one (a view of the
+    observation; the canonical sort is its one copy), with the test's plan
+    as resolved at construction (``TestProcedure.kernel_plan``).  The
+    decorrelation noise is drawn fresh from ``rng`` on every call, and only
+    when some constituent reads decorrelated data; both operating modes
+    produce bit-identical statistic values for a fixed draw.
     """
     model = obs.model
     _check_compatibility(test, model)
     if obs.x.ndim != 1:
         raise ContractError("evaluate takes a single observation vector")
+    items, reads_decorrelated = test.kernel_plan
     x, layout = canonical_layout(model, obs.x[None, :])
-    items = [(c.name, c.kind, c.params, None) for c in test.constituents]
-    xi = (rng.standard_normal((1, factor_count(model)))
-          if _reads_decorrelated(items) else None)
+    xi = rng.standard_normal((1, factor_count(model))) if reads_decorrelated else None
     values = {name: float(v[0]) for name, v in _values(items, x, layout, xi).items()}
-    fired = tuple(c.name for c in test.constituents if values[c.name] > c.threshold)
-    thresholds = {c.name: c.threshold for c in test.constituents}
+    fired = tuple(name for name, _, _, threshold in items if values[name] > threshold)
     return Verdict(reject=bool(fired), fired=fired, values=values,
-                   thresholds=thresholds)
+                   thresholds={name: threshold for name, _, _, threshold in items})
 
 
 def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
@@ -572,5 +597,6 @@ def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
             f"gamma={test.gamma}")
     if isinstance(model, Grouped) and model.R != test.R:
         raise ContractError("group count mismatch")
-    if isinstance(model, RankOne) and not np.allclose(model.v, test.v, rtol=0, atol=1e-12):
+    if (isinstance(model, RankOne) and model.v is not test.v
+            and not np.allclose(model.v, test.v, rtol=0, atol=1e-12)):
         raise ContractError("pattern mismatch")

@@ -121,14 +121,13 @@ def _alt_key(alt) -> str:
 
 def _reject_count_chunk(test, model, alt, master_seed, cell_id, kind, alt_code,
                         start, stop, v) -> int:
+    # the null and fixed signals keep one theta; a prior is redrawn per replication
+    prior = alt is not None and not isinstance(alt, SignalSpec)
+    theta = None if alt is None or prior else alt.theta
     count = 0
     for i in range(start, stop):
         rng = substream(master_seed, cell_id, kind, alt_code, i)
-        if alt is None:
-            theta = None
-        elif isinstance(alt, SignalSpec):
-            theta = alt.theta
-        else:
+        if prior:
             theta = draw_prior(alt, rng, v=v)
         obs = sample(model, theta, rng)
         if evaluate(test, obs, rng).reject:

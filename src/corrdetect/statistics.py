@@ -5,12 +5,19 @@ single vector is a batch of one and gives plain Python numbers.  Statistics
 never compute thresholds; thresholding lives in ``procedures``.
 
 Sums are plain numpy reductions in the canonical order of ``models``: the
-entries of each exchangeable block are summed in ascending order
-(``models.ascending_rows``), so every statistic is bit-identical under the
-model's coordinate permutations.  A model-free statistic treats each row as
-one block.  The evaluation kernel in ``procedures`` passes data whose blocks
-``models.canonical_layout`` has already sorted, so large batches are not
-sorted again.  Rank-one pattern projections sum in the given layout.
+entries of each exchangeable block are summed in ascending order, so every
+statistic is bit-identical under the model's coordinate permutations.  A
+model-free statistic treats each row as one block.  Rank-one pattern
+projections sum in the given layout.
+
+Each statistic is one reduction on canonical blocks (the private functions
+at the end of this module): rows already in summation order, no checks.
+The public functions validate their input and sort every block into
+ascending order, then call the reduction.  The evaluation kernel
+in ``procedures`` calls the reductions directly: its input is already
+canonical (``models.canonical_layout`` sorts every block once, and
+decorrelation is monotone within a block), so it neither sorts nor checks
+again.
 
 The workhorse is the thresholded square sum
 
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import ContractError
 from .gaussian import alpha, alpha_cached
-from .models import CorrelationModel, Grouped, Observation, RankOne, ascending_rows
+from .models import CorrelationModel, Grouped, Observation, RankOne
 
 __all__ = [
     "StatisticValue",
@@ -65,24 +72,11 @@ def _out(a):
     return a.item() if a.ndim == 0 else a
 
 
-def _energy(z: np.ndarray) -> np.ndarray:
-    z = ascending_rows(z)
-    return (z * z).sum(axis=-1)
-
-
-def _tail_energy(z: np.ndarray, t: float) -> tuple:
-    z = ascending_rows(z)
-    mask = np.abs(z) >= t
-    count = mask.sum(axis=-1)
-    total = np.where(mask, z * z, 0.0).sum(axis=-1)
-    return total - count * alpha_cached(t), count
-
-
 def thresholded_sum(z, t: float) -> StatisticValue:
     """Y_t: excess energy of coordinates exceeding threshold t."""
     if t < 0:
         raise ContractError("threshold must be nonnegative")
-    value, count = _tail_energy(_data(z), t)
+    value, count = _tail_energy(np.sort(_data(z), axis=-1), t)
     return StatisticValue("thresholded_sum", _out(value), {"t": t, "count": _out(count)})
 
 
@@ -92,26 +86,16 @@ def thresholded_profile(z, ts: np.ndarray) -> np.ndarray:
     Returns shape (..., len(ts)).  Uses suffix cumulative sums over |z| in
     ascending order, so the grid evaluation stays O(p log p) per row.
     """
-    z = _data(z)
-    ts = np.asarray(ts, dtype=float)
-    a = np.sort(np.abs(z), axis=-1)
-    sq = a * a
-    suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
-                             np.zeros(a.shape[:-1] + (1,))], axis=-1)
-    rows = a.reshape(-1, a.shape[-1])
-    idx = np.stack([np.searchsorted(row, ts) for row in rows])
-    idx = idx.reshape(a.shape[:-1] + ts.shape)
-    counts = a.shape[-1] - idx
-    return np.take_along_axis(suffix, idx, axis=-1) - counts * alpha(ts)
+    return _profile(_data(z), np.asarray(ts, dtype=float))
 
 
 def squared_norm(z) -> StatisticValue:
     """||z||^2 summed in canonical order."""
-    return StatisticValue("squared_norm", _out(_energy(_data(z))), {})
+    return StatisticValue("squared_norm", _out(_energy(np.sort(_data(z), axis=-1))), {})
 
 
 def _block_sums(model, x: np.ndarray) -> np.ndarray:
-    return ascending_rows(model.block_view(x)).sum(axis=-1)
+    return np.sort(model.block_view(x), axis=-1).sum(axis=-1)
 
 
 def linear_projection(x, model: CorrelationModel, direction="global",
@@ -128,8 +112,7 @@ def linear_projection(x, model: CorrelationModel, direction="global",
     if direction == "global":
         if isinstance(model, RankOne):
             raise ContractError("global direction undefined for rank-one; use 'pattern'")
-        total = _block_sums(model, x).sum(axis=-1)
-        return StatisticValue("linear", _out(total * total / p),
+        return StatisticValue("linear", _out(_global_energy(_block_sums(model, x), p)),
                               {"null_variance": 1.0 - g + g * model.block_size})
     if direction == "group":
         if not isinstance(model, Grouped):
@@ -144,8 +127,7 @@ def linear_projection(x, model: CorrelationModel, direction="global",
     if direction == "pattern":
         if not isinstance(model, RankOne):
             raise ContractError("pattern direction requires a rank-one model")
-        total = (model.v * x).sum(axis=-1)
-        return StatisticValue("linear_pattern", _out(total * total / p),
+        return StatisticValue("linear_pattern", _out(_pattern_energy(x, model)),
                               {"null_variance": 1.0 - g + g * p})
     raise ContractError(f"unknown direction {direction!r}")
 
@@ -162,11 +144,11 @@ def scan(xt_blocks: np.ndarray, kind: str, t: Optional[float] = None) -> Statist
     if xt_blocks.ndim < 2:
         raise ContractError("scan expects equal-length group rows (..., R, p/R)")
     if kind == "chisq":
-        per_group = _energy(xt_blocks)
+        per_group = _energy(np.sort(xt_blocks, axis=-1))
     elif kind == "thresholded":
         if t is None or t < 0:
             raise ContractError("thresholded scan needs a nonnegative t")
-        per_group, _ = _tail_energy(xt_blocks, t)
+        per_group, _ = _tail_energy(np.sort(xt_blocks, axis=-1), t)
     else:
         raise ContractError(f"unknown scan kind {kind!r}")
     return StatisticValue(f"{kind}_scan", _out(per_group.max(axis=-1)),
@@ -178,8 +160,7 @@ def linear_scan(x, model: Grouped) -> StatisticValue:
     """Max over groups of the squared normalized group projection (raw data)."""
     if not isinstance(model, Grouped):
         raise ContractError("linear scan requires a grouped model")
-    sums = _block_sums(model, _data(x))
-    per_group = sums * sums * (model.R / model.p)
+    per_group = _group_energy(_block_sums(model, _data(x)), model)
     return StatisticValue("linear_scan", _out(per_group.max(axis=-1)),
                           {"per_group": per_group,
                            "argmax": _out(per_group.argmax(axis=-1)),
@@ -190,10 +171,7 @@ def standardized_group_means(x, model: Grouped) -> np.ndarray:
     """R-vector sqrt(p/R) * mean_k / sqrt(1-g+g p/R): iid N(0,1) under the null."""
     if not isinstance(model, Grouped):
         raise ContractError("group means require a grouped model")
-    sums = _block_sums(model, _data(x))
-    bs = model.block_size
-    sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
-    return sums / (math.sqrt(bs) * sigma)
+    return _standardized_means(_block_sums(model, _data(x)), model)
 
 
 def averaged_group(x, model: Grouped, kind: str, t: Optional[float] = None) -> StatisticValue:
@@ -213,8 +191,7 @@ def averaged_group(x, model: Grouped, kind: str, t: Optional[float] = None) -> S
     if kind == "chisq":
         if not isinstance(model, Grouped):
             raise ContractError("group means require a grouped model")
-        sums = _block_sums(model, _data(x))
-        value = (sums * sums * (model.R / model.p)).sum(axis=-1)
+        value = _group_energy(_block_sums(model, _data(x)), model).sum(axis=-1)
         return StatisticValue("chisq_avg", _out(value),
                               {"null_scale": 1.0 - model.gamma + model.gamma * model.block_size})
     raise ContractError(f"unknown averaged kind {kind!r}")
@@ -234,14 +211,80 @@ def noiseless_residual(x, model: CorrelationModel) -> StatisticValue:
         raise ContractError("noiseless residual is only valid at gamma = 1")
     x = _data(x)
     if isinstance(model, RankOne):
-        u = model.v * x
-        coef = u.sum(axis=-1, keepdims=True) / model.p
-        r = _anchored_residual(u) if model.sign_pattern else x - coef * model.v
-        return StatisticValue("noiseless_residual", _out((r * r).sum(axis=-1)),
-                              {"projection": _out(coef[..., 0])})
-    r = _anchored_residual(ascending_rows(model.block_view(x)))
-    value = (r * r).reshape(x.shape).sum(axis=-1)
+        coef = (model.v * x).sum(axis=-1) / model.p
+        return StatisticValue("noiseless_residual", _out(_pattern_residual(x, model)),
+                              {"projection": _out(coef)})
+    value = _block_residual(np.sort(model.block_view(x), axis=-1))
     return StatisticValue("noiseless_residual", _out(value), {})
+
+
+# ---------------------------------------------------------------------------
+# reductions on canonical blocks: every row (last axis) is already in
+# summation order, and the input is not checked
+
+
+def _energy(z: np.ndarray) -> np.ndarray:
+    return (z * z).sum(axis=-1)
+
+
+def _tail_energy(z: np.ndarray, t: float) -> tuple:
+    """(Y_t, count of |z_i| >= t) per row."""
+    mask = np.abs(z) >= t
+    count = mask.sum(axis=-1)
+    total = np.where(mask, z * z, 0.0).sum(axis=-1)
+    return total - count * alpha_cached(t), count
+
+
+def _profile(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Y_t per row for every t in ``ts``; rows in any order (|z| is sorted here)."""
+    a = np.sort(np.abs(z), axis=-1)
+    sq = a * a
+    suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
+                             np.zeros(a.shape[:-1] + (1,))], axis=-1)
+    rows = a.reshape(-1, a.shape[-1])
+    idx = np.stack([np.searchsorted(row, ts) for row in rows])
+    idx = idx.reshape(a.shape[:-1] + ts.shape)
+    counts = a.shape[-1] - idx
+    return np.take_along_axis(suffix, idx, axis=-1) - counts * alpha(ts)
+
+
+def _global_energy(sums: np.ndarray, p: int) -> np.ndarray:
+    """Squared normalized global projection from per-block sums (..., K)."""
+    total = sums.sum(axis=-1)
+    return total * total / p
+
+
+def _group_energy(sums: np.ndarray, model: Grouped) -> np.ndarray:
+    """Squared normalized group projections from per-block sums (..., R)."""
+    return sums * sums * (model.R / model.p)
+
+
+def _standardized_means(sums: np.ndarray, model: Grouped) -> np.ndarray:
+    bs = model.block_size
+    sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
+    return sums / (math.sqrt(bs) * sigma)
+
+
+def _pattern_energy(x: np.ndarray, model: RankOne) -> np.ndarray:
+    """Squared normalized projection on the rank-one pattern (given layout)."""
+    total = (model.v * x).sum(axis=-1)
+    return total * total / model.p
+
+
+def _pattern_residual(x: np.ndarray, model: RankOne) -> np.ndarray:
+    """||x - <v,x> v / p||^2 per row, anchored for sign patterns."""
+    u = model.v * x
+    if model.sign_pattern:
+        r = _anchored_residual(u)
+    else:
+        r = x - (u.sum(axis=-1, keepdims=True) / model.p) * model.v
+    return (r * r).sum(axis=-1)
+
+
+def _block_residual(blocks: np.ndarray) -> np.ndarray:
+    """sum_k ||x_Bk - mean(x_Bk) 1||^2 per row of blocks (..., K, b)."""
+    r = _anchored_residual(blocks)
+    return (r * r).reshape(blocks.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def _anchored_residual(a: np.ndarray) -> np.ndarray:

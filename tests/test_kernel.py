@@ -1,5 +1,6 @@
 """The batched evaluation kernel: block calibration reproduces sequential
-single-vector replications, rows do not depend on their batch, and batched
+single-vector replications, every constituent kind equals its public
+statistic on canonical input, rows do not depend on their batch, and batched
 values are bit-identical under within-group permutations."""
 
 import math
@@ -18,33 +19,54 @@ from corrdetect.models import (
     factor_count,
     sample,
 )
-from corrdetect.procedures import _values, build_test, calibrate_null_quantile, evaluate
+from corrdetect.procedures import (
+    _REDUCTIONS,
+    _values,
+    build_test,
+    calibrate_null_quantile,
+    evaluate,
+)
 from corrdetect.streams import substream
 
 P = 60  # 32768 // 60 = 546 rows per calibration block: n_cal=1000 spans two blocks
 LABELS = np.random.default_rng(0).permutation(np.repeat(np.arange(4), P // 4))
 PATTERN = np.random.default_rng(1).choice([-1.0, 1.0], size=P)
+ADAPTIVE = {"ts": np.array([0.5, 1.5, 2.5]), "shapes": np.array([3.0, 2.0, 1.0])}
 
 
-# model, calibrated plans, and each plan's value on (x, decorrelated x)
+# model, calibrated plans, and each plan's value on (x, decorrelated x);
+# at gamma = 1 no plan reads decorrelated data
 CASES = {
     "equicorrelated": (
         Equicorrelated(P, 0.5),
         [("chisq", "chisq", {}), ("thresholded", "thresholded", {"t": 1.5}),
-         ("linear", "linear", {})],
+         ("linear", "linear", {}), ("adaptive", "adaptive_scan", ADAPTIVE)],
         {"chisq": lambda x, xt, m: stats.squared_norm(xt).value,
          "thresholded": lambda x, xt, m: stats.thresholded_sum(xt, 1.5).value,
-         "linear": lambda x, xt, m: stats.linear_projection(x, m, "global").value}),
+         "linear": lambda x, xt, m: stats.linear_projection(x, m, "global").value,
+         "adaptive": lambda x, xt, m: (stats.thresholded_profile(xt, ADAPTIVE["ts"])
+                                       / ADAPTIVE["shapes"]).max()}),
     "grouped-noncontiguous": (
         Grouped(P, 4, 0.5, labels=LABELS),
         [("chisq_scan", "chisq_scan", {}),
          ("thresholded_scan", "thresholded_scan", {"t": 1.2}),
-         ("linear_scan", "linear_scan", {}), ("chisq_avg", "chisq_avg", {})],
+         ("linear_scan", "linear_scan", {}), ("chisq_avg", "chisq_avg", {}),
+         ("thresholded_avg", "thresholded_avg", {"t": 0.8})],
         {"chisq_scan": lambda x, xt, m: stats.scan(m.block_view(xt), "chisq").value,
          "thresholded_scan": lambda x, xt, m: stats.scan(m.block_view(xt), "thresholded",
                                                          t=1.2).value,
          "linear_scan": lambda x, xt, m: stats.linear_scan(x, m).value,
-         "chisq_avg": lambda x, xt, m: stats.averaged_group(x, m, "chisq").value}),
+         "chisq_avg": lambda x, xt, m: stats.averaged_group(x, m, "chisq").value,
+         "thresholded_avg": lambda x, xt, m: stats.averaged_group(
+             x, m, "thresholded", t=0.8).value}),
+    "grouped-noncontiguous-noiseless": (
+        Grouped(P, 4, 1.0, labels=LABELS),
+        [("noiseless", "noiseless", {}), ("chisq_raw", "chisq_raw", {}),
+         ("thresholded_avg", "thresholded_avg", {"t": 0.8})],
+        {"noiseless": lambda x, xt, m: stats.noiseless_residual(x, m).value,
+         "chisq_raw": lambda x, xt, m: stats.squared_norm(m.block_view(x)).value.sum(axis=-1),
+         "thresholded_avg": lambda x, xt, m: stats.averaged_group(
+             x, m, "thresholded", t=0.8).value}),
     "rank-one": (
         RankOne(P, 0.5, PATTERN),
         [("chisq", "chisq", {}), ("thresholded", "thresholded", {"t": 1.5}),
@@ -52,7 +74,17 @@ CASES = {
         {"chisq": lambda x, xt, m: stats.squared_norm(xt).value,
          "thresholded": lambda x, xt, m: stats.thresholded_sum(xt, 1.5).value,
          "linear": lambda x, xt, m: stats.linear_projection(x, m, "pattern").value}),
+    "rank-one-noiseless": (
+        RankOne(P, 1.0, PATTERN),
+        [("noiseless", "noiseless", {}), ("chisq_raw", "chisq_raw", {})],
+        {"noiseless": lambda x, xt, m: stats.noiseless_residual(x, m).value,
+         "chisq_raw": lambda x, xt, m: stats.squared_norm(x).value}),
 }
+
+
+def test_calibration_cases_cover_every_constituent_kind():
+    kinds = {kind for _, plans, _ in CASES.values() for _, kind, _ in plans}
+    assert kinds == set(_REDUCTIONS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -67,13 +99,45 @@ def test_block_calibration_matches_sequential_replications(case):
     values = {name: np.empty(n_cal) for name, _, _ in plans}
     for i in range(n_cal):
         x = sample(model, None, ref_rng).x
-        xt = decorrelate(model, x, ref_rng)
+        xt = decorrelate(model, x, ref_rng) if model.gamma < 1.0 else None
         for name, fn in reference.items():
             values[name][i] = fn(x, xt, model)
     k = math.ceil(q * n_cal)
     for name, arr in values.items():
         assert records[name].value == pytest.approx(np.sort(arr)[k - 1], rel=1e-12, abs=0)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_is_the_public_statistic_on_canonical_input(case):
+    # same input, bit for bit: the public statistics sort blocks the kernel
+    # takes sorted, and the data carry a signal so that residuals are nonzero
+    model, plans, reference = CASES[case]
+    items = [(name, kind, params, None) for name, kind, params in plans]
+    n, k = 30, factor_count(model)
+    theta = np.where(np.arange(P) < 6, 1.5, 0.0)
+    x, layout = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
+    xi = substream(11, 5).standard_normal((n, k))
+    xt = decorrelate(layout, x, xi=xi) if model.gamma < 1.0 else [None] * n
+    kernel = _values(items, x, layout, xi=xi)
+    for name, fn in reference.items():
+        want = [fn(x[i], xt[i], layout) for i in range(n)]
+        assert np.array_equal(kernel[name], want), name
+
+
+def test_canonical_layout_model_is_built_once():
+    model, plans, _ = CASES["grouped-noncontiguous"]
+    items = [(name, kind, params, None) for name, kind, params in plans]
+    x = sample(model, None, substream(16, 0), size=5).x
+    xi = substream(16, 1).standard_normal((5, 4))
+    first, second = canonical_layout(model, x), canonical_layout(model, x)
+    assert second[1] is first[1]
+    assert first[1].descriptor() == Grouped(P, 4, 0.5).descriptor()
+    v1, v2 = _values(items, *first, xi=xi), _values(items, *second, xi=xi)
+    for name, _, _ in plans:
+        assert np.array_equal(v1[name], v2[name])
+    contiguous = Grouped(P, 4, 0.5)
+    assert canonical_layout(contiguous, x)[1] is contiguous
 
 
 def test_raw_data_plans_take_no_injections():

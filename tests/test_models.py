@@ -49,6 +49,11 @@ class TestConstruction:
         m = RankOne.renormalized(4, 0.5, np.array([1.0, 1.0, 1.0, 2.0]))
         assert np.isclose(m.v @ m.v, 4.0, rtol=1e-12)
 
+    def test_rank_one_sign_pattern(self):
+        assert RankOne(4, 0.5, np.array([1.0, -1.0, -1.0, 1.0])).sign_pattern
+        assert not RankOne.renormalized(4, 0.5, np.array([1.0, 2.0, 2.0, 1.0])).sign_pattern
+        assert not RankOne(4, 0.5, np.array([2.0, 0.0, 0.0, 0.0])).sign_pattern
+
     def test_gamma_range(self):
         with pytest.raises(ContractError):
             Equicorrelated(4, 1.5)

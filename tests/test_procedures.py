@@ -8,7 +8,7 @@ from scipy.stats import chi2
 
 from corrdetect.errors import CalibrationError, ContractError, UnsupportedRegimeError
 from corrdetect.geometry import make_sparse_signal
-from corrdetect.models import Equicorrelated, Grouped, Observation, sample
+from corrdetect.models import Equicorrelated, Grouped, Observation, RankOne, sample
 from corrdetect.procedures import (
     build_test,
     calibrate_null_quantile,
@@ -210,6 +210,15 @@ class TestEvaluate:
         obs = sample(Equicorrelated(16, 1.0), None, _rng(9))
         with pytest.raises(ContractError):
             evaluate(test, obs, _rng(10))
+
+    def test_pattern_mismatch_rejected(self):
+        v = np.array([1.0, -1.0] * 8)
+        test = build_test("rank_one", 16, 2, 0.5, v=v, mode="paper_constants", C=3.0)
+        for pattern in (test.v, test.v.copy()):  # the test's own array, an equal one
+            evaluate(test, sample(RankOne(16, 0.5, pattern), None, _rng(9)), _rng(10))
+        flipped = RankOne(16, 0.5, -test.v)
+        with pytest.raises(ContractError):
+            evaluate(test, sample(flipped, None, _rng(9)), _rng(10))
 
     def test_noiseless_test_is_errorless(self):
         test = build_test("equicorrelated", 64, 8, 1.0, mode="paper_constants", C=3.0)
