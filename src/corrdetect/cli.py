@@ -30,9 +30,9 @@ from .divergences import (
     ingster_suslina_chisq,
     risk_lower_bound,
 )
-from .models import Equicorrelated, Grouped, RankOne
-from .procedures import build_test
-from .rates import rate_equicorrelated, rate_grouped, rate_rank_one
+from .models import model_from
+from .procedures import build_test, model_for
+from .rates import rate_for
 from .risk import (
     SweepPlan,
     default_alternatives,
@@ -47,11 +47,17 @@ _FAMILIES = {"eq": "equicorrelated", "equicorrelated": "equicorrelated",
              "grouped": "grouped", "rankone": "rank_one", "rank_one": "rank_one"}
 
 
-def _load_pattern(path: str) -> np.ndarray:
+def _load_pattern(path: str, p_grid) -> np.ndarray:
+    """The pattern in ``path``, checked to have length p for every p."""
     try:
-        return np.loadtxt(path, dtype=float, ndmin=1)
+        v = np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
         raise ConfigError("v_file", str(exc))
+    for p in p_grid:
+        if v.shape != (p,):
+            raise ConfigError("model.v_file",
+                              f"pattern length {v.shape[0]} does not match p={p}")
+    return v
 
 
 def _master_seed(value) -> int:
@@ -133,12 +139,7 @@ def _validate_model_grids(cfg: dict):
         raise ConfigError("model.R", "R applies to the grouped family only")
     v = None
     if family == "rank_one":
-        v_file = _require(model, "model", "v_file", str)
-        v = _load_pattern(v_file)
-        for p in p_grid:
-            if v.shape != (p,):
-                raise ConfigError("model.v_file",
-                                  f"pattern length {v.shape[0]} does not match p={p}")
+        v = _load_pattern(_require(model, "model", "v_file", str), p_grid)
     elif "v_file" in model:
         raise ConfigError("model.v_file", "v_file applies to the rank-one family only")
     return family, p_grid, gamma_grid, R_grid, v
@@ -202,18 +203,21 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
 # subcommands
 
 
-def _cmd_rate(args) -> int:
+def _model_flags(args) -> tuple:
+    """(family, R, v) from the model flags, refused with the config path's
+    field paths: grouped needs --R, rank-one --v-file, and a pattern length p."""
     family = _FAMILIES[args.family]
-    if family == "grouped":
-        if args.R is None:
-            raise ConfigError("model.R", "grouped rates need --R")
-        result = rate_grouped(args.p, args.s, args.gamma, args.R)
-    elif family == "rank_one":
-        if args.v_file is None:
-            raise ConfigError("model.v_file", "rank-one rates need --v-file")
-        result = rate_rank_one(args.p, args.s, args.gamma, _load_pattern(args.v_file))
-    else:
-        result = rate_equicorrelated(args.p, args.s, args.gamma)
+    if family == "grouped" and args.R is None:
+        raise ConfigError("model.R", "the grouped family needs --R")
+    if family == "rank_one" and args.v_file is None:
+        raise ConfigError("model.v_file", "the rank-one family needs --v-file")
+    v = _load_pattern(args.v_file, [args.p]) if args.v_file else None
+    return family, args.R, v
+
+
+def _cmd_rate(args) -> int:
+    family, R, v = _model_flags(args)
+    result = rate_for(family, args.p, args.s, args.gamma, R, v)
     print(f"regime {result.regime}")
     if result.uncharacterized:
         print("rate_sq uncharacterized")
@@ -223,13 +227,12 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    family = _FAMILIES[args.family]
-    v = _load_pattern(args.v_file) if args.v_file else None
+    family, R, v = _model_flags(args)
     seed = _master_seed(args.seed)
     s = "adaptive" if args.adaptive else args.s
     if s is None:
         raise ConfigError("test.s", "give --s or --adaptive")
-    test = build_test(family, args.p, s, args.gamma, R=args.R, v=v,
+    test = build_test(family, args.p, s, args.gamma, R=R, v=v,
                       mode="calibrated", eta=args.eta, n_cal=args.n_cal,
                       rng=substream(seed, 0), seed_label=f"seed={seed}")
     payload = test.to_json(indent=2, sort_keys=True) + "\n"
@@ -260,22 +263,14 @@ def _cmd_risk(args) -> int:
     p, gamma, R = p_grid[0], gamma_grid[0], R_grid[0]
     seed = _master_seed(args.seed if args.seed is not None else cfg.get("seed"))
     workers = int(args.workers or cfg.get("workers", 1))
-    if family == "grouped":
-        rate = rate_grouped(p, s_true, gamma, R)
-        model = Grouped(p, R, gamma)
-    elif family == "rank_one":
-        rate = rate_rank_one(p, s_true, gamma, v)
-        model = RankOne(p, gamma, v)
-    else:
-        rate = rate_equicorrelated(p, s_true, gamma)
-        model = Equicorrelated(p, gamma)
+    rate = rate_for(family, p, s_true, gamma, R, v)
     if rate.uncharacterized:
         raise ConfigError("risk.s", "rate uncharacterized for this configuration")
     test_s = s if s is not None else s_true
     test = build_test(family, p, test_s, gamma, R=R, v=v, mode=mode, eta=eta,
                       n_cal=n_cal, C=C, rng=substream(seed, 0))
     alts = default_alternatives(family, p, s_true, gamma, R, v, mult * rate.value)
-    est = estimate_risk(test, model, alts, n_reps, seed, workers=workers)
+    est = estimate_risk(test, model_for(test), alts, n_reps, seed, workers=workers)
     payload = json.dumps({"rate": {"regime": rate.regime, "rate_sq": rate.value},
                           "multiplier": mult, "estimate": est.descriptor()},
                          indent=2, sort_keys=True) + "\n"
@@ -305,16 +300,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    family = _FAMILIES[args.family]
-    v = _load_pattern(args.v_file) if args.v_file else None
-    if family == "grouped":
-        if args.R is None:
-            raise ConfigError("model.R", "grouped divergences need --R")
-        model = Grouped(args.p, args.R, args.gamma)
-    elif family == "rank_one":
-        model = RankOne(args.p, args.gamma, v)
-    else:
-        model = Equicorrelated(args.p, args.gamma)
+    family, R, v = _model_flags(args)
+    model = model_from(family, args.p, args.gamma, R, v)
     if args.prior == "point_mass":
         theta = np.zeros(args.p)
         theta[: args.s] = args.magnitude

@@ -350,21 +350,14 @@ def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
         return float(theta @ precision_apply(model, theta2))
     # gamma = 1: only the projected component survives; both vectors must lie
     # in the span for the divergence to be finite.
-    if isinstance(model, Equicorrelated):
-        pattern = np.ones(model.p)
-        spans = [pattern]
-        scale = [model.p]
-    elif isinstance(model, RankOne):
+    if isinstance(model, RankOne):
         spans = [model.v]
         scale = [model.p]
     else:
+        # one indicator per block, in the model's layout
         bs = model.block_size
-        spans, scale = [], []
-        for k in range(model.R):
-            ind = np.zeros(model.p)
-            ind[model._order[k * bs:(k + 1) * bs]] = 1.0
-            spans.append(ind)
-            scale.append(bs)
+        spans = model.scatter_blocks(np.eye(model.R)[:, :, None].repeat(bs, axis=-1))
+        scale = [bs] * model.R
     total = 0.0
     proj1 = np.zeros_like(theta)
     proj2 = np.zeros_like(theta2)

@@ -9,6 +9,12 @@ Gaussian per group on its block indicator, or a single Gaussian times a fixed
 pattern ``v`` with ||v||^2 = p.  Samplers always use this representation (cost
 O(p) per draw, exact at gamma = 1), never a covariance factorization.
 
+Every model is k = ``R`` blocks of p/k coordinates with one shared factor
+each (``block_view``, ``scatter_blocks``).  The equicorrelated model is the
+grouped model with R = 1; the rank-one model is also a single block, with
+loadings ``v`` and no exchangeable order.  :func:`model_from` maps a family
+name to its model.
+
 Covariance and precision act in closed form through Sherman-Morrison:
 
     ((1-g) I + g v v')^-1 = (1-g)^-1 (I - v v'/p) + (1-g+gp)^-1 v v'/p,
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -51,6 +57,7 @@ __all__ = [
     "RankOne",
     "CorrelationModel",
     "Observation",
+    "model_from",
     "factor_count",
     "canonical_layout",
     "sample",
@@ -65,21 +72,10 @@ def _check_gamma(gamma: float) -> None:
         raise ContractError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-@dataclass(frozen=True, eq=False)
-class Equicorrelated:
-    """Covariance (1-gamma) I_p + gamma 1 1'."""
+class _SingleBlock:
+    """A model whose p coordinates form one block, with one shared factor."""
 
-    p: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ContractError("p must be >= 1")
-        _check_gamma(self.gamma)
-
-    @property
-    def R(self) -> int:
-        return 1
+    R = 1
 
     @property
     def block_size(self) -> int:
@@ -93,8 +89,22 @@ class Equicorrelated:
         """Inverse of :meth:`block_view`."""
         return blocks[..., 0, :]
 
+
+@dataclass(frozen=True, eq=False)
+class Equicorrelated(_SingleBlock):
+    """Covariance (1-gamma) I_p + gamma 1 1'."""
+
+    family: ClassVar[str] = "equicorrelated"
+    p: int
+    gamma: float
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise ContractError("p must be >= 1")
+        _check_gamma(self.gamma)
+
     def descriptor(self) -> dict:
-        return {"family": "equicorrelated", "p": self.p, "gamma": self.gamma}
+        return {"family": self.family, "p": self.p, "gamma": self.gamma}
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +116,7 @@ class Grouped:
     up to a coordinate permutation); all outputs stay in the original layout.
     """
 
+    family: ClassVar[str] = "grouped"
     p: int
     R: int
     gamma: float
@@ -161,16 +172,17 @@ class Grouped:
         return out
 
     def descriptor(self) -> dict:
-        d = {"family": "grouped", "p": self.p, "R": self.R, "gamma": self.gamma}
+        d = {"family": self.family, "p": self.p, "R": self.R, "gamma": self.gamma}
         if not self._contiguous:
             d["labels"] = self.labels.tolist()
         return d
 
 
 @dataclass(frozen=True, eq=False)
-class RankOne:
+class RankOne(_SingleBlock):
     """Covariance (1-gamma) I_p + gamma v v' with ||v||^2 = p."""
 
+    family: ClassVar[str] = "rank_one"
     p: int
     gamma: float
     v: np.ndarray
@@ -181,7 +193,12 @@ class RankOne:
         if self.p < 1:
             raise ContractError("p must be >= 1")
         _check_gamma(self.gamma)
-        v = np.ascontiguousarray(np.asarray(self.v, dtype=float))
+        v = np.asarray(self.v, dtype=float)
+        if v.flags.writeable or not v.flags.c_contiguous:
+            # a frozen copy leaves the caller's array writeable; a frozen,
+            # contiguous v is shared as given
+            v = v.copy()
+            v.setflags(write=False)
         if v.shape != (self.p,):
             raise ContractError("v must have length p")
         nsq = float(v @ v)
@@ -190,7 +207,6 @@ class RankOne:
                 f"||v||^2 must equal p (got {nsq} vs {self.p}); "
                 "use RankOne.renormalized to rescale"
             )
-        v.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sign_pattern", bool(np.all(np.abs(v) == 1.0)))
 
@@ -204,10 +220,27 @@ class RankOne:
         return cls(p, gamma, v * math.sqrt(p / nsq))
 
     def descriptor(self) -> dict:
-        return {"family": "rank_one", "p": self.p, "gamma": self.gamma, "v": self.v.tolist()}
+        return {"family": self.family, "p": self.p, "gamma": self.gamma, "v": self.v.tolist()}
 
 
 CorrelationModel = Union[Equicorrelated, Grouped, RankOne]
+
+
+def model_from(family: str, p: int, gamma: float, R: Optional[int] = None,
+               v=None) -> CorrelationModel:
+    """The model of a family name: "equicorrelated", "grouped" (needs R) or
+    "rank_one" (needs the pattern v)."""
+    if family == "equicorrelated":
+        return Equicorrelated(p, gamma)
+    if family == "grouped":
+        if R is None:
+            raise ContractError("the grouped family needs R")
+        return Grouped(p, R, gamma)
+    if family == "rank_one":
+        if v is None:
+            raise ContractError("the rank-one family needs the pattern v")
+        return RankOne(p, gamma, v)
+    raise ContractError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +260,7 @@ class Observation:
 
 def factor_count(model: CorrelationModel) -> int:
     """Number k of shared factors per draw (one decorrelation injection each)."""
-    return model.R if isinstance(model, Grouped) else 1
+    return model.R
 
 
 # Batched kernels (null calibration, Monte Carlo divergences) work in blocks
@@ -324,20 +357,17 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
         xi = rng.standard_normal(shape)
     elif xi.shape != shape:
         raise ContractError(f"injections must have shape {shape}")
-    if isinstance(model, RankOne):
-        return _decorrelated(model, x, xi)
     return model.scatter_blocks(_decorrelated(model, model.block_view(x), xi))
 
 
 def _decorrelated(model: CorrelationModel, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Decorrelation without checks: rank-one rows ``a`` (..., p), or blocks
-    ``a`` (..., k, p/k) of the other models, with injections ``xi`` (..., k).
-    Sums run in the given layout."""
+    """Decorrelation without checks: blocks ``a`` (..., k, p/k) with
+    injections ``xi`` (..., k).  Sums run in the given layout."""
     inv = 1.0 / math.sqrt(1.0 - model.gamma)
     if isinstance(model, RankOne):
         v = model.v
         coef = (a * v).sum(axis=-1, keepdims=True) / model.p
-        return (a - coef * v) * inv + (xi / math.sqrt(model.p)) * v
+        return (a - coef * v) * inv + (xi[..., None] / math.sqrt(model.p)) * v
     means = a.sum(axis=-1, keepdims=True) / model.block_size
     return (a - means) * inv + (xi[..., None] / math.sqrt(model.block_size))
 
@@ -351,15 +381,11 @@ def precision_apply(model: CorrelationModel, u) -> np.ndarray:
         raise ContractError("vector length does not match model dimension")
     g = model.gamma
     one_minus = 1.0 - g
-    if isinstance(model, Equicorrelated):
-        coef = g / (one_minus * (one_minus + g * model.p))
-        return u / one_minus - coef * u.sum(axis=-1, keepdims=True)
+    coef = g / (one_minus * (one_minus + g * model.block_size))
     if isinstance(model, RankOne):
-        coef = g / (one_minus * (one_minus + g * model.p))
         proj = (u @ model.v)
         return u / one_minus - coef * np.multiply.outer(proj, model.v).reshape(u.shape)
     blocks = model.block_view(u)
-    coef = g / (one_minus * (one_minus + g * model.block_size))
     out = blocks / one_minus - coef * blocks.sum(axis=-1, keepdims=True)
     return model.scatter_blocks(out)
 
@@ -370,8 +396,6 @@ def covariance_apply(model: CorrelationModel, u) -> np.ndarray:
     if u.shape[-1] != model.p:
         raise ContractError("vector length does not match model dimension")
     g = model.gamma
-    if isinstance(model, Equicorrelated):
-        return (1.0 - g) * u + g * u.sum(axis=-1, keepdims=True)
     if isinstance(model, RankOne):
         proj = u @ model.v
         return (1.0 - g) * u + g * np.multiply.outer(proj, model.v).reshape(u.shape)

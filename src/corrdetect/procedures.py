@@ -50,7 +50,6 @@ from .geometry import omega as pattern_omega
 from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
-    Equicorrelated,
     Grouped,
     Observation,
     RankOne,
@@ -58,6 +57,7 @@ from .models import (
     canonical_layout,
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
     factor_count,
+    model_from,
 )
 from . import statistics as stats
 
@@ -171,11 +171,8 @@ class ThresholdRecord:
 
 
 def model_for(test: "TestProcedure") -> CorrelationModel:
-    if test.family == "equicorrelated":
-        return Equicorrelated(test.p, test.gamma)
-    if test.family == "grouped":
-        return Grouped(test.p, test.R, test.gamma)
-    return RankOne(test.p, test.gamma, test.v)
+    """The test's model; a rank-one model shares the test's pattern array."""
+    return model_from(test.family, test.p, test.gamma, test.R, test.v)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +412,15 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     Whole-p sums add per-block sums over the blocks, so every sum stays in
     canonical order.  Returns {name: (n,) array}.
     """
-    n = x.shape[0]
-    rank_one = isinstance(model, RankOne)
-    raw = x[:, None, :] if rank_one else x.reshape(n, model.R, model.block_size)
+    raw = model.block_view(x)
     dec = None
     values = {}
     for name, kind, params, _ in items:
         if kind in _DECORRELATED:
             if dec is None:
-                dec = _decorrelated(model, x if rank_one else raw, xi)
-                if rank_one:
-                    dec = np.sort(dec, axis=-1)[:, None, :]
+                dec = _decorrelated(model, raw, xi)
+                if isinstance(model, RankOne):
+                    dec = np.sort(dec, axis=-1)
             values[name] = _REDUCTIONS[kind](dec, model, params)
         else:
             values[name] = _REDUCTIONS[kind](raw, model, params)
@@ -515,9 +510,10 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
         if not (1 <= s <= p):
             raise ContractError("need 1 <= s <= p")
     if v is not None:
-        v = np.asarray(v, dtype=float)
+        # one frozen copy, shared by every model built for this test
+        v = np.array(v, dtype=float)
+        v.setflags(write=False)
     items = _plan(family, p, s, gamma, R, v)
-    model = None
     calibration = None
     if mode == "paper_constants":
         if C is None:
@@ -529,12 +525,7 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     elif mode == "calibrated":
         if rng is None:
             raise ContractError("calibrated mode needs a calibration stream")
-        if family == "equicorrelated":
-            model = Equicorrelated(p, gamma)
-        elif family == "grouped":
-            model = Grouped(p, R, gamma)
-        else:
-            model = RankOne(p, gamma, v)
+        model = model_from(family, p, gamma, R, v)
         random_items = [it for it in items if it[1] != "noiseless"]
         m = len(random_items)
         records = {}
@@ -587,9 +578,7 @@ def evaluate(test: TestProcedure, obs: Observation,
 
 
 def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
-    family = ("equicorrelated" if isinstance(model, Equicorrelated)
-              else "grouped" if isinstance(model, Grouped) else "rank_one")
-    if family != test.family or model.p != test.p:
+    if model.family != test.family or model.p != test.p:
         raise ContractError("observation model does not match the test's family/dimension")
     if model.gamma != test.gamma:
         raise ContractError(

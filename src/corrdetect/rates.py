@@ -33,6 +33,7 @@ __all__ = [
     "rate_equicorrelated",
     "rate_grouped",
     "rate_rank_one",
+    "rate_for",
     "blessing_curse_thresholds",
     "psi1_sq",
     "rate_rows_csv",
@@ -191,6 +192,8 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     """
     _check_ps(p, s)
     v = np.asarray(v, dtype=float)
+    if v.shape != (p,):
+        raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))
@@ -209,6 +212,23 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     value = (1.0 - gamma) * math.sqrt(p)
     return RateResult("rank_one", p, s, gamma, None, value, "dense",
                       {"psi1_sq": value, "omega": w})
+
+
+def rate_for(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,
+             v=None) -> RateResult:
+    """The squared rate of a family name: "equicorrelated", "grouped" (needs
+    R) or "rank_one" (needs the pattern v)."""
+    if family == "equicorrelated":
+        return rate_equicorrelated(p, s, gamma)
+    if family == "grouped":
+        if R is None:
+            raise ContractError("the grouped family needs R")
+        return rate_grouped(p, s, gamma, R)
+    if family == "rank_one":
+        if v is None:
+            raise ContractError("the rank-one family needs the pattern v")
+        return rate_rank_one(p, s, gamma, v)
+    raise ContractError(f"unknown family {family!r}")
 
 
 def blessing_curse_thresholds(p: int, s: int) -> dict:
@@ -299,12 +319,8 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
     """
     rows = []
     for name, lo_s, hi_s in _boundary_sparsities(family, p, R):
-        if family == "equicorrelated":
-            lo = rate_equicorrelated(p, lo_s, gamma).value
-            hi = rate_equicorrelated(p, hi_s, gamma).value
-        else:
-            lo = rate_grouped(p, lo_s, gamma, R).value
-            hi = rate_grouped(p, hi_s, gamma, R).value
+        lo = rate_for(family, p, lo_s, gamma, R).value
+        hi = rate_for(family, p, hi_s, gamma, R).value
         if lo == 0.0 and hi == 0.0:
             ratio = 1.0
         elif min(lo, hi) == 0.0:

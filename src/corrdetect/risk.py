@@ -45,9 +45,9 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import Equicorrelated, Grouped, RankOne, sample
-from .procedures import TestProcedure, build_test, evaluate
-from .rates import rate_equicorrelated, rate_grouped, rate_rank_one
+from .models import RankOne, sample
+from .procedures import TestProcedure, build_test, evaluate, model_for
+from .rates import rate_for
 from .streams import stable_token, substream
 
 __all__ = [
@@ -297,22 +297,6 @@ class SweepPlan:
         }
 
 
-def _cell_rate(family, p, s, gamma, R, v):
-    if family == "equicorrelated":
-        return rate_equicorrelated(p, s, gamma)
-    if family == "grouped":
-        return rate_grouped(p, s, gamma, R)
-    return rate_rank_one(p, s, gamma, v)
-
-
-def _cell_model(family, p, gamma, R, v):
-    if family == "equicorrelated":
-        return Equicorrelated(p, gamma)
-    if family == "grouped":
-        return Grouped(p, R, gamma)
-    return RankOne(p, gamma, v)
-
-
 def run_sweep(plan: SweepPlan) -> tuple:
     """One RiskEstimate row per cell x multiplier.
 
@@ -346,18 +330,18 @@ def _run_cell(plan, p, s, gamma, R, cell_id, executor):
     base = {"family": plan.family, "p": p, "s": s, "gamma": gamma,
             "R": "" if R is None else R}
     try:
-        rate = _cell_rate(plan.family, p, s, gamma, R, plan.v)
+        rate = rate_for(plan.family, p, s, gamma, R, plan.v)
         if rate.uncharacterized:
             raise ContractError("rate uncharacterized for this configuration")
         ref = rate
         if plan.separation_reference == "gamma0":
-            ref = _cell_rate(plan.family, p, s, 0.0, R, plan.v)
-        model = _cell_model(plan.family, p, gamma, R, plan.v)
+            ref = rate_for(plan.family, p, s, 0.0, R, plan.v)
         test = build_test(plan.family, p, "adaptive" if plan.adaptive else s,
                           gamma, R=R, v=plan.v, mode=plan.mode, eta=plan.eta,
                           C=plan.C, n_cal=plan.n_cal,
                           rng=substream(plan.master_seed, cell_id, _CAL_STREAM),
                           seed_label=f"seed={plan.master_seed}/cell={cell_id}")
+        model = model_for(test)
         panels = [default_alternatives(plan.family, p, s, gamma, R, plan.v,
                                        mult * ref.value)
                   for mult in plan.multipliers]

@@ -57,6 +57,13 @@ class TestRateCommand:
                                 "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
         assert code == 0 and "regime sparse" in out
 
+    def test_pattern_length_must_be_p(self, tmp_path):
+        vf = tmp_path / "v.txt"
+        vf.write_text("\n".join(["1.0"] * 8) + "\n")
+        code, out, err = run_cli(["rate", "--family", "rankone", "--p", "16",
+                                  "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
+        assert code == 2 and out == "" and "model.v_file" in err
+
     def test_uncharacterized_verdict(self, tmp_path):
         vf = tmp_path / "v.txt"
         vf.write_text("\n".join(["1.0"] * 16) + "\n")
@@ -217,6 +224,16 @@ class TestOtherCommands:
         assert code == 1
         assert out == ""
         assert "n_mc" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["calibrate", "--family", "grouped", "--s", "3"], "model.R"),
+        (["calibrate", "--family", "rankone", "--s", "3"], "model.v_file"),
+        (["divergence", "--family", "rankone", "--prior", "uniform_sparse",
+          "--s", "2", "--magnitude", "0.4"], "model.v_file"),
+    ])
+    def test_missing_model_flag_is_a_config_error(self, argv, field):
+        code, out, err = run_cli(argv + ["--p", "16", "--gamma", "0.5"])
+        assert code == 2 and out == "" and field in err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -15,6 +15,7 @@ from corrdetect.models import (
     RankOne,
     covariance_apply,
     decorrelate,
+    model_from,
     precision_apply,
     sample,
 )
@@ -58,6 +59,36 @@ class TestConstruction:
         with pytest.raises(ContractError):
             Equicorrelated(4, 1.5)
         Equicorrelated(4, 1.0)  # singular covariance is a first-class variant
+
+    def test_rank_one_leaves_caller_pattern_writeable(self):
+        v = np.ones(16)
+        model = RankOne(16, 0.5, v)
+        v[0] = 2.0
+        assert model.v[0] == 1.0 and not model.v.flags.writeable
+        assert RankOne(16, 0.3, model.v).v is model.v  # a frozen pattern is shared
+        strided = np.ones(32)[::2]
+        strided.setflags(write=False)
+        copied = RankOne(16, 0.5, strided).v
+        assert copied is not strided and copied.flags.c_contiguous
+
+    @pytest.mark.parametrize("family,direct", [
+        ("equicorrelated", Equicorrelated(12, 0.4)),
+        ("grouped", Grouped(12, 3, 0.4)),
+        ("rank_one", RankOne(12, 0.4, np.array([1.0, -1.0] * 6))),
+    ])
+    def test_model_from_matches_constructor(self, family, direct):
+        model = model_from(family, 12, 0.4, R=3, v=np.array([1.0, -1.0] * 6))
+        assert type(model) is type(direct) and model.family == family
+        assert model.descriptor() == direct.descriptor()
+
+    @pytest.mark.parametrize("family,R,v", [
+        ("independent", None, None),
+        ("grouped", None, np.ones(12)),
+        ("rank_one", 3, None),
+    ])
+    def test_model_from_refuses(self, family, R, v):
+        with pytest.raises(ContractError):
+            model_from(family, 12, 0.4, R=R, v=v)
 
 
 class TestSampler:
@@ -198,6 +229,18 @@ class TestPrecision:
                 u = rng.standard_normal(40)
                 back = covariance_apply(model, precision_apply(model, u))
                 assert np.max(np.abs(back - u)) <= 1e-9 * max(1.0, np.max(np.abs(u)))
+
+    @pytest.mark.parametrize("layout", ["1d", "batch", "strided_rows"])
+    def test_equicorrelated_is_grouped_with_one_block_bitwise(self, layout):
+        rng = np.random.default_rng(13)
+        u = {"1d": rng.standard_normal(24), "batch": rng.standard_normal((5, 24)),
+             "strided_rows": rng.standard_normal((10, 48))[::2, 1::2]}[layout]
+        xi = rng.standard_normal(u.shape[:-1] + (1,))
+        for g in [0.0, 0.3, 0.999]:
+            eq, one = Equicorrelated(24, g), Grouped(24, 1, g)
+            for op in (precision_apply, covariance_apply):
+                assert np.array_equal(op(eq, u), op(one, u))
+            assert np.array_equal(decorrelate(eq, u, xi=xi), decorrelate(one, u, xi=xi))
 
     def test_singular_at_gamma_one(self):
         with pytest.raises(SingularCovarianceError):

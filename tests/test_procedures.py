@@ -220,6 +220,17 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(test, sample(flipped, None, _rng(9)), _rng(10))
 
+    @pytest.mark.parametrize("mode,kw", [
+        ("paper_constants", {"C": 3.0}),
+        ("calibrated", {"n_cal": 1000, "eta": 0.2, "rng": _rng(12)}),
+    ])
+    def test_rank_one_model_shares_the_test_pattern(self, mode, kw):
+        v = np.array([1.0, -1.0] * 8)
+        test = build_test("rank_one", 16, 2, 0.5, v=v, mode=mode, **kw)
+        v[0] = 3.0  # the caller's array stays writeable and the test keeps its copy
+        assert test.v[0] == 1.0
+        assert model_for(test).v is test.v
+
     def test_noiseless_test_is_errorless(self):
         test = build_test("equicorrelated", 64, 8, 1.0, mode="paper_constants", C=3.0)
         model = model_for(test)

@@ -10,6 +10,7 @@ from corrdetect.rates import (
     blessing_curse_thresholds,
     boundary_audit,
     rate_equicorrelated,
+    rate_for,
     rate_grouped,
     rate_rank_one,
     rate_rows_csv,
@@ -160,6 +161,29 @@ class TestRankOne:
         r = rate_rank_one(p, 16, 0.5, np.ones(p))
         assert r.regime == "sparse"
         assert r.value == pytest.approx(0.5 * 16 * math.log(2.0))
+
+    def test_pattern_length_must_be_p(self):
+        with pytest.raises(ContractError):
+            rate_rank_one(16, 2, 0.5, np.ones(8))
+
+
+class TestRateFor:
+    @pytest.mark.parametrize("s", [2, 20, 60])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_matches_family_functions(self, s, gamma):
+        v = np.ones(64)
+        assert rate_for("equicorrelated", 64, s, gamma) == rate_equicorrelated(64, s, gamma)
+        assert rate_for("grouped", 64, s, gamma, R=4) == rate_grouped(64, s, gamma, 4)
+        assert rate_for("rank_one", 64, s, gamma, v=v) == rate_rank_one(64, s, gamma, v)
+
+    @pytest.mark.parametrize("family,R,v", [
+        ("independent", None, None),
+        ("grouped", None, np.ones(64)),
+        ("rank_one", 4, None),
+    ])
+    def test_refuses(self, family, R, v):
+        with pytest.raises(ContractError):
+            rate_for(family, 64, 2, 0.5, R=R, v=v)
 
 
 class TestBlessingCurse:
