@@ -53,6 +53,8 @@ def _load_pattern(path: str, p_grid) -> np.ndarray:
         v = np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
         raise ConfigError("v_file", str(exc))
+    except ValueError as exc:  # a non-numeric entry
+        raise ConfigError("model.v_file", f"pattern is not numeric: {exc}")
     for p in p_grid:
         if v.shape != (p,):
             raise ConfigError("model.v_file",

@@ -33,11 +33,11 @@ Monte Carlo runs in blocks of ``_BLOCK_ELEMENTS // p`` pairs (the budget
 shared with null calibration in ``models``).  Each block takes one batched
 :func:`draw` of 2n rows from the stream, rows 2i and 2i + 1 forming pair i,
 and applies the precision to the second rows in one call.  The pair inner
-products are elementwise products summed per row, not matrix products, so
-the estimate does not depend on the BLAS thread count (the rank-one precision
-itself still takes one matrix-vector product).  A batched draw consumes the
-stream differently from single draws, so estimates differ from a loop over
-single draws with the same seed; single draws are what the risk engine uses.
+products are elementwise products summed per row, and so is every
+projection inside the precision, so the estimate does not depend on the BLAS
+thread count.  A batched draw consumes the stream differently from single
+draws, so estimates differ from a loop over single draws with the same seed;
+single draws are what the risk engine uses.
 """
 
 from __future__ import annotations
@@ -349,21 +349,18 @@ def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
     if g < 1.0:
         return float(theta @ precision_apply(model, theta2))
     # gamma = 1: only the projected component survives; both vectors must lie
-    # in the span for the divergence to be finite.
-    if isinstance(model, RankOne):
-        spans = [model.v]
-        scale = [model.p]
-    else:
-        # one indicator per block, in the model's layout
-        bs = model.block_size
-        spans = model.scatter_blocks(np.eye(model.R)[:, :, None].repeat(bs, axis=-1))
-        scale = [bs] * model.R
+    # in the span for the divergence to be finite.  One loading vector per
+    # block, in the model's layout; a contiguous copy, as a broadcast view
+    # changes the rounding of ``theta @ u``.
+    R, bs = model.R, model.block_size
+    spans = np.ascontiguousarray(model.scatter_blocks(
+        np.broadcast_to(model.lift(np.eye(R)), (R, R, bs))))
     total = 0.0
     proj1 = np.zeros_like(theta)
     proj2 = np.zeros_like(theta2)
-    for u, sc in zip(spans, scale):
-        c1 = float(theta @ u) / sc
-        c2 = float(theta2 @ u) / sc
+    for u in spans:
+        c1 = float(theta @ u) / bs
+        c2 = float(theta2 @ u) / bs
         proj1 += c1 * u
         proj2 += c2 * u
         # reduced statistic along u has mean c * ||u|| and variance ||u||^2,
@@ -427,13 +424,10 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
         return DivergenceResult.from_chi_sq(math.expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")
-    if model.gamma >= 1.0 and method != "monte_carlo":
-        # group-supported priors live in the span: reduce exactly
-        if isinstance(prior, GroupSupported) and isinstance(model, Grouped):
-            bs = model.block_size
-            lam = prior.magnitude ** 2 * bs  # reduced pair inner product per shared group
-            chi = _overlap_expectation(model.R, prior.m, prior.m, lam, 0.0) - 1.0
-            return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
+    if (model.gamma >= 1.0 and method != "monte_carlo"
+            and not (isinstance(prior, GroupSupported) and isinstance(model, Grouped))):
+        # group-supported priors live in the span, where the overlap sum
+        # below is exact at gamma = 1 too
         raise SingularCovarianceError(
             "gamma = 1 divergences need span-supported priors or monte_carlo")
 
@@ -481,7 +475,8 @@ def _try_overlap_sum(prior, model) -> Optional[DivergenceResult]:
             raise ContractError("prior and model group counts differ")
         a, g, bs = prior.magnitude, model.gamma, model.block_size
         # whole-group blocks: the centered part vanishes, only group means
-        # contribute: <1_B, Sigma^-1 1_B'> = bs / (1-g+g bs) per shared group
+        # contribute: <1_B, Sigma^-1 1_B'> = bs / (1-g+g bs) per shared group,
+        # which is 1 at gamma = 1 (the reduced statistic of a group)
         lam = a * a * bs / (1.0 - g + g * bs)
         chi = _overlap_expectation(model.R, prior.m, prior.m, lam, 0.0) - 1.0
         return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")

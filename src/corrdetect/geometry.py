@@ -142,13 +142,6 @@ class SpaceMembership:
     sparsity_ok: bool
 
 
-def _group_means(theta: np.ndarray, R: int) -> np.ndarray:
-    p = theta.shape[0]
-    if p % R != 0:
-        raise ContractError("R must divide p")
-    return theta.reshape(R, p // R).mean(axis=1)
-
-
 def membership(spec: SignalSpec, space: str, epsilon: float,
                R: Optional[int] = None) -> SpaceMembership:
     """Membership of ``spec`` in a parameter space at separation ``epsilon``.

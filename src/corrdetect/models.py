@@ -13,7 +13,12 @@ Every model is k = ``R`` blocks of p/k coordinates with one shared factor
 each (``block_view``, ``scatter_blocks``).  The equicorrelated model is the
 grouped model with R = 1; the rank-one model is also a single block, with
 loadings ``v`` and no exchangeable order.  :func:`model_from` maps a family
-name to its model.
+name to its model.  Each model owns its block algebra: ``project`` maps
+blocks (..., k, p/k) to their inner products with the loadings (..., k),
+``lift`` maps (..., k) back to loadings times value, broadcasting against the
+blocks, and ``exchangeable`` says whether a block may be sorted (``canonical``
+is the model of the sorted layout).  The loadings are 1 in the exchangeable
+models, which therefore only sum and broadcast, and ``v`` in the rank-one one.
 
 Covariance and precision act in closed form through Sherman-Morrison:
 
@@ -72,10 +77,29 @@ def _check_gamma(gamma: float) -> None:
         raise ContractError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-class _SingleBlock:
+class _Blocks:
+    """Blocks that load with weight 1 on their factor and may be sorted."""
+
+    exchangeable = True
+
+    def project(self, a: np.ndarray) -> np.ndarray:
+        """Blocks (..., k, p/k) to their inner products with the loadings."""
+        return a.sum(axis=-1)
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """(..., k) to loadings times value, broadcasting against the blocks."""
+        return c[..., None]
+
+
+class _SingleBlock(_Blocks):
     """A model whose p coordinates form one block, with one shared factor."""
 
     R = 1
+
+    @property
+    def canonical(self):
+        """The model of the canonical layout: a single block keeps its own."""
+        return self
 
     @property
     def block_size(self) -> int:
@@ -108,7 +132,7 @@ class Equicorrelated(_SingleBlock):
 
 
 @dataclass(frozen=True, eq=False)
-class Grouped:
+class Grouped(_Blocks):
     """R equally sized groups, equicorrelated within, independent across.
 
     ``labels`` maps coordinate -> group label in [0, R).  Blocks are
@@ -124,7 +148,7 @@ class Grouped:
     _order: np.ndarray = field(init=False, repr=False)
     _contiguous: bool = field(init=False, repr=False)
     # the model of this one's canonical layout (contiguous groups), built once
-    _canonical: "Grouped" = field(init=False, repr=False)
+    canonical: "Grouped" = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -148,7 +172,7 @@ class Grouped:
         object.__setattr__(self, "_order", order)
         contiguous = bool(np.all(order == np.arange(self.p)))
         object.__setattr__(self, "_contiguous", contiguous)
-        object.__setattr__(self, "_canonical",
+        object.__setattr__(self, "canonical",
                            self if contiguous else Grouped(self.p, self.R, self.gamma))
 
     @property
@@ -209,6 +233,14 @@ class RankOne(_SingleBlock):
             )
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sign_pattern", bool(np.all(np.abs(v) == 1.0)))
+
+    exchangeable = False
+
+    def project(self, a: np.ndarray) -> np.ndarray:
+        return (a * self.v).sum(axis=-1)
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        return c[..., None] * self.v
 
     @classmethod
     def renormalized(cls, p: int, gamma: float, v) -> "RankOne":
@@ -274,15 +306,15 @@ def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
 
     Returns ``(x_c, model_c)``: blocks of ``x`` (last axis p) sorted ascending
     and laid out one after another, with ``model_c`` describing that layout
-    (contiguous groups; the same object on every call).  Rank-one data is
-    returned unchanged.
+    (contiguous groups; the same object on every call).  Data of a model
+    without exchangeable blocks (rank-one) is returned unchanged.
     """
-    if isinstance(model, RankOne):
+    if not model.exchangeable:
         return x, model
     # C order: numpy reductions follow the memory layout, so rows are summed
     # the same way whatever layout the block view came in
     x_c = np.ascontiguousarray(np.sort(model.block_view(x), axis=-1)).reshape(x.shape)
-    return x_c, (model._canonical if isinstance(model, Grouped) else model)
+    return x_c, model.canonical
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
@@ -303,6 +335,7 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (p,):
             raise ContractError("theta length must equal model dimension p")
+        theta = model.block_view(theta)
     k = factor_count(model)
     if normals is None:
         lead = () if size is None else (size,)
@@ -313,12 +346,8 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
         if normals.shape[-1] != k + p:
             raise ContractError(f"normals rows must hold k + p = {k + p} values")
         w, z = normals[..., :k], normals[..., k:]
-    shared = math.sqrt(model.gamma) * w
-    if isinstance(model, Grouped):
-        shared = shared[..., model.labels]
-    elif isinstance(model, RankOne):
-        shared = shared * model.v
-    x = theta + shared + math.sqrt(1.0 - model.gamma) * z
+    x = model.scatter_blocks(theta + model.lift(math.sqrt(model.gamma) * w)
+                             + math.sqrt(1.0 - model.gamma) * model.block_view(z))
     return Observation(x=x, model=model, provenance=provenance)
 
 
@@ -339,8 +368,8 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
     sqrt(1-gamma); the output covariance is the identity.
 
     ``x`` has shape (..., p).  The k injections per row are drawn from ``rng``
-    or given as ``xi`` of shape (..., k).  Block means and the rank-one
-    projection are plain sums in the given layout; for data in canonical
+    or given as ``xi`` of shape (..., k).  The projections on the loadings
+    are plain sums in the given layout; for data in canonical
     layout (:func:`canonical_layout`) the output is bit-identical under
     within-block permutations, and its blocks are sorted too.
 
@@ -364,12 +393,9 @@ def _decorrelated(model: CorrelationModel, a: np.ndarray, xi: np.ndarray) -> np.
     """Decorrelation without checks: blocks ``a`` (..., k, p/k) with
     injections ``xi`` (..., k).  Sums run in the given layout."""
     inv = 1.0 / math.sqrt(1.0 - model.gamma)
-    if isinstance(model, RankOne):
-        v = model.v
-        coef = (a * v).sum(axis=-1, keepdims=True) / model.p
-        return (a - coef * v) * inv + (xi[..., None] / math.sqrt(model.p)) * v
-    means = a.sum(axis=-1, keepdims=True) / model.block_size
-    return (a - means) * inv + (xi[..., None] / math.sqrt(model.block_size))
+    b = model.block_size
+    return ((a - model.lift(model.project(a) / b)) * inv
+            + model.lift(xi / math.sqrt(b)))
 
 
 def precision_apply(model: CorrelationModel, u) -> np.ndarray:
@@ -382,12 +408,9 @@ def precision_apply(model: CorrelationModel, u) -> np.ndarray:
     g = model.gamma
     one_minus = 1.0 - g
     coef = g / (one_minus * (one_minus + g * model.block_size))
-    if isinstance(model, RankOne):
-        proj = (u @ model.v)
-        return u / one_minus - coef * np.multiply.outer(proj, model.v).reshape(u.shape)
     blocks = model.block_view(u)
-    out = blocks / one_minus - coef * blocks.sum(axis=-1, keepdims=True)
-    return model.scatter_blocks(out)
+    return model.scatter_blocks(blocks / one_minus
+                                - coef * model.lift(model.project(blocks)))
 
 
 def covariance_apply(model: CorrelationModel, u) -> np.ndarray:
@@ -396,9 +419,5 @@ def covariance_apply(model: CorrelationModel, u) -> np.ndarray:
     if u.shape[-1] != model.p:
         raise ContractError("vector length does not match model dimension")
     g = model.gamma
-    if isinstance(model, RankOne):
-        proj = u @ model.v
-        return (1.0 - g) * u + g * np.multiply.outer(proj, model.v).reshape(u.shape)
     blocks = model.block_view(u)
-    out = (1.0 - g) * blocks + g * blocks.sum(axis=-1, keepdims=True)
-    return model.scatter_blocks(out)
+    return model.scatter_blocks((1.0 - g) * blocks + g * model.lift(model.project(blocks)))

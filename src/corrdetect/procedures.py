@@ -50,9 +50,7 @@ from .geometry import omega as pattern_omega
 from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
-    Grouped,
     Observation,
-    RankOne,
     _decorrelated,
     canonical_layout,
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
@@ -179,20 +177,14 @@ def model_for(test: "TestProcedure") -> CorrelationModel:
 # statistic plans
 
 
-def _plan(family: str, p: int, s, gamma: float, R: Optional[int],
-          v: Optional[np.ndarray]) -> list:
+def _plan(model: CorrelationModel, s) -> list:
     """(name, kind, params, paper_rule) quadruples; paper_rule maps C -> threshold."""
-    if family == "equicorrelated":
+    p, gamma = model.p, model.gamma
+    if model.family == "equicorrelated":
         return _plan_equicorrelated(p, s, gamma)
-    if family == "grouped":
-        if R is None:
-            raise ContractError("grouped tests need R")
-        return _plan_grouped(p, s, gamma, R)
-    if family == "rank_one":
-        if v is None:
-            raise ContractError("rank-one tests need the pattern v")
-        return _plan_rank_one(p, s, gamma, v)
-    raise ContractError(f"unknown family {family!r}")
+    if model.family == "grouped":
+        return _plan_grouped(p, s, gamma, model.R)
+    return _plan_rank_one(p, s, gamma, model.v)
 
 
 def _chisq_item(p, scale=2.0, name="chisq"):
@@ -356,7 +348,7 @@ def _reads_decorrelated(items) -> bool:
 
 
 def _noiseless(a, model, params):
-    if not isinstance(model, RankOne):
+    if model.exchangeable:
         return stats._block_residual(a)
     value = stats._pattern_residual(a[:, 0], model)
     if model.sign_pattern:
@@ -366,15 +358,13 @@ def _noiseless(a, model, params):
 
 
 def _chisq_raw(a, model, params):
-    if isinstance(model, RankOne):  # its one block keeps the given layout
+    if not model.exchangeable:  # its blocks keep the given layout
         a = np.sort(a, axis=-1)
     return stats._energy(a).sum(axis=-1)
 
 
 def _linear(a, model, params):
-    if isinstance(model, RankOne):
-        return stats._pattern_energy(a[:, 0], model)
-    return stats._global_energy(a.sum(axis=-1), model.p)
+    return stats._global_energy(model.project(a), model.p)
 
 
 # constituent kind -> its statistic as a reduction (blocks, model, params) ->
@@ -406,9 +396,10 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     (n, k, p/k), every block sorted; rank-one data is one block in its given
     layout.  Plans that read decorrelated data (``_DECORRELATED``) get those
     blocks decorrelated once with the injections ``xi`` (n, k); decorrelation
-    is monotone within a block, so they stay sorted, and rank-one rows are
-    sorted here.  Each plan's statistic is then one reduction
-    (``_REDUCTIONS``) on its blocks, with no further sort or check.
+    is monotone within a block, so they stay sorted, and blocks that are not
+    exchangeable (rank-one) are sorted here.  Each plan's statistic is then
+    one reduction (``_REDUCTIONS``) on its blocks, with no further sort or
+    check.
     Whole-p sums add per-block sums over the blocks, so every sum stays in
     canonical order.  Returns {name: (n,) array}.
     """
@@ -419,7 +410,7 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
         if kind in _DECORRELATED:
             if dec is None:
                 dec = _decorrelated(model, raw, xi)
-                if isinstance(model, RankOne):
+                if not model.exchangeable:
                     dec = np.sort(dec, axis=-1)
             values[name] = _REDUCTIONS[kind](dec, model, params)
         else:
@@ -513,7 +504,10 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
         # one frozen copy, shared by every model built for this test
         v = np.array(v, dtype=float)
         v.setflags(write=False)
-    items = _plan(family, p, s, gamma, R, v)
+    model = model_from(family, p, gamma, R, v)
+    if model.R != (R or 1) or getattr(model, "v", None) is not v:
+        raise ContractError("R applies to the grouped family only, v to the rank-one family")
+    items = _plan(model, s)
     calibration = None
     if mode == "paper_constants":
         if C is None:
@@ -525,7 +519,6 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     elif mode == "calibrated":
         if rng is None:
             raise ContractError("calibrated mode needs a calibration stream")
-        model = model_from(family, p, gamma, R, v)
         random_items = [it for it in items if it[1] != "noiseless"]
         m = len(random_items)
         records = {}
@@ -584,8 +577,8 @@ def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
         raise ContractError(
             f"observation gamma={model.gamma} routed to a test built for "
             f"gamma={test.gamma}")
-    if isinstance(model, Grouped) and model.R != test.R:
+    if model.R != (test.R or 1):
         raise ContractError("group count mismatch")
-    if (isinstance(model, RankOne) and model.v is not test.v
+    if (test.v is not None and model.v is not test.v
             and not np.allclose(model.v, test.v, rtol=0, atol=1e-12)):
         raise ContractError("pattern mismatch")

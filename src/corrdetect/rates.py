@@ -317,6 +317,9 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
     correlation ((1-gamma) log(ep) small) and s = p/R in the grouped model.
     A flagged-but-undocumented row signals a formula defect.
     """
+    if family != "equicorrelated" and (family != "grouped" or R is None):
+        raise ContractError("the boundary audit covers the equicorrelated family "
+                            f"and the grouped family with R; got {family!r}, R={R}")
     rows = []
     for name, lo_s, hi_s in _boundary_sparsities(family, p, R):
         lo = rate_for(family, p, lo_s, gamma, R).value

@@ -45,7 +45,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import RankOne, sample
+from .models import sample
 from .procedures import TestProcedure, build_test, evaluate, model_for
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -155,7 +155,7 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
     if n_reps < 100:
         raise ContractError("n_reps must be at least 100")
     start_time = time.perf_counter()
-    v = model.v if isinstance(model, RankOne) else None
+    v = getattr(model, "v", None)
     keys = {}  # stream token -> descriptor key, in first-seen order
     units = [(None, _NULL_STREAM, 0)]
     for alt in alternatives:
@@ -174,19 +174,14 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         if workers > 1 and executor is None:
             own_executor = ProcessPoolExecutor(max_workers=workers)
             executor = own_executor
-        if executor is not None:
-            chunk = max(200, n_reps // (8 * max(workers, 1)))
-            tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
-                      a, min(a + chunk, n_reps), v)
-                     for alt, kind, alt_code in units
-                     for a in range(0, n_reps, chunk)]
-            for task, count in zip(tasks, executor.map(_chunk_worker, tasks)):
-                counts[task[5:7]] += count  # task[5:7] = (kind, alt_code)
-        else:
-            for alt, kind, alt_code in units:
-                counts[(kind, alt_code)] = _reject_count_chunk(
-                    test, model, alt, master_seed, cell_id, kind, alt_code,
-                    0, n_reps, v)
+        chunk = max(200, n_reps // (8 * max(workers, 1)))
+        tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
+                  a, min(a + chunk, n_reps), v)
+                 for alt, kind, alt_code in units
+                 for a in range(0, n_reps, chunk)]
+        mapper = map if executor is None else executor.map
+        for task, count in zip(tasks, mapper(_chunk_worker, tasks)):
+            counts[task[5:7]] += count  # task[5:7] = (kind, alt_code)
     finally:
         if own_executor is not None:
             own_executor.shutdown()

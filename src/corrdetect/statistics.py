@@ -127,7 +127,8 @@ def linear_projection(x, model: CorrelationModel, direction="global",
     if direction == "pattern":
         if not isinstance(model, RankOne):
             raise ContractError("pattern direction requires a rank-one model")
-        return StatisticValue("linear_pattern", _out(_pattern_energy(x, model)),
+        value = _global_energy(model.project(model.block_view(x)), p)
+        return StatisticValue("linear_pattern", _out(value),
                               {"null_variance": 1.0 - g + g * p})
     raise ContractError(f"unknown direction {direction!r}")
 
@@ -210,7 +211,7 @@ def noiseless_residual(x, model: CorrelationModel) -> StatisticValue:
     if model.gamma < 1.0:
         raise ContractError("noiseless residual is only valid at gamma = 1")
     x = _data(x)
-    if isinstance(model, RankOne):
+    if not model.exchangeable:
         coef = (model.v * x).sum(axis=-1) / model.p
         return StatisticValue("noiseless_residual", _out(_pattern_residual(x, model)),
                               {"projection": _out(coef)})
@@ -263,12 +264,6 @@ def _standardized_means(sums: np.ndarray, model: Grouped) -> np.ndarray:
     bs = model.block_size
     sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
     return sums / (math.sqrt(bs) * sigma)
-
-
-def _pattern_energy(x: np.ndarray, model: RankOne) -> np.ndarray:
-    """Squared normalized projection on the rank-one pattern (given layout)."""
-    total = (model.v * x).sum(axis=-1)
-    return total * total / model.p
 
 
 def _pattern_residual(x: np.ndarray, model: RankOne) -> np.ndarray:

@@ -64,6 +64,13 @@ class TestRateCommand:
                                   "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
         assert code == 2 and out == "" and "model.v_file" in err
 
+    def test_non_numeric_pattern_is_a_config_error(self, tmp_path):
+        vf = tmp_path / "v.txt"
+        vf.write_text("\n".join(["1.0"] * 15 + ["one"]) + "\n")
+        code, out, err = run_cli(["rate", "--family", "rankone", "--p", "16",
+                                  "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
+        assert code == 2 and out == "" and "model.v_file" in err
+
     def test_uncharacterized_verdict(self, tmp_path):
         vf = tmp_path / "v.txt"
         vf.write_text("\n".join(["1.0"] * 16) + "\n")
@@ -130,6 +137,15 @@ class TestSweepCommand:
                                 str(tmp_path / "x")])
         assert code == 2
         assert "model.R" in err
+
+    def test_non_numeric_pattern_diagnostic(self, tmp_path):
+        vf = tmp_path / "v.txt"
+        vf.write_text("1.0 -1.0 x 1.0\n")
+        cfg = _sweep_config(tmp_path, model={"family": "rank_one", "p": [4],
+                                             "gamma": [0.5], "v_file": str(vf)})
+        code, _, err = run_cli(["sweep", "--config", str(cfg), "--out",
+                                str(tmp_path / "x")])
+        assert code == 2 and "model.v_file" in err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = _sweep_config(tmp_path, bogus=1)

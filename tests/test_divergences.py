@@ -183,10 +183,21 @@ class TestGroupedPriors:
         prior = GroupSupported(8, 4, 1, 0.35)
         model = Grouped(8, 4, 1.0)
         res = ingster_suslina_chisq(prior, model)
-        # reduced R-dim law: lam = a^2 * bs on a shared group
-        lam = 0.35 ** 2 * 2
+        # reduced R-dim law: a group's value is its factor plus a, with unit
+        # variance, so a shared group contributes lam = a^2
+        lam = 0.35 ** 2
         expected = (1 - 1 / 4 + math.exp(lam) / 4) - 1
         assert res.chi_sq == pytest.approx(expected, rel=1e-10)
+
+    def test_group_supported_at_gamma_one_is_the_continuous_limit(self):
+        # m = R puts all mass on one theta: the point-mass route applies too
+        prior = GroupSupported(12, 4, 4, 0.3)
+        res = ingster_suslina_chisq(prior, Grouped(12, 4, 1.0))
+        point = ingster_suslina_chisq(PointMass(np.full(12, 0.3)), Grouped(12, 4, 1.0))
+        near = ingster_suslina_chisq(prior, Grouped(12, 4, 1.0 - 1e-6))
+        assert res.chi_sq == pytest.approx(point.chi_sq, rel=1e-12)
+        assert res.chi_sq == pytest.approx(near.chi_sq, rel=1e-5)
+        assert res.chi_sq == pytest.approx(math.expm1(4 * 0.3 ** 2), rel=1e-12)
 
 
 class TestHypergeometricMgf:

@@ -136,6 +136,30 @@ class TestSampler:
         for j in range(p):
             assert ks_2samp(x_grouped[:, j], x_iid[:, j]).pvalue > 0.001
 
+    @pytest.mark.parametrize("model,labels,loadings", [
+        (Equicorrelated(12, 0.3), np.zeros(12, dtype=int), 1.0),
+        (Grouped(12, 3, 0.4), np.repeat(np.arange(3), 4), 1.0),
+        (Grouped(12, 3, 0.4, labels=[2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]),
+         np.array([2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]), 1.0),
+        (RankOne(12, 0.6, np.tile([1.0, -1.0], 6)), np.zeros(12, dtype=int),
+         np.tile([1.0, -1.0], 6)),
+        (RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)), np.zeros(12, dtype=int),
+         RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)).v),
+    ])
+    @pytest.mark.parametrize("signal", [False, True])
+    def test_fixed_normals_follow_the_coordinatewise_formula(self, model, labels,
+                                                             loadings, signal):
+        # x_i = theta_i + sqrt(g) * w[label_i] * loading_i + sqrt(1 - g) * z_i,
+        # bit for bit
+        k, p, g = model.R, model.p, model.gamma
+        normals = np.random.default_rng(4).standard_normal((5, k + p))
+        w, z = normals[:, :k], normals[:, k:]
+        theta = np.linspace(-1.0, 2.0, p) if signal else None
+        want = ((0.0 if theta is None else theta)
+                + (np.sqrt(g) * w)[:, labels] * loadings + np.sqrt(1.0 - g) * z)
+        assert np.array_equal(sample(model, theta, normals=normals).x, want)
+        assert np.array_equal(sample(model, theta, normals=normals[2]).x, want[2])
+
     def test_theta_dimension_guard(self):
         with pytest.raises(ContractError):
             sample(Equicorrelated(4, 0.0), np.ones(5), np.random.default_rng(0))

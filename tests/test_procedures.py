@@ -92,6 +92,24 @@ class TestAssembly:
         dense = t.constituents[2]
         assert list(dense.params["members"]) == list(range(91, 100))
 
+    @pytest.mark.parametrize("mode,kw", [
+        ("paper_constants", {"C": 3.0}),
+        ("calibrated", {"n_cal": 1000, "rng": _rng(13)}),
+    ])
+    @pytest.mark.parametrize("family,p,gamma,R,v", [
+        ("grouped", 10, 0.5, 3, None),  # R does not divide p
+        ("grouped", 12, 1.5, 3, None),
+        ("grouped", 12, -0.2, 3, None),
+        ("equicorrelated", 12, 1.5, None, None),
+        ("rank_one", 12, 0.5, None, np.ones(10)),  # pattern of the wrong length
+        ("equicorrelated", 12, 0.5, 3, None),  # R or v the family does not have
+        ("grouped", 12, 0.5, 3, np.ones(12)),
+    ])
+    def test_refuses_an_invalid_model_in_either_mode(self, family, p, gamma, R, v,
+                                                      mode, kw):
+        with pytest.raises(ContractError):
+            build_test(family, p, 2, gamma, R=R, v=v, mode=mode, **kw)
+
     def test_descriptor_roundtrip_json(self):
         import json
         t = build_test("equicorrelated", 50, 3, 0.2, mode="paper_constants", C=4.0)

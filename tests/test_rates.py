@@ -229,6 +229,12 @@ class TestBoundaryAudit:
         rows = boundary_audit("equicorrelated", 100, 0.0)
         assert not any(r["flagged"] for r in rows)
 
+    @pytest.mark.parametrize("family,R", [("rank_one", None), ("rank_one", 4),
+                                          ("grouped", None)])
+    def test_refuses_unauditable_families(self, family, R):
+        with pytest.raises(ContractError):
+            boundary_audit(family, 64, 0.5, R)
+
     def test_grouped_pR_discontinuity(self):
         rows = boundary_audit("grouped", 1024, 0.999, 8)
         jump = [r for r in rows if r["boundary"] == "s=p/R"][0]
