@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, CorrdetectError
+from .errors import ConfigError, ContractError, CorrdetectError
 from .divergences import (
     GroupSupported,
     PointMass,
@@ -30,7 +30,7 @@ from .divergences import (
     ingster_suslina_chisq,
     risk_lower_bound,
 )
-from .models import model_from
+from .models import check_family, model_from
 from .procedures import build_test, model_for
 from .rates import rate_for
 from .risk import (
@@ -52,9 +52,11 @@ def _load_pattern(path: str, p_grid) -> np.ndarray:
     try:
         v = np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
-        raise ConfigError("v_file", str(exc))
+        raise ConfigError("model.v_file", str(exc))
     except ValueError as exc:  # a non-numeric entry
         raise ConfigError("model.v_file", f"pattern is not numeric: {exc}")
+    if not np.isfinite(v).all():
+        raise ConfigError("model.v_file", "pattern entries must be finite")
     for p in p_grid:
         if v.shape != (p,):
             raise ConfigError("model.v_file",
@@ -128,6 +130,7 @@ def _validate_model_grids(cfg: dict):
     for g in gamma_grid:
         if not 0.0 <= g <= 1.0:
             raise ConfigError("model.gamma", f"gamma={g} outside [0, 1]")
+    _check_model_fields(family, R=model.get("R"), v_file=model.get("v_file"))
     R_grid = [None]
     if family == "grouped":
         r_raw = _require(model, "model", "R", (int, list))
@@ -137,13 +140,9 @@ def _validate_model_grids(cfg: dict):
             for R in R_grid:
                 if R < 1 or p % R != 0:
                     raise ConfigError("model.R", f"R={R} does not divide p={p}")
-    elif "R" in model:
-        raise ConfigError("model.R", "R applies to the grouped family only")
     v = None
     if family == "rank_one":
         v = _load_pattern(_require(model, "model", "v_file", str), p_grid)
-    elif "v_file" in model:
-        raise ConfigError("model.v_file", "v_file applies to the rank-one family only")
     return family, p_grid, gamma_grid, R_grid, v
 
 
@@ -205,16 +204,25 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
 # subcommands
 
 
-def _model_flags(args) -> tuple:
-    """(family, R, v) from the model flags, refused with the config path's
-    field paths: grouped needs --R, rank-one --v-file, and a pattern length p."""
+def _check_model_fields(family: str, **fields) -> None:
+    """:func:`check_family` on each model field given (``R``, ``v_file``), a
+    refusal raised as a ConfigError at that field's path."""
+    for key, value in fields.items():
+        try:
+            check_family(family, **{"v" if key == "v_file" else key: value})
+        except ContractError as exc:
+            raise ConfigError(f"model.{key}", str(exc))
+
+
+def _model_flags(args, prior_takes_R: bool = False) -> tuple:
+    """(family, R, v) from the model flags, refused as the config path refuses
+    its fields.  With ``prior_takes_R``, --R belongs to the prior, and to the
+    model as well only in the grouped family."""
     family = _FAMILIES[args.family]
-    if family == "grouped" and args.R is None:
-        raise ConfigError("model.R", "the grouped family needs --R")
-    if family == "rank_one" and args.v_file is None:
-        raise ConfigError("model.v_file", "the rank-one family needs --v-file")
+    R = None if prior_takes_R and family != "grouped" else args.R
+    _check_model_fields(family, R=R, v_file=args.v_file)
     v = _load_pattern(args.v_file, [args.p]) if args.v_file else None
-    return family, args.R, v
+    return family, R, v
 
 
 def _cmd_rate(args) -> int:
@@ -302,7 +310,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    family, R, v = _model_flags(args)
+    family, R, v = _model_flags(
+        args, prior_takes_R=args.prior in ("single_group_sparse", "group_supported"))
     model = model_from(family, args.p, args.gamma, R, v)
     if args.prior == "point_mass":
         theta = np.zeros(args.p)

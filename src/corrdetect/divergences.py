@@ -21,11 +21,15 @@ Exact computation routes:
 * supports inside one uniformly chosen group: a two-level overlap sum,
   1 - 1/R + (1/R) E[...|same group];
 * whole-group supports: a hypergeometric sum over group overlaps;
-* otherwise: full support-pair enumeration (with an exchangeability
-  reduction fixing one support when the pair count exceeds the budget) or
-  plain Monte Carlo over prior pairs.
+* otherwise: exact enumeration of support pairs or plain Monte Carlo over
+  prior pairs.
 
-Enumeration lists every support as a row of one index array, in
+Enumeration has one route for exchangeable priors (plus-sign uniform
+supports under equicorrelated noise, with or without a universe): a pair
+term depends only on the overlap with the first support, so it sums one term
+per overlap k, weighted by the number of supports at that overlap (a
+closed-form count), and forms no support array.  Every other prior sums the
+n x n Gram matrix of its supports, listed as rows of one index array in
 ``itertools.combinations`` order, so its sums are those of a loop over
 ``combinations``.
 
@@ -35,9 +39,10 @@ shared with null calibration in ``models``).  Each block takes one batched
 and applies the precision to the second rows in one call.  The pair inner
 products are elementwise products summed per row, and so is every
 projection inside the precision, so the estimate does not depend on the BLAS
-thread count.  A batched draw consumes the stream differently from single
-draws, so estimates differ from a loop over single draws with the same seed;
-single draws are what the risk engine uses.
+thread count.  A batched draw takes its subsets by Floyd's algorithm (see
+:func:`_subsets`) and so consumes the stream differently from single draws:
+estimates differ from a loop over single draws with the same seed; single
+draws are what the risk engine uses.
 """
 
 from __future__ import annotations
@@ -201,16 +206,21 @@ def _subsets(rng: np.random.Generator, population: int, k: int,
              size: Optional[int]) -> np.ndarray:
     """Uniform k-subsets of range(population).
 
-    One subset (``size`` None) comes from ``rng.choice`` without replacement;
-    ``size`` subsets, one per row, are the positions of the k smallest of
-    ``population`` iid uniform keys per row.  Every k-subset of the keys is
-    equally likely to hold the k smallest, so the rows are exactly uniform
-    (ties, of probability below population^2 * 2^-53, aside).
+    One subset (``size`` None) comes from ``rng.choice`` without replacement.
+    ``size`` subsets, one per row, come from Floyd's algorithm run on every
+    row at once: one draw t_i uniform on [0, j_i] per column, j_i = N - k + i
+    for N = ``population``, then column i keeps t_i unless the row already
+    holds it, and j_i otherwise.  Each step leaves a uniform subset of
+    range(j_i + 1), so every row is an exactly uniform k-subset (its entries
+    are not in a uniform order).
     """
     if size is None:
         return rng.choice(population, size=k, replace=False)
-    keys = rng.random((size, population))
-    return np.argpartition(keys, k - 1, axis=-1)[:, :k]
+    js = np.arange(population - k, population)
+    steps = rng.integers(0, js + 1, size=(size, k)).T.copy()  # a row per step
+    for i in range(1, k):
+        np.copyto(steps[i], js[i], where=(steps[:i] == steps[i]).any(axis=0))
+    return steps.T
 
 
 def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
@@ -541,31 +551,43 @@ def _support_iter(prior, limit: int) -> Optional[np.ndarray]:
 
 
 def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
+    """IS-value as the exact average over support pairs, or None past
+    ``ENUMERATION_PAIR_BUDGET``.
+
+    Exchangeable priors (plus-sign uniform supports under equicorrelated
+    noise) fix the first support and average over the other: one term per
+    overlap k with the first support, weighted by the number of supports at
+    that overlap.  Every other prior sums the n x n Gram matrix of the
+    supports' vectors under the precision.
+    """
     if isinstance(prior, UniformSparse) and prior.signs == "rademacher":
         return None  # sign configurations are not enumerated; use monte_carlo
-    exchangeable = (isinstance(prior, UniformSparse) and prior.signs == "plus"
-                    and isinstance(model, Equicorrelated))
-    # the full sum needs n^2 pairs, the exchangeable reduction n
-    limit = (ENUMERATION_PAIR_BUDGET if exchangeable
-             else math.isqrt(ENUMERATION_PAIR_BUDGET))
-    idx = _support_iter(prior, limit)
+    if (isinstance(prior, UniformSparse) and prior.signs == "plus"
+            and isinstance(model, Equicorrelated)):
+        # The equicorrelated precision maps the first support's vector to one
+        # value on that support and one off it, so a pair term depends only on
+        # the overlap k with the first support.
+        n = math.comb(prior.population, prior.s)
+        if n > ENUMERATION_PAIR_BUDGET:
+            return None
+        pool = np.arange(prior.p) if prior.universe is None else prior.universe
+        first = np.zeros(prior.p, dtype=bool)
+        first[pool[:prior.s]] = True
+        w = precision_apply(model, prior.magnitude * first)
+        # at s = p no coordinate is off the support, and every overlap is s
+        off = w[~first][0] if prior.s < prior.p else 0.0
+        ks = np.arange(prior.s + 1)
+        terms = prior.magnitude * (ks * w[first][0] + (prior.s - ks) * off)
+        # C(s, k) C(N - s, s - k) of the C(N, s) supports share k entries with it
+        N = prior.population
+        counts = np.array([math.comb(prior.s, k) * math.comb(N - prior.s, prior.s - k)
+                           for k in ks], dtype=float)
+        chi = float(np.exp(logsumexp(terms, b=counts) - math.log(n))) - 1.0
+        return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
+    idx = _support_iter(prior, math.isqrt(ENUMERATION_PAIR_BUDGET))
     if idx is None:
         return None
     n = idx.shape[0]
-    if n * n > ENUMERATION_PAIR_BUDGET:
-        # exchangeability: fix the first support, average over the other.  The
-        # equicorrelated precision maps the first support's vector to one value
-        # on that support and one off it, so a pair term depends only on the
-        # overlap k, and the terms come from overlap counts alone.
-        first = np.zeros(prior.p, dtype=bool)
-        first[idx[0]] = True
-        w = precision_apply(model, prior.magnitude * first)
-        ks = np.arange(prior.s + 1)
-        terms = prior.magnitude * (ks * w[first][0] + (prior.s - ks) * w[~first][0])
-        supports_per_k = np.bincount(np.count_nonzero(first[idx], axis=1),
-                                     minlength=ks.size)
-        chi = float(np.exp(logsumexp(terms, b=supports_per_k) - math.log(n))) - 1.0
-        return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
     thetas = np.zeros((n, prior.p))
     rows = np.arange(n)[:, None]
     if isinstance(prior, UniformSparse) and prior.signs == "match_pattern":

@@ -249,7 +249,7 @@ def omega(v) -> int:
     v = np.asarray(v, dtype=float)
     p = v.shape[0]
     nsq = float(v @ v)
-    if abs(nsq - p) > 1e-9 * p:
+    if not abs(nsq - p) <= 1e-9 * p:  # a NaN entry fails this too
         raise ContractError("omega requires ||v||^2 = p")
     sq = np.sort(np.square(v))[::-1]
     prefix = np.cumsum(sq)

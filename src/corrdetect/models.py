@@ -62,6 +62,7 @@ __all__ = [
     "RankOne",
     "CorrelationModel",
     "Observation",
+    "check_family",
     "model_from",
     "factor_count",
     "canonical_layout",
@@ -218,6 +219,8 @@ class RankOne(_SingleBlock):
             raise ContractError("p must be >= 1")
         _check_gamma(self.gamma)
         v = np.asarray(self.v, dtype=float)
+        if not np.isfinite(v).all():
+            raise ContractError("v must be finite")
         if v.flags.writeable or not v.flags.c_contiguous:
             # a frozen copy leaves the caller's array writeable; a frozen,
             # contiguous v is shared as given
@@ -258,21 +261,31 @@ class RankOne(_SingleBlock):
 CorrelationModel = Union[Equicorrelated, Grouped, RankOne]
 
 
+def check_family(family: str, **parameters) -> None:
+    """Refuse an unknown family name, and a missing or stray value among the
+    given ``parameters`` (R and v): the grouped family takes R, the rank-one
+    family the pattern v, and the equicorrelated family neither.  A parameter
+    left out is not checked."""
+    if family not in ("equicorrelated", "grouped", "rank_one"):
+        raise ContractError(f"unknown family {family!r}")
+    for name, value in parameters.items():
+        owner = {"R": "grouped", "v": "rank_one"}[name]
+        if value is None and family == owner:
+            raise ContractError(f"the {owner} family needs {name}")
+        if value is not None and family != owner:
+            raise ContractError(f"{name} applies to the {owner} family only, not {family}")
+
+
 def model_from(family: str, p: int, gamma: float, R: Optional[int] = None,
                v=None) -> CorrelationModel:
     """The model of a family name: "equicorrelated", "grouped" (needs R) or
-    "rank_one" (needs the pattern v)."""
+    "rank_one" (needs the pattern v); see :func:`check_family`."""
+    check_family(family, R=R, v=v)
     if family == "equicorrelated":
         return Equicorrelated(p, gamma)
     if family == "grouped":
-        if R is None:
-            raise ContractError("the grouped family needs R")
         return Grouped(p, R, gamma)
-    if family == "rank_one":
-        if v is None:
-            raise ContractError("the rank-one family needs the pattern v")
-        return RankOne(p, gamma, v)
-    raise ContractError(f"unknown family {family!r}")
+    return RankOne(p, gamma, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -505,8 +505,6 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
         v = np.array(v, dtype=float)
         v.setflags(write=False)
     model = model_from(family, p, gamma, R, v)
-    if model.R != (R or 1) or getattr(model, "v", None) is not v:
-        raise ContractError("R applies to the grouped family only, v to the rank-one family")
     items = _plan(model, s)
     calibration = None
     if mode == "paper_constants":
@@ -580,5 +578,5 @@ def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
     if model.R != (test.R or 1):
         raise ContractError("group count mismatch")
     if (test.v is not None and model.v is not test.v
-            and not np.allclose(model.v, test.v, rtol=0, atol=1e-12)):
+            and np.abs(model.v - test.v).max() > 1e-12):
         raise ContractError("pattern mismatch")

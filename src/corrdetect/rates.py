@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import omega as pattern_omega
+from .models import check_family
 
 __all__ = [
     "RateResult",
@@ -217,18 +218,13 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
 def rate_for(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,
              v=None) -> RateResult:
     """The squared rate of a family name: "equicorrelated", "grouped" (needs
-    R) or "rank_one" (needs the pattern v)."""
+    R) or "rank_one" (needs the pattern v); see :func:`models.check_family`."""
+    check_family(family, R=R, v=v)
     if family == "equicorrelated":
         return rate_equicorrelated(p, s, gamma)
     if family == "grouped":
-        if R is None:
-            raise ContractError("the grouped family needs R")
         return rate_grouped(p, s, gamma, R)
-    if family == "rank_one":
-        if v is None:
-            raise ContractError("the rank-one family needs the pattern v")
-        return rate_rank_one(p, s, gamma, v)
-    raise ContractError(f"unknown family {family!r}")
+    return rate_rank_one(p, s, gamma, v)
 
 
 def blessing_curse_thresholds(p: int, s: int) -> dict:

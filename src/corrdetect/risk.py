@@ -45,7 +45,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import sample
+from .models import check_family, sample
 from .procedures import TestProcedure, build_test, evaluate, model_for
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -277,6 +277,8 @@ class SweepPlan:
             raise ContractError("multipliers must be positive")
         if self.separation_reference not in ("cell", "gamma0"):
             raise ContractError("separation_reference must be 'cell' or 'gamma0'")
+        for R in self.R_grid:
+            check_family(self.family, R=R, v=self.v)
 
     def descriptor(self) -> dict:
         return {

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from corrdetect.cli import main
+from corrdetect.divergences import GroupSupported, SingleGroupSparse, ingster_suslina_chisq
+from corrdetect.models import Equicorrelated
 
 
 def run_cli(args, env=None):
@@ -70,6 +72,31 @@ class TestRateCommand:
         code, out, err = run_cli(["rate", "--family", "rankone", "--p", "16",
                                   "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
         assert code == 2 and out == "" and "model.v_file" in err
+
+    def test_non_finite_pattern_is_a_config_error(self, tmp_path):
+        vf = tmp_path / "v.txt"
+        vf.write_text("\n".join(["nan"] + ["1.0"] * 15) + "\n")
+        code, out, err = run_cli(["rate", "--family", "rankone", "--p", "16",
+                                  "--s", "2", "--gamma", "0.5", "--v-file", str(vf)])
+        assert code == 2 and out == "" and "model.v_file" in err
+
+    def test_missing_pattern_file_is_a_config_error(self, tmp_path):
+        code, out, err = run_cli(["rate", "--family", "rankone", "--p", "4", "--s", "1",
+                                  "--gamma", "0.5", "--v-file", str(tmp_path / "none.txt")])
+        assert code == 2 and out == "" and "model.v_file" in err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--family", "eq", "--R", "8"], "model.R"),
+        (["--family", "rankone", "--v-file", "V", "--R", "8"], "model.R"),
+        (["--family", "eq", "--v-file", "V"], "model.v_file"),
+        (["--family", "grouped", "--R", "8", "--v-file", "V"], "model.v_file"),
+    ])
+    def test_stray_model_flag_is_a_config_error(self, tmp_path, flags, field):
+        vf = tmp_path / "v.txt"
+        vf.write_text("\n".join(["1.0"] * 64) + "\n")
+        flags = [str(vf) if f == "V" else f for f in flags]
+        code, out, err = run_cli(["rate", "--p", "64", "--s", "4", "--gamma", "0.5"] + flags)
+        assert code == 2 and out == "" and field in err
 
     def test_uncharacterized_verdict(self, tmp_path):
         vf = tmp_path / "v.txt"
@@ -240,6 +267,33 @@ class TestOtherCommands:
         assert code == 1
         assert out == ""
         assert "n_mc" in err
+
+    @pytest.mark.parametrize("prior", ["single_group_sparse", "group_supported"])
+    def test_group_prior_takes_R_under_any_family(self, prior):
+        # --R sets the prior's group count; the equicorrelated model has none
+        code, out, err = run_cli(["divergence", "--prior", prior, "--family", "eq",
+                                  "--p", "16", "--R", "4", "--s", "2", "--m", "2",
+                                  "--gamma", "0.3", "--magnitude", "0.4",
+                                  "--method", "exact_enumeration"])
+        assert code == 0, err
+        row = json.loads(out)
+        model = Equicorrelated(16, 0.3)
+        want = {"single_group_sparse": SingleGroupSparse(16, 4, 2, 0.4),
+                "group_supported": GroupSupported(16, 4, 2, 0.4)}[prior]
+        assert row["model"] == model.descriptor() and row["prior"] == want.descriptor()
+        assert row["chi_sq"] == ingster_suslina_chisq(want, model, method="exact_enumeration").chi_sq
+
+    @pytest.mark.parametrize("argv,field", [
+        (["divergence", "--prior", "uniform_sparse", "--family", "eq", "--R", "4"],
+         "model.R"),
+        (["divergence", "--prior", "single_group_sparse", "--family", "eq"], "model.R"),
+        (["divergence", "--prior", "single_group_sparse", "--family", "grouped"],
+         "model.R"),
+    ])
+    def test_divergence_R_belongs_to_a_group_prior_or_grouped_model(self, argv, field):
+        code, out, err = run_cli(argv + ["--p", "16", "--s", "2", "--gamma", "0.3",
+                                         "--magnitude", "0.4"])
+        assert code == 2 and out == "" and field in err
 
     @pytest.mark.parametrize("argv,field", [
         (["calibrate", "--family", "grouped", "--s", "3"], "model.R"),

@@ -11,7 +11,9 @@ from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
     _combinations,
+    _subsets,
     _support_iter,
+    ENUMERATION_PAIR_BUDGET,
     DivergenceResult,
     GroupSupported,
     PointMass,
@@ -52,6 +54,18 @@ def brute_force_chisq(prior, model, v=None):
             th2[list(T)] = prior.magnitude
             total += math.exp(float(th2 @ prec))
     return total / len(supports) ** 2 - 1.0
+
+
+def gram_oracle_chisq(prior, model):
+    """Oracle: the mean of exp over the Gram matrix of every ordered support
+    pair of a uniform plus-sign prior, its supports listed by ``combinations``."""
+    pool = prior.universe if prior.universe is not None else np.arange(prior.p)
+    supports = list(combinations(pool.tolist(), prior.s))
+    thetas = np.zeros((len(supports), prior.p))
+    for row, S in zip(thetas, supports):
+        row[list(S)] = prior.magnitude
+    gram = thetas @ precision_apply(model, thetas).T
+    return float(np.exp(gram).mean()) - 1.0
 
 
 class TestPointMass:
@@ -117,13 +131,41 @@ class TestUniformSparse:
 
     @pytest.mark.parametrize("universe", [None, np.arange(2, 20)])
     def test_exchangeable_enumeration_matches_overlap_sum(self, universe):
-        # C(22, 9) or C(18, 9) supports: past the n^2 budget, so the
-        # first-support route, with coordinates outside the universe
+        # C(22, 9) or C(18, 9) supports, with coordinates outside the universe
         prior = UniformSparse(22, 9, 0.3, universe=universe)
         model = Equicorrelated(22, 0.4)
         hyp = ingster_suslina_chisq(prior, model, method="hypergeometric_sum")
         enum = ingster_suslina_chisq(prior, model, method="exact_enumeration")
         assert hyp.chi_sq == pytest.approx(enum.chi_sq, rel=1e-10)
+
+    @pytest.mark.parametrize("prior", [
+        UniformSparse(8, 3, 0.4, universe=np.array([0, 2, 3, 5, 7])),
+        UniformSparse(8, 3, 0.4, universe=np.array([1, 4, 6])),  # one support
+        UniformSparse(6, 6, 0.4),  # s = p: no coordinate off the support
+        UniformSparse(7, 1, 0.4),
+    ])
+    def test_exchangeable_enumeration_matches_bruteforce(self, prior):
+        model = Equicorrelated(prior.p, 0.35)
+        res = ingster_suslina_chisq(prior, model, method="exact_enumeration")
+        assert res.method == "exact_enumeration"
+        assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
+
+    def test_exchangeable_enumeration_matches_full_pair_sum(self):
+        # the (p, s) grid of acceptance criterion 7, wherever the n^2 pairs of
+        # its n = C(p, s) supports fit the enumeration budget: the overlap
+        # counts against a sum over every support pair
+        checked = 0
+        for p in range(2, 21):
+            model = Equicorrelated(p, 0.3)
+            for s in range(1, p + 1):
+                if math.comb(p, s) ** 2 > ENUMERATION_PAIR_BUDGET:
+                    continue
+                prior = UniformSparse(p, s, 0.35)
+                enum = ingster_suslina_chisq(prior, model, method="exact_enumeration")
+                oracle = gram_oracle_chisq(prior, model)
+                assert abs(enum.chi_sq - oracle) <= 1e-10 * max(1.0, abs(oracle)), (p, s)
+                checked += 1
+        assert checked == 133
 
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_monte_carlo_needs_two_pairs(self, n_mc):
@@ -419,6 +461,22 @@ class TestBatchedDraw:
         counts = Counter(tuple(np.flatnonzero(th)) for th in batch)
         assert len(counts) == n_supports
         assert chisquare(list(counts.values())).pvalue > 1e-3
+
+
+class TestFloydSubsets:
+    """Batched subsets: distinct, in range, and every element equally often."""
+
+    @pytest.mark.parametrize("population,k", [(1, 1), (5, 5), (9, 4), (256, 8), (128, 16)])
+    def test_rows_are_distinct_and_in_range(self, population, k):
+        rows = _subsets(np.random.default_rng(6), population, k, 500)
+        assert rows.shape == (500, k)
+        assert rows.min() >= 0 and rows.max() < population
+        assert np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0)
+
+    def test_positions_are_uniform(self):
+        rows = _subsets(np.random.default_rng(7), 256, 8, 32_000)
+        counts = np.bincount(rows.ravel(), minlength=256)
+        assert chisquare(counts).pvalue > 1e-3
 
 
 class TestEnumerationSupports:

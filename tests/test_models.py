@@ -50,6 +50,12 @@ class TestConstruction:
         m = RankOne.renormalized(4, 0.5, np.array([1.0, 1.0, 1.0, 2.0]))
         assert np.isclose(m.v @ m.v, 4.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rank_one_refuses_a_non_finite_pattern(self, bad):
+        # ||v||^2 = nan passes a tolerance check written as |nsq - p| > tol
+        with pytest.raises(ContractError, match="finite"):
+            RankOne(4, 0.5, np.array([bad, 1.0, 1.0, 1.0]))
+
     def test_rank_one_sign_pattern(self):
         assert RankOne(4, 0.5, np.array([1.0, -1.0, -1.0, 1.0])).sign_pattern
         assert not RankOne.renormalized(4, 0.5, np.array([1.0, 2.0, 2.0, 1.0])).sign_pattern
@@ -77,7 +83,9 @@ class TestConstruction:
         ("rank_one", RankOne(12, 0.4, np.array([1.0, -1.0] * 6))),
     ])
     def test_model_from_matches_constructor(self, family, direct):
-        model = model_from(family, 12, 0.4, R=3, v=np.array([1.0, -1.0] * 6))
+        R = 3 if family == "grouped" else None
+        v = np.array([1.0, -1.0] * 6) if family == "rank_one" else None
+        model = model_from(family, 12, 0.4, R=R, v=v)
         assert type(model) is type(direct) and model.family == family
         assert model.descriptor() == direct.descriptor()
 
@@ -85,6 +93,10 @@ class TestConstruction:
         ("independent", None, None),
         ("grouped", None, np.ones(12)),
         ("rank_one", 3, None),
+        ("equicorrelated", 3, None),  # a stray R or v is refused, not ignored
+        ("equicorrelated", None, np.ones(12)),
+        ("grouped", 3, np.ones(12)),
+        ("rank_one", 3, np.ones(12)),
     ])
     def test_model_from_refuses(self, family, R, v):
         with pytest.raises(ContractError):

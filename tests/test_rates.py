@@ -180,6 +180,11 @@ class TestRateFor:
         ("independent", None, None),
         ("grouped", None, np.ones(64)),
         ("rank_one", 4, None),
+        ("equicorrelated", 8, None),  # a stray R or v is refused, not ignored
+        ("equicorrelated", None, np.ones(64)),
+        ("grouped", 4, np.ones(64)),
+        ("rank_one", 4, np.ones(64)),
+        ("rank_one", None, np.r_[np.nan, np.ones(63)]),
     ])
     def test_refuses(self, family, R, v):
         with pytest.raises(ContractError):

@@ -167,6 +167,17 @@ class TestSweep:
         assert "uncharacterized" in reports[0]["error"]
         assert math.isnan(rows[0]["total"])
 
+    @pytest.mark.parametrize("family,extra", [
+        ("equicorrelated", {"R_grid": (4,)}),
+        ("equicorrelated", {"v": np.ones(16)}),
+        ("grouped", {"R_grid": (4,), "v": np.ones(16)}),
+        ("rank_one", {"R_grid": (4,), "v": np.ones(16)}),
+    ])
+    def test_plan_refuses_a_stray_R_or_v(self, family, extra):
+        with pytest.raises(ContractError, match="applies to"):
+            SweepPlan(family=family, p_grid=(16,), s_grid=(2,), gamma_grid=(0.5,),
+                      multipliers=(1.0,), n_reps=200, master_seed=0, **extra)
+
     def test_non_package_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise IndexError("shape bug inside a cell")
