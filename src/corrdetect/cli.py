@@ -8,7 +8,7 @@ and serialize a calibrated test), ``risk`` (one risk estimate from a config),
 Exit codes: 0 success, 2 configuration error (with a field-path diagnostic),
 1 runtime failure (for ``sweep``: some cell failed; the CSV and manifest are
 still written and the failed cells listed on stderr).  The master seed falls back to the CORRDETECT_SEED
-environment variable when no flag is given.
+environment variable when no flag is given; it must be an integer in [0, 2**128).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .risk import (
     write_manifest,
     write_rows_csv,
 )
-from .streams import substream
+from .streams import _SEED_LIMIT, substream
 
 _FAMILIES = {"eq": "equicorrelated", "equicorrelated": "equicorrelated",
              "grouped": "grouped", "rankone": "rank_one", "rank_one": "rank_one"}
@@ -65,10 +65,20 @@ def _load_pattern(path: str, p_grid) -> np.ndarray:
 
 
 def _master_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("CORRDETECT_SEED")
-    return int(env) if env else 0
+    """The master seed: ``value`` (a flag or config entry), else
+    CORRDETECT_SEED, else 0.  Refuses anything but an integer in
+    [0, 2**128), the range in which seeds give distinct streams."""
+    if value is None:
+        env = os.environ.get("CORRDETECT_SEED")
+        if not env:
+            return 0
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigError("seed", f"CORRDETECT_SEED={env!r} is not an integer") from None
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < _SEED_LIMIT:
+        raise ConfigError("seed", f"expected an integer in [0, 2**128), got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

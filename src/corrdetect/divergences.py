@@ -239,8 +239,9 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
     if isinstance(prior, PointMass):
         return prior.theta.copy() if size is None else np.tile(prior.theta, (size, 1))
     if isinstance(prior, UniformSparse):
-        pool = prior.universe if prior.universe is not None else np.arange(prior.p)
-        idx = pool[_subsets(rng, pool.size, prior.s, size)]
+        idx = _subsets(rng, prior.population, prior.s, size)
+        if prior.universe is not None:
+            idx = prior.universe[idx]
         if prior.signs == "match_pattern":
             if v is None:
                 raise ContractError("sign matching needs the pattern v")

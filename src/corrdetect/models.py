@@ -85,7 +85,7 @@ class _Blocks:
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Blocks (..., k, p/k) to their inner products with the loadings."""
-        return a.sum(axis=-1)
+        return np.add.reduce(a, axis=-1)  # a.sum(axis=-1) without its wrapper
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """(..., k) to loadings times value, broadcasting against the blocks."""
@@ -240,7 +240,7 @@ class RankOne(_SingleBlock):
     exchangeable = False
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        return (a * self.v).sum(axis=-1)
+        return np.add.reduce(a * self.v, axis=-1)
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         return c[..., None] * self.v
@@ -288,7 +288,7 @@ def model_from(family: str, p: int, gamma: float, R: Optional[int] = None,
     return RankOne(p, gamma, v)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)  # slots: one is built per replication
 class Observation:
     """A data vector (or batch of vectors) with its generating model."""
 
@@ -324,10 +324,11 @@ def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
     """
     if not model.exchangeable:
         return x, model
-    # C order: numpy reductions follow the memory layout, so rows are summed
-    # the same way whatever layout the block view came in
-    x_c = np.ascontiguousarray(np.sort(model.block_view(x), axis=-1)).reshape(x.shape)
-    return x_c, model.canonical
+    # one copy, in C order: numpy reductions follow the memory layout, so rows
+    # are summed the same way whatever layout the block view came in
+    x_c = np.array(model.block_view(x), order="C")
+    x_c.sort(axis=-1)
+    return x_c.reshape(x.shape), model.canonical
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
@@ -350,18 +351,23 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
             raise ContractError("theta length must equal model dimension p")
         theta = model.block_view(theta)
     k = factor_count(model)
-    if normals is None:
-        lead = () if size is None else (size,)
-        w = rng.standard_normal(lead + (k,))
-        z = rng.standard_normal(lead + (p,))
-    else:
+    if normals is not None:
         normals = np.asarray(normals, dtype=float)
         if normals.shape[-1] != k + p:
             raise ContractError(f"normals rows must hold k + p = {k + p} values")
+    elif size is None:
+        # one call for the k factors and the p noise coordinates: the stream
+        # yields the same values as two calls would
+        normals = rng.standard_normal(k + p)
+    if normals is None:  # a batch: all size x k factors, then the noise
+        w = rng.standard_normal((size, k))
+        z = rng.standard_normal((size, p))
+    else:
         w, z = normals[..., :k], normals[..., k:]
-    x = model.scatter_blocks(theta + model.lift(math.sqrt(model.gamma) * w)
-                             + math.sqrt(1.0 - model.gamma) * model.block_view(z))
-    return Observation(x=x, model=model, provenance=provenance)
+    # (theta + shared) + noise, summed into the noise (addition commutes exactly)
+    x = math.sqrt(1.0 - model.gamma) * model.block_view(z)
+    x += theta + model.lift(math.sqrt(model.gamma) * w)
+    return Observation(x=model.scatter_blocks(x), model=model, provenance=provenance)
 
 
 def _as_array(x) -> np.ndarray:
@@ -404,11 +410,13 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
 
 def _decorrelated(model: CorrelationModel, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Decorrelation without checks: blocks ``a`` (..., k, p/k) with
-    injections ``xi`` (..., k).  Sums run in the given layout."""
-    inv = 1.0 / math.sqrt(1.0 - model.gamma)
+    injections ``xi`` (..., k), into one new array (``a`` is not written).
+    Sums run in the given layout."""
     b = model.block_size
-    return ((a - model.lift(model.project(a) / b)) * inv
-            + model.lift(xi / math.sqrt(b)))
+    out = a - model.lift(model.project(a) / b)
+    out *= 1.0 / math.sqrt(1.0 - model.gamma)
+    out += model.lift(xi / math.sqrt(b))
+    return out
 
 
 def precision_apply(model: CorrelationModel, u) -> np.ndarray:

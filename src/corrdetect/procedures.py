@@ -123,13 +123,15 @@ class TestProcedure:
     C: Optional[float] = None
     calibration: Optional[dict] = None
     # the constituents resolved for the evaluation kernel once, at
-    # construction: ((name, kind, params, threshold), ...) and whether any
-    # constituent reads decorrelated data
+    # construction: ((name, kind, params, threshold), ...), whether any
+    # constituent reads decorrelated data, and {name: threshold}
     kernel_plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         items = tuple((c.name, c.kind, c.params, c.threshold) for c in self.constituents)
-        object.__setattr__(self, "kernel_plan", (items, _reads_decorrelated(items)))
+        thresholds = {c.name: c.threshold for c in self.constituents}
+        object.__setattr__(self, "kernel_plan",
+                           (items, _reads_decorrelated(items), thresholds))
 
     def descriptor(self) -> dict:
         return {
@@ -145,7 +147,7 @@ class TestProcedure:
         return json.dumps(self.descriptor(), **kw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: one is built per replication
 class Verdict:
     reject: bool
     fired: tuple
@@ -353,14 +355,14 @@ def _noiseless(a, model, params):
     value = stats._pattern_residual(a[:, 0], model)
     if model.sign_pattern:
         return value
-    energy = (a[:, 0] * a[:, 0]).sum(axis=-1)
+    energy = np.add.reduce(a[:, 0] * a[:, 0], axis=-1)
     return np.where(value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy), 0.0, value)
 
 
 def _chisq_raw(a, model, params):
     if not model.exchangeable:  # its blocks keep the given layout
         a = np.sort(a, axis=-1)
-    return stats._energy(a).sum(axis=-1)
+    return np.add.reduce(stats._energy(a), axis=-1)
 
 
 def _linear(a, model, params):
@@ -370,18 +372,23 @@ def _linear(a, model, params):
 # constituent kind -> its statistic as a reduction (blocks, model, params) ->
 # (n,) values.  ``blocks`` (n, k, p/k) is the kernel's canonical input, raw
 # or decorrelated (``_DECORRELATED``); see ``_values``.
+# Block sums and maxima call np.add.reduce and np.maximum.reduce, the
+# reductions behind ndarray.sum and ndarray.max, without the method wrappers.
 _REDUCTIONS = {
-    "thresholded": lambda a, m, prm: stats._tail_energy(a, prm["t"])[0].sum(axis=-1),
-    "chisq": lambda a, m, prm: stats._energy(a).sum(axis=-1),
-    "chisq_scan": lambda a, m, prm: stats._energy(a).max(axis=-1),
-    "thresholded_scan": lambda a, m, prm: stats._tail_energy(a, prm["t"])[0].max(axis=-1),
-    "adaptive_scan": lambda a, m, prm: (stats._profile(a.reshape(a.shape[0], -1), prm["ts"])
-                                        / prm["shapes"]).max(axis=-1),
+    "thresholded": lambda a, m, prm: np.add.reduce(stats._tail_energy(a, prm["t"])[0], axis=-1),
+    "chisq": lambda a, m, prm: np.add.reduce(stats._energy(a), axis=-1),
+    "chisq_scan": lambda a, m, prm: np.maximum.reduce(stats._energy(a), axis=-1),
+    "thresholded_scan": lambda a, m, prm: np.maximum.reduce(stats._tail_energy(a, prm["t"])[0],
+                                                            axis=-1),
+    "adaptive_scan": lambda a, m, prm: np.maximum.reduce(
+        stats._profile(a.reshape(a.shape[0], -1), prm["ts"]) / prm["shapes"], axis=-1),
     "linear": _linear,
-    "linear_scan": lambda a, m, prm: stats._group_energy(a.sum(axis=-1), m).max(axis=-1),
+    "linear_scan": lambda a, m, prm: np.maximum.reduce(
+        stats._group_energy(np.add.reduce(a, axis=-1), m), axis=-1),
     "thresholded_avg": lambda a, m, prm: stats._tail_energy(
-        np.sort(stats._standardized_means(a.sum(axis=-1), m), axis=-1), prm["t"])[0],
-    "chisq_avg": lambda a, m, prm: stats._group_energy(a.sum(axis=-1), m).sum(axis=-1),
+        np.sort(stats._standardized_means(np.add.reduce(a, axis=-1), m), axis=-1), prm["t"])[0],
+    "chisq_avg": lambda a, m, prm: np.add.reduce(
+        stats._group_energy(np.add.reduce(a, axis=-1), m), axis=-1),
     "noiseless": _noiseless,
     "chisq_raw": _chisq_raw,
 }
@@ -549,23 +556,24 @@ def evaluate(test: TestProcedure, obs: Observation,
     """Composite verdict on one observation (OR of constituents).
 
     The evaluation kernel applied to a batch of one (a view of the
-    observation; the canonical sort is its one copy), with the test's plan
-    as resolved at construction (``TestProcedure.kernel_plan``).  The
-    decorrelation noise is drawn fresh from ``rng`` on every call, and only
-    when some constituent reads decorrelated data; both operating modes
-    produce bit-identical statistic values for a fixed draw.
+    observation), with the test's plan as resolved at construction
+    (``TestProcedure.kernel_plan``).  The observation is copied once, by the
+    canonical sort of an exchangeable model, and once more by decorrelation
+    when some constituent reads decorrelated data; the decorrelation noise
+    is then drawn fresh from ``rng``.  Both operating modes produce
+    bit-identical statistic values for a fixed draw.
     """
     model = obs.model
     _check_compatibility(test, model)
     if obs.x.ndim != 1:
         raise ContractError("evaluate takes a single observation vector")
-    items, reads_decorrelated = test.kernel_plan
+    items, reads_decorrelated, thresholds = test.kernel_plan
     x, layout = canonical_layout(model, obs.x[None, :])
     xi = rng.standard_normal((1, factor_count(model))) if reads_decorrelated else None
-    values = {name: float(v[0]) for name, v in _values(items, x, layout, xi).items()}
-    fired = tuple(name for name, _, _, threshold in items if values[name] > threshold)
+    values = {name: v.item() for name, v in _values(items, x, layout, xi).items()}
+    fired = tuple([name for name, _, _, threshold in items if values[name] > threshold])
     return Verdict(reject=bool(fired), fired=fired, values=values,
-                   thresholds={name: threshold for name, _, _, threshold in items})
+                   thresholds=dict(thresholds))
 
 
 def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:

@@ -221,19 +221,24 @@ def noiseless_residual(x, model: CorrelationModel) -> StatisticValue:
 
 # ---------------------------------------------------------------------------
 # reductions on canonical blocks: every row (last axis) is already in
-# summation order, and the input is not checked
+# summation order, and the input is not checked.  They call the ufunc
+# reductions that ndarray.sum and ndarray.max run (np.add.reduce,
+# np.maximum.reduce) directly: the evaluation kernel runs them once per
+# replication on small blocks, where the method wrappers cost as much as
+# the sums.
 
 
 def _energy(z: np.ndarray) -> np.ndarray:
-    return (z * z).sum(axis=-1)
+    return np.add.reduce(z * z, axis=-1)
 
 
 def _tail_energy(z: np.ndarray, t: float) -> tuple:
     """(Y_t, count of |z_i| >= t) per row."""
     mask = np.abs(z) >= t
-    count = mask.sum(axis=-1)
-    total = np.where(mask, z * z, 0.0).sum(axis=-1)
-    return total - count * alpha_cached(t), count
+    sq = z * z
+    np.copyto(sq, 0.0, where=~mask)
+    count = np.add.reduce(mask, axis=-1)
+    return np.add.reduce(sq, axis=-1) - count * alpha_cached(t), count
 
 
 def _profile(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -251,7 +256,7 @@ def _profile(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def _global_energy(sums: np.ndarray, p: int) -> np.ndarray:
     """Squared normalized global projection from per-block sums (..., K)."""
-    total = sums.sum(axis=-1)
+    total = np.add.reduce(sums, axis=-1)
     return total * total / p
 
 
@@ -272,18 +277,18 @@ def _pattern_residual(x: np.ndarray, model: RankOne) -> np.ndarray:
     if model.sign_pattern:
         r = _anchored_residual(u)
     else:
-        r = x - (u.sum(axis=-1, keepdims=True) / model.p) * model.v
-    return (r * r).sum(axis=-1)
+        r = x - (np.add.reduce(u, axis=-1, keepdims=True) / model.p) * model.v
+    return np.add.reduce(r * r, axis=-1)
 
 
 def _block_residual(blocks: np.ndarray) -> np.ndarray:
     """sum_k ||x_Bk - mean(x_Bk) 1||^2 per row of blocks (..., K, b)."""
     r = _anchored_residual(blocks)
-    return (r * r).reshape(blocks.shape[:-2] + (-1,)).sum(axis=-1)
+    return np.add.reduce((r * r).reshape(blocks.shape[:-2] + (-1,)), axis=-1)
 
 
 def _anchored_residual(a: np.ndarray) -> np.ndarray:
     """Rows of ``a`` minus their means, anchored at the first entry so that a
     row of bit-identical entries gives exactly 0."""
     d = a - a[..., :1]
-    return d - d.sum(axis=-1, keepdims=True) / d.shape[-1]
+    return d - np.add.reduce(d, axis=-1, keepdims=True) / d.shape[-1]

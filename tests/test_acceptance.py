@@ -37,7 +37,7 @@ from corrdetect.models import (
     precision_apply,
 )
 from corrdetect.procedures import build_test, model_for
-from corrdetect.rates import rate_equicorrelated, rate_grouped, rate_rank_one
+from corrdetect.rates import rate_equicorrelated, rate_for
 from corrdetect.risk import SweepPlan, default_alternatives, estimate_risk, run_sweep
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.streams import substream
@@ -274,18 +274,11 @@ def grid_results():
     rows = []
     for idx, (label, family, p, s, gamma, R, vmk, adaptive) in enumerate(GRID):
         v = vmk(p) if vmk else None
-        if family == "equicorrelated":
-            rate = rate_equicorrelated(p, s, gamma)
-            model = Equicorrelated(p, gamma)
-        elif family == "grouped":
-            rate = rate_grouped(p, s, gamma, R)
-            model = Grouped(p, R, gamma)
-        else:
-            rate = rate_rank_one(p, s, gamma, v)
-            model = RankOne(p, gamma, v)
+        rate = rate_for(family, p, s, gamma, R=R, v=v)
         test = build_test(family, p, "adaptive" if adaptive else s, gamma, R=R,
                           v=v, mode="calibrated", eta=0.1, n_cal=4000,
                           rng=substream(MASTER_SEED, 500 + idx, 0))
+        model = model_for(test)  # shares the test's pattern: no per-replication compare
         high = estimate_risk(
             test, model,
             default_alternatives(family, p, s, gamma, R, v, 8.0 * rate.value),

@@ -206,6 +206,32 @@ class TestSweepCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["master_seed"] == 5
 
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5, True, 2 ** 128])
+    def test_bad_config_seed_refused(self, tmp_path, seed):
+        cfg = _sweep_config(tmp_path, seed=seed)
+        out_dir = tmp_path / "bad-seed"
+        code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2 and "config error at seed" in err
+        assert not out_dir.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = _sweep_config(tmp_path, seed=2 ** 128 - 1)
+        out_dir = tmp_path / "big-seed"
+        code, _, _ = run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["master_seed"] == 2 ** 128 - 1
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
+    def test_bad_env_seed_refused(self, tmp_path, env):
+        cfg = _sweep_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["seed"]
+        cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")],
+                               env={"CORRDETECT_SEED": env})
+        assert code == 2 and "config error at seed" in err
+
 
 class TestOtherCommands:
     def test_calibrate_emits_descriptor(self, tmp_path):
@@ -218,6 +244,12 @@ class TestOtherCommands:
         assert desc["mode"] == "calibrated"
         assert desc["constituents"][0]["kind"] == "thresholded"
         assert desc["calibration"]["n_cal"] == 1000
+
+    def test_negative_seed_flag_refused(self, tmp_path):
+        code, _, err = run_cli(["calibrate", "--family", "eq", "--p", "32", "--s", "3",
+                                "--gamma", "0.5", "--n-cal", "1000", "--seed", "-1",
+                                "--out", str(tmp_path / "test.json")])
+        assert code == 2 and "config error at seed" in err
 
     def test_risk_command(self, tmp_path):
         cfg = {
