@@ -33,16 +33,22 @@ n x n Gram matrix of its supports, listed as rows of one index array in
 ``itertools.combinations`` order, so its sums are those of a loop over
 ``combinations``.
 
-Monte Carlo runs in blocks of ``_BLOCK_ELEMENTS // p`` pairs (the budget
-shared with null calibration in ``models``).  Each block takes one batched
-:func:`draw` of 2n rows from the stream, rows 2i and 2i + 1 forming pair i,
-and applies the precision to the second rows in one call.  The pair inner
-products are elementwise products summed per row, and so is every
-projection inside the precision, so the estimate does not depend on the BLAS
-thread count.  A batched draw takes its subsets by Floyd's algorithm (see
-:func:`_subsets`) and so consumes the stream differently from single draws:
-estimates differ from a loop over single draws with the same seed; single
-draws are what the risk engine uses.
+Monte Carlo works on supports, not dense vectors.  :func:`_supports` gives
+each draw's coordinates and values (:func:`draw` only writes them into
+zeros), and a block takes one batched call of 2n draws from the stream,
+rows 2i and 2i + 1 forming pair i.  A pair term is formed from the two
+supports alone (:func:`_pair_terms`): their inner product from the shared
+coordinates, found by sorting the pair's coordinates, and the model's block
+sums of each support; no (2n, p) array is built and the precision is not
+applied.  A block holds max(``_BLOCK_ELEMENTS // p``,
+``_BLOCK_ELEMENTS // (16 s + R)``) pairs for supports of s coordinates (the
+budget shared with null calibration in ``models``), so short supports at
+large p take far fewer blocks, and no block holds fewer pairs than a dense
+(2n, p) draw would.  Every sum is a plain numpy reduction, so the estimate
+does not depend on the BLAS thread count.  A batched draw takes its subsets
+by Floyd's algorithm (see :func:`_subsets`) and so consumes the stream
+differently from single draws: estimates differ from a loop over single
+draws with the same seed; single draws are what the risk engine uses.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .models import (
     Equicorrelated,
     Grouped,
     RankOne,
+    _precision_weights,
     precision_apply,
 )
 
@@ -89,6 +96,10 @@ class PointMass:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+
+    @property
+    def p(self) -> int:
+        return self.theta.shape[-1]
 
     def descriptor(self) -> dict:
         return {"prior": "point_mass", "norm_sq": float(self.theta @ self.theta)}
@@ -123,6 +134,10 @@ class UniformSparse:
     def population(self) -> int:
         return self.p if self.universe is None else int(self.universe.size)
 
+    @property
+    def support_size(self) -> int:
+        return self.s
+
     def descriptor(self) -> dict:
         d = {"prior": "uniform_sparse", "p": self.p, "s": self.s,
              "magnitude": self.magnitude, "signs": self.signs}
@@ -146,6 +161,10 @@ class SingleGroupSparse:
         if not (1 <= self.s <= self.p // self.R):
             raise ContractError("need 1 <= s <= p/R")
 
+    @property
+    def support_size(self) -> int:
+        return self.s
+
     def descriptor(self) -> dict:
         return {"prior": "single_group_sparse", "p": self.p, "R": self.R,
                 "s": self.s, "magnitude": self.magnitude}
@@ -165,6 +184,10 @@ class GroupSupported:
             raise ContractError("R must divide p")
         if not (1 <= self.m <= self.R):
             raise ContractError("need 1 <= m <= R")
+
+    @property
+    def support_size(self) -> int:
+        return self.m * (self.p // self.R)
 
     def descriptor(self) -> dict:
         return {"prior": "group_supported", "p": self.p, "R": self.R,
@@ -223,21 +246,23 @@ def _subsets(rng: np.random.Generator, population: int, k: int,
     return steps.T
 
 
-def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
-         size: Optional[int] = None) -> np.ndarray:
-    """Signal vector(s) distributed according to the prior.
+def _supports(prior: PriorSpec, rng: np.random.Generator, v=None,
+              size: Optional[int] = None) -> tuple:
+    """Coordinates and values of draw(s) from the prior.
 
-    With ``size`` given, returns ``size`` independent draws as rows of a
-    (size, p) array.  Single draws (``size`` None) and batches take their
-    subsets by different rules (see :func:`_subsets`), so a batch of one does
-    not reproduce a single draw from the same stream.  Shifted priors are
-    refused: they pair the sparse prior with the constant shift b*1_p and are
-    consumed only by :func:`risk_lower_bound`.
+    Returns ``(idx, values)``: ``idx`` (n,) for one draw (``size`` None) or
+    (size, n) for ``size`` draws, n distinct coordinates per draw (the
+    ``support_size`` of a sparse prior, p for a point mass), and ``values``
+    an array of that shape or a scalar that broadcasts against it.  A draw is
+    zero off its coordinates.  All prior-type dispatch of the draws is here.
     """
     if isinstance(prior, ShiftedSparse):
         raise ContractError("shifted priors have no single draw; use risk_lower_bound")
     if isinstance(prior, PointMass):
-        return prior.theta.copy() if size is None else np.tile(prior.theta, (size, 1))
+        idx = np.arange(prior.p)
+        if size is None:
+            return idx, prior.theta
+        return np.broadcast_to(idx, (size, prior.p)), np.broadcast_to(prior.theta, (size, prior.p))
     if isinstance(prior, UniformSparse):
         idx = _subsets(rng, prior.population, prior.s, size)
         if prior.universe is not None:
@@ -246,24 +271,36 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
             if v is None:
                 raise ContractError("sign matching needs the pattern v")
             v = np.asarray(v, dtype=float)
-            values = prior.magnitude * np.where(v[idx] < 0, -1.0, 1.0)
-        elif prior.signs == "rademacher":
-            values = prior.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
-        else:
-            values = prior.magnitude
-    elif isinstance(prior, SingleGroupSparse):
+            return idx, prior.magnitude * np.where(v[idx] < 0, -1.0, 1.0)
+        if prior.signs == "rademacher":
+            return idx, prior.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
+        return idx, prior.magnitude
+    if isinstance(prior, SingleGroupSparse):
         bs = prior.p // prior.R
         k = rng.integers(prior.R, size=size)
-        idx = np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size)
-        values = prior.magnitude
-    elif isinstance(prior, GroupSupported):
+        return np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size), prior.magnitude
+    if isinstance(prior, GroupSupported):
         bs = prior.p // prior.R
         groups = _subsets(rng, prior.R, prior.m, size)
         idx = (groups[..., None] * bs + np.arange(bs)).reshape(
             groups.shape[:-1] + (prior.m * bs,))
-        values = prior.magnitude
-    else:
-        raise ContractError(f"unknown prior {type(prior)!r}")
+        return idx, prior.magnitude
+    raise ContractError(f"unknown prior {type(prior)!r}")
+
+
+def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
+         size: Optional[int] = None) -> np.ndarray:
+    """Signal vector(s) distributed according to the prior: the draws of
+    :func:`_supports`, written into zeros.
+
+    With ``size`` given, returns ``size`` independent draws as rows of a
+    (size, p) array.  Single draws (``size`` None) and batches take their
+    subsets by different rules (see :func:`_subsets`), so a batch of one does
+    not reproduce a single draw from the same stream.  Shifted priors are
+    refused: they pair the sparse prior with the constant shift b*1_p and are
+    consumed only by :func:`risk_lower_bound`.
+    """
+    idx, values = _supports(prior, rng, v, size)
     theta = np.zeros(idx.shape[:-1] + (prior.p,))
     if size is None:
         theta[idx] = values
@@ -389,32 +426,26 @@ def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
 def _uniform_sparse_overlap_terms(prior: UniformSparse, model: CorrelationModel):
     """(population, lam, const) when the quadratic form is overlap-only."""
     a = prior.magnitude
-    g = model.gamma
-    if g >= 1.0:
+    if model.gamma >= 1.0:
         raise SingularCovarianceError("overlap sums need gamma < 1")
     if prior.signs == "rademacher":
         return None  # the signed inner product is not a function of overlap
-    one_minus = 1.0 - g
+    one_minus, coef = _precision_weights(model)
+    lam = a * a / one_minus
     if isinstance(model, Equicorrelated):
-        coef = g / (one_minus * (one_minus + g * model.p))
-        lam = a * a / one_minus
-        const = -coef * (a * prior.s) ** 2
-        return prior.population, lam, const
+        return prior.population, lam, -coef * (a * prior.s) ** 2
     if isinstance(model, RankOne):
         v = model.v
         if prior.universe is not None and np.all(v[prior.universe] == 0.0):
             # support never meets the pattern: the cross term vanishes exactly
-            return prior.population, a * a / one_minus, 0.0
+            return prior.population, lam, 0.0
         pattern_vals = np.abs(v) if prior.signs == "match_pattern" else v
         uni = prior.universe if prior.universe is not None else np.arange(prior.p)
         vals = np.unique(np.round(pattern_vals[uni], 12))
         if vals.size == 1:
             # |v| constant on the universe: <theta, v> = a * s * vals[0] for
             # sign-matched draws (or a * s * v0 for plus signs): overlap-only
-            coef = g / (one_minus * (one_minus + g * model.p))
-            lam = a * a / one_minus
-            const = -coef * (a * prior.s * vals[0]) ** 2
-            return prior.population, lam, const
+            return prior.population, lam, -coef * (a * prior.s * vals[0]) ** 2
         return None
     return None  # grouped spread priors are not overlap-only
 
@@ -473,12 +504,10 @@ def _try_overlap_sum(prior, model) -> Optional[DivergenceResult]:
     if isinstance(prior, SingleGroupSparse) and isinstance(model, Grouped):
         if model.R != prior.R:
             raise ContractError("prior and model group counts differ")
-        a, g, bs = prior.magnitude, model.gamma, model.block_size
-        one_minus = 1.0 - g
-        coef = g / (one_minus * (one_minus + g * bs))
-        lam = a * a / one_minus
-        const = -coef * (a * prior.s) ** 2
-        same = _overlap_expectation(bs, prior.s, prior.s, lam, const)
+        a, bs = prior.magnitude, model.block_size
+        one_minus, coef = _precision_weights(model)
+        same = _overlap_expectation(bs, prior.s, prior.s, a * a / one_minus,
+                                    -coef * (a * prior.s) ** 2)
         chi = (1.0 - 1.0 / prior.R) + same / prior.R - 1.0
         return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
     if isinstance(prior, GroupSupported) and isinstance(model, Grouped):
@@ -603,18 +632,54 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
 
 
+def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
+    """<theta, Sigma^-1 theta~> for each pair of sparse rows: rows 2i and
+    2i + 1 of ``idx`` (2n, s) and ``values`` (broadcasting against it), as
+    :func:`_supports` gives them, form pair i.
+
+    Per block, Sigma^-1 = I / (1 - gamma) - c (loadings)(loadings)'
+    (``models._precision_weights``), so the pair term is
+    <theta, theta~> / (1 - gamma) - c sum_k P_k(theta) P_k(theta~), with P_k
+    the block projections (``project_support``).  The inner product runs
+    over the coordinates both supports hold: sorted, a pair's 2s coordinates
+    hold each of them twice, side by side.  Each coordinate is sorted with
+    its position in the pair's row in its low bits, which is cheaper than an
+    argsort and finds the two values to multiply.
+    """
+    one_minus, coef = _precision_weights(model)
+    values = np.broadcast_to(values, idx.shape)
+    n, width = idx.shape[0] // 2, 2 * idx.shape[1]
+    bits = (width - 1).bit_length()
+    keys = idx.reshape(n, width) << bits
+    keys |= np.arange(width)
+    keys.sort(axis=-1)
+    coords = keys >> bits
+    pair, col = np.nonzero(coords[:, 1:] == coords[:, :-1])
+    positions = keys & ((1 << bits) - 1)
+    w = values.reshape(n, width)
+    products = w[pair, positions[pair, col]] * w[pair, positions[pair, col + 1]]
+    inner = np.bincount(pair, weights=products, minlength=n)
+    sums = model.project_support(idx, values)
+    return inner / one_minus - coef * np.add.reduce(sums[0::2] * sums[1::2], axis=-1)
+
+
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
     if n_mc < 2:
         raise ContractError("monte_carlo needs n_mc >= 2 for a standard error")
     if model.gamma >= 1.0:
         raise SingularCovarianceError("monte_carlo divergence needs gamma < 1")
-    pairs = max(1, _BLOCK_ELEMENTS // model.p)
+    if prior.p != model.p:
+        raise ContractError("prior and model dimensions differ")
+    # about 16s + R numbers per pair in flight (the keys, coordinates,
+    # positions and values of 2s entries, and 2R block sums), and never fewer
+    # pairs per block than a dense (2n, p) draw would take
+    pairs = max(1, _BLOCK_ELEMENTS // model.p,
+                _BLOCK_ELEMENTS // (16 * prior.support_size + model.R))
     logs = np.empty(n_mc)
     for start in range(0, n_mc, pairs):
         n = min(pairs, n_mc - start)
-        thetas = draw(prior, rng, v=v, size=2 * n)  # rows 2i, 2i + 1: pair i
-        logs[start:start + n] = (thetas[0::2]
-                                 * precision_apply(model, thetas[1::2])).sum(axis=-1)
+        idx, values = _supports(prior, rng, v, 2 * n)  # rows 2i, 2i + 1: pair i
+        logs[start:start + n] = _pair_terms(model, idx, values)
     terms = np.exp(logs - logs.max())
     total = float(terms.sum())
     mean = float(np.exp(logs.max()) * total / n_mc)

@@ -15,10 +15,12 @@ grouped model with R = 1; the rank-one model is also a single block, with
 loadings ``v`` and no exchangeable order.  :func:`model_from` maps a family
 name to its model.  Each model owns its block algebra: ``project`` maps
 blocks (..., k, p/k) to their inner products with the loadings (..., k),
-``lift`` maps (..., k) back to loadings times value, broadcasting against the
-blocks, and ``exchangeable`` says whether a block may be sorted (``canonical``
-is the model of the sorted layout).  The loadings are 1 in the exchangeable
-models, which therefore only sum and broadcast, and ``v`` in the rank-one one.
+``project_support`` does the same for vectors given by their nonzero
+coordinates and values, ``lift`` maps (..., k) back to loadings times value,
+broadcasting against the blocks, and ``exchangeable`` says whether a block
+may be sorted (``canonical`` is the model of the sorted layout).  The
+loadings are 1 in the exchangeable models, which therefore only sum and
+broadcast, and ``v`` in the rank-one one.
 
 Covariance and precision act in closed form through Sherman-Morrison:
 
@@ -114,6 +116,12 @@ class _SingleBlock(_Blocks):
         """Inverse of :meth:`block_view`."""
         return blocks[..., 0, :]
 
+    def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """:meth:`project` of the vectors that hold ``values`` at the
+        coordinates ``idx`` (both (..., n), no coordinate twice in a row) and
+        zeros elsewhere, as (..., k): here the row sums."""
+        return np.add.reduce(values, axis=-1)[..., None]
+
 
 @dataclass(frozen=True, eq=False)
 class Equicorrelated(_SingleBlock):
@@ -148,6 +156,7 @@ class Grouped(_Blocks):
     labels: Optional[np.ndarray] = None
     _order: np.ndarray = field(init=False, repr=False)
     _contiguous: bool = field(init=False, repr=False)
+    _block_shape: tuple = field(init=False, repr=False)  # (R, p/R)
     # the model of this one's canonical layout (contiguous groups), built once
     canonical: "Grouped" = field(init=False, repr=False)
 
@@ -173,6 +182,7 @@ class Grouped(_Blocks):
         object.__setattr__(self, "_order", order)
         contiguous = bool(np.all(order == np.arange(self.p)))
         object.__setattr__(self, "_contiguous", contiguous)
+        object.__setattr__(self, "_block_shape", (self.R, self.p // self.R))
         object.__setattr__(self, "canonical",
                            self if contiguous else Grouped(self.p, self.R, self.gamma))
 
@@ -184,8 +194,8 @@ class Grouped(_Blocks):
         """Reshape ``x`` (last axis p) into (..., R, p/R) canonical blocks."""
         x = np.asarray(x, dtype=float)
         if self._contiguous:
-            return x.reshape(x.shape[:-1] + (self.R, self.block_size))
-        return x[..., self._order].reshape(x.shape[:-1] + (self.R, self.block_size))
+            return x.reshape(x.shape[:-1] + self._block_shape)
+        return x[..., self._order].reshape(x.shape[:-1] + self._block_shape)
 
     def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`block_view`, restoring the original layout."""
@@ -195,6 +205,15 @@ class Grouped(_Blocks):
         out = np.empty_like(flat)
         out[..., self._order] = flat
         return out
+
+    def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per-group sums of sparse rows: one weighted bincount over
+        ``labels``, each row's groups offset by R times its row number."""
+        rows = idx.shape[:-1]
+        n = math.prod(rows)
+        keys = self.labels[idx] + self.R * np.arange(n).reshape(rows + (1,))
+        sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=n * self.R)
+        return sums.reshape(rows + (self.R,))
 
     def descriptor(self) -> dict:
         d = {"family": self.family, "p": self.p, "R": self.R, "gamma": self.gamma}
@@ -244,6 +263,9 @@ class RankOne(_SingleBlock):
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         return c[..., None] * self.v
+
+    def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.add.reduce(self.v[idx] * values, axis=-1)[..., None]
 
     @classmethod
     def renormalized(cls, p: int, gamma: float, v) -> "RankOne":
@@ -419,16 +441,26 @@ def _decorrelated(model: CorrelationModel, a: np.ndarray, xi: np.ndarray) -> np.
     return out
 
 
-def precision_apply(model: CorrelationModel, u) -> np.ndarray:
-    """Apply the inverse covariance to ``u`` in O(p) via closed-form inverses."""
+def _precision_weights(model: CorrelationModel) -> tuple:
+    """The two weights (1 - gamma, c) of the inverse covariance: per block,
+
+        Sigma^-1 u = u / (1 - gamma) - c * (loadings) <loadings, u>,
+
+    with c = gamma / ((1 - gamma)(1 - gamma + gamma p/k)) for blocks of p/k
+    coordinates (Sherman-Morrison)."""
     if model.gamma >= 1.0:
         raise SingularCovarianceError("covariance is singular at gamma = 1")
+    g = model.gamma
+    one_minus = 1.0 - g
+    return one_minus, g / (one_minus * (one_minus + g * model.block_size))
+
+
+def precision_apply(model: CorrelationModel, u) -> np.ndarray:
+    """Apply the inverse covariance to ``u`` in O(p) via closed-form inverses."""
+    one_minus, coef = _precision_weights(model)
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != model.p:
         raise ContractError("vector length does not match model dimension")
-    g = model.gamma
-    one_minus = 1.0 - g
-    coef = g / (one_minus * (one_minus + g * model.block_size))
     blocks = model.block_view(u)
     return model.scatter_blocks(blocks / one_minus
                                 - coef * model.lift(model.project(blocks)))

@@ -46,6 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CalibrationError, ContractError, UnsupportedRegimeError
+from .gaussian import alpha
 from .geometry import omega as pattern_omega
 from .models import (
     _BLOCK_ELEMENTS,
@@ -123,12 +124,14 @@ class TestProcedure:
     C: Optional[float] = None
     calibration: Optional[dict] = None
     # the constituents resolved for the evaluation kernel once, at
-    # construction: ((name, kind, params, threshold), ...), whether any
-    # constituent reads decorrelated data, and {name: threshold}
+    # construction: ((name, kind, params, threshold), ...) with the params of
+    # ``_kernel_items``, whether any constituent reads decorrelated data, and
+    # {name: threshold}
     kernel_plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        items = tuple((c.name, c.kind, c.params, c.threshold) for c in self.constituents)
+        items = _kernel_items((c.name, c.kind, c.params, c.threshold)
+                              for c in self.constituents)
         thresholds = {c.name: c.threshold for c in self.constituents}
         object.__setattr__(self, "kernel_plan",
                            (items, _reads_decorrelated(items), thresholds))
@@ -369,9 +372,30 @@ def _linear(a, model, params):
     return stats._global_energy(model.project(a), model.p)
 
 
+def _adaptive_scan(profile, model, params):
+    # ``profile``: the sorted |z| and suffix sums of the decorrelated rows,
+    # shared by every adaptive member; ``params`` may carry alpha(ts),
+    # resolved once per plan by ``_kernel_items``
+    alphas = params.get("alphas")
+    if alphas is None:
+        alphas = alpha(params["ts"])
+    return np.maximum.reduce(stats._profile_at(profile, params["ts"], alphas)
+                             / params["shapes"], axis=-1)
+
+
+def _kernel_items(items) -> tuple:
+    """Plan items (name, kind, params, rule) with alpha(ts) of every adaptive
+    scan resolved once, into a params copy: the constituent's own params, and
+    so its descriptor, stay as planned."""
+    return tuple((name, kind, {**params, "alphas": alpha(params["ts"])}
+                  if kind == "adaptive_scan" else params, rule)
+                 for name, kind, params, rule in items)
+
+
 # constituent kind -> its statistic as a reduction (blocks, model, params) ->
 # (n,) values.  ``blocks`` (n, k, p/k) is the kernel's canonical input, raw
-# or decorrelated (``_DECORRELATED``); see ``_values``.
+# or decorrelated (``_DECORRELATED``), and for adaptive scans the profile of
+# the decorrelated rows (``statistics._sorted_suffix``); see ``_values``.
 # Block sums and maxima call np.add.reduce and np.maximum.reduce, the
 # reductions behind ndarray.sum and ndarray.max, without the method wrappers.
 _REDUCTIONS = {
@@ -380,8 +404,7 @@ _REDUCTIONS = {
     "chisq_scan": lambda a, m, prm: np.maximum.reduce(stats._energy(a), axis=-1),
     "thresholded_scan": lambda a, m, prm: np.maximum.reduce(stats._tail_energy(a, prm["t"])[0],
                                                             axis=-1),
-    "adaptive_scan": lambda a, m, prm: np.maximum.reduce(
-        stats._profile(a.reshape(a.shape[0], -1), prm["ts"]) / prm["shapes"], axis=-1),
+    "adaptive_scan": _adaptive_scan,
     "linear": _linear,
     "linear_scan": lambda a, m, prm: np.maximum.reduce(
         stats._group_energy(np.add.reduce(a, axis=-1), m), axis=-1),
@@ -406,22 +429,27 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     is monotone within a block, so they stay sorted, and blocks that are not
     exchangeable (rank-one) are sorted here.  Each plan's statistic is then
     one reduction (``_REDUCTIONS``) on its blocks, with no further sort or
-    check.
+    check; the adaptive scans share one sort of |z| and its suffix sums.
     Whole-p sums add per-block sums over the blocks, so every sum stays in
     canonical order.  Returns {name: (n,) array}.
     """
     raw = model.block_view(x)
-    dec = None
+    dec = profile = None
     values = {}
     for name, kind, params, _ in items:
-        if kind in _DECORRELATED:
-            if dec is None:
-                dec = _decorrelated(model, raw, xi)
-                if not model.exchangeable:
-                    dec = np.sort(dec, axis=-1)
-            values[name] = _REDUCTIONS[kind](dec, model, params)
-        else:
+        if kind not in _DECORRELATED:
             values[name] = _REDUCTIONS[kind](raw, model, params)
+            continue
+        if dec is None:
+            dec = _decorrelated(model, raw, xi)
+            if not model.exchangeable:
+                dec = np.sort(dec, axis=-1)
+        if kind == "adaptive_scan":
+            if profile is None:
+                profile = stats._sorted_suffix(dec.reshape(dec.shape[0], -1))
+            values[name] = _REDUCTIONS[kind](profile, model, params)
+        else:
+            values[name] = _REDUCTIONS[kind](dec, model, params)
     return values
 
 
@@ -461,6 +489,7 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
             f"n_cal={n_cal} leaves only {expected_tail:.1f} expected replications "
             f"beyond the {q} quantile; need >= {_MIN_TAIL} (raise n_cal or lower q)")
     from .models import sample as draw
+    items = _kernel_items(items)
     p, k = model.p, factor_count(model)
     k_xt = k if _reads_decorrelated(items) else 0
     rows = max(1, _BLOCK_ELEMENTS // p)

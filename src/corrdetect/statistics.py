@@ -86,7 +86,8 @@ def thresholded_profile(z, ts: np.ndarray) -> np.ndarray:
     Returns shape (..., len(ts)).  Uses suffix cumulative sums over |z| in
     ascending order, so the grid evaluation stays O(p log p) per row.
     """
-    return _profile(_data(z), np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    return _profile_at(_sorted_suffix(_data(z)), ts, alpha(ts))
 
 
 def squared_norm(z) -> StatisticValue:
@@ -241,17 +242,26 @@ def _tail_energy(z: np.ndarray, t: float) -> tuple:
     return np.add.reduce(sq, axis=-1) - count * alpha_cached(t), count
 
 
-def _profile(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Y_t per row for every t in ``ts``; rows in any order (|z| is sorted here)."""
+def _sorted_suffix(z: np.ndarray) -> tuple:
+    """|z| sorted ascending per row (rows in any order), and the suffix sums
+    of its squares with a trailing 0: what :func:`_profile_at` reads for any
+    threshold grid."""
     a = np.sort(np.abs(z), axis=-1)
     sq = a * a
     suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
                              np.zeros(a.shape[:-1] + (1,))], axis=-1)
-    rows = a.reshape(-1, a.shape[-1])
+    return a, suffix
+
+
+def _profile_at(sorted_suffix: tuple, ts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Y_t per row for every t in ``ts``, with ``alphas`` = alpha(ts)."""
+    a, suffix = sorted_suffix
+    p = a.shape[-1]
+    rows = a.reshape(-1, p)
     idx = np.stack([np.searchsorted(row, ts) for row in rows])
-    idx = idx.reshape(a.shape[:-1] + ts.shape)
-    counts = a.shape[-1] - idx
-    return np.take_along_axis(suffix, idx, axis=-1) - counts * alpha(ts)
+    # gathered from the flat suffix sums, where row r starts at r * (p + 1)
+    tails = suffix.reshape(-1)[idx + (p + 1) * np.arange(rows.shape[0])[:, None]]
+    return (tails - (p - idx) * alphas).reshape(a.shape[:-1] + ts.shape)
 
 
 def _global_energy(sums: np.ndarray, p: int) -> np.ndarray:

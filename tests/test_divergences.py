@@ -11,8 +11,10 @@ from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
     _combinations,
+    _pair_terms,
     _subsets,
     _support_iter,
+    _supports,
     ENUMERATION_PAIR_BUDGET,
     DivergenceResult,
     GroupSupported,
@@ -519,3 +521,79 @@ def test_batched_monte_carlo_covers_exact(prior, model, v):
                                rng=np.random.default_rng(5), v=v)
     assert mc.stderr > 0
     assert abs(mc.chi_sq - exact.chi_sq) <= 4 * mc.stderr
+
+
+# Monte Carlo pair terms from supports: every prior the route draws, under
+# every model, against the dense form on the same supports
+_SIGNS64 = np.random.default_rng(8).choice([-1.0, 1.0], size=64)
+MC_PRIORS = [
+    UniformSparse(64, 5, 0.7),
+    UniformSparse(64, 5, 0.7, signs="match_pattern"),
+    UniformSparse(64, 5, 0.7, signs="rademacher"),
+    UniformSparse(64, 5, 0.7, universe=np.arange(3, 60, 3)),
+    SingleGroupSparse(64, 4, 3, 0.6),
+    GroupSupported(64, 8, 3, 0.4),
+]
+MC_MODELS = [
+    Equicorrelated(64, 0.4),
+    Grouped(64, 4, 0.5),
+    Grouped(64, 8, 0.6, labels=np.random.default_rng(9).permutation(np.repeat(np.arange(8), 8))),
+    RankOne(64, 0.5, _SIGNS64),
+    RankOne.renormalized(64, 0.7, np.linspace(-1.5, 2.0, 64)),
+]
+
+
+def _dense(idx, values, p):
+    thetas = np.zeros((idx.shape[0], p))
+    for row, cols, vals in zip(thetas, idx, np.broadcast_to(values, idx.shape)):
+        row[cols] = vals
+    return thetas
+
+
+@pytest.mark.parametrize("model", MC_MODELS, ids=lambda m: m.family)
+@pytest.mark.parametrize("prior", MC_PRIORS, ids=lambda pr: pr.descriptor()["prior"])
+def test_support_pair_terms_equal_the_dense_form(prior, model):
+    v = getattr(model, "v", _SIGNS64)
+    idx, values = _supports(prior, substream(21, 0), v, 2 * 300)
+    thetas = _dense(idx, values, prior.p)
+    prec = precision_apply(model, thetas[1::2])
+    dense = (thetas[0::2] * prec).sum(axis=-1)
+    # the size of the summands: a pair term that cancels to about 0 is
+    # compared at the scale of what cancelled
+    scale = (np.abs(thetas[0::2]) * np.abs(prec)).sum(axis=-1)
+    terms = _pair_terms(model, idx, values)
+    assert terms.shape == (300,)
+    assert np.all(np.abs(terms - dense) <= 1e-12 * scale)
+    # the supports overlap, so the inner-product branch is exercised too
+    assert np.any((thetas[0::2] != 0) & (thetas[1::2] != 0))
+
+
+@pytest.mark.parametrize("prior", MC_PRIORS + [PointMass(np.linspace(-1.0, 1.0, 64))],
+                         ids=lambda pr: pr.descriptor()["prior"])
+def test_draw_is_the_dense_form_of_the_supports(prior):
+    for size in (None, 40):
+        idx, values = _supports(prior, substream(22, 0), _SIGNS64, size)
+        theta = draw(prior, substream(22, 0), v=_SIGNS64, size=size)
+        want = _dense(np.atleast_2d(idx), values, prior.p)
+        assert np.array_equal(theta, want if size else want[0])
+
+
+@pytest.mark.parametrize("prior,model", [
+    # overlaps are rare (s^2/p ~ 0.004): blocks of 504 pairs, not 8 of width p
+    (UniformSparse(4096, 4, 1.0), Equicorrelated(4096, 0.5)),
+    # supports of 64 coordinates in 256 groups of 16
+    (GroupSupported(4096, 256, 4, 1.0), Grouped(4096, 256, 0.5)),
+])
+def test_monte_carlo_covers_exact_at_large_p(prior, model):
+    exact = ingster_suslina_chisq(prior, model, method="hypergeometric_sum")
+    mc = ingster_suslina_chisq(prior, model, method="monte_carlo", n_mc=20_000,
+                               rng=np.random.default_rng(5))
+    assert mc.stderr > 0
+    assert abs(mc.chi_sq - exact.chi_sq) <= 4 * mc.stderr
+
+
+def test_monte_carlo_refuses_a_prior_of_another_dimension():
+    with pytest.raises(ContractError, match="dimension"):
+        ingster_suslina_chisq(UniformSparse(32, 2, 0.4, signs="rademacher"),
+                              Equicorrelated(64, 0.3), method="monte_carlo", n_mc=100,
+                              rng=np.random.default_rng(0))
