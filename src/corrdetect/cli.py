@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -103,11 +104,29 @@ def _reject_unknown(block: dict, path: str, allowed) -> None:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
-def _numbers(value, path):
-    if not isinstance(value, list) or not value or not all(
-            isinstance(x, (int, float)) for x in value):
-        raise ConfigError(path, "expected a nonempty list of numbers")
+def _integer(value, path, low=1) -> int:
+    """``value`` if it is an integer of at least ``low``; a bool, a float
+    (even a whole one) or anything else is refused at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(path, f"expected an integer >= {low}, got {value!r}")
     return value
+
+
+def _finite(value, path) -> float:
+    """``value`` as a float if it is a finite number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _grid(value, path, check) -> list:
+    """A grid: one value or a nonempty list of them, each passed through
+    ``check`` (:func:`_integer` or :func:`_finite`)."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(path, "expected a nonempty list")
+    return [check(x, path) for x in values]
 
 
 def load_config(path: str) -> dict:
@@ -132,20 +151,16 @@ def _validate_model_grids(cfg: dict):
     if family not in _FAMILIES:
         raise ConfigError("model.family", f"unknown family {family!r}")
     family = _FAMILIES[family]
-    p_raw = _require(model, "model", "p", (int, list))
-    p_grid = [int(x) for x in (_numbers(p_raw, "model.p") if isinstance(p_raw, list) else [p_raw])]
-    g_raw = _require(model, "model", "gamma", (int, float, list))
-    gamma_grid = [float(x) for x in (_numbers(g_raw, "model.gamma")
-                                     if isinstance(g_raw, list) else [g_raw])]
+    p_grid = _grid(_require(model, "model", "p", (int, list)), "model.p", _integer)
+    gamma_grid = _grid(_require(model, "model", "gamma", (int, float, list)), "model.gamma",
+                       _finite)
     for g in gamma_grid:
         if not 0.0 <= g <= 1.0:
             raise ConfigError("model.gamma", f"gamma={g} outside [0, 1]")
     _check_model_fields(family, R=model.get("R"), v_file=model.get("v_file"))
     R_grid = [None]
     if family == "grouped":
-        r_raw = _require(model, "model", "R", (int, list))
-        R_grid = [int(x) for x in (_numbers(r_raw, "model.R")
-                                   if isinstance(r_raw, list) else [r_raw])]
+        R_grid = _grid(_require(model, "model", "R", (int, list)), "model.R", _integer)
         for p in p_grid:
             for R in R_grid:
                 if R < 1 or p % R != 0:
@@ -165,14 +180,17 @@ def _validate_test(cfg: dict):
     eta = float(_require(test, "test", "eta", (int, float), optional=True, default=0.1))
     if not 0.0 < eta < 1.0:
         raise ConfigError("test.eta", "eta must lie in (0, 1)")
-    n_cal = int(_require(test, "test", "n_cal", int, optional=True, default=4000))
+    n_cal = _integer(_require(test, "test", "n_cal", int, optional=True, default=4000),
+                     "test.n_cal")
     C = _require(test, "test", "C", (int, float), optional=True)
     if mode == "paper_constants" and C is None:
         raise ConfigError("test.C", "paper_constants mode needs C")
     s = _require(test, "test", "s", (int, str), optional=True)
     if isinstance(s, str) and s != "adaptive":
         raise ConfigError("test.s", "s must be an integer or 'adaptive'")
-    return mode, eta, n_cal, None if C is None else float(C), s
+    if s is not None and not isinstance(s, str):
+        s = _integer(s, "test.s")
+    return mode, eta, n_cal, None if C is None else _finite(C, "test.C"), s
 
 
 def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
@@ -185,20 +203,21 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
                                      "separation_reference", "adaptive"})
     adaptive = bool(_require(sweep, "sweep", "adaptive", bool, optional=True,
                              default=False))
-    s_grid = [int(x) for x in _numbers(_require(sweep, "sweep", "s", list), "sweep.s")]
+    s_grid = _grid(_require(sweep, "sweep", "s", list), "sweep.s", _integer)
     for p in p_grid:
         for s in s_grid:
             if not 1 <= s <= p:
                 raise ConfigError("sweep.s", f"s={s} outside [1, p={p}]")
-    multipliers = [float(x) for x in _numbers(
-        _require(sweep, "sweep", "multipliers", list), "sweep.multipliers")]
-    n_reps = int(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000))
+    multipliers = _grid(_require(sweep, "sweep", "multipliers", list), "sweep.multipliers",
+                        _finite)
+    n_reps = _integer(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000),
+                      "sweep.n_reps")
     sep = _require(sweep, "sweep", "separation_reference", str, optional=True,
                    default="cell")
     if sep not in ("cell", "gamma0"):
         raise ConfigError("sweep.separation_reference", "must be 'cell' or 'gamma0'")
     seed = _master_seed(seed if seed is not None else cfg.get("seed"))
-    workers = int(workers if workers is not None else cfg.get("workers", 1))
+    workers = _integer(workers if workers is not None else cfg.get("workers", 1), "workers")
     try:
         return SweepPlan(family=family, p_grid=tuple(p_grid), s_grid=tuple(s_grid),
                          gamma_grid=tuple(gamma_grid), multipliers=tuple(multipliers),
@@ -274,15 +293,18 @@ def _cmd_risk(args) -> int:
     mode, eta, n_cal, C, s = _validate_test(cfg)
     block = _require(cfg, "(root)", "risk", dict)
     _reject_unknown(block, "risk", {"s", "multiplier", "n_reps"})
-    s_true = int(_require(block, "risk", "s", int, optional=True,
-                          default=s if isinstance(s, int) else 0) or 0)
-    if s_true == 0:
+    s_true = _require(block, "risk", "s", int, optional=True,
+                      default=s if isinstance(s, int) else None)
+    if s_true is None:
         raise ConfigError("risk.s", "missing sparsity")
-    mult = float(_require(block, "risk", "multiplier", (int, float)))
-    n_reps = int(_require(block, "risk", "n_reps", int, optional=True, default=1000))
+    s_true = _integer(s_true, "risk.s")
+    mult = _finite(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
+    n_reps = _integer(_require(block, "risk", "n_reps", int, optional=True, default=1000),
+                      "risk.n_reps")
     p, gamma, R = p_grid[0], gamma_grid[0], R_grid[0]
     seed = _master_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    workers = int(args.workers or cfg.get("workers", 1))
+    workers = _integer(args.workers if args.workers is not None else cfg.get("workers", 1),
+                       "workers")
     rate = rate_for(family, p, s_true, gamma, R, v)
     if rate.uncharacterized:
         raise ConfigError("risk.s", "rate uncharacterized for this configuration")

@@ -1,8 +1,13 @@
-"""Test procedures: composite assembly, thresholds, and null calibration.
+"""Test procedures: plans, thresholds, null calibration and the evaluation kernel.
 
 A test procedure is an OR over constituents.  Each constituent pairs a
-statistic plan with a threshold.  Two operating modes share identical
-statistic plans:
+statistic plan -- a constituent kind and its parameters -- with a
+threshold.  The statistic of every kind is an entry of the kind table in
+``statistics``; this module plans which kinds a test uses (``_plan``, from
+the family's kind set ``statistics.KINDS``), sets their thresholds, and
+runs the table on batches of canonical data (``_values``, the one
+evaluation path of ``evaluate`` and of calibration).  Two operating modes
+share identical statistic plans:
 
 * ``paper_constants``: thresholds follow the closed forms driven by a single
   constant C (sound but very conservative);
@@ -58,7 +63,7 @@ from .models import (
     factor_count,
     model_from,
 )
-from . import statistics as stats
+from .statistics import REDUCTIONS, profile_input
 
 __all__ = [
     "Constituent",
@@ -71,7 +76,6 @@ __all__ = [
     "model_for",
 ]
 
-_RANK_ONE_RESIDUAL_RTOL = 1e-10  # verdict tolerance for non-sign-pattern v
 _MIN_TAIL = 20  # calibration needs this many expected replications past the quantile
 
 
@@ -186,15 +190,21 @@ def _plan(model: CorrelationModel, s) -> list:
     """(name, kind, params, paper_rule) quadruples; paper_rule maps C -> threshold."""
     p, gamma = model.p, model.gamma
     if model.family == "equicorrelated":
-        return _plan_equicorrelated(p, s, gamma)
+        return _plan_adaptive(p, gamma) if s == "adaptive" else _plan_equicorrelated(p, s, gamma)
+    if s == "adaptive":
+        raise ContractError("the adaptive composite is defined for the single random effect")
     if model.family == "grouped":
         return _plan_grouped(p, s, gamma, model.R)
     return _plan_rank_one(p, s, gamma, model.v)
 
 
-def _chisq_item(p, scale=2.0, name="chisq"):
-    return (name, "chisq", {},
-            lambda C: p + (C ** 2 / scale) * math.sqrt(p))
+def _chisq_item(p, scale=2.0):
+    return ("chisq", "chisq", {}, lambda C: p + (C ** 2 / scale) * math.sqrt(p))
+
+
+def _sparse_item(p, s, scale):
+    return ("thresholded", "thresholded", {"t": _sparse_t(p, s)},
+            lambda C, sh=_sparse_shape(p, s): (C ** 2 / scale) * sh)
 
 
 def _linear_item(p, gamma, bs):
@@ -204,30 +214,19 @@ def _linear_item(p, gamma, bs):
 
 
 def _plan_equicorrelated(p: int, s, gamma: float) -> list:
-    if s == "adaptive":
-        return _plan_adaptive(p, gamma)
     root = math.sqrt(p)
     if gamma == 1.0:
         if s < p:
             return [("noiseless", "noiseless", {}, lambda C: 0.0)]
         return [("chisq_raw", "chisq_raw", {}, lambda C: p + (C ** 2 / 2.0) * p)]
-    items = []
-    if s < root:
-        t = _sparse_t(p, s)
-        shape = _sparse_shape(p, s)
-        items.append(("thresholded", "thresholded", {"t": t},
-                      lambda C, sh=shape: (C ** 2 / 32.0) * sh))
-    else:
-        items.append(_chisq_item(p))
+    items = [_sparse_item(p, s, 32.0) if s < root else _chisq_item(p)]
     if s > p / 2:
         if s <= p - root:
             if not any(it[0] == "chisq" for it in items):
                 items.append(_chisq_item(p))
         elif s < p:
-            t = _dense_t(p, s)
-            shape = _dense_shape(p, s)
-            items.append(("thresholded_dense", "thresholded", {"t": t},
-                          lambda C, sh=shape: (C ** 2 / 8.0) * sh))
+            items.append(("thresholded_dense", "thresholded", {"t": _dense_t(p, s)},
+                          lambda C, sh=_dense_shape(p, s): (C ** 2 / 8.0) * sh))
         else:  # s == p: the mean direction alone carries the separation
             items = []
         items.append(_linear_item(p, gamma, p))
@@ -235,8 +234,6 @@ def _plan_equicorrelated(p: int, s, gamma: float) -> list:
 
 
 def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
-    if s == "adaptive":
-        raise ContractError("the adaptive composite is defined for the single random effect")
     bs = p // R
     log_er = 1.0 + math.log(R)
     if gamma == 1.0:
@@ -244,14 +241,7 @@ def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
         if s >= bs:
             items.append(_grouped_avg_item(p, s, 1.0, R))
         return items
-    root = math.sqrt(p)
-    if s < root:
-        t = _sparse_t(p, s)
-        shape = _sparse_shape(p, s)
-        items = [("thresholded", "thresholded", {"t": t},
-                  lambda C, sh=shape: (C ** 2 / 64.0) * sh)]
-    else:
-        items = [_chisq_item(p, scale=16.0)]
+    items = [_sparse_item(p, s, 64.0) if s < math.sqrt(p) else _chisq_item(p, scale=16.0)]
     if s <= p / (4 * R):
         return items
     if s < bs:
@@ -294,8 +284,6 @@ def _grouped_avg_item(p: int, s: int, gamma: float, R: int):
 
 
 def _plan_rank_one(p: int, s, gamma: float, v: np.ndarray) -> list:
-    if s == "adaptive":
-        raise ContractError("the adaptive composite is defined for the single random effect")
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))
         if s < v0:
@@ -305,12 +293,7 @@ def _plan_rank_one(p: int, s, gamma: float, v: np.ndarray) -> list:
     if s > w:
         raise UnsupportedRegimeError(
             f"rank-one tests are characterized only for s <= omega(v) = {w}")
-    if s <= math.sqrt(p):
-        t = _sparse_t(p, s)
-        shape = _sparse_shape(p, s)
-        return [("thresholded", "thresholded", {"t": t},
-                 lambda C, sh=shape: (C ** 2 / 16.0) * sh)]
-    return [_chisq_item(p)]
+    return [_sparse_item(p, s, 16.0) if s <= math.sqrt(p) else _chisq_item(p)]
 
 
 def _plan_adaptive(p: int, gamma: float) -> list:
@@ -343,44 +326,9 @@ def _plan_adaptive(p: int, gamma: float) -> list:
 # ---------------------------------------------------------------------------
 # statistic evaluation
 
-# constituent kinds computed from decorrelated data; the others read raw data
-_DECORRELATED = frozenset({"thresholded", "chisq", "chisq_scan", "thresholded_scan",
-                           "adaptive_scan"})
-
 
 def _reads_decorrelated(items) -> bool:
-    return any(kind in _DECORRELATED for _, kind, _, _ in items)
-
-
-def _noiseless(a, model, params):
-    if model.exchangeable:
-        return stats._block_residual(a)
-    value = stats._pattern_residual(a[:, 0], model)
-    if model.sign_pattern:
-        return value
-    energy = np.add.reduce(a[:, 0] * a[:, 0], axis=-1)
-    return np.where(value <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + energy), 0.0, value)
-
-
-def _chisq_raw(a, model, params):
-    if not model.exchangeable:  # its blocks keep the given layout
-        a = np.sort(a, axis=-1)
-    return np.add.reduce(stats._energy(a), axis=-1)
-
-
-def _linear(a, model, params):
-    return stats._global_energy(model.project(a), model.p)
-
-
-def _adaptive_scan(profile, model, params):
-    # ``profile``: the sorted |z| and suffix sums of the decorrelated rows,
-    # shared by every adaptive member; ``params`` may carry alpha(ts),
-    # resolved once per plan by ``_kernel_items``
-    alphas = params.get("alphas")
-    if alphas is None:
-        alphas = alpha(params["ts"])
-    return np.maximum.reduce(stats._profile_at(profile, params["ts"], alphas)
-                             / params["shapes"], axis=-1)
+    return any(REDUCTIONS[kind].reads != "raw" for _, kind, _, _ in items)
 
 
 def _kernel_items(items) -> tuple:
@@ -392,31 +340,6 @@ def _kernel_items(items) -> tuple:
                  for name, kind, params, rule in items)
 
 
-# constituent kind -> its statistic as a reduction (blocks, model, params) ->
-# (n,) values.  ``blocks`` (n, k, p/k) is the kernel's canonical input, raw
-# or decorrelated (``_DECORRELATED``), and for adaptive scans the profile of
-# the decorrelated rows (``statistics._sorted_suffix``); see ``_values``.
-# Block sums and maxima call np.add.reduce and np.maximum.reduce, the
-# reductions behind ndarray.sum and ndarray.max, without the method wrappers.
-_REDUCTIONS = {
-    "thresholded": lambda a, m, prm: np.add.reduce(stats._tail_energy(a, prm["t"])[0], axis=-1),
-    "chisq": lambda a, m, prm: np.add.reduce(stats._energy(a), axis=-1),
-    "chisq_scan": lambda a, m, prm: np.maximum.reduce(stats._energy(a), axis=-1),
-    "thresholded_scan": lambda a, m, prm: np.maximum.reduce(stats._tail_energy(a, prm["t"])[0],
-                                                            axis=-1),
-    "adaptive_scan": _adaptive_scan,
-    "linear": _linear,
-    "linear_scan": lambda a, m, prm: np.maximum.reduce(
-        stats._group_energy(np.add.reduce(a, axis=-1), m), axis=-1),
-    "thresholded_avg": lambda a, m, prm: stats._tail_energy(
-        np.sort(stats._standardized_means(np.add.reduce(a, axis=-1), m), axis=-1), prm["t"])[0],
-    "chisq_avg": lambda a, m, prm: np.add.reduce(
-        stats._group_energy(np.add.reduce(a, axis=-1), m), axis=-1),
-    "noiseless": _noiseless,
-    "chisq_raw": _chisq_raw,
-}
-
-
 def _values(items, x: np.ndarray, model: CorrelationModel,
             xi: Optional[np.ndarray] = None) -> dict:
     """The evaluation kernel: every plan's value on each row of ``x``.
@@ -424,32 +347,32 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     ``x`` (n, p) must be in the canonical layout of ``model``
     (``models.canonical_layout``).  The kernel views it as blocks
     (n, k, p/k), every block sorted; rank-one data is one block in its given
-    layout.  Plans that read decorrelated data (``_DECORRELATED``) get those
-    blocks decorrelated once with the injections ``xi`` (n, k); decorrelation
-    is monotone within a block, so they stay sorted, and blocks that are not
-    exchangeable (rank-one) are sorted here.  Each plan's statistic is then
-    one reduction (``_REDUCTIONS``) on its blocks, with no further sort or
-    check; the adaptive scans share one sort of |z| and its suffix sums.
-    Whole-p sums add per-block sums over the blocks, so every sum stays in
-    canonical order.  Returns {name: (n,) array}.
+    layout.  Plans that read decorrelated data get those blocks decorrelated
+    once with the injections ``xi`` (n, k); decorrelation is monotone within
+    a block, so they stay sorted, and blocks that are not exchangeable
+    (rank-one) are sorted here.  Each plan's statistic is then its entry of
+    the kind table (``statistics.REDUCTIONS``): the parts, then the combine
+    step, with no further sort or check; the adaptive scans share one
+    profile of the decorrelated rows.  Returns {name: (n,) array}.
     """
     raw = model.block_view(x)
     dec = profile = None
     values = {}
     for name, kind, params, _ in items:
-        if kind not in _DECORRELATED:
-            values[name] = _REDUCTIONS[kind](raw, model, params)
-            continue
-        if dec is None:
-            dec = _decorrelated(model, raw, xi)
-            if not model.exchangeable:
-                dec = np.sort(dec, axis=-1)
-        if kind == "adaptive_scan":
-            if profile is None:
-                profile = stats._sorted_suffix(dec.reshape(dec.shape[0], -1))
-            values[name] = _REDUCTIONS[kind](profile, model, params)
-        else:
-            values[name] = _REDUCTIONS[kind](dec, model, params)
+        reads, parts, combine = REDUCTIONS[kind]
+        a = raw
+        if reads != "raw":
+            if dec is None:
+                dec = _decorrelated(model, raw, xi)
+                if not model.exchangeable:
+                    dec = np.sort(dec, axis=-1)
+            a = dec
+            if reads == "profile":
+                if profile is None:
+                    profile = profile_input(dec)
+                a = profile
+        y = parts(a, model, params)
+        values[name] = y if combine is None else combine(y, axis=-1)
     return values
 
 
@@ -546,26 +469,15 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     if mode == "paper_constants":
         if C is None:
             raise ContractError("paper_constants mode needs the constant C")
-        constituents = tuple(
-            Constituent(name, kind, params, float(rule(C)),
-                        f"paper form at C={C}", deterministic_null=(kind == "noiseless"))
-            for name, kind, params, rule in items)
+        rules = {name: (float(rule(C)), f"paper form at C={C}") for name, _, _, rule in items}
     elif mode == "calibrated":
         if rng is None:
             raise ContractError("calibrated mode needs a calibration stream")
         random_items = [it for it in items if it[1] != "noiseless"]
         m = len(random_items)
-        records = {}
-        if m:
-            q = 1.0 - eta / (2.0 * m)
-            records = calibrate_null_quantile(random_items, model, q, n_cal, rng)
-        constituents = tuple(
-            Constituent(name, kind, params,
-                        0.0 if kind == "noiseless" else records[name].value,
-                        "exact null residual" if kind == "noiseless"
-                        else f"calibrated q={records[name].q}",
-                        deterministic_null=(kind == "noiseless"))
-            for name, kind, params, _ in items)
+        records = (calibrate_null_quantile(random_items, model, 1.0 - eta / (2.0 * m), n_cal, rng)
+                   if m else {})
+        rules = {name: (rec.value, f"calibrated q={rec.q}") for name, rec in records.items()}
         calibration = {
             "eta": eta, "n_cal": n_cal, "seed": seed_label,
             "budget_per_constituent": None if not m else eta / (2.0 * m),
@@ -573,6 +485,10 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
         }
     else:
         raise ContractError(f"unknown mode {mode!r}")
+    constituents = tuple(  # a calibrated noiseless constituent has no rule: its null is 0
+        Constituent(name, kind, params, *rules.get(name, (0.0, "exact null residual")),
+                    deterministic_null=(kind == "noiseless"))
+        for name, kind, params, _ in items)
     label = s if isinstance(s, str) else f"s={s}"
     name = f"{family}:{label}:gamma={gamma}"
     return TestProcedure(name=name, family=family, p=p, s=s, gamma=gamma, R=R,

@@ -1,25 +1,22 @@
-"""Statistics the tests threshold, evaluated on batches of observations.
+"""Statistics the tests threshold: one table of constituent reductions.
 
-Every statistic takes data of shape (..., p) and reduces the last axis; a
-single vector is a batch of one and gives plain Python numbers.  Statistics
-never compute thresholds; thresholding lives in ``procedures``.
+Every constituent kind of a test (see ``procedures``) is one entry of the
+kind table ``_REDUCTIONS``, a :class:`Reduction`: the data it reads (raw,
+decorrelated, or the ``profile_input`` of the decorrelated rows), a
+reduction of canonical blocks (..., k, p/k) to parts -- one value per block,
+or per member of an adaptive scan -- and the step that combines the parts (a
+sum or a maximum; none when the reduction gives the statistic itself).  The
+evaluation kernel in ``procedures`` applies the table (``REDUCTIONS``) to
+data it has put in canonical layout once; :func:`value` is the public
+entry, and the named statistics (``thresholded_sum``, ``scan``, ...) are
+views of it.  A kind the model cannot carry is refused by the family's kind
+set, ``KINDS``.
 
 Sums are plain numpy reductions in the canonical order of ``models``: the
 entries of each exchangeable block are summed in ascending order, so every
-statistic is bit-identical under the model's coordinate permutations.  A
-model-free statistic treats each row as one block.  Rank-one pattern
-projections sum in the given layout.
-
-Each statistic is one reduction on canonical blocks (the private functions
-at the end of this module): rows already in summation order, no checks.
-The public functions validate their input and sort every block into
-ascending order, then call the reduction.  The evaluation kernel
-in ``procedures`` calls the reductions directly: its input is already
-canonical (``models.canonical_layout`` sorts every block once, and
-decorrelation is monotone within a block), so it neither sorts nor checks
-again.
-
-The workhorse is the thresholded square sum
+statistic is bit-identical under the model's coordinate permutations.
+Rank-one raw data keeps its given layout.  The workhorse is the thresholded
+square sum
 
     Y_t = sum_i (z_i^2 - alpha(t)) 1{|z_i| >= t},
 
@@ -31,26 +28,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractError
 from .gaussian import alpha, alpha_cached
-from .models import CorrelationModel, Grouped, Observation, RankOne
+from .models import CorrelationModel, Observation
 
 __all__ = [
-    "StatisticValue",
-    "thresholded_sum",
-    "thresholded_profile",
-    "squared_norm",
-    "linear_projection",
-    "scan",
-    "linear_scan",
-    "standardized_group_means",
-    "averaged_group",
-    "noiseless_residual",
+    "StatisticValue", "Reduction", "REDUCTIONS", "KINDS", "value", "profile_input",
+    "thresholded_sum", "thresholded_profile", "squared_norm", "linear_projection", "scan",
+    "linear_scan", "averaged_group", "noiseless_residual",
 ]
+
+_RANK_ONE_RESIDUAL_RTOL = 1e-10  # zero tolerance for a non-sign-pattern residual
 
 
 @dataclass(frozen=True)
@@ -58,6 +51,142 @@ class StatisticValue:
     name: str
     value: object  # float for one vector, array of the batch shape otherwise
     aux: dict = field(default_factory=dict)
+
+
+class Reduction(NamedTuple):
+    reads: str  # "raw", "decorrelated" or "profile"
+    parts: Callable  # (input, model, params) -> parts (..., m), or the statistic
+    combine: Optional[Callable]  # np.add.reduce, np.maximum.reduce or None
+
+
+# ---------------------------------------------------------------------------
+# reductions on canonical blocks, rows already in summation order and not
+# checked.  They call np.add.reduce and np.maximum.reduce, the ufunc
+# reductions behind ndarray.sum and ndarray.max, without the method wrappers,
+# which cost as much as the sums on the kernel's small per-replication blocks.
+_ADD, _MAX = np.add.reduce, np.maximum.reduce
+
+
+def _chisq(z: np.ndarray, model=None, params=None) -> np.ndarray:
+    """||z||^2 per row."""
+    return _ADD(z * z, axis=-1)
+
+
+def _thresholded(z: np.ndarray, model, params) -> np.ndarray:
+    """Y_t per row, t = ``params["t"]``."""
+    t = params["t"]
+    mask = np.abs(z) >= t
+    sq = z * z
+    np.copyto(sq, 0.0, where=~mask)
+    return _ADD(sq, axis=-1) - _ADD(mask, axis=-1) * alpha_cached(t)
+
+
+def profile_input(blocks: np.ndarray) -> tuple:
+    """What the adaptive scans read: |z| of each row of ``blocks``
+    (..., k, b), sorted ascending, and the suffix sums of its squares with a
+    trailing 0.  It holds Y_t for any threshold grid, so every adaptive
+    member of a plan shares one."""
+    a = np.sort(np.abs(blocks.reshape(blocks.shape[:-2] + (-1,))), axis=-1)
+    sq = a * a
+    suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
+                             np.zeros(a.shape[:-1] + (1,))], axis=-1)
+    return a, suffix
+
+
+def _adaptive(profile: tuple, model, params) -> np.ndarray:
+    """Y_t / shape for each member (t, shape) of an adaptive scan.  ``params``
+    may carry alpha(ts), resolved once per plan by ``procedures``."""
+    a, suffix = profile
+    ts = params["ts"]
+    alphas = params.get("alphas")
+    if alphas is None:
+        alphas = alpha(ts)
+    p = a.shape[-1]
+    rows = a.reshape(-1, p)
+    idx = np.stack([np.searchsorted(row, ts) for row in rows])
+    # gathered from the flat suffix sums, where row r starts at r * (p + 1)
+    tails = suffix.reshape(-1)[idx + (p + 1) * np.arange(rows.shape[0])[:, None]]
+    return (tails - (p - idx) * alphas).reshape(a.shape[:-1] + ts.shape) / params["shapes"]
+
+
+def _linear(a, model, params) -> np.ndarray:
+    """Squared normalized projection on the model's loadings, <l, x>^2 / p."""
+    total = _ADD(model.project(a), axis=-1)
+    return total * total / model.p
+
+
+def _group_linear(a, model, params) -> np.ndarray:
+    """Squared normalized group projections (block sum)^2 R/p, per block."""
+    sums = _ADD(a, axis=-1)
+    return sums * sums * (model.R / model.p)
+
+
+def _averaged(a, model, params) -> np.ndarray:
+    """Y_t of the standardized group means sqrt(p/R) mean_k / sqrt(1-g+g p/R),
+    iid N(0, 1) under the null."""
+    bs = model.block_size
+    sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
+    u = _ADD(a, axis=-1) / (math.sqrt(bs) * sigma)
+    return _thresholded(np.sort(u, axis=-1), model, params)
+
+
+def _noiseless(a, model, params) -> np.ndarray:
+    """Residual energy sum_k ||x_Bk - mean(x_Bk) 1||^2, or ||x - <v,x> v/p||^2
+    for rank-one blocks: ||u - mean(u) 1||^2 with u = v * x for a sign pattern.
+    A first-entry anchor makes a null draw (a block or u constant) exactly 0;
+    for other v exact zero is not attainable, and a residual within a
+    relative tolerance of the energy counts as 0."""
+    if model.exchangeable:
+        r = _anchored_residual(a)
+        return _ADD((r * r).reshape(a.shape[:-2] + (-1,)), axis=-1)
+    x = a[..., 0, :]
+    u = model.v * x
+    if model.sign_pattern:
+        r = _anchored_residual(u)
+        return _ADD(r * r, axis=-1)
+    r = x - (_ADD(u, axis=-1, keepdims=True) / model.p) * model.v
+    residual = _ADD(r * r, axis=-1)
+    return np.where(residual <= _RANK_ONE_RESIDUAL_RTOL * (1.0 + _chisq(x)), 0.0, residual)
+
+
+def _anchored_residual(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` minus their means, anchored at the first entry so that a
+    row of bit-identical entries gives exactly 0."""
+    d = a - a[..., :1]
+    return d - _ADD(d, axis=-1, keepdims=True) / d.shape[-1]
+
+
+# constituent kind -> its statistic; see the module docstring
+_REDUCTIONS = {
+    "thresholded": Reduction("decorrelated", _thresholded, _ADD),
+    "chisq": Reduction("decorrelated", _chisq, _ADD),
+    "chisq_scan": Reduction("decorrelated", _chisq, _MAX),
+    "thresholded_scan": Reduction("decorrelated", _thresholded, _MAX),
+    "adaptive_scan": Reduction("profile", _adaptive, _MAX),
+    "linear": Reduction("raw", _linear, None),
+    "linear_scan": Reduction("raw", _group_linear, _MAX),
+    "thresholded_avg": Reduction("raw", _averaged, None),
+    "chisq_avg": Reduction("raw", _group_linear, _ADD),
+    "noiseless": Reduction("raw", _noiseless, None),
+    # rank-one raw blocks keep their layout, and the energy is summed sorted
+    "chisq_raw": Reduction("raw", lambda a, m, prm: _chisq(
+        a if m.exchangeable else np.sort(a, axis=-1)), _ADD),
+}
+
+# the table, read-only, for the evaluation kernel in ``procedures``
+REDUCTIONS = MappingProxyType(_REDUCTIONS)
+
+# family -> the kinds its models carry: those its tests are planned from
+# (``procedures._plan``) and the projection on the model's own loadings.
+# None: model-free blocks, which carry the kinds that read decorrelated data.
+KINDS = {
+    None: frozenset(kind for kind, r in _REDUCTIONS.items() if r.reads != "raw"),
+    "equicorrelated": frozenset({"thresholded", "chisq", "linear", "adaptive_scan",
+                                 "noiseless", "chisq_raw"}),
+    "grouped": frozenset({"thresholded", "chisq", "linear", "chisq_scan", "thresholded_scan",
+                          "linear_scan", "thresholded_avg", "chisq_avg", "noiseless"}),
+    "rank_one": frozenset({"thresholded", "chisq", "linear", "noiseless", "chisq_raw"}),
+}
 
 
 def _data(z) -> np.ndarray:
@@ -72,233 +201,108 @@ def _out(a):
     return a.item() if a.ndim == 0 else a
 
 
+def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> StatisticValue:
+    """The statistic of a constituent kind on the data it reads (raw or
+    decorrelated, ``REDUCTIONS[kind].reads``): shape (..., p) with a model,
+    without one blocks (..., k, b), each row one block.  Every block is
+    sorted into canonical order (rank-one raw data keeps its layout), then
+    the kind's reduction and combine step apply.  ``params`` (``t``, or
+    ``ts`` and ``shapes``) given as None count as missing.  A kind combined
+    by a maximum (the scans) also reports its parts, ``aux["per_group"]``,
+    and the maximizing part, ``aux["argmax"]``."""
+    family = None if model is None else model.family
+    if kind not in KINDS[family]:
+        raise ContractError(f"no {kind!r} statistic for {family or 'model-free blocks'}")
+    reads, parts, combine = _REDUCTIONS[kind]
+    x = _data(x)
+    if model is not None:
+        if x.shape[-1] != model.p:
+            raise ContractError("data length does not match model dimension")
+        x = model.block_view(x)
+    elif x.ndim < 2:
+        raise ContractError("model-free data must be equal-length blocks (..., k, b)")
+    if reads != "raw" or model.exchangeable:  # model-free kinds read decorrelated data
+        x = np.sort(x, axis=-1)
+    if reads == "profile":
+        x = profile_input(x)
+    params = {key: v for key, v in params.items() if v is not None}
+    if params.get("t", 0.0) < 0:
+        raise ContractError("threshold must be nonnegative")
+    try:
+        y = parts(x, model, params)
+    except KeyError as missing:
+        raise ContractError(f"the {kind!r} statistic needs the parameter {missing}") from None
+    if combine is None:
+        return StatisticValue(kind, _out(y))
+    aux = {"per_group": y, "argmax": _out(y.argmax(axis=-1))} if combine is _MAX else {}
+    return StatisticValue(kind, _out(combine(y, axis=-1)), aux)
+
+
+# ---------------------------------------------------------------------------
+# the named statistics: views of ``value``
+
+
+def _one_block(z) -> np.ndarray:
+    return _data(z)[..., None, :]
+
+
 def thresholded_sum(z, t: float) -> StatisticValue:
     """Y_t: excess energy of coordinates exceeding threshold t."""
-    if t < 0:
-        raise ContractError("threshold must be nonnegative")
-    value, count = _tail_energy(np.sort(_data(z), axis=-1), t)
-    return StatisticValue("thresholded_sum", _out(value), {"t": t, "count": _out(count)})
+    return value("thresholded", _one_block(z), t=t)
 
 
 def thresholded_profile(z, ts: np.ndarray) -> np.ndarray:
-    """Y_t for a whole grid of thresholds via one sort (adaptive scans).
-
-    Returns shape (..., len(ts)).  Uses suffix cumulative sums over |z| in
-    ascending order, so the grid evaluation stays O(p log p) per row.
-    """
-    ts = np.asarray(ts, dtype=float)
-    return _profile_at(_sorted_suffix(_data(z)), ts, alpha(ts))
+    """Y_t for a whole grid of thresholds via one sort, shape (..., len(ts)):
+    the parts of an adaptive scan with unit shapes."""
+    return value("adaptive_scan", _one_block(z), ts=np.asarray(ts, dtype=float),
+                 shapes=1.0).aux["per_group"]
 
 
 def squared_norm(z) -> StatisticValue:
     """||z||^2 summed in canonical order."""
-    return StatisticValue("squared_norm", _out(_energy(np.sort(_data(z), axis=-1))), {})
-
-
-def _block_sums(model, x: np.ndarray) -> np.ndarray:
-    return np.sort(model.block_view(x), axis=-1).sum(axis=-1)
+    return value("chisq", _one_block(z))
 
 
 def linear_projection(x, model: CorrelationModel, direction="global",
                       group: Optional[int] = None) -> StatisticValue:
-    """Squared normalized projection onto a correlation direction.
-
-    direction "global": <1/sqrt(p), x>^2, null variance 1-g+g p/R (R = 1
-    for the equicorrelated model).  direction "group": the group-k version
-    <sqrt(R/p) 1_Bk, x>^2.  direction "pattern": <v/sqrt(p), x>^2 for the
-    rank-one pattern, null variance 1-g+gp.
-    """
-    x = _data(x)
-    p, g = model.p, model.gamma
-    if direction == "global":
-        if isinstance(model, RankOne):
-            raise ContractError("global direction undefined for rank-one; use 'pattern'")
-        return StatisticValue("linear", _out(_global_energy(_block_sums(model, x), p)),
-                              {"null_variance": 1.0 - g + g * model.block_size})
+    """Squared normalized projection on a correlation direction: "global"
+    <1/sqrt(p), x>^2 (exchangeable models), "group" the group-k version
+    <sqrt(R/p) 1_Bk, x>^2 (part k of the linear scan), "pattern"
+    <v/sqrt(p), x>^2 (rank-one)."""
     if direction == "group":
-        if not isinstance(model, Grouped):
-            raise ContractError("group direction requires a grouped model")
         if group is None or not (0 <= group < model.R):
             raise ContractError("group index out of range")
-        sums = _block_sums(model, x)
-        value = sums[..., group] ** 2 * model.R / p
-        return StatisticValue("linear_group", _out(value),
-                              {"group": group,
-                               "null_variance": 1.0 - g + g * model.block_size})
-    if direction == "pattern":
-        if not isinstance(model, RankOne):
-            raise ContractError("pattern direction requires a rank-one model")
-        value = _global_energy(model.project(model.block_view(x)), p)
-        return StatisticValue("linear_pattern", _out(value),
-                              {"null_variance": 1.0 - g + g * p})
-    raise ContractError(f"unknown direction {direction!r}")
+        return StatisticValue("linear_group", _out(
+            value("linear_scan", x, model).aux["per_group"][..., group]))
+    own = "global" if model.exchangeable else "pattern"  # the model's loadings
+    if direction != own:
+        raise ContractError(f"the {model.family} model projects on its {own!r} direction, "
+                            f"not {direction!r}")
+    return value("linear", x, model)
 
 
 def scan(xt_blocks: np.ndarray, kind: str, t: Optional[float] = None) -> StatisticValue:
-    """Per-group statistic values with the maximizing group.
-
-    ``xt_blocks`` has shape (..., R, p/R), usually decorrelated data.  kind
-    "chisq": per-group squared norms.  kind "thresholded": per-group Y_t
-    (needs t).  The value is the maximum; the test layer applies a common
-    per-group threshold, so the scan fires iff any group exceeds it.
-    """
-    xt_blocks = np.asarray(xt_blocks, dtype=float)
-    if xt_blocks.ndim < 2:
-        raise ContractError("scan expects equal-length group rows (..., R, p/R)")
-    if kind == "chisq":
-        per_group = _energy(np.sort(xt_blocks, axis=-1))
-    elif kind == "thresholded":
-        if t is None or t < 0:
-            raise ContractError("thresholded scan needs a nonnegative t")
-        per_group, _ = _tail_energy(np.sort(xt_blocks, axis=-1), t)
-    else:
-        raise ContractError(f"unknown scan kind {kind!r}")
-    return StatisticValue(f"{kind}_scan", _out(per_group.max(axis=-1)),
-                          {"per_group": per_group,
-                           "argmax": _out(per_group.argmax(axis=-1)), "t": t})
+    """Max over the groups ``xt_blocks`` (..., R, p/R), usually decorrelated,
+    of their squared norms (kind "chisq") or Y_t (kind "thresholded")."""
+    return value(f"{kind}_scan", xt_blocks, t=t)
 
 
-def linear_scan(x, model: Grouped) -> StatisticValue:
+def linear_scan(x, model: CorrelationModel) -> StatisticValue:
     """Max over groups of the squared normalized group projection (raw data)."""
-    if not isinstance(model, Grouped):
-        raise ContractError("linear scan requires a grouped model")
-    per_group = _group_energy(_block_sums(model, _data(x)), model)
-    return StatisticValue("linear_scan", _out(per_group.max(axis=-1)),
-                          {"per_group": per_group,
-                           "argmax": _out(per_group.argmax(axis=-1)),
-                           "null_variance": 1.0 - model.gamma + model.gamma * model.block_size})
+    return value("linear_scan", x, model)
 
 
-def standardized_group_means(x, model: Grouped) -> np.ndarray:
-    """R-vector sqrt(p/R) * mean_k / sqrt(1-g+g p/R): iid N(0,1) under the null."""
-    if not isinstance(model, Grouped):
-        raise ContractError("group means require a grouped model")
-    return _standardized_means(_block_sums(model, _data(x)), model)
-
-
-def averaged_group(x, model: Grouped, kind: str, t: Optional[float] = None) -> StatisticValue:
-    """Statistics of the group-mean vector.
-
-    kind "thresholded": Y_t applied to the standardized group means.
-    kind "chisq": the unstandardized group-mean energy
-    sum_k ||mean_k 1_Bk||^2 = sum_k (block sum)^2 R/p, whose null law is
-    (1-g+g p/R) chi^2_R.
-    """
-    if kind == "thresholded":
-        if t is None or t < 0:
-            raise ContractError("thresholded average needs a nonnegative t")
-        u = standardized_group_means(x, model)
-        sv = thresholded_sum(u, t)
-        return StatisticValue("thresholded_avg", sv.value, dict(sv.aux))
-    if kind == "chisq":
-        if not isinstance(model, Grouped):
-            raise ContractError("group means require a grouped model")
-        value = _group_energy(_block_sums(model, _data(x)), model).sum(axis=-1)
-        return StatisticValue("chisq_avg", _out(value),
-                              {"null_scale": 1.0 - model.gamma + model.gamma * model.block_size})
-    raise ContractError(f"unknown averaged kind {kind!r}")
+def averaged_group(x, model: CorrelationModel, kind: str,
+                   t: Optional[float] = None) -> StatisticValue:
+    """Y_t of the standardized group means (kind "thresholded"), or the
+    group-mean energy sum_k (block sum)^2 R/p, null law (1-g+g p/R) chi^2_R
+    (kind "chisq")."""
+    return value(f"{kind}_avg", x, model, t=t)
 
 
 def noiseless_residual(x, model: CorrelationModel) -> StatisticValue:
-    """Residual energy after removing the correlation direction(s); gamma = 1 only.
-
-    Equicorrelated / grouped: sum_k ||x_Bk - mean(x_Bk) 1||^2, computed with
-    a first-entry anchor so a block of bit-identical entries gives exactly 0.
-    Rank-one: ||x - <v,x> v / p||^2.  For a sign pattern v this equals
-    ||u - mean(u) 1||^2 with u = v * x, computed with the same anchor, so a
-    null draw (u constant) gives exactly 0; for other v exact zero is not
-    attainable and verdicts use a relative tolerance.
-    """
+    """Residual energy after removing the correlation direction(s); gamma = 1
+    only.  See ``_noiseless``."""
     if model.gamma < 1.0:
         raise ContractError("noiseless residual is only valid at gamma = 1")
-    x = _data(x)
-    if not model.exchangeable:
-        coef = (model.v * x).sum(axis=-1) / model.p
-        return StatisticValue("noiseless_residual", _out(_pattern_residual(x, model)),
-                              {"projection": _out(coef)})
-    value = _block_residual(np.sort(model.block_view(x), axis=-1))
-    return StatisticValue("noiseless_residual", _out(value), {})
-
-
-# ---------------------------------------------------------------------------
-# reductions on canonical blocks: every row (last axis) is already in
-# summation order, and the input is not checked.  They call the ufunc
-# reductions that ndarray.sum and ndarray.max run (np.add.reduce,
-# np.maximum.reduce) directly: the evaluation kernel runs them once per
-# replication on small blocks, where the method wrappers cost as much as
-# the sums.
-
-
-def _energy(z: np.ndarray) -> np.ndarray:
-    return np.add.reduce(z * z, axis=-1)
-
-
-def _tail_energy(z: np.ndarray, t: float) -> tuple:
-    """(Y_t, count of |z_i| >= t) per row."""
-    mask = np.abs(z) >= t
-    sq = z * z
-    np.copyto(sq, 0.0, where=~mask)
-    count = np.add.reduce(mask, axis=-1)
-    return np.add.reduce(sq, axis=-1) - count * alpha_cached(t), count
-
-
-def _sorted_suffix(z: np.ndarray) -> tuple:
-    """|z| sorted ascending per row (rows in any order), and the suffix sums
-    of its squares with a trailing 0: what :func:`_profile_at` reads for any
-    threshold grid."""
-    a = np.sort(np.abs(z), axis=-1)
-    sq = a * a
-    suffix = np.concatenate([np.cumsum(sq[..., ::-1], axis=-1)[..., ::-1],
-                             np.zeros(a.shape[:-1] + (1,))], axis=-1)
-    return a, suffix
-
-
-def _profile_at(sorted_suffix: tuple, ts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Y_t per row for every t in ``ts``, with ``alphas`` = alpha(ts)."""
-    a, suffix = sorted_suffix
-    p = a.shape[-1]
-    rows = a.reshape(-1, p)
-    idx = np.stack([np.searchsorted(row, ts) for row in rows])
-    # gathered from the flat suffix sums, where row r starts at r * (p + 1)
-    tails = suffix.reshape(-1)[idx + (p + 1) * np.arange(rows.shape[0])[:, None]]
-    return (tails - (p - idx) * alphas).reshape(a.shape[:-1] + ts.shape)
-
-
-def _global_energy(sums: np.ndarray, p: int) -> np.ndarray:
-    """Squared normalized global projection from per-block sums (..., K)."""
-    total = np.add.reduce(sums, axis=-1)
-    return total * total / p
-
-
-def _group_energy(sums: np.ndarray, model: Grouped) -> np.ndarray:
-    """Squared normalized group projections from per-block sums (..., R)."""
-    return sums * sums * (model.R / model.p)
-
-
-def _standardized_means(sums: np.ndarray, model: Grouped) -> np.ndarray:
-    bs = model.block_size
-    sigma = math.sqrt(1.0 - model.gamma + model.gamma * bs)
-    return sums / (math.sqrt(bs) * sigma)
-
-
-def _pattern_residual(x: np.ndarray, model: RankOne) -> np.ndarray:
-    """||x - <v,x> v / p||^2 per row, anchored for sign patterns."""
-    u = model.v * x
-    if model.sign_pattern:
-        r = _anchored_residual(u)
-    else:
-        r = x - (np.add.reduce(u, axis=-1, keepdims=True) / model.p) * model.v
-    return np.add.reduce(r * r, axis=-1)
-
-
-def _block_residual(blocks: np.ndarray) -> np.ndarray:
-    """sum_k ||x_Bk - mean(x_Bk) 1||^2 per row of blocks (..., K, b)."""
-    r = _anchored_residual(blocks)
-    return np.add.reduce((r * r).reshape(blocks.shape[:-2] + (-1,)), axis=-1)
-
-
-def _anchored_residual(a: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` minus their means, anchored at the first entry so that a
-    row of bit-identical entries gives exactly 0."""
-    d = a - a[..., :1]
-    return d - np.add.reduce(d, axis=-1, keepdims=True) / d.shape[-1]
+    return value("noiseless", x, model)

@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, config diagnostics, round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -221,6 +222,26 @@ class TestSweepCommand:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["master_seed"] == 2 ** 128 - 1
+
+    # one field at a time on a grouped p=64 sweep; each must be refused before
+    # any cell runs, at its own field path
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "p", [math.inf]), ("model", "R", [2.5]), ("sweep", "s", [2.5]),
+        ("sweep", "multipliers", [math.inf]), ("sweep", "multipliers", [math.nan]),
+        ("sweep", "n_reps", True), ("test", "n_cal", True), ("test", "n_cal", 1000.0),
+        (None, "workers", 2.5), (None, "workers", 0), (None, "workers", -3),
+    ])
+    def test_bad_number_is_a_config_error(self, tmp_path, section, key, value):
+        cfg = json.loads(_sweep_config(tmp_path, model={
+            "family": "grouped", "p": [64], "gamma": [0.5], "R": [4]}).read_text())
+        (cfg[section] if section else cfg)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["sweep", "--config", str(path), "--out", str(out_dir)])
+        field = f"{section}.{key}" if section else key
+        assert code == 2 and f"config error at {field}:" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
     def test_bad_env_seed_refused(self, tmp_path, env):

@@ -1,7 +1,8 @@
 """The batched evaluation kernel: block calibration reproduces sequential
 single-vector replications, every constituent kind equals its public
-statistic on canonical input, rows do not depend on their batch, and batched
-values are bit-identical under within-group permutations."""
+statistic on canonical input and its plain numpy formula, rows do not depend
+on their batch, batched values are bit-identical under within-group
+permutations, and each family's kind set holds the kinds its plans use."""
 
 import math
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from corrdetect import statistics as stats
+from corrdetect.errors import ContractError
+from corrdetect.gaussian import alpha
 from corrdetect.models import (
     Equicorrelated,
     Grouped,
@@ -20,12 +23,13 @@ from corrdetect.models import (
     sample,
 )
 from corrdetect.procedures import (
-    _REDUCTIONS,
+    _plan,
     _values,
     build_test,
     calibrate_null_quantile,
     evaluate,
 )
+from corrdetect.statistics import _REDUCTIONS
 from corrdetect.streams import substream
 
 P = 60  # 32768 // 60 = 546 rows per calibration block: n_cal=1000 spans two blocks
@@ -125,6 +129,74 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
         assert np.array_equal(kernel[name], want), name
 
 
+def _groups(model, a):
+    """Rows (n, p) as (n, k, p/k) by group label; one block without groups."""
+    if model.family != "grouped":
+        return a[:, None, :]
+    return np.stack([a[:, model.labels == k] for k in range(model.R)], axis=1)
+
+
+def _tail(z, t):
+    keep = np.abs(z) >= t
+    return np.where(keep, z * z, 0.0).sum(axis=-1) - keep.sum(axis=-1) * alpha(t)
+
+
+def _group_energy(x, m):
+    return _groups(m, x).sum(axis=-1) ** 2 * m.R / m.p
+
+
+def _residual(x, m):
+    if m.family == "rank_one":
+        return ((x - np.outer(x @ m.v / m.p, m.v)) ** 2).sum(axis=-1)
+    blocks = _groups(m, x)
+    return ((blocks - blocks.mean(axis=-1, keepdims=True)) ** 2).sum(axis=(-2, -1))
+
+
+def _standardized_means(x, m):
+    bs = m.p // m.R
+    return _groups(m, x).sum(axis=-1) / math.sqrt(bs * (1.0 - m.gamma + m.gamma * bs))
+
+
+# each kind's statistic per row, written out in plain numpy from raw rows x
+# and decorrelated rows xt (n, p) in the model's own layout
+PLAIN = {
+    "chisq": lambda x, xt, m, prm: (xt * xt).sum(axis=-1),
+    "thresholded": lambda x, xt, m, prm: _tail(xt, prm["t"]),
+    "chisq_scan": lambda x, xt, m, prm: (_groups(m, xt) ** 2).sum(axis=-1).max(axis=-1),
+    "thresholded_scan": lambda x, xt, m, prm: _tail(_groups(m, xt), prm["t"]).max(axis=-1),
+    "adaptive_scan": lambda x, xt, m, prm: np.max(
+        [_tail(xt, t) / shape for t, shape in zip(prm["ts"], prm["shapes"])], axis=0),
+    "linear": lambda x, xt, m, prm: (x @ (m.v if m.family == "rank_one"
+                                          else np.ones(m.p))) ** 2 / m.p,
+    "linear_scan": lambda x, xt, m, prm: _group_energy(x, m).max(axis=-1),
+    "chisq_avg": lambda x, xt, m, prm: _group_energy(x, m).sum(axis=-1),
+    "thresholded_avg": lambda x, xt, m, prm: _tail(_standardized_means(x, m), prm["t"]),
+    "noiseless": lambda x, xt, m, prm: _residual(x, m),
+    "chisq_raw": lambda x, xt, m, prm: (x * x).sum(axis=-1),
+}
+
+
+def test_plain_formulas_cover_every_constituent_kind():
+    assert set(PLAIN) == set(_REDUCTIONS)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_matches_plain_numpy_formulas(case):
+    # an independent reference: the data stay in the model's own layout and
+    # no statistic of the package is run
+    model, plans, _ = CASES[case]
+    items = [(name, kind, params, None) for name, kind, params in plans]
+    n, k = 30, factor_count(model)
+    theta = np.where(np.arange(P) < 6, 1.5, 0.0)
+    x = sample(model, theta, substream(11, 4), size=n).x
+    xi = substream(11, 5).standard_normal((n, k))
+    xt = decorrelate(model, x, xi=xi) if model.gamma < 1.0 else None
+    kernel = _values(items, *canonical_layout(model, x), xi=xi)
+    for name, kind, params in plans:
+        want = PLAIN[kind](x, xt, model, params)
+        assert kernel[name] == pytest.approx(want, rel=1e-12, abs=0), name
+
+
 def test_canonical_layout_model_is_built_once():
     model, plans, _ = CASES["grouped-noncontiguous"]
     items = [(name, kind, params, None) for name, kind, params in plans]
@@ -178,6 +250,41 @@ def test_kind_configs_cover_every_constituent_kind():
     assert kinds == {"thresholded", "chisq", "linear", "chisq_scan", "thresholded_scan",
                      "linear_scan", "thresholded_avg", "chisq_avg", "noiseless",
                      "chisq_raw", "adaptive_scan"}
+
+
+@pytest.mark.parametrize("family,s,gamma,R", KIND_CONFIGS)
+def test_planned_kinds_are_in_the_family_kind_set(family, s, gamma, R):
+    model = _model(family, gamma, R)
+    assert {kind for _, kind, _, _ in _plan(model, s)} <= stats.KINDS[family]
+
+
+@pytest.mark.parametrize("family", [None, "equicorrelated", "grouped", "rank_one"])
+def test_value_refuses_exactly_the_kinds_outside_the_kind_set(family):
+    model = None if family is None else _model(family, 0.5, 4)
+    x = np.ones((2, 4, 16)) if model is None else np.ones((2, 64))
+    params = {"t": 1.0, "ts": np.array([0.5, 1.0]), "shapes": np.array([1.0, 2.0])}
+    for kind in sorted(set(_REDUCTIONS) - stats.KINDS[family]):
+        with pytest.raises(ContractError):
+            stats.value(kind, x, model, **params)
+    for kind in sorted(stats.KINDS[family]):
+        assert stats.value(kind, x, model, **params).value.shape == (2,)
+
+
+def test_views_keep_the_refusals_of_the_former_model_checks():
+    equi, grouped = _model("equicorrelated", 0.5, None), _model("grouped", 0.5, 4)
+    rank_one, x = _model("rank_one", 0.5, None), np.ones(64)
+    with pytest.raises(ContractError):
+        stats.linear_projection(x, rank_one, "global")
+    for model in (equi, grouped):
+        with pytest.raises(ContractError):
+            stats.linear_projection(x, model, "pattern")
+    for model in (equi, rank_one):
+        for refused in (lambda: stats.linear_projection(x, model, "group", group=0),
+                        lambda: stats.linear_scan(x, model),
+                        lambda: stats.averaged_group(x, model, "chisq"),
+                        lambda: stats.averaged_group(x, model, "thresholded", t=1.0)):
+            with pytest.raises(ContractError):
+                refused()
 
 
 @pytest.mark.parametrize("family,s,gamma,R", KIND_CONFIGS)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from corrdetect.errors import ContractError
 from corrdetect.gaussian import alpha
 from corrdetect.models import Equicorrelated, Grouped, RankOne, decorrelate, sample
+from corrdetect.procedures import build_test, evaluate, model_for
 from corrdetect.statistics import (
     averaged_group,
     linear_projection,
@@ -16,10 +17,10 @@ from corrdetect.statistics import (
     noiseless_residual,
     scan,
     squared_norm,
-    standardized_group_means,
     thresholded_profile,
     thresholded_sum,
 )
+from corrdetect.streams import substream
 
 
 def alpha_quadrature(t):
@@ -90,7 +91,9 @@ class TestChisqAndLinear:
         model = Equicorrelated(4, 0.5)
         sv = linear_projection(np.ones(4), model, "global")
         assert sv.value == pytest.approx(4.0)
-        assert sv.aux["null_variance"] == pytest.approx(0.5 + 0.5 * 4)
+        # the null variance is the plan's, not the statistic's
+        test = build_test("equicorrelated", 4, 4, 0.5, mode="paper_constants", C=1.0)
+        assert test.constituents[-1].params["sigma_sq"] == pytest.approx(0.5 + 0.5 * 4)
 
     def test_linear_null_variance_scaling(self):
         # Var of the squared projection is 2 sigma^4 under the null.
@@ -181,10 +184,12 @@ class TestAveragedGroup:
         theta[:8] = a  # group 0 constant at a
         rng = np.random.default_rng(13)
         x = sample(model, theta, rng, size=40_000).x
-        u0 = np.array([standardized_group_means(row, model)[0] for row in x[:5000]])
+        # Y_0 of the standardized means is ||u||^2 - R: its mean is the squared
+        # shift of u_0, the other seven means being standard normal
+        y0 = averaged_group(x[:5000], model, "thresholded", t=0.0).value
         expected = a * math.sqrt(8) / math.sqrt(0.5 + 0.5 * 8)
-        se = u0.std(ddof=1) / math.sqrt(len(u0))
-        assert abs(u0.mean() - expected) <= 3 * se
+        se = y0.std(ddof=1) / math.sqrt(len(y0))
+        assert abs(y0.mean() - expected ** 2) <= 3 * se
 
     def test_single_group_chisq_avg_equals_linear(self):
         model = Grouped(12, 1, 0.0)
@@ -237,3 +242,23 @@ class TestNoiselessResidual:
         x = sample(model, None, rng, size=100).x
         for row in x:
             assert noiseless_residual(row, model).value <= 1e-20
+
+    def test_hetero_pattern_residual_is_the_kernel_value(self):
+        # the "hetero" pattern of test_pinned_values is not a sign pattern: a
+        # null residual is rounding noise, which the statistic, like the
+        # kernel, sets to 0 within a relative tolerance of the energy
+        v = np.concatenate([np.full(8, 64 ** 0.25), np.zeros(56)])
+        model = RankOne(64, 1.0, v)
+        x = sample(model, None, substream(7, 0), size=200).x
+        unclamped = ((x - np.outer(x @ v / 64, v)) ** 2).sum(axis=1)
+        assert unclamped.max() > 0.0
+        assert np.all(noiseless_residual(x, model).value == 0.0)
+        # with the pinned signal the statistic is the pinned kernel value
+        test = build_test("rank_one", 64, 3, 1.0, v=v, mode="paper_constants", C=1.0)
+        theta = np.zeros(64)
+        theta[[1, 9, 20, 33, 50]] = 3.0
+        theta[40:52] += 0.4
+        obs = sample(model_for(test), theta, substream(2024, 8, 0))
+        kernel = evaluate(test, obs, substream(2024, 8, 1)).values["noiseless"]
+        assert kernel.hex() == "0x1.818f5c28f5c29p+5"
+        assert noiseless_residual(obs.x, model).value == kernel
