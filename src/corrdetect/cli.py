@@ -120,9 +120,17 @@ def _finite(value, path) -> float:
     return float(value)
 
 
+def _positive(value, path) -> float:
+    """``value`` as a float if it is a finite positive number (not a bool)."""
+    value = _finite(value, path)
+    if value <= 0:
+        raise ConfigError(path, f"expected a positive number, got {value!r}")
+    return value
+
+
 def _grid(value, path, check) -> list:
     """A grid: one value or a nonempty list of them, each passed through
-    ``check`` (:func:`_integer` or :func:`_finite`)."""
+    ``check`` (:func:`_integer`, :func:`_finite` or :func:`_positive`)."""
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(path, "expected a nonempty list")
@@ -209,7 +217,7 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
             if not 1 <= s <= p:
                 raise ConfigError("sweep.s", f"s={s} outside [1, p={p}]")
     multipliers = _grid(_require(sweep, "sweep", "multipliers", list), "sweep.multipliers",
-                        _finite)
+                        _positive)
     n_reps = _integer(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000),
                       "sweep.n_reps")
     sep = _require(sweep, "sweep", "separation_reference", str, optional=True,
@@ -298,7 +306,7 @@ def _cmd_risk(args) -> int:
     if s_true is None:
         raise ConfigError("risk.s", "missing sparsity")
     s_true = _integer(s_true, "risk.s")
-    mult = _finite(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
+    mult = _positive(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
     n_reps = _integer(_require(block, "risk", "n_reps", int, optional=True, default=1000),
                       "risk.n_reps")
     p, gamma, R = p_grid[0], gamma_grid[0], R_grid[0]
@@ -383,7 +391,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
     out_dir = args.out or "selftest-out"
     seed = _master_seed(args.seed)
-    ok, lines = run_selftest(out_dir, seed=seed, workers=args.workers or 1)
+    ok, lines = run_selftest(out_dir, seed=seed, workers=_integer(args.workers, "workers"))
     for line in lines:
         print(line)
     return 0 if ok else 1

@@ -24,6 +24,9 @@ Exact computation routes:
 * otherwise: exact enumeration of support pairs or plain Monte Carlo over
   prior pairs.
 
+The overlap sums and both enumeration routes end in one log-sum-exp,
+:func:`_log_sum_exp`, a plain numpy reduction.
+
 Enumeration has one route for exchangeable priors (plus-sign uniform
 supports under equicorrelated noise, with or without a universe): a pair
 term depends only on the overlap with the first support, so it sums one term
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ContractError, DomainError, SingularCovarianceError
 from .models import (
@@ -242,7 +245,7 @@ def _subsets(rng: np.random.Generator, population: int, k: int,
     js = np.arange(population - k, population)
     steps = rng.integers(0, js + 1, size=(size, k)).T.copy()  # a row per step
     for i in range(1, k):
-        np.copyto(steps[i], js[i], where=(steps[:i] == steps[i]).any(axis=0))
+        np.copyto(steps[i], js[i], where=np.logical_or.reduce(steps[:i] == steps[i], axis=0))
     return steps.T
 
 
@@ -341,6 +344,28 @@ class DivergenceResult:
 # hypergeometric machinery
 
 
+def _log_sum_exp(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
+    """log(sum(b * exp(a))) over every entry of ``a``, shifted by its maximum.
+
+    The one log-sum-exp of the exact routes: ``scipy.special.logsumexp``
+    without its array-API dispatch, which costs more than the sum at these
+    sizes.  Like scipy, it sums the entries at the maximum apart (their total
+    weight m) and takes log1p of the rest over m, so it rounds as scipy does;
+    the result is +inf when the maximum is +inf and -inf when every entry is
+    -inf.  ``b`` holds positive weights shaped like ``a``.
+    """
+    top = a.max()
+    if not math.isfinite(top):
+        return float(top)
+    terms = np.exp(a - top)
+    if b is not None:
+        terms *= b
+    at_top = a == top
+    m = np.add.reduce(terms[at_top])
+    terms[at_top] = 0.0
+    return float(np.log1p(np.add.reduce(terms, axis=None) / m) + np.log(m) + top)
+
+
 def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
     """Support and log-pmf of the overlap of two uniform subsets.
 
@@ -372,7 +397,7 @@ def hypergeometric_mgf_bound(p: int, s: int, lam_sq: float) -> dict:
     if s == 0:
         return {"exact": 1.0, "bound": 1.0, "mean": 0.0}
     ks, logpmf = hypergeometric_logpmf(p, s, s)
-    exact = float(np.exp(logsumexp(logpmf + lam_sq * ks)))
+    exact = float(np.exp(_log_sum_exp(logpmf + lam_sq * ks)))
     bound = float((1.0 - s / p + (s / p) * math.exp(lam_sq)) ** s)
     mean = s * s / p
     return {"exact": exact, "bound": bound, "mean": mean}
@@ -382,7 +407,7 @@ def _overlap_expectation(population: int, size1: int, size2: int,
                          lam: float, const: float) -> float:
     """E[exp(lam * overlap + const)] over the overlap distribution."""
     ks, logpmf = hypergeometric_logpmf(population, size1, size2)
-    return float(np.exp(logsumexp(logpmf + lam * ks + const)))
+    return float(np.exp(_log_sum_exp(logpmf + lam * ks + const)))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +637,7 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
         N = prior.population
         counts = np.array([math.comb(prior.s, k) * math.comb(N - prior.s, prior.s - k)
                            for k in ks], dtype=float)
-        chi = float(np.exp(logsumexp(terms, b=counts) - math.log(n))) - 1.0
+        chi = float(np.exp(_log_sum_exp(terms, counts) - math.log(n))) - 1.0
         return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
     idx = _support_iter(prior, math.isqrt(ENUMERATION_PAIR_BUDGET))
     if idx is None:
@@ -628,7 +653,7 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     else:
         thetas[rows, idx] = prior.magnitude
     gram = thetas @ precision_apply(model, thetas).T
-    chi = float(np.exp(logsumexp(gram) - 2.0 * math.log(n))) - 1.0
+    chi = float(np.exp(_log_sum_exp(gram) - 2.0 * math.log(n))) - 1.0
     return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
 
 

@@ -275,6 +275,8 @@ class SweepPlan:
             raise ContractError("sweep grids must be nonempty")
         if any(m <= 0 for m in self.multipliers):
             raise ContractError("multipliers must be positive")
+        if self.workers < 1:
+            raise ContractError("workers must be at least 1")
         if self.separation_reference not in ("cell", "gamma0"):
             raise ContractError("separation_reference must be 'cell' or 'gamma0'")
         for R in self.R_grid:

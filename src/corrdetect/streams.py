@@ -10,9 +10,11 @@ worker count or execution order.
 one per call: numpy's entropy mixing (a pool of four 32-bit words, the
 ``hashmix``/``mix`` hashes) runs over the seed and the key, and the four
 64-bit words numpy's ``generate_state`` would give seed ``PCG64``.  The
-mixed pool after the seed and every key entry but the last is cached, so
-the many streams that differ only in their last entry (the replications of
-one unit) mix one word each.
+mixed pool after the seed and every key entry but the last is cached, and
+so are the seed words of aligned blocks of ``_BLOCK`` consecutive last
+entries, computed in one pass of uint64 arithmetic: the many streams that
+differ only in their last entry (the replications of one unit) read one
+row of a cached table each.
 
 Key limits.  ``SeedSequence`` splits every integer into 32-bit words and
 concatenates the words, so a key entry of 2**32 or more would alias a longer
@@ -109,6 +111,42 @@ def _prefix_pool(master_seed, *prefix) -> tuple:
     return tuple(pool), _hash_pairs(h, _MULT_A, _POOL)
 
 
+# consecutive last key entries per cached seed table, and the tables kept:
+# 2 MB of (_BLOCK, 4) uint64 tables
+_BLOCK = 256
+_TABLES = (2 << 20) // (_BLOCK * 4 * 8)
+
+
+def _state(pool: list) -> np.ndarray:
+    """``generate_state(4, uint64)`` for a pool of four uint64 arrays (one
+    entry per stream) or scalars: eight hashed words cycling over the pool,
+    paired low word first, as the last axis of the result."""
+    out = []
+    for x, (a, b) in zip(pool + pool, _OUTPUT):
+        y = (x ^ a) * b & _MASK
+        out.append(y ^ y >> 16)
+    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 2 * _POOL, 2)], axis=-1)
+
+
+@functools.lru_cache(maxsize=_TABLES, typed=True)
+def _seed_table(block: int, master_seed, *prefix) -> np.ndarray:
+    """Row i holds the seed words of the stream ``prefix + (block * _BLOCK + i,)``.
+
+    Every argument is part of the (typed) cache key, so a refused seed or
+    prefix entry never hits the entry of an accepted one that equals it.
+    """
+    pool, pairs = _prefix_pool(master_seed, *prefix)
+    words = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
+    mixed = []
+    for x, (a, b) in zip(pool, pairs):  # _hashmix(word) then _mix into x
+        y = (words ^ a) * b & _MASK
+        r = (_MIX_L * x - _MIX_R * (y ^ y >> 16)) & _MASK
+        mixed.append(r ^ r >> 16)
+    table = _state(mixed)
+    table.setflags(write=False)
+    return table
+
+
 class _Seeds(ISeedSequence):
     """The four uint64 words ``PCG64`` seeds itself from."""
 
@@ -126,22 +164,12 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     spawn_key=key)))``; every call returns a fresh generator.  The seed must
     lie in [0, 2**128) and every key entry in [0, 2**32).
     """
-    # _hashmix and _mix are written out here: this runs once per stream
-    pool, pairs = _prefix_pool(master_seed, *key[:-1])
-    for word in key[-1:]:
-        word = _checked(word, _KEY_LIMIT, "stream key entry")
-        mixed = []
-        for x, (a, b) in zip(pool, pairs):
-            y = (word ^ a) * b & _MASK
-            r = (_MIX_L * x - _MIX_R * (y ^ y >> 16)) & _MASK
-            mixed.append(r ^ r >> 16)
-        pool = mixed
-    out = []  # generate_state(4, uint64): eight words cycling over the pool
-    for x, (a, b) in zip(pool + pool, _OUTPUT):
-        y = (x ^ a) * b & _MASK
-        out.append(y ^ y >> 16)
-    words = np.array([out[0] | out[1] << 32, out[2] | out[3] << 32,
-                      out[4] | out[5] << 32, out[6] | out[7] << 32], dtype=np.uint64)
+    if key:
+        last = _checked(key[-1], _KEY_LIMIT, "stream key entry")
+        words = _seed_table(last // _BLOCK, master_seed, *key[:-1])[last % _BLOCK]
+    else:
+        pool, _ = _prefix_pool(master_seed)
+        words = _state([np.uint64(x) for x in pool])
     return np.random.Generator(np.random.PCG64(_Seeds(words)))
 
 

@@ -228,6 +228,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("section,key,value", [
         ("model", "p", [math.inf]), ("model", "R", [2.5]), ("sweep", "s", [2.5]),
         ("sweep", "multipliers", [math.inf]), ("sweep", "multipliers", [math.nan]),
+        ("sweep", "multipliers", [8.0, -1.0]), ("sweep", "multipliers", [0.0]),
         ("sweep", "n_reps", True), ("test", "n_cal", True), ("test", "n_cal", 1000.0),
         (None, "workers", 2.5), (None, "workers", 0), (None, "workers", -3),
     ])
@@ -286,6 +287,25 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["estimate"]["n_reps"] == 300
         assert 0.0 <= payload["estimate"]["total"] <= 2.0
+
+    @pytest.mark.parametrize("multiplier", [-1.0, 0])
+    def test_nonpositive_risk_multiplier_is_a_config_error(self, tmp_path, multiplier):
+        cfg = {
+            "model": {"family": "equicorrelated", "p": 16, "gamma": 0.0},
+            "test": {"mode": "calibrated", "eta": 0.2, "n_cal": 1000, "s": 3},
+            "risk": {"s": 3, "multiplier": multiplier, "n_reps": 300},
+        }
+        path = tmp_path / "risk.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["risk", "--config", str(path)])
+        assert code == 2 and out == "" and "config error at risk.multiplier:" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_selftest_refuses_fewer_than_one_worker(self, tmp_path, workers):
+        out_dir = tmp_path / "selftest"
+        code, out, err = run_cli(["selftest", "--workers", workers, "--out", str(out_dir)])
+        assert code == 2 and out == "" and "config error at workers:" in err
+        assert not out_dir.exists()
 
     def test_divergence_command(self):
         code, out, _ = run_cli(["divergence", "--prior", "uniform_sparse",

@@ -6,11 +6,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
     _combinations,
+    _log_sum_exp,
     _pair_terms,
     _subsets,
     _support_iter,
@@ -272,6 +276,48 @@ class TestHypergeometricMgf:
             for s in range(0, p + 1):
                 out = hypergeometric_mgf_bound(p, s, 0.45)
                 assert out["exact"] <= out["bound"] * (1 + 1e-12)
+
+
+@st.composite
+def _log_sum_exp_cases(draw):
+    """Finite entries around an offset in [-700, 700], some tied at the
+    maximum, with positive weights up to 1e6 or none."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 300.0]))
+    a = draw(st.floats(-700, 700)) + spread * rng.standard_normal(n)
+    ties = draw(st.integers(0, min(n, 4)))
+    a[rng.choice(n, size=ties, replace=False)] = a.max()
+    weighted = draw(st.booleans())
+    return a, 10.0 ** rng.uniform(-6, 6, size=n) if weighted else None
+
+
+class TestLogSumExp:
+    """The exact routes' log-sum-exp against scipy's."""
+
+    @given(_log_sum_exp_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_scipy(self, case):
+        a, b = case
+        expected = float(logsumexp(a, b=b))
+        assert abs(_log_sum_exp(a, b) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("a,expected", [
+        ([2.5], 2.5),
+        ([-math.inf, 0.0, 1.0], math.log(1.0 + math.e)),
+        ([-math.inf, -math.inf], -math.inf),
+        ([1.0, math.inf, -math.inf], math.inf),
+    ])
+    def test_edge_entries(self, a, expected):
+        a = np.array(a)
+        assert _log_sum_exp(a) == pytest.approx(expected, rel=1e-15)
+        assert _log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-15)
+
+    def test_weights_and_every_axis(self):
+        a = np.arange(6.0).reshape(2, 3)
+        b = np.full((2, 3), 4.0)
+        assert _log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-15)
+        assert _log_sum_exp(a, b) == pytest.approx(_log_sum_exp(a) + math.log(4.0), rel=1e-15)
 
 
 class TestMeanShiftTV:

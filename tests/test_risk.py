@@ -178,6 +178,11 @@ class TestSweep:
             SweepPlan(family=family, p_grid=(16,), s_grid=(2,), gamma_grid=(0.5,),
                       multipliers=(1.0,), n_reps=200, master_seed=0, **extra)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_plan_refuses_fewer_than_one_worker(self, workers):
+        with pytest.raises(ContractError, match="workers"):
+            self._tiny_plan(workers=workers)
+
     def test_non_package_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise IndexError("shape bug inside a cell")

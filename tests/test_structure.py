@@ -1,6 +1,8 @@
 """Structure guards for one dispatch point per concept: the statistic table
-stays private to ``statistics``, and branches on the model class stay few."""
+stays private to ``statistics``, branches on the model class stay few, and
+``divergences._log_sum_exp`` is the only log-sum-exp."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -30,3 +32,12 @@ def test_model_isinstance_checks_stay_few():
     counts = {path.name: len(MODEL_ISINSTANCE.findall(path.read_text())) for path in _sources()}
     assert counts["statistics.py"] == 0
     assert sum(counts.values()) <= MAX_MODEL_ISINSTANCE, counts
+
+
+def test_scipy_logsumexp_is_not_imported():
+    offenders = [f"{path.name}:{node.lineno}" for path in _sources()
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+                     and any(alias.name == "logsumexp" for alias in node.names))
+                 or (isinstance(node, ast.Attribute) and node.attr == "logsumexp")]
+    assert offenders == []
