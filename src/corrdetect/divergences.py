@@ -10,29 +10,32 @@ the expectation over an iid pair from the prior.  We compute the right-hand
 side and call it the IS-value, after the Ingster-Suslina method.  Together
 with d_TV <= sqrt(chi2)/2, any test's total risk is at least 1 - sqrt(chi2)/2.
 
-Exact computation routes:
+Exact routes, chosen from what the model is (its block count, whether its
+blocks are exchangeable, its block sums), not from its class:
 
-* point masses: a single quadratic form (gamma = 1 is allowed when the mass
-  lies in the span of the correlation directions, where the projected
-  one- or R-dimensional sufficient statistic gives the continuous limit of
-  the closed form);
-* uniform sparse supports: the inner product depends on the support overlap
-  only, so the expectation is a hypergeometric sum (log-gamma binomials);
-* supports inside one uniformly chosen group: a two-level overlap sum,
-  1 - 1/R + (1/R) E[...|same group];
-* whole-group supports: a hypergeometric sum over group overlaps;
-* otherwise: exact enumeration of support pairs or plain Monte Carlo over
-  prior pairs.
+* point masses: a single quadratic form, also at gamma = 1 for a mass in the
+  span of the correlation directions (the closed form's continuous limit);
+* uniform sparse supports under a single-block model that weighs every
+  coordinate of the universe alike: a hypergeometric sum over the overlap;
+* supports in one uniformly chosen group, or whole groups, under an
+  exchangeable model whose R blocks are those groups: a two-level overlap
+  sum, 1 - 1/R + (1/R) E[...|same group], or one over group overlaps;
+* otherwise: exact enumeration of support pairs or Monte Carlo over prior
+  pairs, which hold for every model.
+
+Every route refuses a prior of another dimension than the model.  At
+gamma = 1 only point masses in the span and whole-group supports are finite;
+every other prior is refused, whatever the method.
 
 The overlap sums and both enumeration routes end in one log-sum-exp,
 :func:`_log_sum_exp`, a plain numpy reduction.
 
-Enumeration has one route for exchangeable priors (plus-sign uniform
-supports under equicorrelated noise, with or without a universe): a pair
-term depends only on the overlap with the first support, so it sums one term
-per overlap k, weighted by the number of supports at that overlap (a
-closed-form count), and forms no support array.  Every other prior sums the
-n x n Gram matrix of its supports, listed as rows of one index array in
+Enumeration has one route for plus-sign uniform supports under an
+exchangeable single-block model, with or without a universe: a pair term
+depends only on the overlap with the first support, so it sums one term per
+overlap k, weighted by the number of supports at that overlap (a closed-form
+count), and forms no support array.  Every other prior sums the n x n Gram
+matrix of its supports, listed as rows of one index array in
 ``itertools.combinations`` order, so its sums are those of a loop over
 ``combinations``.
 
@@ -68,8 +71,6 @@ from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
     Equicorrelated,
-    Grouped,
-    RankOne,
     _precision_weights,
     precision_apply,
 )
@@ -270,25 +271,31 @@ def _supports(prior: PriorSpec, rng: np.random.Generator, v=None,
         idx = _subsets(rng, prior.population, prior.s, size)
         if prior.universe is not None:
             idx = prior.universe[idx]
-        if prior.signs == "match_pattern":
-            if v is None:
-                raise ContractError("sign matching needs the pattern v")
-            v = np.asarray(v, dtype=float)
-            return idx, prior.magnitude * np.where(v[idx] < 0, -1.0, 1.0)
         if prior.signs == "rademacher":
             return idx, prior.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
-        return idx, prior.magnitude
-    if isinstance(prior, SingleGroupSparse):
+    elif isinstance(prior, SingleGroupSparse):
         bs = prior.p // prior.R
         k = rng.integers(prior.R, size=size)
-        return np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size), prior.magnitude
-    if isinstance(prior, GroupSupported):
+        idx = np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size)
+    elif isinstance(prior, GroupSupported):
         bs = prior.p // prior.R
         groups = _subsets(rng, prior.R, prior.m, size)
         idx = (groups[..., None] * bs + np.arange(bs)).reshape(
             groups.shape[:-1] + (prior.m * bs,))
-        return idx, prior.magnitude
-    raise ContractError(f"unknown prior {type(prior)!r}")
+    else:
+        raise ContractError(f"unknown prior {type(prior)!r}")
+    return idx, _values(prior, idx, v)
+
+
+def _values(prior: PriorSpec, idx: np.ndarray, v):
+    """Values of a sparse draw at its coordinates ``idx``, for every prior but
+    Rademacher signs: the magnitude, signed as the pattern ``v`` for
+    sign-matched priors (a scalar otherwise)."""
+    if getattr(prior, "signs", "plus") != "match_pattern":
+        return prior.magnitude
+    if v is None:
+        raise ContractError("sign matching needs the pattern v")
+    return prior.magnitude * np.where(np.asarray(v, dtype=float)[idx] < 0, -1.0, 1.0)
 
 
 def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
@@ -418,61 +425,27 @@ def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
                     theta2: np.ndarray) -> float:
     """<theta, Sigma^-1 theta2>, extended continuously to gamma = 1 for
     vectors in the span of the correlation direction(s)."""
-    g = model.gamma
-    if g < 1.0:
+    if model.gamma < 1.0:
         return float(theta @ precision_apply(model, theta2))
-    # gamma = 1: only the projected component survives; both vectors must lie
-    # in the span for the divergence to be finite.  One loading vector per
-    # block, in the model's layout; a contiguous copy, as a broadcast view
-    # changes the rounding of ``theta @ u``.
-    R, bs = model.R, model.block_size
-    spans = np.ascontiguousarray(model.scatter_blocks(
-        np.broadcast_to(model.lift(np.eye(R)), (R, R, bs))))
-    total = 0.0
-    proj1 = np.zeros_like(theta)
-    proj2 = np.zeros_like(theta2)
-    for u in spans:
-        c1 = float(theta @ u) / bs
-        c2 = float(theta2 @ u) / bs
-        proj1 += c1 * u
-        proj2 += c2 * u
-        # reduced statistic along u has mean c * ||u|| and variance ||u||^2,
-        # so the pair quadratic contributes c1 * c2
-        total += c1 * c2
+    # gamma = 1: only the block projections survive.  A block's reduced
+    # statistic has mean c = <loadings, block> / block_size and unit variance,
+    # so the pair quadratic is sum_k c1_k c2_k; both vectors must lie in the
+    # span (a zero residual) for the divergence to be finite.
+    blocks = model.block_view(np.stack([theta, theta2]))
+    c = model.project(blocks) / model.block_size
+    residual = blocks - model.lift(c)
     tol = 1e-9 * (1.0 + float(theta @ theta) + float(theta2 @ theta2))
-    if (np.abs(theta - proj1).max(initial=0.0) ** 2 > tol
-            or np.abs(theta2 - proj2).max(initial=0.0) ** 2 > tol):
+    if np.abs(residual).max(initial=0.0) ** 2 > tol:
         raise SingularCovarianceError(
             "gamma = 1 divergence is finite only for priors supported in the "
             "span of the correlation direction(s)")
-    return total
+    return float(np.add.reduce(c[0] * c[1]))
 
 
-def _uniform_sparse_overlap_terms(prior: UniformSparse, model: CorrelationModel):
-    """(population, lam, const) when the quadratic form is overlap-only."""
-    a = prior.magnitude
-    if model.gamma >= 1.0:
-        raise SingularCovarianceError("overlap sums need gamma < 1")
-    if prior.signs == "rademacher":
-        return None  # the signed inner product is not a function of overlap
-    one_minus, coef = _precision_weights(model)
-    lam = a * a / one_minus
-    if isinstance(model, Equicorrelated):
-        return prior.population, lam, -coef * (a * prior.s) ** 2
-    if isinstance(model, RankOne):
-        v = model.v
-        if prior.universe is not None and np.all(v[prior.universe] == 0.0):
-            # support never meets the pattern: the cross term vanishes exactly
-            return prior.population, lam, 0.0
-        pattern_vals = np.abs(v) if prior.signs == "match_pattern" else v
-        uni = prior.universe if prior.universe is not None else np.arange(prior.p)
-        vals = np.unique(np.round(pattern_vals[uni], 12))
-        if vals.size == 1:
-            # |v| constant on the universe: <theta, v> = a * s * vals[0] for
-            # sign-matched draws (or a * s * v0 for plus signs): overlap-only
-            return prior.population, lam, -coef * (a * prior.s * vals[0]) ** 2
-        return None
-    return None  # grouped spread priors are not overlap-only
+def _whole_groups(prior: PriorSpec, model: CorrelationModel) -> bool:
+    """Whether the prior's R groups of p/R consecutive coordinates are the
+    exchangeable blocks of the model, in the model's own layout."""
+    return model.exchangeable and model.R == prior.R and model.canonical is model
 
 
 def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
@@ -484,6 +457,8 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     method: "auto", "closed_form" (point masses), "hypergeometric_sum",
     "exact_enumeration", or "monte_carlo".
     """
+    if prior.p != model.p:
+        raise ContractError("prior and model dimensions differ")
     if isinstance(prior, ShiftedSparse):
         raise ContractError("shifted priors are consumed by risk_lower_bound")
     if isinstance(prior, PointMass):
@@ -491,15 +466,16 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
         return DivergenceResult.from_chi_sq(math.expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")
-    if (model.gamma >= 1.0 and method != "monte_carlo"
-            and not (isinstance(prior, GroupSupported) and isinstance(model, Grouped))):
-        # group-supported priors live in the span, where the overlap sum
-        # below is exact at gamma = 1 too
+    if model.gamma >= 1.0 and not (isinstance(prior, GroupSupported)
+                                   and _whole_groups(prior, model)):
+        # whole groups live in the span, where the overlap sum below is exact
+        # at gamma = 1 too; any other prior leaves it
         raise SingularCovarianceError(
-            "gamma = 1 divergences need span-supported priors or monte_carlo")
+            "gamma = 1 divergences are finite only for priors supported in the "
+            "span of the correlation direction(s)")
 
     if method in ("auto", "hypergeometric_sum"):
-        result = _try_overlap_sum(prior, model)
+        result = _try_overlap_sum(prior, model, v)
         if result is not None:
             return result
         if method == "hypergeometric_sum":
@@ -518,34 +494,40 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     return _monte_carlo_chisq(prior, model, n_mc, rng, v)
 
 
-def _try_overlap_sum(prior, model) -> Optional[DivergenceResult]:
+def _try_overlap_sum(prior, model, v) -> Optional[DivergenceResult]:
+    """The IS-value as a sum over support overlaps, or None when a pair term
+    is not a function of the overlap."""
+    a = prior.magnitude
     if isinstance(prior, UniformSparse):
-        terms = _uniform_sparse_overlap_terms(prior, model)
-        if terms is None:
+        # A pair term is a^2 k / (1 - gamma) - c P(theta) P(theta~) at overlap
+        # k for plus or sign-matched draws (see _pair_terms).  With one block,
+        # P(theta) sums w_i, the loading times the draw's value, over the
+        # support: s w for every support when all the universe has one w.
+        if prior.signs == "rademacher" or model.R != 1:
             return None
-        population, lam, const = terms
-        chi = _overlap_expectation(population, prior.s, prior.s, lam, const) - 1.0
-        return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
-    if isinstance(prior, SingleGroupSparse) and isinstance(model, Grouped):
-        if model.R != prior.R:
-            raise ContractError("prior and model group counts differ")
-        a, bs = prior.magnitude, model.block_size
+        uni = np.arange(prior.p) if prior.universe is None else prior.universe
+        values = np.full(uni.shape, _values(prior, uni, v))
+        w = model.project_support(uni[:, None], values[:, None])[:, 0]
+        if (w != w[0]).any():
+            return None
         one_minus, coef = _precision_weights(model)
-        same = _overlap_expectation(bs, prior.s, prior.s, a * a / one_minus,
+        chi = _overlap_expectation(prior.population, prior.s, prior.s, a * a / one_minus,
+                                   -coef * (prior.s * w[0]) ** 2) - 1.0
+    elif isinstance(prior, SingleGroupSparse) and _whole_groups(prior, model):
+        one_minus, coef = _precision_weights(model)
+        same = _overlap_expectation(model.block_size, prior.s, prior.s, a * a / one_minus,
                                     -coef * (a * prior.s) ** 2)
         chi = (1.0 - 1.0 / prior.R) + same / prior.R - 1.0
-        return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
-    if isinstance(prior, GroupSupported) and isinstance(model, Grouped):
-        if model.R != prior.R:
-            raise ContractError("prior and model group counts differ")
-        a, g, bs = prior.magnitude, model.gamma, model.block_size
+    elif isinstance(prior, GroupSupported) and _whole_groups(prior, model):
+        g, bs = model.gamma, model.block_size
         # whole-group blocks: the centered part vanishes, only group means
         # contribute: <1_B, Sigma^-1 1_B'> = bs / (1-g+g bs) per shared group,
         # which is 1 at gamma = 1 (the reduced statistic of a group)
         lam = a * a * bs / (1.0 - g + g * bs)
         chi = _overlap_expectation(model.R, prior.m, prior.m, lam, 0.0) - 1.0
-        return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
-    return None
+    else:
+        return None
+    return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
 
 
 def _combinations(n: int, r: int) -> np.ndarray:
@@ -609,19 +591,19 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     """IS-value as the exact average over support pairs, or None past
     ``ENUMERATION_PAIR_BUDGET``.
 
-    Exchangeable priors (plus-sign uniform supports under equicorrelated
-    noise) fix the first support and average over the other: one term per
-    overlap k with the first support, weighted by the number of supports at
-    that overlap.  Every other prior sums the n x n Gram matrix of the
-    supports' vectors under the precision.
+    Plus-sign uniform supports under an exchangeable single-block model fix
+    the first support and average over the other: one term per overlap k
+    with the first support, weighted by the number of supports at that
+    overlap.  Every other prior sums the n x n Gram matrix of the supports'
+    vectors under the precision.
     """
     if isinstance(prior, UniformSparse) and prior.signs == "rademacher":
         return None  # sign configurations are not enumerated; use monte_carlo
     if (isinstance(prior, UniformSparse) and prior.signs == "plus"
-            and isinstance(model, Equicorrelated)):
-        # The equicorrelated precision maps the first support's vector to one
-        # value on that support and one off it, so a pair term depends only on
-        # the overlap k with the first support.
+            and model.exchangeable and model.R == 1):
+        # The precision of one exchangeable block maps the first support's
+        # vector to one value on that support and one off it, so a pair term
+        # depends only on the overlap k with the first support.
         n = math.comb(prior.population, prior.s)
         if n > ENUMERATION_PAIR_BUDGET:
             return None
@@ -644,14 +626,7 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
         return None
     n = idx.shape[0]
     thetas = np.zeros((n, prior.p))
-    rows = np.arange(n)[:, None]
-    if isinstance(prior, UniformSparse) and prior.signs == "match_pattern":
-        if v is None:
-            raise ContractError("sign matching needs the pattern v")
-        vv = np.asarray(v, dtype=float)
-        thetas[rows, idx] = prior.magnitude * np.where(vv[idx] < 0, -1.0, 1.0)
-    else:
-        thetas[rows, idx] = prior.magnitude
+    np.put_along_axis(thetas, idx, _values(prior, idx, v), axis=-1)
     gram = thetas @ precision_apply(model, thetas).T
     chi = float(np.exp(_log_sum_exp(gram) - 2.0 * math.log(n))) - 1.0
     return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
@@ -691,10 +666,6 @@ def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
     if n_mc < 2:
         raise ContractError("monte_carlo needs n_mc >= 2 for a standard error")
-    if model.gamma >= 1.0:
-        raise SingularCovarianceError("monte_carlo divergence needs gamma < 1")
-    if prior.p != model.p:
-        raise ContractError("prior and model dimensions differ")
     # about 16s + R numbers per pair in flight (the keys, coordinates,
     # positions and values of 2s entries, and 2R block sums), and never fewer
     # pairs per block than a dense (2n, p) draw would take

@@ -316,7 +316,6 @@ class Observation:
 
     x: np.ndarray
     model: CorrelationModel
-    provenance: Optional[str] = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -354,8 +353,7 @@ def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
-           size: Optional[int] = None, provenance: Optional[str] = None, *,
-           normals: Optional[np.ndarray] = None) -> Observation:
+           size: Optional[int] = None, *, normals: Optional[np.ndarray] = None) -> Observation:
     """Draw from the model via its additive random-effect representation.
 
     ``theta`` may be None (the null).  With ``size`` given, returns a batch of
@@ -389,7 +387,7 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
     # (theta + shared) + noise, summed into the noise (addition commutes exactly)
     x = math.sqrt(1.0 - model.gamma) * model.block_view(z)
     x += theta + model.lift(math.sqrt(model.gamma) * w)
-    return Observation(x=model.scatter_blocks(x), model=model, provenance=provenance)
+    return Observation(x=model.scatter_blocks(x), model=model)
 
 
 def _as_array(x) -> np.ndarray:

@@ -154,6 +154,8 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         raise ContractError("alternatives must be nonempty")
     if n_reps < 100:
         raise ContractError("n_reps must be at least 100")
+    if workers < 1:
+        raise ContractError("workers must be at least 1")
     start_time = time.perf_counter()
     v = getattr(model, "v", None)
     keys = {}  # stream token -> descriptor key, in first-seen order
@@ -174,7 +176,7 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         if workers > 1 and executor is None:
             own_executor = ProcessPoolExecutor(max_workers=workers)
             executor = own_executor
-        chunk = max(200, n_reps // (8 * max(workers, 1)))
+        chunk = max(200, n_reps // (8 * workers))
         tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
                   a, min(a + chunk, n_reps), v)
                  for alt, kind, alt_code in units

@@ -48,6 +48,10 @@ def brute_force_chisq(prior, model, v=None):
         supports = [tuple(k * bs + np.asarray(S))
                     for k in range(prior.R)
                     for S in combinations(range(bs), prior.s)]
+    elif isinstance(prior, GroupSupported):
+        bs = prior.p // prior.R
+        supports = [tuple(k * bs + j for k in G for j in range(bs))
+                    for G in combinations(range(prior.R), prior.m)]
     else:
         raise AssertionError("oracle handles sparse priors only")
     total = 0.0
@@ -638,8 +642,125 @@ def test_monte_carlo_covers_exact_at_large_p(prior, model):
     assert abs(mc.chi_sq - exact.chi_sq) <= 4 * mc.stderr
 
 
-def test_monte_carlo_refuses_a_prior_of_another_dimension():
+# Routing by what the model is: block count, exchangeable blocks, block sums
+
+_SIGNS16 = np.tile([1.0, -1.0], 8)
+_GAMMA_ONE_MODELS = [Equicorrelated(16, 1.0), Grouped(16, 2, 1.0), Grouped(16, 4, 1.0),
+                     RankOne(16, 1.0, _SIGNS16)]
+_GAMMA_ONE_PRIORS = [
+    UniformSparse(16, 3, 0.4),
+    UniformSparse(16, 3, 0.4, signs="match_pattern"),
+    UniformSparse(16, 3, 0.4, signs="rademacher"),
+    UniformSparse(16, 3, 0.4, universe=np.arange(4, 12)),
+    SingleGroupSparse(16, 2, 3, 0.4),
+    SingleGroupSparse(16, 4, 3, 0.4),
+    GroupSupported(16, 2, 1, 0.4),
+    GroupSupported(16, 4, 2, 0.4),
+    GroupSupported(16, 1, 1, 0.4),  # one whole group: the point mass 0.4 * 1
+]
+
+
+@pytest.mark.parametrize("with_rng", [False, True])
+@pytest.mark.parametrize("method", ["auto", "hypergeometric_sum", "exact_enumeration",
+                                    "monte_carlo"])
+@pytest.mark.parametrize("model", _GAMMA_ONE_MODELS, ids=lambda m: f"{m.family}-R{m.R}")
+@pytest.mark.parametrize("prior", _GAMMA_ONE_PRIORS,
+                         ids=lambda pr: "-".join(str(x) for x in pr.descriptor().values()))
+def test_gamma_one_refuses_every_prior_off_the_span(prior, model, method, with_rng):
+    rng = np.random.default_rng(0) if with_rng else None
+    whole = isinstance(prior, GroupSupported) and prior.R == model.R and model.exchangeable
+    if whole and method in ("auto", "hypergeometric_sum"):
+        res = ingster_suslina_chisq(prior, model, method=method, rng=rng, v=_SIGNS16)
+        assert res.method == "hypergeometric_sum" and math.isfinite(res.chi_sq)
+        if prior.m == prior.R:
+            point = ingster_suslina_chisq(PointMass(np.full(16, prior.magnitude)), model)
+            assert res.chi_sq == pytest.approx(point.chi_sq, rel=1e-12)
+        return
+    if whole and method == "monte_carlo" and rng is None:
+        # the prior lies in the span; the route itself needs an rng
+        with pytest.raises(ContractError, match="rng"):
+            ingster_suslina_chisq(prior, model, method=method, v=_SIGNS16)
+        return
+    with pytest.raises(SingularCovarianceError) as refusal:
+        ingster_suslina_chisq(prior, model, method=method, n_mc=100, rng=rng, v=_SIGNS16)
+    assert "monte_carlo" not in str(refusal.value)
+
+
+@pytest.mark.parametrize("method", ["auto", "hypergeometric_sum", "exact_enumeration",
+                                    "monte_carlo"])
+@pytest.mark.parametrize("prior,model", [
+    (UniformSparse(10, 2, 0.5), Equicorrelated(20, 0.3)),
+    (UniformSparse(32, 2, 0.4, signs="rademacher"), Equicorrelated(64, 0.3)),
+    (SingleGroupSparse(12, 4, 2, 0.5), Grouped(24, 4, 0.3)),
+    (GroupSupported(12, 4, 2, 0.5), Grouped(24, 4, 0.3)),
+    (PointMass(np.ones(12)), Equicorrelated(24, 0.3)),
+], ids=["uniform", "rademacher", "single-group", "group-supported", "point-mass"])
+def test_every_route_refuses_a_prior_of_another_dimension(prior, model, method):
     with pytest.raises(ContractError, match="dimension"):
-        ingster_suslina_chisq(UniformSparse(32, 2, 0.4, signs="rademacher"),
-                              Equicorrelated(64, 0.3), method="monte_carlo", n_mc=100,
+        ingster_suslina_chisq(prior, model, method=method, n_mc=100,
                               rng=np.random.default_rng(0))
+    with pytest.raises(ContractError, match="dimension"):
+        risk_lower_bound(prior, model, method=method, n_mc=100,
+                         rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("prior,model", [
+    (UniformSparse(10, 3, 0.45), Grouped(10, 1, 0.4)),
+    (UniformSparse(10, 3, 0.45, universe=np.arange(2, 9)), Grouped(10, 1, 0.7)),
+    (SingleGroupSparse(9, 1, 3, 0.45), Equicorrelated(9, 0.4)),
+])
+def test_single_block_models_take_the_overlap_sum(prior, model):
+    res = ingster_suslina_chisq(prior, model)
+    assert res.method == "hypergeometric_sum"
+    assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
+
+
+def test_group_count_mismatch_is_enumerated():
+    prior, model = SingleGroupSparse(12, 3, 2, 0.5), Grouped(12, 4, 0.4)
+    res = ingster_suslina_chisq(prior, model)
+    assert res.method == "exact_enumeration"
+    assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
+    with pytest.raises(ContractError, match="overlap"):
+        ingster_suslina_chisq(prior, model, method="hypergeometric_sum")
+
+
+@pytest.mark.parametrize("prior", [SingleGroupSparse(12, 3, 2, 0.5),
+                                   GroupSupported(12, 3, 1, 0.5)])
+def test_relabelled_groups_are_not_the_prior_groups(prior):
+    # the prior picks p/R consecutive coordinates; these model groups interleave
+    model = Grouped(12, 3, 0.4, labels=np.tile(np.arange(3), 4))
+    res = ingster_suslina_chisq(prior, model)
+    assert res.method == "exact_enumeration"
+    assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
+    with pytest.raises(SingularCovarianceError):
+        ingster_suslina_chisq(prior, Grouped(12, 3, 1.0, labels=model.labels))
+
+
+@pytest.mark.parametrize("signs", ["plus", "match_pattern"])
+def test_rank_one_universe_inside_a_flat_support(signs):
+    # _hetero_pattern's shape: a constant bump on the first coordinates, zero
+    # elsewhere; a universe inside the bump weighs every coordinate alike
+    p = 64
+    v = np.zeros(p)
+    v[:math.isqrt(p)] = p ** 0.25
+    model = RankOne(p, 0.6, v)
+    prior = UniformSparse(p, 3, 0.5, signs=signs, universe=np.arange(1, 7))
+    hyp = ingster_suslina_chisq(prior, model, method="hypergeometric_sum", v=v)
+    enum = ingster_suslina_chisq(prior, model, method="exact_enumeration", v=v)
+    assert abs(hyp.chi_sq - enum.chi_sq) <= 1e-12 * abs(enum.chi_sq)
+    # a universe reaching past the bump is not overlap-only
+    wide = UniformSparse(p, 3, 0.5, signs=signs, universe=np.arange(4, 12))
+    assert ingster_suslina_chisq(wide, model, v=v).method == "exact_enumeration"
+
+
+def test_sign_matching_under_one_exchangeable_block_follows_the_signs():
+    # mixed signs make the block sum depend on the support, so no overlap sum
+    prior, model = UniformSparse(8, 2, 0.5, signs="match_pattern"), Equicorrelated(8, 0.3)
+    mixed = np.tile([1.0, -1.0], 4)
+    res = ingster_suslina_chisq(prior, model, v=mixed)
+    enum = ingster_suslina_chisq(prior, model, method="exact_enumeration", v=mixed)
+    assert res.method == "exact_enumeration" and res.chi_sq == enum.chi_sq
+    plus = ingster_suslina_chisq(UniformSparse(8, 2, 0.5), model)
+    assert ingster_suslina_chisq(prior, model, v=-np.ones(8)).chi_sq == plus.chi_sq
+    with pytest.raises(ContractError, match="pattern v"):
+        ingster_suslina_chisq(prior, model)

@@ -90,6 +90,13 @@ class TestEstimateRisk:
             estimate_risk(test, model, [make_sparse_signal(32, 1, 1.0)], 50,
                           master_seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_refuses_fewer_than_one_worker(self, workers):
+        test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
+        with pytest.raises(ContractError, match="workers"):
+            estimate_risk(test, model_for(test), [UniformSparse(16, 3, 1.2)], 200,
+                          master_seed=0, workers=workers)
+
     def test_colliding_stream_tokens_are_refused(self, monkeypatch):
         test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
         model = model_for(test)

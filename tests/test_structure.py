@@ -1,6 +1,8 @@
 """Structure guards for one dispatch point per concept: the statistic table
-stays private to ``statistics``, branches on the model class stay few, and
-``divergences._log_sum_exp`` is the only log-sum-exp."""
+stays private to ``statistics``, the only branches on the model class are the
+shifted route's two equicorrelated requirements in ``divergences`` (every
+other route asks the model for its block count, exchangeable blocks and block
+sums), and ``divergences._log_sum_exp`` is the only log-sum-exp."""
 
 import ast
 import re
@@ -8,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corrdetect"
 MODEL_ISINSTANCE = re.compile(r"isinstance\(\s*[\w.]+\s*,\s*\(?\s*(Equicorrelated|Grouped|RankOne)\b")
-MAX_MODEL_ISINSTANCE = 8
+MAX_MODEL_ISINSTANCE = 2
 # a private of ``statistics`` named through the module or imported from it
 PRIVATE_REACH_IN = re.compile(r"\bstats\._|statistics import[ (]*_")
 
