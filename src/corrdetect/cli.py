@@ -3,12 +3,14 @@
 Subcommands: ``rate`` (closed-form separation rates), ``calibrate`` (build
 and serialize a calibrated test), ``risk`` (one risk estimate from a config),
 ``sweep`` (grid of risk estimates -> CSV + JSON manifest), ``divergence``
-(prior divergence reports as JSON rows), and ``selftest``.
+(prior divergence reports as JSON rows), and ``selftest``.  The flags of
+``rate``, ``calibrate`` and ``divergence`` go, as ``model.*``, ``test.*`` and
+``prior.*`` fields, through the validators of the configs.
 
 Exit codes: 0 success, 2 configuration error (with a field-path diagnostic),
 1 runtime failure (for ``sweep``: some cell failed; the CSV and manifest are
-still written and the failed cells listed on stderr).  The master seed falls back to the CORRDETECT_SEED
-environment variable when no flag is given; it must be an integer in [0, 2**128).
+still written and the failed cells listed on stderr).  The master seed falls
+back to CORRDETECT_SEED; it must be an integer in [0, 2**128).
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, CorrdetectError
+from .errors import ConfigError, ContractError, CorrdetectError, DomainError
 from .divergences import (
+    METHODS,
+    SIGN_RULES,
     GroupSupported,
     PointMass,
     ShiftedSparse,
@@ -36,6 +40,7 @@ from .procedures import build_test, model_for
 from .rates import rate_for
 from .risk import (
     SweepPlan,
+    _atomic_write,
     default_alternatives,
     estimate_risk,
     run_sweep,
@@ -46,6 +51,16 @@ from .streams import _SEED_LIMIT, substream
 
 _FAMILIES = {"eq": "equicorrelated", "equicorrelated": "equicorrelated",
              "grouped": "grouped", "rankone": "rank_one", "rank_one": "rank_one"}
+
+# one constructor per divergence prior, from validated flags (a: the magnitude)
+_PRIORS = {
+    "point_mass": lambda p, s, a, **_: PointMass(np.r_[np.full(s, a), np.zeros(p - s)]),
+    "uniform_sparse": lambda p, s, a, signs, **_: UniformSparse(p, s, a, signs=signs),
+    "single_group_sparse": lambda p, R, s, a, **_: SingleGroupSparse(p, R, s, a),
+    "group_supported": lambda p, R, m, a, **_: GroupSupported(p, R, m, a),
+    "shifted_sparse": lambda p, s, a, **_: ShiftedSparse(p, s, a),
+}
+_GROUP_PRIORS = ("single_group_sparse", "group_supported")
 
 
 def _load_pattern(path: str, p_grid) -> np.ndarray:
@@ -137,6 +152,24 @@ def _grid(value, path, check) -> list:
     return [check(x, path) for x in values]
 
 
+def _sparsities(value, p_grid, path) -> list:
+    """A sparsity grid: integers in [1, p] for every p in ``p_grid``."""
+    s_grid = _grid(value, path, _integer)
+    if max(s_grid) > min(p_grid):
+        raise ConfigError(path, f"{max(s_grid)} outside [1, {min(p_grid)}]")
+    return s_grid
+
+
+def _group_counts(value, p_grid, path) -> list:
+    """A group-count grid: integers that divide every p in ``p_grid``."""
+    R_grid = _grid(value, path, _integer)
+    for p in p_grid:
+        for R in R_grid:
+            if p % R:
+                raise ConfigError(path, f"R={R} does not divide p={p}")
+    return R_grid
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -153,6 +186,7 @@ def load_config(path: str) -> dict:
 
 
 def _validate_model_grids(cfg: dict):
+    """(family, p_grid, gamma_grid, R_grid, v) of ``cfg["model"]``."""
     model = _require(cfg, "(root)", "model", dict)
     _reject_unknown(model, "model", {"family", "p", "gamma", "R", "v_file"})
     family = _require(model, "model", "family", str)
@@ -165,21 +199,19 @@ def _validate_model_grids(cfg: dict):
     for g in gamma_grid:
         if not 0.0 <= g <= 1.0:
             raise ConfigError("model.gamma", f"gamma={g} outside [0, 1]")
-    _check_model_fields(family, R=model.get("R"), v_file=model.get("v_file"))
-    R_grid = [None]
-    if family == "grouped":
-        R_grid = _grid(_require(model, "model", "R", (int, list)), "model.R", _integer)
-        for p in p_grid:
-            for R in R_grid:
-                if R < 1 or p % R != 0:
-                    raise ConfigError("model.R", f"R={R} does not divide p={p}")
-    v = None
-    if family == "rank_one":
-        v = _load_pattern(_require(model, "model", "v_file", str), p_grid)
+    for key, name in (("R", "R"), ("v_file", "v")):
+        try:
+            check_family(family, **{name: model.get(key)})
+        except ContractError as exc:
+            raise ConfigError(f"model.{key}", str(exc)) from None
+    R_grid = (_group_counts(_require(model, "model", "R", (int, list)), p_grid, "model.R")
+              if family == "grouped" else [None])
+    v = (_load_pattern(_require(model, "model", "v_file", str), p_grid)
+         if family == "rank_one" else None)
     return family, p_grid, gamma_grid, R_grid, v
 
 
-def _validate_test(cfg: dict):
+def _validate_test(cfg: dict, p_grid):
     test = _require(cfg, "(root)", "test", dict, optional=True, default={})
     _reject_unknown(test, "test", {"mode", "eta", "n_cal", "C", "s"})
     mode = _require(test, "test", "mode", str, optional=True, default="calibrated")
@@ -191,48 +223,53 @@ def _validate_test(cfg: dict):
     n_cal = _integer(_require(test, "test", "n_cal", int, optional=True, default=4000),
                      "test.n_cal")
     C = _require(test, "test", "C", (int, float), optional=True)
-    if mode == "paper_constants" and C is None:
-        raise ConfigError("test.C", "paper_constants mode needs C")
+    if (mode == "paper_constants") != (C is not None):
+        raise ConfigError("test.C", "paper_constants mode needs C, and only it uses C")
     s = _require(test, "test", "s", (int, str), optional=True)
     if isinstance(s, str) and s != "adaptive":
         raise ConfigError("test.s", "s must be an integer or 'adaptive'")
     if s is not None and not isinstance(s, str):
-        s = _integer(s, "test.s")
+        [s] = _sparsities(s, p_grid, "test.s")
     return mode, eta, n_cal, None if C is None else _finite(C, "test.C"), s
 
 
+def _validate_front(cfg: dict, command: str, keys, seed, workers):
+    """What ``risk`` and ``sweep`` configs share: root keys, model, test, the
+    command's own block (its keys), and seed and workers (a flag wins)."""
+    _reject_unknown(cfg, "(root)", {"command", "model", "test", command, "out", "seed", "workers"})
+    model = _validate_model_grids(cfg)
+    test = _validate_test(cfg, p_grid=model[1])
+    block = _require(cfg, "(root)", command, dict)
+    _reject_unknown(block, command, keys)
+    seed = _master_seed(seed if seed is not None else cfg.get("seed"))
+    workers = _integer(workers if workers is not None else cfg.get("workers", 1), "workers")
+    return model, test, block, seed, workers
+
+
 def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
-    _reject_unknown(cfg, "(root)", {"command", "model", "test", "sweep", "out",
-                                    "seed", "workers"})
-    family, p_grid, gamma_grid, R_grid, v = _validate_model_grids(cfg)
-    mode, eta, n_cal, C, s_fixed = _validate_test(cfg)
-    sweep = _require(cfg, "(root)", "sweep", dict)
-    _reject_unknown(sweep, "sweep", {"s", "multipliers", "n_reps",
-                                     "separation_reference", "adaptive"})
-    adaptive = bool(_require(sweep, "sweep", "adaptive", bool, optional=True,
-                             default=False))
-    s_grid = _grid(_require(sweep, "sweep", "s", list), "sweep.s", _integer)
-    for p in p_grid:
-        for s in s_grid:
-            if not 1 <= s <= p:
-                raise ConfigError("sweep.s", f"s={s} outside [1, p={p}]")
+    model, test, sweep, seed, workers = _validate_front(
+        cfg, "sweep", {"s", "multipliers", "n_reps", "separation_reference", "adaptive"},
+        seed, workers)
+    family, p_grid, gamma_grid, R_grid, v = model
+    mode, eta, n_cal, C, s_fixed = test
+    if s_fixed is not None:
+        raise ConfigError("test.s", "a sweep takes its sparsities from sweep.s and its "
+                                    "adaptive test from sweep.adaptive")
+    adaptive = _require(sweep, "sweep", "adaptive", bool, optional=True, default=False)
+    s_grid = _sparsities(_require(sweep, "sweep", "s", list), p_grid, "sweep.s")
     multipliers = _grid(_require(sweep, "sweep", "multipliers", list), "sweep.multipliers",
                         _positive)
     n_reps = _integer(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000),
                       "sweep.n_reps")
-    sep = _require(sweep, "sweep", "separation_reference", str, optional=True,
-                   default="cell")
+    sep = _require(sweep, "sweep", "separation_reference", str, optional=True, default="cell")
     if sep not in ("cell", "gamma0"):
         raise ConfigError("sweep.separation_reference", "must be 'cell' or 'gamma0'")
-    seed = _master_seed(seed if seed is not None else cfg.get("seed"))
-    workers = _integer(workers if workers is not None else cfg.get("workers", 1), "workers")
     try:
         return SweepPlan(family=family, p_grid=tuple(p_grid), s_grid=tuple(s_grid),
                          gamma_grid=tuple(gamma_grid), multipliers=tuple(multipliers),
                          n_reps=n_reps, master_seed=seed, R_grid=tuple(R_grid), v=v,
-                         mode=mode, eta=eta, C=C, n_cal=n_cal,
-                         separation_reference=sep, workers=workers,
-                         adaptive=adaptive)
+                         mode=mode, eta=eta, C=C, n_cal=n_cal, separation_reference=sep,
+                         workers=workers, adaptive=adaptive)
     except CorrdetectError as exc:
         raise ConfigError("sweep", str(exc))
 
@@ -241,94 +278,71 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
 # subcommands
 
 
-def _check_model_fields(family: str, **fields) -> None:
-    """:func:`check_family` on each model field given (``R``, ``v_file``), a
-    refusal raised as a ConfigError at that field's path."""
-    for key, value in fields.items():
-        try:
-            check_family(family, **{"v" if key == "v_file" else key: value})
-        except ContractError as exc:
-            raise ConfigError(f"model.{key}", str(exc))
+def _flag_model(args, R):
+    """(family, p, gamma, R, v) of the model flags, checked as a config's
+    model block; ``R`` is the model's group count, if any."""
+    model = dict(family=args.family, p=args.p, gamma=args.gamma, R=R, v_file=args.v_file)
+    family, (p,), (gamma,), (R,), v = _validate_model_grids({"model": model})
+    return family, p, gamma, R, v
 
 
-def _model_flags(args, prior_takes_R: bool = False) -> tuple:
-    """(family, R, v) from the model flags, refused as the config path refuses
-    its fields.  With ``prior_takes_R``, --R belongs to the prior, and to the
-    model as well only in the grouped family."""
-    family = _FAMILIES[args.family]
-    R = None if prior_takes_R and family != "grouped" else args.R
-    _check_model_fields(family, R=R, v_file=args.v_file)
-    v = _load_pattern(args.v_file, [args.p]) if args.v_file else None
-    return family, R, v
+def _emit(payload: str, out) -> None:
+    """``payload`` written atomically to the file ``out``, else to stdout."""
+    if out:
+        _atomic_write(out, payload)
+    else:
+        sys.stdout.write(payload)
 
 
 def _cmd_rate(args) -> int:
-    family, R, v = _model_flags(args)
-    result = rate_for(family, args.p, args.s, args.gamma, R, v)
+    family, p, gamma, R, v = _flag_model(args, args.R)
+    [s] = _sparsities(args.s, [p], "s")
+    result = rate_for(family, p, s, gamma, R, v)
     print(f"regime {result.regime}")
-    if result.uncharacterized:
-        print("rate_sq uncharacterized")
-    else:
-        print(f"rate_sq {result.value:.4f}")
+    print("rate_sq uncharacterized" if result.uncharacterized
+          else f"rate_sq {result.value:.4f}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    family, R, v = _model_flags(args)
+    family, p, gamma, R, v = _flag_model(args, args.R)
+    if args.adaptive == (args.s is not None):
+        raise ConfigError("test.s", "give one of --s and --adaptive")
+    block = {"eta": args.eta, "n_cal": args.n_cal, "s": "adaptive" if args.adaptive else args.s}
+    mode, eta, n_cal, _, s = _validate_test({"test": block}, [p])
     seed = _master_seed(args.seed)
-    s = "adaptive" if args.adaptive else args.s
-    if s is None:
-        raise ConfigError("test.s", "give --s or --adaptive")
-    test = build_test(family, args.p, s, args.gamma, R=R, v=v,
-                      mode="calibrated", eta=args.eta, n_cal=args.n_cal,
+    test = build_test(family, p, s, gamma, R=R, v=v, mode=mode, eta=eta, n_cal=n_cal,
                       rng=substream(seed, 0), seed_label=f"seed={seed}")
-    payload = test.to_json(indent=2, sort_keys=True) + "\n"
-    if args.out:
-        from .risk import _atomic_write
-        _atomic_write(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(test.to_json(indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_risk(args) -> int:
     cfg = load_config(args.config)
-    _reject_unknown(cfg, "(root)", {"command", "model", "test", "risk", "out",
-                                    "seed", "workers"})
-    family, p_grid, gamma_grid, R_grid, v = _validate_model_grids(cfg)
+    model, (mode, eta, n_cal, C, s), block, seed, workers = _validate_front(
+        cfg, "risk", {"s", "multiplier", "n_reps"}, args.seed, args.workers)
+    family, p_grid, gamma_grid, R_grid, v = model
     if len(p_grid) != 1 or len(gamma_grid) != 1 or len(R_grid) != 1:
         raise ConfigError("model", "risk runs need scalar model parameters")
-    mode, eta, n_cal, C, s = _validate_test(cfg)
-    block = _require(cfg, "(root)", "risk", dict)
-    _reject_unknown(block, "risk", {"s", "multiplier", "n_reps"})
+    (p,), (gamma,), (R,) = p_grid, gamma_grid, R_grid
     s_true = _require(block, "risk", "s", int, optional=True,
                       default=s if isinstance(s, int) else None)
     if s_true is None:
         raise ConfigError("risk.s", "missing sparsity")
-    s_true = _integer(s_true, "risk.s")
+    [s_true] = _sparsities(s_true, [p], "risk.s")
     mult = _positive(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
     n_reps = _integer(_require(block, "risk", "n_reps", int, optional=True, default=1000),
                       "risk.n_reps")
-    p, gamma, R = p_grid[0], gamma_grid[0], R_grid[0]
-    seed = _master_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    workers = _integer(args.workers if args.workers is not None else cfg.get("workers", 1),
-                       "workers")
     rate = rate_for(family, p, s_true, gamma, R, v)
     if rate.uncharacterized:
         raise ConfigError("risk.s", "rate uncharacterized for this configuration")
-    test_s = s if s is not None else s_true
-    test = build_test(family, p, test_s, gamma, R=R, v=v, mode=mode, eta=eta,
-                      n_cal=n_cal, C=C, rng=substream(seed, 0))
+    test = build_test(family, p, s_true if s is None else s, gamma, R=R, v=v, mode=mode,
+                      eta=eta, n_cal=n_cal, C=C, rng=substream(seed, 0))
     alts = default_alternatives(family, p, s_true, gamma, R, v, mult * rate.value)
     est = estimate_risk(test, model_for(test), alts, n_reps, seed, workers=workers)
-    payload = json.dumps({"rate": {"regime": rate.regime, "rate_sq": rate.value},
-                          "multiplier": mult, "estimate": est.descriptor()},
-                         indent=2, sort_keys=True) + "\n"
-    if args.out:
-        from .risk import _atomic_write
-        _atomic_write(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps({"rate": {"regime": rate.regime, "rate_sq": rate.value},
+                      "multiplier": mult, "estimate": est.descriptor()},
+                     indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -339,8 +353,8 @@ def _cmd_sweep(args) -> int:
     rows, reports = run_sweep(plan)
     csv_path = os.path.join(args.out, "sweep.csv")
     write_rows_csv(rows, csv_path)
-    manifest_path = os.path.join(args.out, "manifest.json")
-    write_manifest(plan, reports, csv_path, manifest_path, config=cfg)
+    write_manifest(plan, reports, csv_path, os.path.join(args.out, "manifest.json"),
+                   config=cfg)
     failures = [r for r in reports if r["status"] != "ok"]
     print(f"wrote {csv_path} ({len(rows)} rows; {len(failures)} failed cells)")
     for r in failures:
@@ -349,41 +363,41 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
+def _prior(args, p: int, v):
+    """The divergence prior of the flags, each checked at its ``prior.*`` path."""
+    magnitude = _finite(args.magnitude, "prior.magnitude")
+    if args.signs != "plus" and args.prior != "uniform_sparse":
+        raise ConfigError("prior.signs", f"{args.prior} has no sign rule; its signs are plus")
+    if args.signs == "match_pattern" and v is None:
+        raise ConfigError("prior.signs", "match_pattern needs the rank-one pattern")
+    R, top = None, p - 1 if args.prior == "shifted_sparse" else p
+    if args.prior in _GROUP_PRIORS:
+        if args.R is None:
+            raise ConfigError("model.R", "this prior needs --R")
+        [R] = _group_counts(args.R, [p], "prior.R")
+        _sparsities(args.m, [R], "prior.m")
+        if args.prior == "single_group_sparse":
+            top = p // R
+    [s] = _sparsities(args.s, [top], "prior.s")
+    return _PRIORS[args.prior](p=p, R=R, s=s, m=args.m, a=magnitude, signs=args.signs)
+
+
 def _cmd_divergence(args) -> int:
-    family, R, v = _model_flags(
-        args, prior_takes_R=args.prior in ("single_group_sparse", "group_supported"))
-    model = model_from(family, args.p, args.gamma, R, v)
-    if args.prior == "point_mass":
-        theta = np.zeros(args.p)
-        theta[: args.s] = args.magnitude
-        prior = PointMass(theta)
-    elif args.prior == "uniform_sparse":
-        prior = UniformSparse(args.p, args.s, args.magnitude, signs=args.signs)
-    elif args.prior == "single_group_sparse":
-        if args.R is None:
-            raise ConfigError("model.R", "this prior needs --R")
-        prior = SingleGroupSparse(args.p, args.R, args.s, args.magnitude)
-    elif args.prior == "group_supported":
-        if args.R is None:
-            raise ConfigError("model.R", "this prior needs --R")
-        prior = GroupSupported(args.p, args.R, args.m, args.magnitude)
-    elif args.prior == "shifted_sparse":
-        prior = ShiftedSparse(args.p, args.s, args.magnitude)
-    else:
-        raise ConfigError("prior", f"unknown prior {args.prior!r}")
-    seed = _master_seed(args.seed)
+    in_model = args.prior not in _GROUP_PRIORS or _FAMILIES[args.family] == "grouped"
+    family, p, gamma, R, v = _flag_model(args, args.R if in_model else None)
+    prior = _prior(args, p, v)
+    model = model_from(family, p, gamma, R, v)
+    kwargs = dict(method=args.method, n_mc=args.n_mc, rng=substream(_master_seed(args.seed), 0),
+                  v=v)
+    row = {"prior": prior.descriptor(), "model": model.descriptor(), "method": args.method}
     if isinstance(prior, ShiftedSparse):
-        bound = risk_lower_bound(prior, model, method=args.method,
-                                 rng=substream(seed, 0), v=v)
-        row = {"prior": prior.descriptor(), "model": model.descriptor(),
-               "method": args.method, "risk_bound": bound}
+        row["risk_bound"] = risk_lower_bound(prior, model, **kwargs)
     else:
-        res = ingster_suslina_chisq(prior, model, method=args.method,
-                                    n_mc=args.n_mc, rng=substream(seed, 0), v=v)
-        row = {"prior": prior.descriptor(), "model": model.descriptor(),
-               "method": res.method}
-        row.update(res.descriptor())
-    print(json.dumps(row, sort_keys=True))
+        row.update(ingster_suslina_chisq(prior, model, **kwargs).descriptor())
+    try:
+        print(json.dumps(row, sort_keys=True, allow_nan=False))
+    except ValueError:
+        raise DomainError("the divergence is not a finite float") from None
     return 0
 
 
@@ -409,8 +423,7 @@ def _parser() -> argparse.ArgumentParser:
     def add_model_flags(p, need_s=True):
         p.add_argument("--family", required=True, choices=sorted(_FAMILIES))
         p.add_argument("--p", type=int, required=True)
-        if need_s:
-            p.add_argument("--s", type=int, required=True)
+        p.add_argument("--s", type=int, required=need_s)
         p.add_argument("--gamma", type=float, required=True)
         p.add_argument("--R", type=int)
         p.add_argument("--v-file", dest="v_file")
@@ -421,7 +434,6 @@ def _parser() -> argparse.ArgumentParser:
 
     cal_p = sub.add_parser("calibrate", help="build a calibrated test, emit JSON")
     add_model_flags(cal_p, need_s=False)
-    cal_p.add_argument("--s", type=int)
     cal_p.add_argument("--adaptive", action="store_true")
     cal_p.add_argument("--eta", type=float, default=0.1)
     cal_p.add_argument("--n-cal", dest="n_cal", type=int, default=4000)
@@ -429,31 +441,21 @@ def _parser() -> argparse.ArgumentParser:
     cal_p.add_argument("--out")
     cal_p.set_defaults(func=_cmd_calibrate)
 
-    risk_p = sub.add_parser("risk", help="one risk estimate from a config file")
-    risk_p.add_argument("--config", required=True)
-    risk_p.add_argument("--out")
-    risk_p.add_argument("--seed", type=int)
-    risk_p.add_argument("--workers", type=int)
-    risk_p.set_defaults(func=_cmd_risk)
-
-    sweep_p = sub.add_parser("sweep", help="risk table over a parameter grid")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--workers", type=int)
-    sweep_p.set_defaults(func=_cmd_sweep)
+    for name, func, about in (("risk", _cmd_risk, "one risk estimate from a config file"),
+                              ("sweep", _cmd_sweep, "risk table over a parameter grid")):
+        cfg_p = sub.add_parser(name, help=about)
+        cfg_p.add_argument("--config", required=True)
+        cfg_p.add_argument("--out", required=name == "sweep")
+        cfg_p.add_argument("--seed", type=int)
+        cfg_p.add_argument("--workers", type=int)
+        cfg_p.set_defaults(func=func)
 
     div_p = sub.add_parser("divergence", help="chi-square divergence report")
-    div_p.add_argument("--prior", required=True,
-                       choices=["point_mass", "uniform_sparse", "single_group_sparse",
-                                "group_supported", "shifted_sparse"])
-    div_p.add_argument("--method", default="auto",
-                       choices=["auto", "closed_form", "hypergeometric_sum",
-                                "exact_enumeration", "monte_carlo"])
+    div_p.add_argument("--prior", required=True, choices=list(_PRIORS))
+    div_p.add_argument("--method", default="auto", choices=METHODS)
     div_p.add_argument("--magnitude", type=float, required=True)
     div_p.add_argument("--m", type=int, default=1)
-    div_p.add_argument("--signs", default="plus",
-                       choices=["plus", "match_pattern", "rademacher"])
+    div_p.add_argument("--signs", default="plus", choices=SIGN_RULES)
     div_p.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
     div_p.add_argument("--seed", type=int)
     add_model_flags(div_p)
@@ -471,15 +473,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (CorrdetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorrdetectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

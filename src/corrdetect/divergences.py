@@ -60,6 +60,7 @@ draws with the same seed; single draws are what the risk engine uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -82,6 +83,8 @@ __all__ = [
     "GroupSupported",
     "ShiftedSparse",
     "PriorSpec",
+    "METHODS",
+    "SIGN_RULES",
     "draw",
     "DivergenceResult",
     "ingster_suslina_chisq",
@@ -92,6 +95,27 @@ __all__ = [
 ]
 
 ENUMERATION_PAIR_BUDGET = 1_000_000
+METHODS = ("auto", "closed_form", "hypergeometric_sum", "exact_enumeration", "monte_carlo")
+SIGN_RULES = ("plus", "match_pattern", "rademacher")
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _check_magnitude(prior) -> None:
+    if not math.isfinite(prior.magnitude):
+        raise ContractError(f"magnitude must be finite, got {prior.magnitude!r}")
+
+
+def _expm1(x: float) -> float:
+    """exp(x) - 1, and +inf past the float range, as the log-sum-exp routes
+    give, where math.expm1 raises OverflowError."""
+    return math.expm1(x) if x < _LOG_FLOAT_MAX else math.inf
+
+
+def _square(x: float) -> float:
+    """x ** 2, and +inf past the float range, where a float power raises
+    OverflowError."""
+    return x ** 2 if abs(x) < _SQRT_FLOAT_MAX else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +124,8 @@ class PointMass:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        if not np.isfinite(self.theta).all():
+            raise ContractError("point mass entries must be finite")
 
     @property
     def p(self) -> int:
@@ -128,6 +154,10 @@ class UniformSparse:
     def __post_init__(self):
         if not (1 <= self.s <= self.p):
             raise ContractError("need 1 <= s <= p")
+        if self.signs not in SIGN_RULES:
+            raise ContractError(f"unknown sign rule {self.signs!r}; expected one of "
+                                f"{', '.join(SIGN_RULES)}")
+        _check_magnitude(self)
         if self.universe is not None:
             uni = np.unique(np.asarray(self.universe, dtype=np.intp))
             if uni.size < self.s or uni.min() < 0 or uni.max() >= self.p:
@@ -164,6 +194,7 @@ class SingleGroupSparse:
             raise ContractError("R must divide p")
         if not (1 <= self.s <= self.p // self.R):
             raise ContractError("need 1 <= s <= p/R")
+        _check_magnitude(self)
 
     @property
     def support_size(self) -> int:
@@ -188,6 +219,7 @@ class GroupSupported:
             raise ContractError("R must divide p")
         if not (1 <= self.m <= self.R):
             raise ContractError("need 1 <= m <= R")
+        _check_magnitude(self)
 
     @property
     def support_size(self) -> int:
@@ -215,6 +247,7 @@ class ShiftedSparse:
     def __post_init__(self):
         if not (1 <= self.s < self.p):
             raise ContractError("need 1 <= s < p for the shifted route")
+        _check_magnitude(self)
 
     @property
     def complement(self) -> UniformSparse:
@@ -455,15 +488,18 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     """IS-value of chi2(P_prior || P_0) by the requested route.
 
     method: "auto", "closed_form" (point masses), "hypergeometric_sum",
-    "exact_enumeration", or "monte_carlo".
+    "exact_enumeration", or "monte_carlo" (:data:`METHODS`); any other
+    name is refused before a route runs.
     """
+    if method not in METHODS:
+        raise ContractError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if prior.p != model.p:
         raise ContractError("prior and model dimensions differ")
     if isinstance(prior, ShiftedSparse):
         raise ContractError("shifted priors are consumed by risk_lower_bound")
     if isinstance(prior, PointMass):
         q = _span_quadratic(model, prior.theta, prior.theta)
-        return DivergenceResult.from_chi_sq(math.expm1(q), "closed_form")
+        return DivergenceResult.from_chi_sq(_expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")
     if model.gamma >= 1.0 and not (isinstance(prior, GroupSupported)
@@ -516,7 +552,7 @@ def _try_overlap_sum(prior, model, v) -> Optional[DivergenceResult]:
     elif isinstance(prior, SingleGroupSparse) and _whole_groups(prior, model):
         one_minus, coef = _precision_weights(model)
         same = _overlap_expectation(model.block_size, prior.s, prior.s, a * a / one_minus,
-                                    -coef * (a * prior.s) ** 2)
+                                    -coef * _square(a * prior.s))
         chi = (1.0 - 1.0 / prior.R) + same / prior.R - 1.0
     elif isinstance(prior, GroupSupported) and _whole_groups(prior, model):
         g, bs = model.gamma, model.block_size
@@ -700,7 +736,7 @@ def mean_shift_tv(model: Equicorrelated, m: float) -> float:
     if model.gamma >= 1.0:
         raise SingularCovarianceError("needs gamma < 1")
     g, p = model.gamma, model.p
-    return 0.5 * math.sqrt(math.expm1(p * m * m / (1.0 - g + g * p)))
+    return 0.5 * math.sqrt(_expm1(p * m * m / (1.0 - g + g * p)))
 
 
 def risk_lower_bound(prior: PriorSpec, model: CorrelationModel,

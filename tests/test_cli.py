@@ -385,3 +385,132 @@ class TestOtherCommands:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "8.0472" in proc.stdout
+
+
+# sha256 of the stdout of valid commands, recorded before the flag commands
+# went through the config validators; risk leaves out its wall time
+_PINNED = {
+    "rate --family eq --p 100 --s 5 --gamma 0.5":
+        "611753c19d60fe9baefeab560732ef915280a0c9d7f556fe44edcc920d8ee183",
+    "rate --family grouped --p 64 --s 4 --gamma 0.5 --R 8":
+        "fe1e525162f2d3e63c2119586eeb0903d07143e110a26b5735e6fe51ba8dc351",
+    "rate --family rankone --p 16 --s 2 --gamma 0.5 --v-file V":
+        "ff67837a087ad27050acb7efc5e99004861dc2d5cee435d7e9683669c8530be3",
+    "divergence --prior uniform_sparse --family eq --p 16 --s 3 --gamma 0.4 "
+    "--magnitude 0.4 --method hypergeometric_sum":
+        "42143b1054a2ac975bf673a627a6f0a5a95c2a2aa97fc945bb2da2c69f793929",
+    "divergence --prior single_group_sparse --family grouped --p 16 --R 4 --s 2 "
+    "--gamma 0.3 --magnitude 0.5 --method exact_enumeration":
+        "fe8c3c7c0f7ff6e7adf34c1c58d6698bb25f25ed735b6cc185b335dfded16fa6",
+    "divergence --prior shifted_sparse --family eq --p 16 --s 3 --gamma 0.4 "
+    "--magnitude 0.2 --method hypergeometric_sum":
+        "760b98a231fe3b5e6f0f451abae1451640ba4ec981c140dc93aa62949cf3c035",
+    "divergence --prior uniform_sparse --signs rademacher --family eq --p 16 --s 3 "
+    "--gamma 0.4 --magnitude 0.4 --method monte_carlo --n-mc 2000 --seed 5":
+        "b771cfcd67b82856befeceb51b7afb67e2d21f8b9ca0b976f3a3afa7a7d9d039",
+    "calibrate --family eq --p 16 --s 3 --gamma 0.5 --n-cal 1000 --seed 0":
+        "fa944fa664c529f7274515d5f33ddb90947ff48b95a9f752c3e49ab2e0e59d49",
+    "risk --config C":
+        "7bf6fd9ad8af1c876d4e093bcb0aa1b0ef1482f9cb54be80618522f34bef4f27",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED))
+def test_valid_command_output_is_pinned(tmp_path, command):
+    import hashlib
+
+    vf, cfg = tmp_path / "v.txt", tmp_path / "risk.json"
+    vf.write_text("\n".join(["1.0", "-1.0"] * 8) + "\n")
+    cfg.write_text(json.dumps({
+        "model": {"family": "equicorrelated", "p": 16, "gamma": 0.3},
+        "test": {"mode": "calibrated", "eta": 0.2, "n_cal": 1000, "s": 3},
+        "risk": {"s": 3, "multiplier": 4.0, "n_reps": 200}, "seed": 2}))
+    argv = [{"V": str(vf), "C": str(cfg)}.get(a, a) for a in command.split()]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    if argv[0] == "risk":
+        payload = json.loads(out)
+        del payload["estimate"]["wall_time"]
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[command]
+
+
+_EQ = ["--family", "eq", "--p", "16", "--gamma", "0.3"]
+_DIV = ["divergence", "--prior", "uniform_sparse", "--s", "2", "--magnitude", "0.4"] + _EQ
+
+
+# flags are checked by the config validators, at their config field paths
+@pytest.mark.parametrize("argv,field", [
+    (["rate", "--family", "eq", "--p", "0", "--s", "1", "--gamma", "0.5"], "model.p"),
+    (["rate", "--family", "eq", "--p", "-4", "--s", "1", "--gamma", "0.5"], "model.p"),
+    (["rate", "--family", "eq", "--p", "16", "--s", "30", "--gamma", "0.5"], "s"),
+    (["rate", "--family", "eq", "--p", "16", "--s", "0", "--gamma", "0.5"], "s"),
+    (["rate", "--family", "eq", "--p", "16", "--s", "2", "--gamma", "1.5"], "model.gamma"),
+    (["rate", "--family", "eq", "--p", "16", "--s", "2", "--gamma", "nan"], "model.gamma"),
+    (["rate", "--family", "grouped", "--p", "16", "--s", "2", "--gamma", "0.3", "--R", "3"],
+     "model.R"),
+    (["calibrate", "--s", "3", "--eta", "2"] + _EQ, "test.eta"),
+    (["calibrate", "--s", "3", "--eta", "nan"] + _EQ, "test.eta"),
+    (["calibrate", "--s", "17"] + _EQ, "test.s"),
+    (["calibrate", "--s", "3", "--adaptive"] + _EQ, "test.s"),
+    (["calibrate", "--s", "3", "--n-cal", "0"] + _EQ, "test.n_cal"),
+    (_DIV[:-2] + ["--gamma", "-0.1"], "model.gamma"),
+    (_DIV + ["--magnitude", "nan"], "prior.magnitude"),
+    (_DIV + ["--magnitude", "inf"], "prior.magnitude"),
+    (_DIV + ["--magnitude=-inf"], "prior.magnitude"),
+    (_DIV + ["--s", "17"], "prior.s"),
+    (_DIV + ["--prior", "point_mass", "--s", "-3"], "prior.s"),
+    (_DIV + ["--prior", "shifted_sparse", "--s", "16"], "prior.s"),
+    (_DIV + ["--prior", "single_group_sparse", "--R", "4", "--s", "5"], "prior.s"),
+    (_DIV + ["--prior", "single_group_sparse", "--R", "3"], "prior.R"),
+    (_DIV + ["--prior", "group_supported", "--R", "4", "--m", "5"], "prior.m"),
+    (_DIV + ["--prior", "single_group_sparse", "--R", "4", "--signs", "rademacher"],
+     "prior.signs"),
+    (_DIV + ["--prior", "point_mass", "--signs", "rademacher"], "prior.signs"),
+    (_DIV + ["--signs", "match_pattern"], "prior.signs"),
+])
+def test_flag_is_refused_at_its_field_path(argv, field):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"config error at {field}:" in err
+
+
+def test_sweep_refuses_a_test_sparsity(tmp_path):
+    # a sweep takes its sparsities from sweep.s; test.s used to be dropped
+    for s in (9, "adaptive"):
+        cfg = _sweep_config(tmp_path, test={"eta": 0.2, "n_cal": 1000, "s": s})
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2 and out == "" and not out_dir.exists()
+        assert "config error at test.s:" in err and "sweep.s" in err and "sweep.adaptive" in err
+
+
+def test_risk_sparsity_above_p_is_a_config_error(tmp_path):
+    path = tmp_path / "risk.json"
+    path.write_text(json.dumps({
+        "model": {"family": "equicorrelated", "p": 16, "gamma": 0.0},
+        "test": {"eta": 0.2, "n_cal": 1000},
+        "risk": {"s": 40, "multiplier": 1.0, "n_reps": 100}}))
+    code, out, err = run_cli(["risk", "--config", str(path)])
+    assert code == 2 and out == "" and "config error at risk.s:" in err
+
+
+@pytest.mark.parametrize("prior", ["point_mass", "uniform_sparse"])
+def test_divergence_that_overflows_a_float_exits_1(prior):
+    # the IS-value is +inf in floats: refused, not printed as Infinity
+    code, out, err = run_cli(_DIV + ["--prior", prior, "--magnitude", "100"])
+    assert code == 1 and out == "" and "not a finite float" in err
+
+
+def test_shifted_divergence_uses_n_mc():
+    argv = _DIV + ["--prior", "shifted_sparse", "--magnitude", "0.2", "--method",
+                   "monte_carlo", "--seed", "3"]
+    rows = [json.loads(run_cli(argv + ["--n-mc", n])[1]) for n in ("500", "2000")]
+    assert rows[0]["risk_bound"] != rows[1]["risk_bound"]
+
+
+def test_calibrated_sweep_refuses_a_paper_constant(tmp_path):
+    # C sets paper_constants thresholds; a calibrated sweep used to drop it
+    cfg = _sweep_config(tmp_path, test={"eta": 0.2, "n_cal": 1000, "C": 2.0})
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2 and out == "" and "config error at test.C:" in err

@@ -764,3 +764,45 @@ def test_sign_matching_under_one_exchangeable_block_follows_the_signs():
     assert ingster_suslina_chisq(prior, model, v=-np.ones(8)).chi_sq == plus.chi_sq
     with pytest.raises(ContractError, match="pattern v"):
         ingster_suslina_chisq(prior, model)
+
+
+def test_unknown_sign_rule_is_refused():
+    # a misspelt rule used to be drawn and summed as plus signs
+    with pytest.raises(ContractError, match="radamacher"):
+        UniformSparse(16, 3, 0.4, signs="radamacher")
+
+
+@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda a: UniformSparse(10, 2, a),
+    lambda a: SingleGroupSparse(12, 3, 2, a),
+    lambda a: GroupSupported(12, 3, 1, a),
+    lambda a: ShiftedSparse(10, 2, a),
+    lambda a: PointMass(np.r_[0.4, a, np.zeros(8)]),
+])
+def test_non_finite_magnitude_is_refused(make, magnitude):
+    # UniformSparse(10, 2, nan) used to be enumerated to a chi-square of NaN
+    with pytest.raises(ContractError, match="finite"):
+        make(magnitude)
+
+
+@pytest.mark.parametrize("method", ["exact", "montecarlo", ""])
+def test_unknown_method_is_refused_before_any_route(method):
+    # "exact" with an rng used to return a Monte Carlo estimate
+    prior, model = UniformSparse(16, 3, 0.4), Equicorrelated(16, 0.4)
+    for bound in (ingster_suslina_chisq, risk_lower_bound):
+        with pytest.raises(ContractError, match="hypergeometric_sum") as info:
+            bound(prior, model, method=method, rng=substream(0, 0))
+        assert all(name in str(info.value) for name in
+                   ("auto", "closed_form", "exact_enumeration", "monte_carlo"))
+    with pytest.raises(ContractError, match="unknown method"):
+        ingster_suslina_chisq(PointMass(np.full(16, 0.1)), model, method=method)
+
+
+def test_closed_forms_past_the_float_range_are_infinite():
+    # math.expm1 used to raise OverflowError here; every other route gives +inf
+    model = Equicorrelated(16, 0.3)
+    res = ingster_suslina_chisq(PointMass(np.full(16, 100.0)), model)
+    assert res.chi_sq == math.inf and res.risk_bound == 0.0
+    assert mean_shift_tv(model, 100.0) == math.inf
+    assert risk_lower_bound(ShiftedSparse(16, 3, 100.0), model) == 0.0
