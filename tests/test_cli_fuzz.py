@@ -71,7 +71,7 @@ def _argv(command: str, flags: dict, pattern: str) -> list:
     for name, value in flags.items():
         if value is True:
             argv.append(f"--{name}")
-        elif value is not None and value is not False:
+        elif value is not None:
             argv.append(f"--{name}={pattern if value == 'V' else value}")
     return argv
 
