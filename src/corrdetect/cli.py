@@ -36,9 +36,10 @@ from .divergences import (
     risk_lower_bound,
 )
 from .models import check_family, model_from
-from .procedures import build_test, model_for
+from .procedures import MIN_N_CAL, build_test, model_for
 from .rates import rate_for
 from .risk import (
+    MIN_N_REPS,
     SweepPlan,
     _atomic_write,
     default_alternatives,
@@ -221,7 +222,7 @@ def _validate_test(cfg: dict, p_grid):
     if not 0.0 < eta < 1.0:
         raise ConfigError("test.eta", "eta must lie in (0, 1)")
     n_cal = _integer(_require(test, "test", "n_cal", int, optional=True, default=4000),
-                     "test.n_cal")
+                     "test.n_cal", low=MIN_N_CAL if mode == "calibrated" else 1)
     C = _require(test, "test", "C", (int, float), optional=True)
     if (mode == "paper_constants") != (C is not None):
         raise ConfigError("test.C", "paper_constants mode needs C, and only it uses C")
@@ -260,7 +261,7 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
     multipliers = _grid(_require(sweep, "sweep", "multipliers", list), "sweep.multipliers",
                         _positive)
     n_reps = _integer(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000),
-                      "sweep.n_reps")
+                      "sweep.n_reps", low=MIN_N_REPS)
     sep = _require(sweep, "sweep", "separation_reference", str, optional=True, default="cell")
     if sep not in ("cell", "gamma0"):
         raise ConfigError("sweep.separation_reference", "must be 'cell' or 'gamma0'")
@@ -332,7 +333,7 @@ def _cmd_risk(args) -> int:
     [s_true] = _sparsities(s_true, [p], "risk.s")
     mult = _positive(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
     n_reps = _integer(_require(block, "risk", "n_reps", int, optional=True, default=1000),
-                      "risk.n_reps")
+                      "risk.n_reps", low=MIN_N_REPS)
     rate = rate_for(family, p, s_true, gamma, R, v)
     if rate.uncharacterized:
         raise ConfigError("risk.s", "rate uncharacterized for this configuration")

@@ -62,10 +62,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ContractError, DomainError, SingularCovarianceError
 from .models import (
@@ -99,6 +99,7 @@ METHODS = ("auto", "closed_form", "hypergeometric_sum", "exact_enumeration", "mo
 SIGN_RULES = ("plus", "match_pattern", "rademacher")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+_LOG_FACTORIAL_TABLE_MAX = 1 << 16  # entries; the table is 512 KB at most
 
 
 def _check_magnitude(prior) -> None:
@@ -131,6 +132,7 @@ class PointMass:
     def p(self) -> int:
         return self.theta.shape[-1]
 
+    @np.errstate(over="ignore")  # +inf past the float range
     def descriptor(self) -> dict:
         return {"prior": "point_mass", "norm_sq": float(self.theta @ self.theta)}
 
@@ -369,6 +371,10 @@ class DivergenceResult:
 
     @staticmethod
     def from_chi_sq(chi_sq: float, method: str, stderr=None, warnings=()) -> "DivergenceResult":
+        if math.isnan(chi_sq):
+            # magnitudes are finite, so NaN is inf - inf past the float range,
+            # where a support paired with itself already gives +inf
+            chi_sq = math.inf
         tv = 0.5 * math.sqrt(max(chi_sq, 0.0))
         return DivergenceResult(chi_sq=chi_sq, method=method, tv_bound=tv,
                                 risk_bound=min(1.0, max(0.0, 1.0 - tv)),
@@ -406,18 +412,38 @@ def _log_sum_exp(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
     return float(np.log1p(np.add.reduce(terms, axis=None) / m) + np.log(m) + top)
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log(k!) = ``math.lgamma(k + 1)`` for k < size, read-only."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials_each(k) -> np.ndarray:
+    """The table's values at the integers of ``k``, computed without it."""
+    return np.array([math.lgamma(x + 1.0) for x in np.ravel(k).tolist()]).reshape(np.shape(k))
+
+
 def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
     """Support and log-pmf of the overlap of two uniform subsets.
 
     |S| = draw1 and |S~| = draw2 drawn uniformly from a population; the
     overlap count k ranges over [max(0, d1+d2-population), min(d1, d2)].
+    The log-binomials are read from a cached table of log-factorials whose
+    size is the power of two above the population.  Past
+    ``_LOG_FACTORIAL_TABLE_MAX`` the same values are computed per entry: a
+    table for p = 10^7 (2^24 entries) takes seconds and hundreds of MB.
     """
     lo = max(0, draw1 + draw2 - population)
     hi = min(draw1, draw2)
     ks = np.arange(lo, hi + 1)
+    size = 1 << int(population).bit_length()
+    log_fact = (_log_factorials(size).__getitem__ if size <= _LOG_FACTORIAL_TABLE_MAX
+                else _log_factorials_each)
 
     def logc(n, r):
-        return gammaln(n + 1) - gammaln(r + 1) - gammaln(n - r + 1)
+        return log_fact(n) - log_fact(r) - log_fact(n - r)
 
     logpmf = (logc(draw2, ks) + logc(population - draw2, draw1 - ks)
               - logc(population, draw1))
@@ -445,9 +471,17 @@ def hypergeometric_mgf_bound(p: int, s: int, lam_sq: float) -> dict:
 
 def _overlap_expectation(population: int, size1: int, size2: int,
                          lam: float, const: float) -> float:
-    """E[exp(lam * overlap + const)] over the overlap distribution."""
+    """E[exp(lam * overlap + const)] over the overlap distribution.
+
+    lam and const carry the squared magnitude, and the exponent at the
+    largest overlap (a support paired with itself) is positive.  So when an
+    exponent leaves the float range (+-inf, or inf - inf), the value is +inf.
+    """
     ks, logpmf = hypergeometric_logpmf(population, size1, size2)
-    return float(np.exp(_log_sum_exp(logpmf + lam * ks + const)))
+    exponents = logpmf + lam * ks + const
+    if not np.isfinite(exponents).all():
+        return math.inf
+    return float(np.exp(_log_sum_exp(exponents)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +515,7 @@ def _whole_groups(prior: PriorSpec, model: CorrelationModel) -> bool:
     return model.exchangeable and model.R == prior.R and model.canonical is model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
                           method: str = "auto", n_mc: int = 200_000,
                           rng: Optional[np.random.Generator] = None,
@@ -489,7 +524,8 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
 
     method: "auto", "closed_form" (point masses), "hypergeometric_sum",
     "exact_enumeration", or "monte_carlo" (:data:`METHODS`); any other
-    name is refused before a route runs.
+    name is refused before a route runs.  Past the float range every route
+    gives +inf, with no overflow warning.
     """
     if method not in METHODS:
         raise ContractError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")

@@ -74,8 +74,10 @@ __all__ = [
     "evaluate",
     "calibrate_null_quantile",
     "model_for",
+    "MIN_N_CAL",
 ]
 
+MIN_N_CAL = 1000  # fewest null replications per calibration
 _MIN_TAIL = 20  # calibration needs this many expected replications past the quantile
 
 
@@ -403,8 +405,8 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
     """
     if not (0.0 < q < 1.0):
         raise ContractError("quantile level must lie in (0, 1)")
-    if n_cal < 1000:
-        raise ContractError("n_cal must be at least 1000")
+    if n_cal < MIN_N_CAL:
+        raise ContractError(f"n_cal must be at least {MIN_N_CAL}")
     expected_tail = n_cal * (1.0 - q)
     # relative slack: 1600 * (1 - 0.9875) rounds to 19.999...
     if expected_tail < _MIN_TAIL * (1.0 - 1e-9):

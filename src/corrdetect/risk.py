@@ -59,7 +59,10 @@ __all__ = [
     "write_rows_csv",
     "write_manifest",
     "CSV_COLUMNS",
+    "MIN_N_REPS",
 ]
+
+MIN_N_REPS = 100  # fewest replications per risk estimate
 
 CSV_COLUMNS = ["family", "p", "s", "gamma", "R", "regime", "rate_sq",
                "multiplier", "type_i", "worst_type_ii", "total", "se",
@@ -152,8 +155,8 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
     """
     if not alternatives:
         raise ContractError("alternatives must be nonempty")
-    if n_reps < 100:
-        raise ContractError("n_reps must be at least 100")
+    if n_reps < MIN_N_REPS:
+        raise ContractError(f"n_reps must be at least {MIN_N_REPS}")
     if workers < 1:
         raise ContractError("workers must be at least 1")
     start_time = time.perf_counter()

@@ -1,16 +1,20 @@
 """Command-line interface: flags, exit codes, config diagnostics, round-trips."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from corrdetect.cli import main
 from corrdetect.divergences import GroupSupported, SingleGroupSparse, ingster_suslina_chisq
 from corrdetect.models import Equicorrelated
+from corrdetect.procedures import MIN_N_CAL
+from corrdetect.risk import MIN_N_REPS
 
 
 def run_cli(args, env=None):
@@ -388,7 +392,9 @@ class TestOtherCommands:
 
 
 # sha256 of the stdout of valid commands, recorded before the flag commands
-# went through the config validators; risk leaves out its wall time
+# went through the config validators; risk leaves out its wall time.  The two
+# hypergeometric_sum rows were re-recorded when the log-binomials moved to
+# math.lgamma: their values moved by about 6e-15 absolute
 _PINNED = {
     "rate --family eq --p 100 --s 5 --gamma 0.5":
         "611753c19d60fe9baefeab560732ef915280a0c9d7f556fe44edcc920d8ee183",
@@ -398,13 +404,13 @@ _PINNED = {
         "ff67837a087ad27050acb7efc5e99004861dc2d5cee435d7e9683669c8530be3",
     "divergence --prior uniform_sparse --family eq --p 16 --s 3 --gamma 0.4 "
     "--magnitude 0.4 --method hypergeometric_sum":
-        "42143b1054a2ac975bf673a627a6f0a5a95c2a2aa97fc945bb2da2c69f793929",
+        "02a46daecacdf5681d72cdcd72855195f2b9a1d315dbcc49c11479964975f5f8",
     "divergence --prior single_group_sparse --family grouped --p 16 --R 4 --s 2 "
     "--gamma 0.3 --magnitude 0.5 --method exact_enumeration":
         "fe8c3c7c0f7ff6e7adf34c1c58d6698bb25f25ed735b6cc185b335dfded16fa6",
     "divergence --prior shifted_sparse --family eq --p 16 --s 3 --gamma 0.4 "
     "--magnitude 0.2 --method hypergeometric_sum":
-        "760b98a231fe3b5e6f0f451abae1451640ba4ec981c140dc93aa62949cf3c035",
+        "8cc74de4ac0ebd47db7cfbfe84b03c8e3b2a6bc71a312f85d39eb6b78a099795",
     "divergence --prior uniform_sparse --signs rademacher --family eq --p 16 --s 3 "
     "--gamma 0.4 --magnitude 0.4 --method monte_carlo --n-mc 2000 --seed 5":
         "b771cfcd67b82856befeceb51b7afb67e2d21f8b9ca0b976f3a3afa7a7d9d039",
@@ -454,6 +460,7 @@ _DIV = ["divergence", "--prior", "uniform_sparse", "--s", "2", "--magnitude", "0
     (["calibrate", "--s", "17"] + _EQ, "test.s"),
     (["calibrate", "--s", "3", "--adaptive"] + _EQ, "test.s"),
     (["calibrate", "--s", "3", "--n-cal", "0"] + _EQ, "test.n_cal"),
+    (["calibrate", "--s", "3", "--n-cal", str(MIN_N_CAL - 1)] + _EQ, "test.n_cal"),
     (_DIV[:-2] + ["--gamma", "-0.1"], "model.gamma"),
     (_DIV + ["--magnitude", "nan"], "prior.magnitude"),
     (_DIV + ["--magnitude", "inf"], "prior.magnitude"),
@@ -500,6 +507,50 @@ def test_divergence_that_overflows_a_float_exits_1(prior):
     # the IS-value is +inf in floats: refused, not printed as Infinity
     code, out, err = run_cli(_DIV + ["--prior", prior, "--magnitude", "100"])
     assert code == 1 and out == "" and "not a finite float" in err
+
+
+@pytest.mark.parametrize("prior", ["point_mass", "uniform_sparse"])
+def test_divergence_past_the_float_range_warns_nothing(prior):
+    # a uniform support computed inf * 0 = NaN here, and both priors made
+    # numpy print overflow warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(_DIV + ["--prior", prior, "--magnitude", "1e300"])
+    assert code == 1 and out == "" and "not a finite float" in err
+    assert [str(w.message) for w in caught] == []
+
+
+_RISK_CONFIG = {"model": {"family": "equicorrelated", "p": 16, "gamma": 0.0},
+                "test": {"eta": 0.2, "n_cal": 1000},
+                "risk": {"s": 3, "multiplier": 1.0, "n_reps": 100}}
+
+
+@pytest.mark.parametrize("command,block,key,value", [
+    ("sweep", "sweep", "n_reps", MIN_N_REPS - 1),
+    ("sweep", "test", "n_cal", MIN_N_CAL - 1),
+    ("risk", "risk", "n_reps", MIN_N_REPS - 1),
+    ("risk", "test", "n_cal", MIN_N_CAL - 1),
+])
+def test_below_a_library_minimum_is_a_config_error(tmp_path, command, block, key, value):
+    # these exited 1 from inside the library (a sweep wrote failed rows)
+    cfg = (json.loads(_sweep_config(tmp_path).read_text()) if command == "sweep"
+           else copy.deepcopy(_RISK_CONFIG))
+    cfg[block][key] = value
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli([command, "--config", str(path), "--out", str(out_dir)])
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert f"config error at {block}.{key}:" in err
+
+
+def test_n_cal_minimum_binds_calibrated_tests_only(tmp_path):
+    cfg = dict(_RISK_CONFIG, test={"mode": "paper_constants", "C": 1.0, "n_cal": 10})
+    path = tmp_path / "risk.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["risk", "--config", str(path)])
+    assert code == 0, err
+    assert json.loads(out)["estimate"]["n_reps"] == 100
 
 
 def test_shifted_divergence_uses_n_mc():

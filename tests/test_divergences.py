@@ -1,6 +1,7 @@
 """Divergence checks: closed forms, overlap sums vs enumeration, bounds."""
 
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -14,6 +15,8 @@ from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
     _combinations,
+    _log_factorials,
+    _log_factorials_each,
     _log_sum_exp,
     _pair_terms,
     _subsets,
@@ -27,6 +30,7 @@ from corrdetect.divergences import (
     SingleGroupSparse,
     UniformSparse,
     draw,
+    hypergeometric_logpmf,
     hypergeometric_mgf_bound,
     ingster_suslina_chisq,
     mean_shift_tv,
@@ -280,6 +284,22 @@ class TestHypergeometricMgf:
             for s in range(0, p + 1):
                 out = hypergeometric_mgf_bound(p, s, 0.45)
                 assert out["exact"] <= out["bound"] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("population,draw1,draw2", [
+    (20, 7, 7), (256, 8, 8), (1024, 5, 5), (1024, 32, 32), (4096, 64, 64), (20, 12, 13)])
+def test_hypergeometric_logpmf_matches_exact_binomials(population, draw1, draw2):
+    ks, logpmf = hypergeometric_logpmf(population, draw1, draw2)
+    assert ks.tolist() == list(range(max(0, draw1 + draw2 - population), min(draw1, draw2) + 1))
+    exact = [math.log(math.comb(draw2, k)) + math.log(math.comb(population - draw2, draw1 - k))
+             - math.log(math.comb(population, draw1)) for k in ks.tolist()]
+    assert np.max(np.abs(logpmf - exact)) <= 1e-10
+
+
+def test_log_factorials_past_the_largest_table_are_its_values():
+    ks = np.arange(0, 100_000, 7)
+    assert np.array_equal(_log_factorials_each(ks), _log_factorials(1 << 17)[ks])
+    assert _log_factorials_each(12) == math.lgamma(13.0)
 
 
 @st.composite
@@ -806,3 +826,25 @@ def test_closed_forms_past_the_float_range_are_infinite():
     assert res.chi_sq == math.inf and res.risk_bound == 0.0
     assert mean_shift_tv(model, 100.0) == math.inf
     assert risk_lower_bound(ShiftedSparse(16, 3, 100.0), model) == 0.0
+
+
+@pytest.mark.parametrize("prior,model,method", [
+    (PointMass(np.full(16, 1e300)), Equicorrelated(16, 0.4), "closed_form"),
+    (UniformSparse(16, 3, 1e300), Equicorrelated(16, 0.4), "hypergeometric_sum"),
+    (UniformSparse(16, 3, 1e154), Equicorrelated(16, 0.0), "hypergeometric_sum"),
+    (UniformSparse(16, 3, 1e300), Equicorrelated(16, 0.4), "exact_enumeration"),
+    (UniformSparse(8, 2, 1e300), Grouped(8, 2, 0.5), "exact_enumeration"),
+    (UniformSparse(16, 3, 1e300), Equicorrelated(16, 0.4), "monte_carlo"),
+    (SingleGroupSparse(16, 4, 3, 1e300), Grouped(16, 4, 0.5), "hypergeometric_sum"),
+    (GroupSupported(16, 4, 2, 1e300), Grouped(16, 4, 0.5), "hypergeometric_sum"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_every_route_is_infinite_past_the_float_range(prior, model, method):
+    # a uniform support once gave NaN (inf * 0 at overlap 0), and numpy
+    # warned of overflow on every route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ingster_suslina_chisq(prior, model, method=method, n_mc=1000,
+                                    rng=substream(0, 0))
+        descriptor = prior.descriptor()
+    assert res.chi_sq == math.inf and res.risk_bound == 0.0
+    assert all(not isinstance(x, float) or not math.isnan(x) for x in descriptor.values())

@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from corrdetect.errors import DomainError
 from corrdetect.gaussian import (
+    _erfcx,
     alpha,
     alpha_cached,
     laurent_massart_upper,
@@ -77,6 +79,14 @@ class TestAlpha:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             alpha(bad)
+
+
+def test_erfcx_matches_scipy():
+    """Both branches (below and from x = 26) on a dense grid of [0, 40]."""
+    xs = np.linspace(0.0, 40.0, 200_001)
+    ours = np.array([_erfcx(float(x)) for x in xs])
+    reference = erfcx(xs)
+    assert np.max(np.abs(ours - reference) / reference) <= 2e-15
 
 
 class TestLaurentMassart:

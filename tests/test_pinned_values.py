@@ -22,15 +22,17 @@ _PATTERNS = {
     "hetero": np.concatenate([np.full(8, 64 ** 0.25), np.zeros(56)]),
 }
 
-# (family, p, s, gamma, R, pattern) -> {constituent: value.hex()}
+# (family, p, s, gamma, R, pattern) -> {constituent: value.hex()}; five values
+# of cases 0, 1, 6 and 12 were re-recorded, 1-3 ulps apart, when alpha(t) began
+# to compute erfcx in the package
 EVALUATE_CASES = [
     (('equicorrelated', 64, 'adaptive', 0.5, None, None),
-     {'adaptive_sparse': '0x1.aa41248839b71p+2',
+     {'adaptive_sparse': '0x1.aa41248839b73p+2',
       'chisq': '0x1.8fbfffd860c93p+6',
-      'adaptive_dense': '0x1.aa41248839b71p+2',
+      'adaptive_dense': '0x1.aa41248839b73p+2',
       'linear': '0x1.56ad641114a87p+3'}),
     (('equicorrelated', 64, 3, 0.5, None, None),
-     {'thresholded': '0x1.3cd55212edfa9p+6'}),
+     {'thresholded': '0x1.3cd55212edfaap+6'}),
     (('equicorrelated', 64, 40, 0.5, None, None),
      {'chisq': '0x1.36f18a55e16f3p+7',
       'linear': '0x1.00f08cd20f05dp+3'}),
@@ -43,7 +45,7 @@ EVALUATE_CASES = [
     (('equicorrelated', 64, 64, 1.0, None, None),
      {'chisq_raw': '0x1.8391e370c7d53p+5'}),
     (('rank_one', 64, 3, 0.5, None, 'sign'),
-     {'thresholded': '0x1.84224e7116cacp+6'}),
+     {'thresholded': '0x1.84224e7116caep+6'}),
     (('rank_one', 64, 5, 1.0, None, 'sign'),
      {'noiseless': '0x1.87ea3d70a3d72p+5'}),
     (('rank_one', 64, 3, 1.0, None, 'hetero'),
@@ -58,7 +60,7 @@ EVALUATE_CASES = [
       'chisq_scan': '0x1.79f39da9e3776p+5'}),
     (('grouped', 64, 10, 0.5, 4, None),
      {'chisq': '0x1.fdfafab61c2a4p+6',
-      'thresholded_scan': '0x1.a0b2bae7130edp+4'}),
+      'thresholded_scan': '0x1.a0b2bae7130f0p+4'}),
     (('grouped', 64, 5, 0.0, 4, None),
      {'thresholded': '0x1.19cdc51d68496p+5',
       'linear_scan': '0x1.e43f801d727abp+1'}),
