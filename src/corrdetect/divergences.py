@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -99,7 +98,6 @@ METHODS = ("auto", "closed_form", "hypergeometric_sum", "exact_enumeration", "mo
 SIGN_RULES = ("plus", "match_pattern", "rademacher")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-_LOG_FACTORIAL_TABLE_MAX = 1 << 16  # entries; the table is 512 KB at most
 
 
 def _check_magnitude(prior) -> None:
@@ -371,10 +369,6 @@ class DivergenceResult:
 
     @staticmethod
     def from_chi_sq(chi_sq: float, method: str, stderr=None, warnings=()) -> "DivergenceResult":
-        if math.isnan(chi_sq):
-            # magnitudes are finite, so NaN is inf - inf past the float range,
-            # where a support paired with itself already gives +inf
-            chi_sq = math.inf
         tv = 0.5 * math.sqrt(max(chi_sq, 0.0))
         return DivergenceResult(chi_sq=chi_sq, method=method, tv_bound=tv,
                                 risk_bound=min(1.0, max(0.0, 1.0 - tv)),
@@ -412,17 +406,10 @@ def _log_sum_exp(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
     return float(np.log1p(np.add.reduce(terms, axis=None) / m) + np.log(m) + top)
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(size: int) -> np.ndarray:
-    """log(k!) = ``math.lgamma(k + 1)`` for k < size, read-only."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-def _log_factorials_each(k) -> np.ndarray:
-    """The table's values at the integers of ``k``, computed without it."""
-    return np.array([math.lgamma(x + 1.0) for x in np.ravel(k).tolist()]).reshape(np.shape(k))
+def _log_factorials(k) -> np.ndarray:
+    """log(k!) = ``math.lgamma(k + 1)`` at the integers of ``k``, shaped like it."""
+    k = np.asarray(k)
+    return np.array([math.lgamma(x + 1.0) for x in k.ravel().tolist()]).reshape(k.shape)
 
 
 def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
@@ -430,20 +417,13 @@ def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
 
     |S| = draw1 and |S~| = draw2 drawn uniformly from a population; the
     overlap count k ranges over [max(0, d1+d2-population), min(d1, d2)].
-    The log-binomials are read from a cached table of log-factorials whose
-    size is the power of two above the population.  Past
-    ``_LOG_FACTORIAL_TABLE_MAX`` the same values are computed per entry: a
-    table for p = 10^7 (2^24 entries) takes seconds and hundreds of MB.
     """
     lo = max(0, draw1 + draw2 - population)
     hi = min(draw1, draw2)
     ks = np.arange(lo, hi + 1)
-    size = 1 << int(population).bit_length()
-    log_fact = (_log_factorials(size).__getitem__ if size <= _LOG_FACTORIAL_TABLE_MAX
-                else _log_factorials_each)
 
     def logc(n, r):
-        return log_fact(n) - log_fact(r) - log_fact(n - r)
+        return _log_factorials(n) - _log_factorials(r) - _log_factorials(n - r)
 
     logpmf = (logc(draw2, ks) + logc(population - draw2, draw1 - ks)
               - logc(population, draw1))
@@ -474,14 +454,14 @@ def _overlap_expectation(population: int, size1: int, size2: int,
     """E[exp(lam * overlap + const)] over the overlap distribution.
 
     lam and const carry the squared magnitude, and the exponent at the
-    largest overlap (a support paired with itself) is positive.  So when an
-    exponent leaves the float range (+-inf, or inf - inf), the value is +inf.
+    largest overlap (a support paired with itself) is positive.  So when
+    either leaves the float range (+-inf, or 0 * inf where a coefficient is
+    zero), the value is +inf.
     """
-    ks, logpmf = hypergeometric_logpmf(population, size1, size2)
-    exponents = logpmf + lam * ks + const
-    if not np.isfinite(exponents).all():
+    if not (math.isfinite(lam) and math.isfinite(const)):
         return math.inf
-    return float(np.exp(_log_sum_exp(exponents)))
+    ks, logpmf = hypergeometric_logpmf(population, size1, size2)
+    return float(np.exp(_log_sum_exp(logpmf + lam * ks + const)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +495,7 @@ def _whole_groups(prior: PriorSpec, model: CorrelationModel) -> bool:
     return model.exchangeable and model.R == prior.R and model.canonical is model
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
                           method: str = "auto", n_mc: int = 200_000,
                           rng: Optional[np.random.Generator] = None,
@@ -584,7 +564,7 @@ def _try_overlap_sum(prior, model, v) -> Optional[DivergenceResult]:
             return None
         one_minus, coef = _precision_weights(model)
         chi = _overlap_expectation(prior.population, prior.s, prior.s, a * a / one_minus,
-                                   -coef * (prior.s * w[0]) ** 2) - 1.0
+                                   -coef * _square(prior.s * float(w[0]))) - 1.0
     elif isinstance(prior, SingleGroupSparse) and _whole_groups(prior, model):
         one_minus, coef = _precision_weights(model)
         same = _overlap_expectation(model.block_size, prior.s, prior.s, a * a / one_minus,
@@ -716,7 +696,8 @@ def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
     over the coordinates both supports hold: sorted, a pair's 2s coordinates
     hold each of them twice, side by side.  Each coordinate is sorted with
     its position in the pair's row in its low bits, which is cheaper than an
-    argsort and finds the two values to multiply.
+    argsort and finds the two values to multiply.  Inputs are finite, so a
+    NaN term is inf - inf (or 0 * inf): both halves past the float range.
     """
     one_minus, coef = _precision_weights(model)
     values = np.broadcast_to(values, idx.shape)
@@ -732,7 +713,8 @@ def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
     products = w[pair, positions[pair, col]] * w[pair, positions[pair, col + 1]]
     inner = np.bincount(pair, weights=products, minlength=n)
     sums = model.project_support(idx, values)
-    return inner / one_minus - coef * np.add.reduce(sums[0::2] * sums[1::2], axis=-1)
+    with np.errstate(invalid="ignore"):
+        return inner / one_minus - coef * np.add.reduce(sums[0::2] * sums[1::2], axis=-1)
 
 
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
@@ -748,10 +730,15 @@ def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
         n = min(pairs, n_mc - start)
         idx, values = _supports(prior, rng, v, 2 * n)  # rows 2i, 2i + 1: pair i
         logs[start:start + n] = _pair_terms(model, idx, values)
-    terms = np.exp(logs - logs.max())
+    peak = logs.max()
+    if not peak < math.inf:
+        # a pair term past the float range (+inf, or NaN from _pair_terms):
+        # the mean of exp(term) is +inf, with no finite standard error
+        return DivergenceResult.from_chi_sq(math.inf, "monte_carlo", stderr=math.inf)
+    terms = np.exp(logs - peak)
     total = float(terms.sum())
-    mean = float(np.exp(logs.max()) * total / n_mc)
-    sd = float(np.exp(logs.max()) * terms.std(ddof=1))
+    mean = float(np.exp(peak) * total / n_mc)
+    sd = float(np.exp(peak) * terms.std(ddof=1))
     stderr = sd / math.sqrt(n_mc)
     warnings = []
     top = max(1, int(0.001 * n_mc))

@@ -81,7 +81,7 @@ def alpha(t):
     if np.any(arr < 0):
         raise DomainError("alpha: threshold must be nonnegative")
     scaled = arr * _SQRT_HALF
-    tails = np.array([_erfcx(x) for x in scaled.flat]).reshape(arr.shape)
+    tails = np.array([_erfcx(x) for x in scaled.ravel().tolist()]).reshape(arr.shape)
     out = 1.0 + arr * (_SQRT_2_OVER_PI / tails)
     if np.ndim(t) == 0:
         return float(out)

@@ -57,6 +57,12 @@ class TestAlpha:
             expected = alpha_quadrature(t)
             assert abs(alpha(t) - expected) <= 1e-10 * expected
 
+    def test_huge_thresholds(self):
+        # alpha(t) ~ t^2 + 2: finite up to t ~ 1.3e154 and +inf past it
+        assert alpha(1e150) == pytest.approx(1e300, rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert np.all(alpha(np.array([1e155, 1e300])) == math.inf)
+
     def test_strictly_increasing_and_dominates(self):
         ts = np.linspace(0.0, 40.0, 400)
         vals = alpha(ts)
@@ -87,6 +93,8 @@ def test_erfcx_matches_scipy():
     ours = np.array([_erfcx(float(x)) for x in xs])
     reference = erfcx(xs)
     assert np.max(np.abs(ours - reference) / reference) <= 2e-15
+    for x in [1e100, 1e154, 1e200, 1e300]:  # x^2 past the float range from 1.3e154
+        assert abs(_erfcx(x) - erfcx(x)) <= 2e-15 * erfcx(x)
 
 
 class TestLaurentMassart:

@@ -2,8 +2,8 @@
 stays private to ``statistics``, and the only branches on the model class are
 the shifted route's two equicorrelated requirements in ``divergences`` (every
 other route asks the model for its block count, exchangeable blocks and block
-sums).  The runtime needs numpy only: no module imports scipy, eagerly or on
-first use."""
+sums), and ``divergences._log_sum_exp`` is the only log-sum-exp.  The runtime
+needs numpy only: no module imports scipy, eagerly or on first use."""
 
 import ast
 import os
@@ -61,7 +61,8 @@ def _imports_scipy(node) -> bool:
 def test_src_imports_no_scipy():
     offenders = [f"{path.name}:{node.lineno}" for path in _sources()
                  for node in ast.walk(ast.parse(path.read_text()))
-                 if _imports_scipy(node)]
+                 if _imports_scipy(node)
+                 or (isinstance(node, ast.Attribute) and node.attr == "logsumexp")]
     assert offenders == []
 
 
