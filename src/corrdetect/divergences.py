@@ -430,23 +430,34 @@ def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
     return ks, logpmf
 
 
+@np.errstate(over="ignore")  # +inf past the float range
 def hypergeometric_mgf_bound(p: int, s: int, lam_sq: float) -> dict:
     """Exact MGF of the support overlap and its closed-form majorant.
 
     For Y the overlap of two uniform size-s subsets of [p]:
     E[Y] = s^2/p and E[exp(lam_sq Y)] <= (1 - s/p + (s/p) e^{lam_sq})^s.
+    Both are +inf past the float range.
     """
     if not (0 <= s <= p) or p < 1:
         raise ContractError("need 0 <= s <= p")
-    if lam_sq < 0:
-        raise DomainError("lam_sq must be nonnegative")
+    if not lam_sq >= 0:
+        raise DomainError(f"lam_sq must be nonnegative, got {lam_sq!r}")
     if s == 0:
         return {"exact": 1.0, "bound": 1.0, "mean": 0.0}
-    ks, logpmf = hypergeometric_logpmf(p, s, s)
-    exact = float(np.exp(_log_sum_exp(logpmf + lam_sq * ks)))
-    bound = float((1.0 - s / p + (s / p) * math.exp(lam_sq)) ** s)
-    mean = s * s / p
-    return {"exact": exact, "bound": bound, "mean": mean}
+    return {"exact": _overlap_expectation(p, s, s, lam_sq, 0.0),
+            "bound": _mgf_majorant(s / p, s, lam_sq), "mean": s * s / p}
+
+
+def _mgf_majorant(q: float, s: int, lam_sq: float) -> float:
+    """(1 - q + q e^lam_sq)^s for 0 < q <= 1, and +inf past the float range."""
+    if lam_sq < _LOG_FLOAT_MAX:
+        try:
+            return (1.0 - q + q * math.exp(lam_sq)) ** s
+        except OverflowError:
+            return math.inf
+    # e^lam_sq overflows: take the log of the base about its top term q e^lam_sq
+    log_power = s * (lam_sq + math.log(q) + math.log1p((1.0 - q) / q * math.exp(-lam_sq)))
+    return math.exp(log_power) if log_power < _LOG_FLOAT_MAX else math.inf
 
 
 def _overlap_expectation(population: int, size1: int, size2: int,

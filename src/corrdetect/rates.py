@@ -270,6 +270,9 @@ def rate_rows_csv(results, path) -> None:
             ])
 
 
+_JUMPS = ("s=p", "s=p/R")  # the boundaries where a rate may jump
+
+
 def _boundary_sparsities(family: str, p: int, R: Optional[int]) -> list:
     root = math.sqrt(p)
     pairs = []
@@ -294,13 +297,13 @@ def _boundary_sparsities(family: str, p: int, R: Optional[int]) -> list:
         if bs >= 2:
             pairs.append(("s=p/R", int(bs) - 1, int(bs)))
         straddle("s=p/sqrt(R)", p / math.sqrt(R))
-    seen = set()
-    out = []
+    named = {}
     for name, lo, hi in pairs:
-        if 1 <= lo < hi <= p and (lo, hi) not in seen:
-            seen.add((lo, hi))
-            out.append((name, lo, hi))
-    return out
+        # a jump boundary names its pair when a continuous one falls between
+        # the same integers (at p = 2, sqrt(p) and p both lie in (1, 2])
+        if 1 <= lo < hi <= p and ((lo, hi) not in named or name in _JUMPS):
+            named[(lo, hi)] = name
+    return [(name, lo, hi) for (lo, hi), name in named.items()]
 
 
 def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,

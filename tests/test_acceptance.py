@@ -7,16 +7,20 @@ heterogeneous pattern) within the characterized sparsity range; and the
 sparsity-adaptive composite.  Upper-bound power runs at separation
 multiplier 8 (on the squared rate), lower-bound indistinguishability at
 multiplier 1/64 with exact divergence certificates.
+
+This module is also the benchmark's grid table: ``benchmarks/`` loads it for
+``GRID`` and ``_certificate_prior``.  So it stays cheap to import: scipy is
+imported only inside the criterion-1 quadrature oracle, and the module never
+imports pytest (the shared grid build is a cached function, not a fixture).
 """
 
+import functools
 import math
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
-from scipy.integrate import quad
 
 from corrdetect.divergences import (
     GroupSupported,
@@ -54,6 +58,8 @@ def _report(name, detail):
 
 
 def _alpha_quadrature(t: float) -> float:
+    from scipy.integrate import quad
+
     num = quad(lambda u: (t + u) ** 2 * math.exp(-t * u - 0.5 * u * u),
                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)[0]
     den = quad(lambda u: math.exp(-t * u - 0.5 * u * u),
@@ -269,8 +275,10 @@ def _certificate_prior(family, p, s, gamma, R, v, target_sq):
     return UniformSparse(p, s_eff, math.sqrt(target_sq / s_eff))
 
 
-@pytest.fixture(scope="module")
+@functools.cache
 def grid_results():
+    """Each cell's rate, risks at multipliers 8 and 1/64 and certificate
+    bound: built once, shared by criteria 5 and 6."""
     rows = []
     for idx, (label, family, p, s, gamma, R, vmk, adaptive) in enumerate(GRID):
         v = vmk(p) if vmk else None
@@ -295,27 +303,29 @@ def grid_results():
     return rows
 
 
-def test_criterion_5_upper_bound_power(grid_results):
+def test_criterion_5_upper_bound_power():
+    grid = grid_results()
     start = time.perf_counter()
-    regimes = {r["regime"] for r in grid_results}
+    regimes = {r["regime"] for r in grid}
     assert {"sparse", "dense", "very-dense", "within-group-sparse",
             "scan-moderate", "scan-dense", "average-sparse",
             "average-dense"} <= regimes
-    worst = max(grid_results, key=lambda r: r["high"].total)
-    for row in grid_results:
+    worst = max(grid, key=lambda r: r["high"].total)
+    for row in grid:
         assert row["high"].total <= 0.2, (row["label"], row["high"].total)
     _report("criterion-5",
-            f"{len(grid_results)} cells at multiplier 8, worst total risk "
+            f"{len(grid)} cells at multiplier 8, worst total risk "
             f"{worst['high'].total:.3f} ({worst['label']}); "
             f"checked in {time.perf_counter() - start:.1f}s (plus shared grid build)")
 
 
-def test_criterion_6_lower_bound_indistinguishability(grid_results):
-    for row in grid_results:
+def test_criterion_6_lower_bound_indistinguishability():
+    grid = grid_results()
+    for row in grid:
         assert row["cert_bound"] >= 0.75, (row["label"], row["cert_bound"])
         assert row["low"].total >= 0.7, (row["label"], row["low"].total)
-    worst_cert = min(grid_results, key=lambda r: r["cert_bound"])
-    worst_low = min(grid_results, key=lambda r: r["low"].total)
+    worst_cert = min(grid, key=lambda r: r["cert_bound"])
+    worst_low = min(grid, key=lambda r: r["low"].total)
     _report("criterion-6",
             f"weakest certificate {worst_cert['cert_bound']:.3f} "
             f"({worst_cert['label']}); lowest empirical total "

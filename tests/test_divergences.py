@@ -34,7 +34,7 @@ from corrdetect.divergences import (
     mean_shift_tv,
     risk_lower_bound,
 )
-from corrdetect.errors import ContractError, SingularCovarianceError
+from corrdetect.errors import ContractError, DomainError, SingularCovarianceError
 from corrdetect.models import Equicorrelated, Grouped, RankOne, precision_apply
 from corrdetect.streams import substream
 
@@ -282,6 +282,32 @@ class TestHypergeometricMgf:
             for s in range(0, p + 1):
                 out = hypergeometric_mgf_bound(p, s, 0.45)
                 assert out["exact"] <= out["bound"] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("lam_sq", [800.0, math.inf])
+    def test_infinite_past_the_float_range(self, lam_sq):
+        # 800 once raised OverflowError in the majorant; inf gave an exact
+        # value of NaN (inf * 0 at overlap 0) with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hypergeometric_mgf_bound(10, 2, lam_sq)
+        assert out["exact"] == math.inf and out["bound"] == math.inf
+        assert out["mean"] == pytest.approx(0.4)
+
+    def test_majorant_stays_finite_when_only_its_exponential_overflows(self):
+        # e^710 overflows, but q e^710 at q = 1e-5 does not; at s = 1 the
+        # majorant is the exact MGF, 1 - q + q e^lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hypergeometric_mgf_bound(10 ** 5, 1, 710.0)
+        expected = math.exp(710.0 - 700.0 + math.log(1e-5)) * math.exp(700.0)
+        assert out["bound"] == pytest.approx(expected, rel=1e-12)
+        assert out["exact"] == pytest.approx(expected, rel=1e-8)
+
+    def test_nan_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="nonnegative"):
+                hypergeometric_mgf_bound(10, 2, math.nan)
 
 
 @pytest.mark.parametrize("population,draw1,draw2", [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrdetect.errors import ContractError
 from corrdetect.rates import (
@@ -244,6 +246,43 @@ class TestBoundaryAudit:
         rows = boundary_audit("grouped", 1024, 0.999, 8)
         jump = [r for r in rows if r["boundary"] == "s=p/R"][0]
         assert jump["flagged"] and jump["documented"]
+
+
+_PROPERTY = dict(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def _cells(draw):
+    """(family, p, s, gamma, R) over the documented domain: 1 <= s <= p,
+    gamma in [0, 1] with gamma = 1 drawn often, and R any divisor of p."""
+    family = draw(st.sampled_from(["equicorrelated", "grouped"]))
+    p = draw(st.integers(1, 4096))
+    R = (draw(st.sampled_from([R for R in range(1, p + 1) if p % R == 0]))
+         if family == "grouped" else None)
+    gamma = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_max=True)))
+    return family, p, draw(st.integers(1, p)), gamma, R
+
+
+@settings(max_examples=400, **_PROPERTY)
+@given(_cells())
+def test_rate_is_finite_and_positive_on_its_domain(cell):
+    family, p, s, gamma, R = cell
+    value = rate_for(family, p, s, gamma, R).value
+    assert math.isfinite(value), cell
+    if gamma < 1.0:
+        assert value > 0.0, cell
+    else:
+        # noiseless cells, a support inside one block, are 0; the rest positive
+        assert (value == 0.0) == (s < p / (R or 1)), (cell, value)
+
+
+@settings(max_examples=200, **_PROPERTY)
+@given(_cells())
+@example(("equicorrelated", 2, 1, 1.0, None))  # sqrt(p) and p once shared a row
+def test_boundary_audit_flags_only_documented_jumps(cell):
+    family, p, _, gamma, R = cell
+    rows = boundary_audit(family, p, gamma, R)
+    assert [row for row in rows if row["flagged"] and not row["documented"]] == [], cell
 
 
 def test_csv_export(tmp_path):

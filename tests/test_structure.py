@@ -3,7 +3,9 @@ stays private to ``statistics``, and the only branches on the model class are
 the shifted route's two equicorrelated requirements in ``divergences`` (every
 other route asks the model for its block count, exchangeable blocks and block
 sums), and ``divergences._log_sum_exp`` is the only log-sum-exp.  The runtime
-needs numpy only: no module imports scipy, eagerly or on first use."""
+needs numpy only: no module imports scipy, eagerly or on first use.  The
+acceptance module, which the benchmark loads as its grid table, imports
+neither scipy nor pytest when it is loaded."""
 
 import ast
 import os
@@ -102,3 +104,28 @@ def test_runtime_loads_no_scipy():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+_ACCEPTANCE_PROBE = """
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location("corrdetect_acceptance", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(len(module.GRID))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "pytest", "_pytest")))
+"""
+
+
+def test_acceptance_table_loads_without_scipy_or_pytest():
+    """Loading ``tests/test_acceptance.py`` as the benchmark does (from its
+    file, with only ``src/`` on the path) gives the 20-row grid and leaves no
+    scipy or pytest module loaded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    proc = subprocess.run([sys.executable, "-c", _ACCEPTANCE_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["20", "[]"]
