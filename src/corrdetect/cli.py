@@ -365,22 +365,28 @@ def _cmd_sweep(args) -> int:
 
 
 def _prior(args, p: int, v):
-    """The divergence prior of the flags, each checked at its ``prior.*`` path."""
+    """The divergence prior of the flags, each checked at its ``prior.*`` path.
+    A ``group_supported`` prior takes ``--m`` (its number of whole groups),
+    every other prior ``--s``; the other of the two is refused, not dropped."""
     magnitude = _finite(args.magnitude, "prior.magnitude")
     if args.signs != "plus" and args.prior != "uniform_sparse":
         raise ConfigError("prior.signs", f"{args.prior} has no sign rule; its signs are plus")
     if args.signs == "match_pattern" and v is None:
         raise ConfigError("prior.signs", "match_pattern needs the rank-one pattern")
-    R, top = None, p - 1 if args.prior == "shifted_sparse" else p
+    R, size, stray, top = None, "s", "m", p - 1 if args.prior == "shifted_sparse" else p
     if args.prior in _GROUP_PRIORS:
         if args.R is None:
             raise ConfigError("model.R", "this prior needs --R")
         [R] = _group_counts(args.R, [p], "prior.R")
-        _sparsities(args.m, [R], "prior.m")
-        if args.prior == "single_group_sparse":
-            top = p // R
-    [s] = _sparsities(args.s, [top], "prior.s")
-    return _PRIORS[args.prior](p=p, R=R, s=s, m=args.m, a=magnitude, signs=args.signs)
+        top = p // R
+        if args.prior == "group_supported":
+            size, stray, top = "m", "s", R
+    if getattr(args, size) is None:
+        raise ConfigError(f"prior.{size}", f"{args.prior} needs --{size}")
+    [count] = _sparsities(getattr(args, size), [top], f"prior.{size}")
+    if getattr(args, stray) is not None:
+        raise ConfigError(f"prior.{stray}", f"{args.prior} takes no --{stray}")
+    return _PRIORS[args.prior](p=p, R=R, a=magnitude, signs=args.signs, **{size: count})
 
 
 def _cmd_divergence(args) -> int:
@@ -455,11 +461,11 @@ def _parser() -> argparse.ArgumentParser:
     div_p.add_argument("--prior", required=True, choices=list(_PRIORS))
     div_p.add_argument("--method", default="auto", choices=METHODS)
     div_p.add_argument("--magnitude", type=float, required=True)
-    div_p.add_argument("--m", type=int, default=1)
+    div_p.add_argument("--m", type=int)
     div_p.add_argument("--signs", default="plus", choices=SIGN_RULES)
     div_p.add_argument("--n-mc", dest="n_mc", type=int, default=200_000)
     div_p.add_argument("--seed", type=int)
-    add_model_flags(div_p)
+    add_model_flags(div_p, need_s=False)  # group_supported takes --m instead
     div_p.set_defaults(func=_cmd_divergence)
 
     self_p = sub.add_parser("selftest", help="run the built-in example suite")

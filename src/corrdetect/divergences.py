@@ -10,51 +10,32 @@ the expectation over an iid pair from the prior.  We compute the right-hand
 side and call it the IS-value, after the Ingster-Suslina method.  Together
 with d_TV <= sqrt(chi2)/2, any test's total risk is at least 1 - sqrt(chi2)/2.
 
-Exact routes, chosen from what the model is (its block count, whether its
-blocks are exchangeable, its block sums), not from its class:
+Routes are chosen from what the prior and the model are, not from their
+classes: each sparse prior owns its support law (see :class:`_SparsePrior`),
+and the model gives its block count, exchangeable blocks and block sums.
+The exact routes:
 
 * point masses: a single quadratic form, also at gamma = 1 for a mass in the
   span of the correlation directions (the closed form's continuous limit);
-* uniform sparse supports under a single-block model that weighs every
-  coordinate of the universe alike: a hypergeometric sum over the overlap;
-* supports in one uniformly chosen group, or whole groups, under an
-  exchangeable model whose R blocks are those groups: a two-level overlap
-  sum, 1 - 1/R + (1/R) E[...|same group], or one over group overlaps;
-* otherwise: exact enumeration of support pairs or Monte Carlo over prior
+* a prior with an :class:`OverlapLaw` under the model (uniform supports
+  under a single-block model that weighs the universe alike; one group or
+  whole groups under an exchangeable model whose R blocks are those groups):
+  a hypergeometric sum over the overlap;
+* otherwise: exact enumeration of support pairs, or Monte Carlo over prior
   pairs, which hold for every model.
 
 Every route refuses a prior of another dimension than the model.  At
 gamma = 1 only point masses in the span and whole-group supports are finite;
-every other prior is refused, whatever the method.
+every other prior is refused, whatever the method.  Overlap sums and both
+enumeration routes end in one log-sum-exp, :func:`_log_sum_exp`.
 
-The overlap sums and both enumeration routes end in one log-sum-exp,
-:func:`_log_sum_exp`, a plain numpy reduction.
-
-Enumeration has one route for plus-sign uniform supports under an
-exchangeable single-block model, with or without a universe: a pair term
-depends only on the overlap with the first support, so it sums one term per
-overlap k, weighted by the number of supports at that overlap (a closed-form
-count), and forms no support array.  Every other prior sums the n x n Gram
-matrix of its supports, listed as rows of one index array in
-``itertools.combinations`` order, so its sums are those of a loop over
-``combinations``.
-
-Monte Carlo works on supports, not dense vectors.  :func:`_supports` gives
-each draw's coordinates and values (:func:`draw` only writes them into
-zeros), and a block takes one batched call of 2n draws from the stream,
-rows 2i and 2i + 1 forming pair i.  A pair term is formed from the two
-supports alone (:func:`_pair_terms`): their inner product from the shared
-coordinates, found by sorting the pair's coordinates, and the model's block
-sums of each support; no (2n, p) array is built and the precision is not
-applied.  A block holds max(``_BLOCK_ELEMENTS // p``,
-``_BLOCK_ELEMENTS // (16 s + R)``) pairs for supports of s coordinates (the
-budget shared with null calibration in ``models``), so short supports at
-large p take far fewer blocks, and no block holds fewer pairs than a dense
-(2n, p) draw would.  Every sum is a plain numpy reduction, so the estimate
-does not depend on the BLAS thread count.  A batched draw takes its subsets
-by Floyd's algorithm (see :func:`_subsets`) and so consumes the stream
-differently from single draws: estimates differ from a loop over single
-draws with the same seed; single draws are what the risk engine uses.
+Monte Carlo forms each pair term from the two supports alone
+(:func:`_pair_terms`), from one batched :func:`_supports` call per block of
+pairs, with no (2n, p) array (:func:`_monte_carlo_chisq`).  Every sum is a
+plain numpy reduction, so the estimate does not depend on the BLAS thread
+count.  A batched draw takes its subsets by Floyd's algorithm (see
+:func:`_subsets`), so it consumes the stream differently from single draws,
+which are what the risk engine uses.
 """
 
 from __future__ import annotations
@@ -62,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -117,6 +98,31 @@ def _square(x: float) -> float:
     return x ** 2 if abs(x) < _SQRT_FLOAT_MAX else math.inf
 
 
+class OverlapLaw(NamedTuple):
+    """Pair terms ``lam * k + const`` of two supports that share k entries,
+    each a uniform ``draws``-subset of ``population``, inside one of
+    ``groups`` equally likely groups (pairs across groups: a zero term)."""
+
+    population: int
+    draws: int
+    lam: float
+    const: float
+    groups: int = 1
+
+    def mean_exp(self) -> float:
+        """E exp(lam k + const) over the hypergeometric overlap k; +inf when
+        lam or const (which carry the squared magnitude) leaves the float
+        range, as the exponent at the largest overlap is positive."""
+        if not (math.isfinite(self.lam) and math.isfinite(self.const)):
+            return math.inf
+        ks, logpmf = hypergeometric_logpmf(self.population, self.draws, self.draws)
+        return float(np.exp(_log_sum_exp(logpmf + self.lam * ks + self.const)))
+
+    def chi_sq(self) -> float:
+        """E exp(pair term) - 1 over independent pairs of draws."""
+        return (1.0 - 1.0 / self.groups) + self.mean_exp() / self.groups - 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class PointMass:
     theta: np.ndarray
@@ -130,13 +136,42 @@ class PointMass:
     def p(self) -> int:
         return self.theta.shape[-1]
 
+    def supports(self, rng, v=None, size=None) -> tuple:
+        shape = (self.p,) if size is None else (size, self.p)
+        return np.broadcast_to(np.arange(self.p), shape), np.broadcast_to(self.theta, shape)
+
     @np.errstate(over="ignore")  # +inf past the float range
     def descriptor(self) -> dict:
         return {"prior": "point_mass", "norm_sq": float(self.theta @ self.theta)}
 
 
+class _SparsePrior:
+    """A prior uniform over its supports, which owns its support law:
+    ``supports(rng, v, size)`` draws (:func:`_supports`); ``support_rows(limit,
+    v)`` lists every support and its values in ``itertools.combinations``
+    order, or None past ``limit`` supports or for drawn (Rademacher) signs;
+    ``overlap_law(model, v)`` is its :class:`OverlapLaw`, or None (at gamma =
+    1, None unless it stays finite); ``first_support_terms(model, limit)``,
+    when a pair term depends only on the overlap k with the first support,
+    one term per k and the number of supports at k, or None."""
+
+    @property
+    def support_size(self) -> int:
+        return self.s
+
+    def _values(self, idx: np.ndarray, v):
+        return self.magnitude
+
+    def support_rows(self, limit: int, v=None) -> Optional[tuple]:
+        idx = self._rows(limit)
+        return None if idx is None else (idx, self._values(idx, v))
+
+    def first_support_terms(self, model, limit: int) -> Optional[tuple]:
+        return None
+
+
 @dataclass(frozen=True, eq=False)
-class UniformSparse:
+class UniformSparse(_SparsePrior):
     """Uniform size-s support, common magnitude; optional sign rule and
     support universe restriction.
 
@@ -159,7 +194,9 @@ class UniformSparse:
                                 f"{', '.join(SIGN_RULES)}")
         _check_magnitude(self)
         if self.universe is not None:
-            uni = np.unique(np.asarray(self.universe, dtype=np.intp))
+            # sorted, repeats dropped: np.unique's result, without loading numpy.ma
+            uni = np.sort(np.asarray(self.universe, dtype=np.intp), axis=None)
+            uni = uni[np.diff(uni, prepend=uni[:1] - 1) != 0]
             if uni.size < self.s or uni.min() < 0 or uni.max() >= self.p:
                 raise ContractError("universe must hold at least s valid coordinates")
             object.__setattr__(self, "universe", uni)
@@ -168,9 +205,64 @@ class UniformSparse:
     def population(self) -> int:
         return self.p if self.universe is None else int(self.universe.size)
 
-    @property
-    def support_size(self) -> int:
-        return self.s
+    def _values(self, idx: np.ndarray, v):
+        """The magnitude at the coordinates ``idx``, signed as the pattern
+        ``v`` for sign matching (a scalar for plus signs)."""
+        if self.signs != "match_pattern":
+            return self.magnitude
+        if v is None:
+            raise ContractError("sign matching needs the pattern v")
+        return self.magnitude * np.where(np.asarray(v, dtype=float)[idx] < 0, -1.0, 1.0)
+
+    def supports(self, rng, v=None, size=None) -> tuple:
+        idx = _subsets(rng, self.population, self.s, size)
+        if self.universe is not None:
+            idx = self.universe[idx]
+        if self.signs == "rademacher":
+            return idx, self.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
+        return idx, self._values(idx, v)
+
+    def _rows(self, limit: int) -> Optional[np.ndarray]:
+        # sign configurations are not enumerated
+        if self.signs == "rademacher" or math.comb(self.population, self.s) > limit:
+            return None
+        idx = _combinations(self.population, self.s)
+        return idx if self.universe is None else self.universe[idx]
+
+    def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
+        # A pair term is a^2 k / (1 - gamma) - c P(theta) P(theta~) at overlap
+        # k for plus or sign-matched draws (see _pair_terms).  With one block,
+        # P(theta) sums w_i, the loading times the draw's value, over the
+        # support: s w for every support when all the universe has one w.
+        if self.signs == "rademacher" or model.R != 1 or model.gamma >= 1.0:
+            return None
+        uni = np.arange(self.p) if self.universe is None else self.universe
+        values = np.full(uni.shape, self._values(uni, v))
+        w = model.project_support(uni[:, None], values[:, None])[:, 0]
+        if (w != w[0]).any():
+            return None
+        one_minus, coef = _precision_weights(model)
+        a = self.magnitude
+        return OverlapLaw(self.population, self.s, a * a / one_minus,
+                          -coef * _square(self.s * float(w[0])))
+
+    def first_support_terms(self, model, limit: int) -> Optional[tuple]:
+        # The precision of one exchangeable block maps the first support's
+        # vector to one value on that support and one off it, so with plus
+        # signs a pair term depends only on the overlap k with the first support.
+        N, s = self.population, self.s
+        n = math.comb(N, s)
+        if self.signs != "plus" or not (model.exchangeable and model.R == 1) or n > limit:
+            return None
+        first = np.zeros(self.p, dtype=bool)
+        first[(np.arange(self.p) if self.universe is None else self.universe)[:s]] = True
+        w = precision_apply(model, self.magnitude * first)
+        # at s = p no coordinate is off the support, and every overlap is s
+        off = w[~first][0] if s < self.p else 0.0
+        ks = np.arange(s + 1)
+        # C(s, k) C(N - s, s - k) of the C(N, s) supports share k entries with it
+        counts = np.array([math.comb(s, k) * math.comb(N - s, s - k) for k in ks], dtype=float)
+        return self.magnitude * (ks * w[first][0] + (s - ks) * off), counts, n
 
     def descriptor(self) -> dict:
         d = {"prior": "uniform_sparse", "p": self.p, "s": self.s,
@@ -180,8 +272,14 @@ class UniformSparse:
         return d
 
 
+def _whole_groups(prior, model: CorrelationModel) -> bool:
+    """Whether the prior's R groups of p/R consecutive coordinates are the
+    exchangeable blocks of the model, in the model's own layout."""
+    return model.exchangeable and model.R == prior.R and model.canonical is model
+
+
 @dataclass(frozen=True, eq=False)
-class SingleGroupSparse:
+class SingleGroupSparse(_SparsePrior):
     """Uniformly chosen group, then a uniform size-s support inside it."""
 
     p: int
@@ -196,9 +294,26 @@ class SingleGroupSparse:
             raise ContractError("need 1 <= s <= p/R")
         _check_magnitude(self)
 
-    @property
-    def support_size(self) -> int:
-        return self.s
+    def supports(self, rng, v=None, size=None) -> tuple:
+        bs = self.p // self.R
+        k = rng.integers(self.R, size=size)
+        return np.asarray(k)[..., None] * bs + _subsets(rng, bs, self.s, size), self.magnitude
+
+    def _rows(self, limit: int) -> Optional[np.ndarray]:
+        bs = self.p // self.R
+        if self.R * math.comb(bs, self.s) > limit:
+            return None
+        rows = np.arange(self.R)[:, None, None] * bs + _combinations(bs, self.s)
+        return rows.reshape(-1, self.s)  # group by group
+
+    def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
+        # a pair in one group is a uniform pair inside a block of the model
+        if model.gamma >= 1.0 or not _whole_groups(self, model):
+            return None
+        one_minus, coef = _precision_weights(model)
+        a = self.magnitude
+        return OverlapLaw(model.block_size, self.s, a * a / one_minus,
+                          -coef * _square(a * self.s), groups=self.R)
 
     def descriptor(self) -> dict:
         return {"prior": "single_group_sparse", "p": self.p, "R": self.R,
@@ -206,7 +321,7 @@ class SingleGroupSparse:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupSupported:
+class GroupSupported(_SparsePrior):
     """m whole groups chosen uniformly, constant magnitude on each."""
 
     p: int
@@ -224,6 +339,28 @@ class GroupSupported:
     @property
     def support_size(self) -> int:
         return self.m * (self.p // self.R)
+
+    def _spread(self, groups: np.ndarray) -> np.ndarray:
+        bs = self.p // self.R
+        return (groups[..., None] * bs + np.arange(bs)).reshape(
+            groups.shape[:-1] + (self.m * bs,))
+
+    def supports(self, rng, v=None, size=None) -> tuple:
+        return self._spread(_subsets(rng, self.R, self.m, size)), self.magnitude
+
+    def _rows(self, limit: int) -> Optional[np.ndarray]:
+        if math.comb(self.R, self.m) > limit:
+            return None
+        return self._spread(_combinations(self.R, self.m))
+
+    def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
+        # whole-group blocks: the centered part vanishes, only group means
+        # contribute: <1_B, Sigma^-1 1_B'> = bs / (1-g+g bs) per shared group,
+        # which is 1 at gamma = 1 (whole groups live in the span)
+        if not _whole_groups(self, model):
+            return None
+        g, bs, a = model.gamma, model.block_size, self.magnitude
+        return OverlapLaw(model.R, self.m, a * a * bs / (1.0 - g + g * bs), 0.0)
 
     def descriptor(self) -> dict:
         return {"prior": "group_supported", "p": self.p, "R": self.R,
@@ -252,6 +389,9 @@ class ShiftedSparse:
     @property
     def complement(self) -> UniformSparse:
         return UniformSparse(self.p, self.p - self.s, self.magnitude)
+
+    def supports(self, rng, v=None, size=None):
+        raise ContractError("shifted priors have no single draw; use risk_lower_bound")
 
     def descriptor(self) -> dict:
         return {"prior": "shifted_sparse", "p": self.p, "s": self.s,
@@ -285,50 +425,14 @@ def _subsets(rng: np.random.Generator, population: int, k: int,
 
 def _supports(prior: PriorSpec, rng: np.random.Generator, v=None,
               size: Optional[int] = None) -> tuple:
-    """Coordinates and values of draw(s) from the prior.
+    """Coordinates and values of draw(s) from the prior: its ``supports``.
 
     Returns ``(idx, values)``: ``idx`` (n,) for one draw (``size`` None) or
     (size, n) for ``size`` draws, n distinct coordinates per draw (the
     ``support_size`` of a sparse prior, p for a point mass), and ``values``
-    an array of that shape or a scalar that broadcasts against it.  A draw is
-    zero off its coordinates.  All prior-type dispatch of the draws is here.
-    """
-    if isinstance(prior, ShiftedSparse):
-        raise ContractError("shifted priors have no single draw; use risk_lower_bound")
-    if isinstance(prior, PointMass):
-        idx = np.arange(prior.p)
-        if size is None:
-            return idx, prior.theta
-        return np.broadcast_to(idx, (size, prior.p)), np.broadcast_to(prior.theta, (size, prior.p))
-    if isinstance(prior, UniformSparse):
-        idx = _subsets(rng, prior.population, prior.s, size)
-        if prior.universe is not None:
-            idx = prior.universe[idx]
-        if prior.signs == "rademacher":
-            return idx, prior.magnitude * rng.choice([-1.0, 1.0], size=idx.shape)
-    elif isinstance(prior, SingleGroupSparse):
-        bs = prior.p // prior.R
-        k = rng.integers(prior.R, size=size)
-        idx = np.asarray(k)[..., None] * bs + _subsets(rng, bs, prior.s, size)
-    elif isinstance(prior, GroupSupported):
-        bs = prior.p // prior.R
-        groups = _subsets(rng, prior.R, prior.m, size)
-        idx = (groups[..., None] * bs + np.arange(bs)).reshape(
-            groups.shape[:-1] + (prior.m * bs,))
-    else:
-        raise ContractError(f"unknown prior {type(prior)!r}")
-    return idx, _values(prior, idx, v)
-
-
-def _values(prior: PriorSpec, idx: np.ndarray, v):
-    """Values of a sparse draw at its coordinates ``idx``, for every prior but
-    Rademacher signs: the magnitude, signed as the pattern ``v`` for
-    sign-matched priors (a scalar otherwise)."""
-    if getattr(prior, "signs", "plus") != "match_pattern":
-        return prior.magnitude
-    if v is None:
-        raise ContractError("sign matching needs the pattern v")
-    return prior.magnitude * np.where(np.asarray(v, dtype=float)[idx] < 0, -1.0, 1.0)
+    an array of that shape or a scalar that broadcasts against it; zero
+    elsewhere."""
+    return prior.supports(rng, v, size)
 
 
 def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
@@ -339,9 +443,8 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
     With ``size`` given, returns ``size`` independent draws as rows of a
     (size, p) array.  Single draws (``size`` None) and batches take their
     subsets by different rules (see :func:`_subsets`), so a batch of one does
-    not reproduce a single draw from the same stream.  Shifted priors are
-    refused: they pair the sparse prior with the constant shift b*1_p and are
-    consumed only by :func:`risk_lower_bound`.
+    not reproduce a single draw from the same stream.  Shifted priors, which
+    only :func:`risk_lower_bound` consumes, are refused.
     """
     idx, values = _supports(prior, rng, v, size)
     theta = np.zeros(idx.shape[:-1] + (prior.p,))
@@ -444,7 +547,7 @@ def hypergeometric_mgf_bound(p: int, s: int, lam_sq: float) -> dict:
         raise DomainError(f"lam_sq must be nonnegative, got {lam_sq!r}")
     if s == 0:
         return {"exact": 1.0, "bound": 1.0, "mean": 0.0}
-    return {"exact": _overlap_expectation(p, s, s, lam_sq, 0.0),
+    return {"exact": OverlapLaw(p, s, lam_sq, 0.0).mean_exp(),
             "bound": _mgf_majorant(s / p, s, lam_sq), "mean": s * s / p}
 
 
@@ -458,21 +561,6 @@ def _mgf_majorant(q: float, s: int, lam_sq: float) -> float:
     # e^lam_sq overflows: take the log of the base about its top term q e^lam_sq
     log_power = s * (lam_sq + math.log(q) + math.log1p((1.0 - q) / q * math.exp(-lam_sq)))
     return math.exp(log_power) if log_power < _LOG_FLOAT_MAX else math.inf
-
-
-def _overlap_expectation(population: int, size1: int, size2: int,
-                         lam: float, const: float) -> float:
-    """E[exp(lam * overlap + const)] over the overlap distribution.
-
-    lam and const carry the squared magnitude, and the exponent at the
-    largest overlap (a support paired with itself) is positive.  So when
-    either leaves the float range (+-inf, or 0 * inf where a coefficient is
-    zero), the value is +inf.
-    """
-    if not (math.isfinite(lam) and math.isfinite(const)):
-        return math.inf
-    ks, logpmf = hypergeometric_logpmf(population, size1, size2)
-    return float(np.exp(_log_sum_exp(logpmf + lam * ks + const)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +588,6 @@ def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
     return float(np.add.reduce(c[0] * c[1]))
 
 
-def _whole_groups(prior: PriorSpec, model: CorrelationModel) -> bool:
-    """Whether the prior's R groups of p/R consecutive coordinates are the
-    exchangeable blocks of the model, in the model's own layout."""
-    return model.exchangeable and model.R == prior.R and model.canonical is model
-
-
 @np.errstate(over="ignore")
 def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
                           method: str = "auto", n_mc: int = 200_000,
@@ -529,18 +611,16 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
         return DivergenceResult.from_chi_sq(_expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")
-    if model.gamma >= 1.0 and not (isinstance(prior, GroupSupported)
-                                   and _whole_groups(prior, model)):
-        # whole groups live in the span, where the overlap sum below is exact
-        # at gamma = 1 too; any other prior leaves it
+    if model.gamma >= 1.0 and prior.overlap_law(model, v) is None:
+        # a law at gamma = 1 stays finite (whole groups, in the span); no law, no span
         raise SingularCovarianceError(
             "gamma = 1 divergences are finite only for priors supported in the "
             "span of the correlation direction(s)")
 
     if method in ("auto", "hypergeometric_sum"):
-        result = _try_overlap_sum(prior, model, v)
-        if result is not None:
-            return result
+        law = prior.overlap_law(model, v)
+        if law is not None:
+            return DivergenceResult.from_chi_sq(law.chi_sq(), "hypergeometric_sum")
         if method == "hypergeometric_sum":
             raise ContractError(
                 "the pair inner product is not a function of the support "
@@ -555,42 +635,6 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     if rng is None:
         raise ContractError("monte_carlo needs an rng")
     return _monte_carlo_chisq(prior, model, n_mc, rng, v)
-
-
-def _try_overlap_sum(prior, model, v) -> Optional[DivergenceResult]:
-    """The IS-value as a sum over support overlaps, or None when a pair term
-    is not a function of the overlap."""
-    a = prior.magnitude
-    if isinstance(prior, UniformSparse):
-        # A pair term is a^2 k / (1 - gamma) - c P(theta) P(theta~) at overlap
-        # k for plus or sign-matched draws (see _pair_terms).  With one block,
-        # P(theta) sums w_i, the loading times the draw's value, over the
-        # support: s w for every support when all the universe has one w.
-        if prior.signs == "rademacher" or model.R != 1:
-            return None
-        uni = np.arange(prior.p) if prior.universe is None else prior.universe
-        values = np.full(uni.shape, _values(prior, uni, v))
-        w = model.project_support(uni[:, None], values[:, None])[:, 0]
-        if (w != w[0]).any():
-            return None
-        one_minus, coef = _precision_weights(model)
-        chi = _overlap_expectation(prior.population, prior.s, prior.s, a * a / one_minus,
-                                   -coef * _square(prior.s * float(w[0]))) - 1.0
-    elif isinstance(prior, SingleGroupSparse) and _whole_groups(prior, model):
-        one_minus, coef = _precision_weights(model)
-        same = _overlap_expectation(model.block_size, prior.s, prior.s, a * a / one_minus,
-                                    -coef * _square(a * prior.s))
-        chi = (1.0 - 1.0 / prior.R) + same / prior.R - 1.0
-    elif isinstance(prior, GroupSupported) and _whole_groups(prior, model):
-        g, bs = model.gamma, model.block_size
-        # whole-group blocks: the centered part vanishes, only group means
-        # contribute: <1_B, Sigma^-1 1_B'> = bs / (1-g+g bs) per shared group,
-        # which is 1 at gamma = 1 (the reduced statistic of a group)
-        lam = a * a * bs / (1.0 - g + g * bs)
-        chi = _overlap_expectation(model.R, prior.m, prior.m, lam, 0.0) - 1.0
-    else:
-        return None
-    return DivergenceResult.from_chi_sq(chi, "hypergeometric_sum")
 
 
 def _combinations(n: int, r: int) -> np.ndarray:
@@ -622,77 +666,32 @@ def _combinations(n: int, r: int) -> np.ndarray:
 
 
 def _support_iter(prior, limit: int) -> Optional[np.ndarray]:
-    """Every support of the prior as a row of an (n, s) index array, or None
-    when there are more than ``limit``.
-
-    The prior is uniform over these supports.  Rows follow
-    ``itertools.combinations`` order (group by group for single-group priors).
-    """
-    if isinstance(prior, UniformSparse):
-        n = math.comb(prior.population, prior.s)
-    elif isinstance(prior, SingleGroupSparse):
-        bs = prior.p // prior.R
-        n = prior.R * math.comb(bs, prior.s)
-    elif isinstance(prior, GroupSupported):
-        bs = prior.p // prior.R
-        n = math.comb(prior.R, prior.m)
-    else:
-        raise ContractError(f"enumeration does not support {type(prior)!r}")
-    if n > limit:
-        return None
-    if isinstance(prior, UniformSparse):
-        combos = _combinations(prior.population, prior.s)
-        return combos if prior.universe is None else prior.universe[combos]
-    if isinstance(prior, SingleGroupSparse):
-        inside = _combinations(bs, prior.s)
-        return (np.arange(prior.R)[:, None, None] * bs + inside).reshape(n, prior.s)
-    groups = _combinations(prior.R, prior.m)
-    return (groups[:, :, None] * bs + np.arange(bs)).reshape(n, prior.m * bs)
+    """The index rows of the prior's ``support_rows``: every support, or None
+    past ``limit`` supports or for drawn signs."""
+    return prior._rows(limit)
 
 
 def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
     """IS-value as the exact average over support pairs, or None past
-    ``ENUMERATION_PAIR_BUDGET``.
-
-    Plus-sign uniform supports under an exchangeable single-block model fix
-    the first support and average over the other: one term per overlap k
-    with the first support, weighted by the number of supports at that
-    overlap.  Every other prior sums the n x n Gram matrix of the supports'
-    vectors under the precision.
-    """
-    if isinstance(prior, UniformSparse) and prior.signs == "rademacher":
-        return None  # sign configurations are not enumerated; use monte_carlo
-    if (isinstance(prior, UniformSparse) and prior.signs == "plus"
-            and model.exchangeable and model.R == 1):
-        # The precision of one exchangeable block maps the first support's
-        # vector to one value on that support and one off it, so a pair term
-        # depends only on the overlap k with the first support.
-        n = math.comb(prior.population, prior.s)
-        if n > ENUMERATION_PAIR_BUDGET:
+    ``ENUMERATION_PAIR_BUDGET``: the prior's ``first_support_terms``, one
+    term per overlap k weighted by its number of supports (no support array
+    is formed), or else the n x n Gram matrix of its ``support_rows`` under
+    the precision, whose sums are those of a loop over ``combinations``."""
+    by_overlap = prior.first_support_terms(model, ENUMERATION_PAIR_BUDGET)
+    if by_overlap is not None:
+        terms, counts, n = by_overlap
+        log_mean = _log_sum_exp(terms, counts) - math.log(n)
+    else:
+        rows = prior.support_rows(math.isqrt(ENUMERATION_PAIR_BUDGET), v)
+        if rows is None:
             return None
-        pool = np.arange(prior.p) if prior.universe is None else prior.universe
-        first = np.zeros(prior.p, dtype=bool)
-        first[pool[:prior.s]] = True
-        w = precision_apply(model, prior.magnitude * first)
-        # at s = p no coordinate is off the support, and every overlap is s
-        off = w[~first][0] if prior.s < prior.p else 0.0
-        ks = np.arange(prior.s + 1)
-        terms = prior.magnitude * (ks * w[first][0] + (prior.s - ks) * off)
-        # C(s, k) C(N - s, s - k) of the C(N, s) supports share k entries with it
-        N = prior.population
-        counts = np.array([math.comb(prior.s, k) * math.comb(N - prior.s, prior.s - k)
-                           for k in ks], dtype=float)
-        chi = float(np.exp(_log_sum_exp(terms, counts) - math.log(n))) - 1.0
-        return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
-    idx = _support_iter(prior, math.isqrt(ENUMERATION_PAIR_BUDGET))
-    if idx is None:
-        return None
-    n = idx.shape[0]
-    thetas = np.zeros((n, prior.p))
-    np.put_along_axis(thetas, idx, _values(prior, idx, v), axis=-1)
-    gram = thetas @ precision_apply(model, thetas).T
-    chi = float(np.exp(_log_sum_exp(gram) - 2.0 * math.log(n))) - 1.0
-    return DivergenceResult.from_chi_sq(chi, "exact_enumeration")
+        idx, values = rows
+        n = idx.shape[0]
+        thetas = np.zeros((n, prior.p))
+        np.put_along_axis(thetas, idx, values, axis=-1)
+        gram = thetas @ precision_apply(model, thetas).T
+        log_mean = _log_sum_exp(gram) - 2.0 * math.log(n)
+    return DivergenceResult.from_chi_sq(float(np.exp(log_mean)) - 1.0, "exact_enumeration")
 
 
 def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:

@@ -50,7 +50,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CalibrationError, ContractError, UnsupportedRegimeError
+from .errors import CalibrationError, ContractError, DomainError, UnsupportedRegimeError
 from .gaussian import alpha
 from .geometry import omega as pattern_omega
 from .models import (
@@ -508,7 +508,9 @@ def evaluate(test: TestProcedure, obs: Observation,
     canonical sort of an exchangeable model, and once more by decorrelation
     when some constituent reads decorrelated data; the decorrelation noise
     is then drawn fresh from ``rng``.  Both operating modes produce
-    bit-identical statistic values for a fixed draw.
+    bit-identical statistic values for a fixed draw.  A NaN value (the
+    observation holds a NaN, or infinities that cancel) raises
+    :class:`DomainError`.
     """
     model = obs.model
     _check_compatibility(test, model)
@@ -518,6 +520,8 @@ def evaluate(test: TestProcedure, obs: Observation,
     x, layout = canonical_layout(model, obs.x[None, :])
     xi = rng.standard_normal((1, factor_count(model))) if reads_decorrelated else None
     values = {name: v.item() for name, v in _values(items, x, layout, xi).items()}
+    if any(math.isnan(value) for value in values.values()):
+        raise DomainError("a statistic is NaN: the observation holds a NaN or infinities")
     fired = tuple([name for name, _, _, threshold in items if values[name] > threshold])
     return Verdict(reject=bool(fired), fired=fired, values=values,
                    thresholds=dict(thresholds))

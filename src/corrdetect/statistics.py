@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .gaussian import alpha, alpha_cached
 from .models import CorrelationModel, Observation
 
@@ -73,12 +73,13 @@ def _chisq(z: np.ndarray, model=None, params=None) -> np.ndarray:
 
 
 def _thresholded(z: np.ndarray, model, params) -> np.ndarray:
-    """Y_t per row, t = ``params["t"]``."""
+    """Y_t per row, t = ``params["t"]``.  Only coordinates with |z| < t are
+    zeroed, so a NaN coordinate makes its row NaN."""
     t = params["t"]
-    mask = np.abs(z) >= t
+    below = np.abs(z) < t
     sq = z * z
-    np.copyto(sq, 0.0, where=~mask)
-    return _ADD(sq, axis=-1) - _ADD(mask, axis=-1) * alpha_cached(t)
+    np.copyto(sq, 0.0, where=below)
+    return _ADD(sq, axis=-1) - (z.shape[-1] - _ADD(below, axis=-1)) * alpha_cached(t)
 
 
 def profile_input(blocks: np.ndarray) -> tuple:
@@ -209,7 +210,8 @@ def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> S
     the kind's reduction and combine step apply.  ``params`` (``t``, or
     ``ts`` and ``shapes``) given as None count as missing.  A kind combined
     by a maximum (the scans) also reports its parts, ``aux["per_group"]``,
-    and the maximizing part, ``aux["argmax"]``."""
+    and the maximizing part, ``aux["argmax"]``.  A NaN statistic (the data
+    hold a NaN, or infinities that cancel) raises :class:`DomainError`."""
     family = None if model is None else model.family
     if kind not in KINDS[family]:
         raise ContractError(f"no {kind!r} statistic for {family or 'model-free blocks'}")
@@ -232,10 +234,11 @@ def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> S
         y = parts(x, model, params)
     except KeyError as missing:
         raise ContractError(f"the {kind!r} statistic needs the parameter {missing}") from None
-    if combine is None:
-        return StatisticValue(kind, _out(y))
+    total = y if combine is None else combine(y, axis=-1)
+    if np.isnan(total).any():
+        raise DomainError(f"the {kind!r} statistic is NaN: the data hold a NaN or infinities")
     aux = {"per_group": y, "argmax": _out(y.argmax(axis=-1))} if combine is _MAX else {}
-    return StatisticValue(kind, _out(combine(y, axis=-1)), aux)
+    return StatisticValue(kind, _out(total), aux)
 
 
 # ---------------------------------------------------------------------------

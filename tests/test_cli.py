@@ -348,9 +348,10 @@ class TestOtherCommands:
     @pytest.mark.parametrize("prior", ["single_group_sparse", "group_supported"])
     def test_group_prior_takes_R_under_any_family(self, prior):
         # --R sets the prior's group count; the equicorrelated model has none
+        size = ["--m", "2"] if prior == "group_supported" else ["--s", "2"]
         code, out, err = run_cli(["divergence", "--prior", prior, "--family", "eq",
-                                  "--p", "16", "--R", "4", "--s", "2", "--m", "2",
-                                  "--gamma", "0.3", "--magnitude", "0.4",
+                                  "--p", "16", "--R", "4"] + size +
+                                 ["--gamma", "0.3", "--magnitude", "0.4",
                                   "--method", "exact_enumeration"])
         assert code == 0, err
         row = json.loads(out)
@@ -471,6 +472,9 @@ _DIV = ["divergence", "--prior", "uniform_sparse", "--s", "2", "--magnitude", "0
     (_DIV + ["--prior", "single_group_sparse", "--R", "4", "--s", "5"], "prior.s"),
     (_DIV + ["--prior", "single_group_sparse", "--R", "3"], "prior.R"),
     (_DIV + ["--prior", "group_supported", "--R", "4", "--m", "5"], "prior.m"),
+    # a flag the prior does not take: both once exited 0 and dropped it
+    (_DIV + ["--m", "7"], "prior.m"),
+    (_DIV + ["--prior", "group_supported", "--R", "4", "--m", "2"], "prior.s"),
     (_DIV + ["--prior", "single_group_sparse", "--R", "4", "--signs", "rademacher"],
      "prior.signs"),
     (_DIV + ["--prior", "point_mass", "--signs", "rademacher"], "prior.signs"),

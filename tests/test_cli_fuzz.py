@@ -102,7 +102,7 @@ def calibrate_flags(draw):
 
 @st.composite
 def divergence_flags(draw):
-    base = dict(draw(_model_base()), s=3, magnitude=0.4, m=1, seed=0,
+    base = dict(draw(_model_base()), magnitude=0.4, seed=0,
                 prior=draw(st.sampled_from(["point_mass", "uniform_sparse",
                                             "single_group_sparse", "group_supported",
                                             "shifted_sparse"])),
@@ -111,6 +111,8 @@ def divergence_flags(draw):
                 **{"n-mc": 500})
     if base["prior"] in ("single_group_sparse", "group_supported"):
         base["R"] = 4
+    # each prior gets only the size flag it takes: m whole groups, or s coordinates
+    base.update({"m": 1} if base["prior"] == "group_supported" else {"s": 3})
     return _flags(draw, base, {"p": _SMALL_INTS, "s": _INTS, "gamma": _FLOATS,
                                "R": _INTS + [4], "m": _INTS + [2],
                                "magnitude": _FLOATS + ["2147483649"],

@@ -1,0 +1,96 @@
+"""Properties of the priors' support laws on random priors and models.
+
+The Monte Carlo route forms each pair term from the two supports alone
+(``divergences._pair_terms``).  Here it must equal the dense form
+<theta, Sigma^-1 theta~> for random priors (every sign rule, with and
+without a universe, single groups and whole groups, p <= 64) under random
+models (interleaved group labels and rank-one patterns that are not sign
+patterns included).
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from corrdetect.divergences import (
+    SIGN_RULES,
+    GroupSupported,
+    SingleGroupSparse,
+    UniformSparse,
+    _pair_terms,
+    _supports,
+)
+from corrdetect.models import Equicorrelated, Grouped, RankOne, precision_apply
+from corrdetect.streams import substream
+
+_PROPERTY = dict(derandomize=True, database=None, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _divisors(p):
+    return [R for R in range(1, p + 1) if p % R == 0]
+
+
+@st.composite
+def priors(draw, p):
+    kind = draw(st.sampled_from(["uniform", "single_group", "whole_groups"]))
+    magnitude = draw(st.floats(0.05, 2.0))
+    if kind == "uniform":
+        universe = None
+        if draw(st.booleans()):
+            universe = np.array(draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                              max_size=p, unique=True)))
+        population = p if universe is None else universe.size
+        s = draw(st.integers(1, min(population, 8)))
+        return UniformSparse(p, s, magnitude, signs=draw(st.sampled_from(SIGN_RULES)),
+                             universe=universe)
+    R = draw(st.sampled_from(_divisors(p)))
+    if kind == "single_group":
+        return SingleGroupSparse(p, R, draw(st.integers(1, min(p // R, 8))), magnitude)
+    return GroupSupported(p, R, draw(st.integers(1, R)), magnitude)
+
+
+@st.composite
+def models(draw, p):
+    kind = draw(st.sampled_from(["equicorrelated", "grouped", "interleaved",
+                                 "sign_pattern", "rank_one"]))
+    gamma = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
+    if kind == "equicorrelated":
+        return Equicorrelated(p, gamma)
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    if kind in ("grouped", "interleaved"):
+        R = draw(st.sampled_from(_divisors(p)))
+        labels = None
+        if kind == "interleaved":
+            labels = rng.permutation(np.repeat(np.arange(R), p // R))
+        return Grouped(p, R, gamma, labels=labels)
+    if kind == "sign_pattern":
+        return RankOne(p, gamma, rng.choice([-1.0, 1.0], size=p))
+    return RankOne.renormalized(p, gamma, rng.standard_normal(p) + 0.1)
+
+
+@st.composite
+def cases(draw):
+    p = draw(st.integers(2, 64))
+    model = draw(models(p))
+    v = getattr(model, "v", None)
+    if v is None:  # a sign-matched prior needs a pattern of its own
+        v = np.random.default_rng(p).choice([-1.0, 1.0], size=p)
+    return draw(priors(p)), model, v, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=300, **_PROPERTY)
+@given(case=cases())
+def test_support_pair_terms_equal_the_dense_form(case):
+    prior, model, v, seed = case
+    idx, values = _supports(prior, substream(seed, 0), v, 2 * 40)
+    thetas = np.zeros((idx.shape[0], prior.p))
+    np.put_along_axis(thetas, idx, np.broadcast_to(values, idx.shape), axis=-1)
+    prec = precision_apply(model, thetas[1::2])
+    dense = (thetas[0::2] * prec).sum(axis=-1)
+    # a pair term that cancels to about 0 is compared at the scale of what cancelled
+    scale = (np.abs(thetas[0::2]) * np.abs(prec)).sum(axis=-1)
+    terms = _pair_terms(model, idx, values)
+    assert terms.shape == (40,)
+    assert np.all(np.abs(terms - dense) <= 1e-12 * scale)

@@ -2,10 +2,15 @@
 stays private to ``statistics``, and the only branches on the model class are
 the shifted route's two equicorrelated requirements in ``divergences`` (every
 other route asks the model for its block count, exchangeable blocks and block
-sums), and ``divergences._log_sum_exp`` is the only log-sum-exp.  The runtime
-needs numpy only: no module imports scipy, eagerly or on first use.  The
+sums).  The only branches on the prior class are the shifted route (in
+``ingster_suslina_chisq``, ``risk_lower_bound`` and the CLI) and the point
+mass closed form; every other route asks the prior for its support law, and
+no prior's sign rule is compared outside the prior classes.
+``divergences._log_sum_exp`` is the only log-sum-exp.  The runtime needs
+numpy only: no module imports scipy, eagerly or on first use.  The
 acceptance module, which the benchmark loads as its grid table, imports
-neither scipy nor pytest when it is loaded."""
+neither scipy nor pytest when it is loaded, and building every grid cell's
+alternatives and certificate prior does not load ``numpy.ma``."""
 
 import ast
 import os
@@ -17,6 +22,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "corrdetect"
 MODEL_ISINSTANCE = re.compile(r"isinstance\(\s*[\w.]+\s*,\s*\(?\s*(Equicorrelated|Grouped|RankOne)\b")
 MAX_MODEL_ISINSTANCE = 2
+PRIORS = {"PointMass", "UniformSparse", "SingleGroupSparse", "GroupSupported", "ShiftedSparse"}
+MAX_PRIOR_ISINSTANCE = 4
 # a private of ``statistics`` named through the module or imported from it
 PRIVATE_REACH_IN = re.compile(r"\bstats\._|statistics import[ (]*_")
 
@@ -40,6 +47,61 @@ def test_model_isinstance_checks_stay_few():
     counts = {path.name: len(MODEL_ISINSTANCE.findall(path.read_text())) for path in _sources()}
     assert counts["statistics.py"] == 0
     assert sum(counts.values()) <= MAX_MODEL_ISINSTANCE, counts
+
+
+def _names(node) -> set:
+    """The class names an ``isinstance`` second argument refers to."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_names(elt) for elt in node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _prior_isinstance_checks(tree) -> int:
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "isinstance" and len(node.args) == 2
+               and _names(node.args[1]) & PRIORS)
+
+
+def test_prior_isinstance_checks_stay_few():
+    counts = {path.name: _prior_isinstance_checks(ast.parse(path.read_text()))
+              for path in _sources()}
+    assert sum(counts.values()) <= MAX_PRIOR_ISINSTANCE, counts
+
+
+def test_prior_guard_sees_every_form():
+    forms = ["isinstance(prior, PointMass)", "isinstance(p, divergences.GroupSupported)",
+             "isinstance(x, (int, ShiftedSparse))",
+             "def f(a):\n    return isinstance(a, UniformSparse)"]
+    for form in forms:
+        assert _prior_isinstance_checks(ast.parse(form)) == 1, form
+    assert _prior_isinstance_checks(ast.parse("isinstance(alt, SignalSpec)")) == 0
+
+
+def _reads_signs(node) -> bool:
+    """``<prior>.signs`` or ``getattr(<prior>, "signs", ...)``; the CLI's flag
+    namespace ``args`` is not a prior."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "signs" and not (isinstance(node.value, ast.Name)
+                                             and node.value.id == "args")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "signs")
+
+
+def test_sign_rules_are_compared_only_inside_the_priors():
+    offenders = []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in PRIORS
+                  for node in ast.walk(cls)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Compare) and id(node) not in inside
+                      and any(_reads_signs(side) for side in [node.left, *node.comparators])]
+    assert offenders == []
 
 
 def _is_scipy(name) -> bool:
@@ -129,3 +191,35 @@ def test_acceptance_table_loads_without_scipy_or_pytest():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == ["20", "[]"]
+
+
+_MASKED_PROBE = """
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location("corrdetect_acceptance", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+from corrdetect.rates import rate_for
+from corrdetect.risk import default_alternatives
+
+for label, family, p, s, gamma, R, make_v, adaptive in module.GRID:
+    v = make_v(p) if make_v else None
+    rate = rate_for(family, p, s, gamma, R=R, v=v)
+    for target in (8.0 * rate.value, rate.value / 64.0):
+        default_alternatives(family, p, s, gamma, R, v, target)
+    module._certificate_prior(family, p, s, gamma, R, v, rate.value / 64.0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_grid_set_up_loads_no_masked_arrays():
+    """Building every grid cell's alternatives and certificate prior, as the
+    benchmark's set-up does, leaves ``numpy.ma`` unloaded: a universe prior
+    dedupes its universe without ``np.unique``, which imports it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    proc = subprocess.run([sys.executable, "-c", _MASKED_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
