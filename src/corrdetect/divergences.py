@@ -40,9 +40,11 @@ which are what the risk engine uses.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -90,6 +92,12 @@ def _expm1(x: float) -> float:
     """exp(x) - 1, and +inf past the float range, as the log-sum-exp routes
     give, where math.expm1 raises OverflowError."""
     return math.expm1(x) if x < _LOG_FLOAT_MAX else math.inf
+
+
+def _sha256(a: np.ndarray, dtype: str) -> str:
+    """Hex sha256 of the entries of ``a`` as ``dtype`` bytes: a descriptor
+    field that tells apart arrays a summary of them (a norm, a size) does not."""
+    return hashlib.sha256(np.asarray(a, dtype=dtype).tobytes()).hexdigest()
 
 
 def _square(x: float) -> float:
@@ -142,7 +150,8 @@ class PointMass:
 
     @np.errstate(over="ignore")  # +inf past the float range
     def descriptor(self) -> dict:
-        return {"prior": "point_mass", "norm_sq": float(self.theta @ self.theta)}
+        return {"prior": "point_mass", "norm_sq": float(self.theta @ self.theta),
+                "theta_sha256": _sha256(self.theta, "<f8")}
 
 
 class _SparsePrior:
@@ -226,8 +235,8 @@ class UniformSparse(_SparsePrior):
         # sign configurations are not enumerated
         if self.signs == "rademacher" or math.comb(self.population, self.s) > limit:
             return None
-        idx = _combinations(self.population, self.s)
-        return idx if self.universe is None else self.universe[idx]
+        pool = range(self.p) if self.universe is None else self.universe  # sorted
+        return np.fromiter(combinations(pool, self.s), dtype=(np.intp, self.s))
 
     def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
         # A pair term is a^2 k / (1 - gamma) - c P(theta) P(theta~) at overlap
@@ -269,6 +278,7 @@ class UniformSparse(_SparsePrior):
              "magnitude": self.magnitude, "signs": self.signs}
         if self.universe is not None:
             d["universe_size"] = int(self.universe.size)
+            d["universe_sha256"] = _sha256(self.universe, "<i8")  # sorted
         return d
 
 
@@ -303,7 +313,8 @@ class SingleGroupSparse(_SparsePrior):
         bs = self.p // self.R
         if self.R * math.comb(bs, self.s) > limit:
             return None
-        rows = np.arange(self.R)[:, None, None] * bs + _combinations(bs, self.s)
+        combos = np.fromiter(combinations(range(bs), self.s), dtype=(np.intp, self.s))
+        rows = np.arange(self.R)[:, None, None] * bs + combos
         return rows.reshape(-1, self.s)  # group by group
 
     def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
@@ -351,7 +362,8 @@ class GroupSupported(_SparsePrior):
     def _rows(self, limit: int) -> Optional[np.ndarray]:
         if math.comb(self.R, self.m) > limit:
             return None
-        return self._spread(_combinations(self.R, self.m))
+        return self._spread(np.fromiter(combinations(range(self.R), self.m),
+                                        dtype=(np.intp, self.m)))
 
     def overlap_law(self, model, v=None) -> Optional[OverlapLaw]:
         # whole-group blocks: the centered part vanishes, only group means
@@ -635,40 +647,6 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     if rng is None:
         raise ContractError("monte_carlo needs an rng")
     return _monte_carlo_chisq(prior, model, n_mc, rng, v)
-
-
-def _combinations(n: int, r: int) -> np.ndarray:
-    """Every r-subset of range(n) as a row, in ``itertools.combinations`` order.
-
-    Built one position at a time: a prefix ending in c extends by each of
-    c + 1, ..., n - r + j at position j, and ``np.repeat`` keeps a prefix's
-    extensions together in ascending order, so rows stay lexicographic.  Each
-    level keeps only its last entries and the index of each prefix's parent;
-    the (n, r) output is then filled column by column, last to first, through
-    the composed parent indices.
-    """
-    last = np.arange(n - r + 1, dtype=np.intp)
-    levels = []  # (parent index of each prefix, last entries of the parents)
-    for j in range(1, r):
-        counts = n - r + j - last
-        parent = np.repeat(np.arange(last.size), counts)
-        offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        levels.append((parent, last))
-        last = last[parent] + 1 + offset
-    combos = np.empty((last.size, r), dtype=np.intp)
-    combos[:, r - 1] = last
-    ancestor = None
-    for j in range(r - 1, 0, -1):
-        parent, parent_last = levels.pop()
-        ancestor = parent if ancestor is None else parent[ancestor]
-        combos[:, j - 1] = parent_last[ancestor]
-    return combos
-
-
-def _support_iter(prior, limit: int) -> Optional[np.ndarray]:
-    """The index rows of the prior's ``support_rows``: every support, or None
-    past ``limit`` supports or for drawn signs."""
-    return prior._rows(limit)
 
 
 def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:

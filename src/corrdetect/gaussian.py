@@ -90,7 +90,8 @@ def alpha(t):
 
 @lru_cache(maxsize=4096)
 def alpha_cached(t: float) -> float:
-    """Memoized ``alpha`` keyed on the exact bit pattern of ``t``.
+    """Memoized ``alpha``, keyed as ``lru_cache`` keys a float: by equality,
+    so 0.0 and -0.0 share an entry (``alpha`` gives both 1.0).
 
     Test thresholds are reused across millions of replications; the cache is
     read-mostly and safe for concurrent use.

@@ -66,7 +66,6 @@ __all__ = [
     "Observation",
     "check_family",
     "model_from",
-    "factor_count",
     "canonical_layout",
     "sample",
     "decorrelate",
@@ -324,11 +323,6 @@ class Observation:
         object.__setattr__(self, "x", x)
 
 
-def factor_count(model: CorrelationModel) -> int:
-    """Number k of shared factors per draw (one decorrelation injection each)."""
-    return model.R
-
-
 # Batched kernels (null calibration, Monte Carlo divergences) work in blocks
 # of at most this many data entries, ``_BLOCK_ELEMENTS // p`` rows of length p:
 # a fixed budget, so block boundaries never depend on the worker count.
@@ -359,8 +353,8 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
     ``theta`` may be None (the null).  With ``size`` given, returns a batch of
     shape (size, p).  The shared factor(s) are drawn before the idiosyncratic
     noise, so a fixed stream reproduces bit-identical observations.  Instead
-    of ``rng``, ``normals`` (rows of k factors then p noise coordinates, see
-    :func:`factor_count`) supplies the standard normals for one draw per row.
+    of ``rng``, ``normals`` (rows of k = R factors then p noise coordinates)
+    supplies the standard normals for one draw per row.
     """
     p = model.p
     if theta is None:
@@ -370,7 +364,7 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
         if theta.shape != (p,):
             raise ContractError("theta length must equal model dimension p")
         theta = model.block_view(theta)
-    k = factor_count(model)
+    k = model.R
     if normals is not None:
         normals = np.asarray(normals, dtype=float)
         if normals.shape[-1] != k + p:
@@ -420,7 +414,7 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
     x = _as_array(x)
     if x.shape[-1] != model.p:
         raise ContractError("data length does not match model dimension")
-    shape = x.shape[:-1] + (factor_count(model),)
+    shape = x.shape[:-1] + (model.R,)
     if xi is None:
         xi = rng.standard_normal(shape)
     elif xi.shape != shape:

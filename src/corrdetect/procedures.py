@@ -60,7 +60,6 @@ from .models import (
     _decorrelated,
     canonical_layout,
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
-    factor_count,
     model_from,
 )
 from .statistics import REDUCTIONS, profile_input
@@ -415,7 +414,7 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
             f"beyond the {q} quantile; need >= {_MIN_TAIL} (raise n_cal or lower q)")
     from .models import sample as draw
     items = _kernel_items(items)
-    p, k = model.p, factor_count(model)
+    p, k = model.p, model.R
     k_xt = k if _reads_decorrelated(items) else 0
     rows = max(1, _BLOCK_ELEMENTS // p)
     values = {name: np.empty(n_cal) for name, _, _, _ in items}
@@ -518,7 +517,7 @@ def evaluate(test: TestProcedure, obs: Observation,
         raise ContractError("evaluate takes a single observation vector")
     items, reads_decorrelated, thresholds = test.kernel_plan
     x, layout = canonical_layout(model, obs.x[None, :])
-    xi = rng.standard_normal((1, factor_count(model))) if reads_decorrelated else None
+    xi = rng.standard_normal((1, model.R)) if reads_decorrelated else None
     values = {name: v.item() for name, v in _values(items, x, layout, xi).items()}
     if any(math.isnan(value) for value in values.values()):
         raise DomainError("a statistic is NaN: the observation holds a NaN or infinities")

@@ -14,11 +14,9 @@ from scipy.special import logsumexp
 from scipy.stats import chisquare, norm
 
 from corrdetect.divergences import (
-    _combinations,
     _log_sum_exp,
     _pair_terms,
     _subsets,
-    _support_iter,
     _supports,
     ENUMERATION_PAIR_BUDGET,
     DivergenceResult,
@@ -574,31 +572,23 @@ class TestFloydSubsets:
 
 
 class TestEnumerationSupports:
-    def test_combinations_match_itertools(self):
-        for n in range(1, 13):
-            for r in range(1, n + 1):
-                got = _combinations(n, r)
-                want = np.array(list(combinations(range(n), r)), dtype=np.intp)
-                assert got.dtype == np.intp
-                assert np.array_equal(got, want), (n, r)
-
     def test_supports_follow_itertools_on_pools(self):
         universe = np.array([2, 3, 7, 8, 11, 12, 15])
-        got = _support_iter(UniformSparse(16, 3, 1.0, universe=universe), 10_000)
+        got, _ = UniformSparse(16, 3, 1.0, universe=universe).support_rows(10_000)
         assert np.array_equal(got, list(combinations(universe.tolist(), 3)))
-        got = _support_iter(SingleGroupSparse(12, 3, 2, 1.0), 10_000)
+        got, _ = SingleGroupSparse(12, 3, 2, 1.0).support_rows(10_000)
         want = [tuple(k * 4 + np.asarray(S)) for k in range(3)
                 for S in combinations(range(4), 2)]
         assert np.array_equal(got, want)
-        got = _support_iter(GroupSupported(12, 4, 2, 1.0), 10_000)
+        got, _ = GroupSupported(12, 4, 2, 1.0).support_rows(10_000)
         want = [np.concatenate([np.arange(k * 3, k * 3 + 3) for k in g])
                 for g in combinations(range(4), 2)]
         assert np.array_equal(got, want)
 
     def test_support_limit(self):
-        assert _support_iter(UniformSparse(1024, 8, 1.0), 10 ** 6) is None
-        assert _support_iter(UniformSparse(10, 3, 1.0), 119) is None
-        assert _support_iter(UniformSparse(10, 3, 1.0), 120).shape == (120, 3)
+        assert UniformSparse(1024, 8, 1.0).support_rows(10 ** 6) is None
+        assert UniformSparse(10, 3, 1.0).support_rows(119) is None
+        assert UniformSparse(10, 3, 1.0).support_rows(120)[0].shape == (120, 3)
 
 
 @pytest.mark.parametrize("prior,model,v", [

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdetect import statistics as stats
 from corrdetect.errors import ContractError
@@ -19,16 +21,17 @@ from corrdetect.models import (
     RankOne,
     canonical_layout,
     decorrelate,
-    factor_count,
     sample,
 )
 from corrdetect.procedures import (
+    Constituent,
     _plan,
     _values,
     build_test,
     calibrate_null_quantile,
     evaluate,
 )
+from corrdetect.procedures import TestProcedure as Procedure  # not a pytest class
 from corrdetect.statistics import _REDUCTIONS
 from corrdetect.streams import substream
 
@@ -118,7 +121,7 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
     # takes sorted, and the data carry a signal so that residuals are nonzero
     model, plans, reference = CASES[case]
     items = [(name, kind, params, None) for name, kind, params in plans]
-    n, k = 30, factor_count(model)
+    n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x, layout = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
     xi = substream(11, 5).standard_normal((n, k))
@@ -186,7 +189,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
     # no statistic of the package is run
     model, plans, _ = CASES[case]
     items = [(name, kind, params, None) for name, kind, params in plans]
-    n, k = 30, factor_count(model)
+    n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(11, 4), size=n).x
     xi = substream(11, 5).standard_normal((n, k))
@@ -293,7 +296,7 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
     v = model.v if family == "rank_one" else None
     test = build_test(family, 64, s, gamma, R=R, v=v, mode="paper_constants", C=3.0)
     items = [(c.name, c.kind, c.params, None) for c in test.constituents]
-    n, k = 40, factor_count(model)
+    n, k = 40, model.R
     theta = np.where(np.arange(64) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(13, 0), size=n).x
     xi = substream(13, 1).standard_normal((n, k))
@@ -307,6 +310,66 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
         for name, _, _, _ in items:
             assert single[name][0] == batch[name][i]
             assert verdict.values[name] == alone[name][0]
+
+
+def _random_case(data):
+    """A model of any family, a one-to-several-constituent test of its kinds
+    (raw-data kinds only at gamma = 1), and a seed, all drawn by ``data``."""
+    family = data.draw(st.sampled_from(["equicorrelated", "grouped", "rank_one"]))
+    p = data.draw(st.sampled_from([8, 12, 16, 30, 64]))
+    gamma = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    R, v = None, None
+    if family == "grouped":
+        R = data.draw(st.sampled_from([r for r in (2, 3, 4) if p % r == 0]))
+        labels = np.repeat(np.arange(R), p // R)
+        if data.draw(st.booleans()):  # interleaved labels
+            labels = np.random.default_rng(data.draw(st.integers(0, 99))).permutation(labels)
+        model = Grouped(p, R, gamma, labels=labels)
+    elif family == "rank_one":
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        signs = data.draw(st.booleans())
+        v = rng.choice([-1.0, 1.0], size=p) if signs else rng.uniform(-1.5, 1.5, size=p)
+        model = RankOne.renormalized(p, gamma, v)
+        v = model.v
+    else:
+        model = Equicorrelated(p, gamma)
+    kinds = sorted(kind for kind in stats.KINDS[family]
+                   if gamma < 1.0 or _REDUCTIONS[kind].reads == "raw")
+    chosen = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4, unique=True))
+    constituents = []
+    for kind in chosen:
+        params = {}
+        if kind in ("thresholded", "thresholded_scan", "thresholded_avg"):
+            params["t"] = data.draw(st.floats(0.1, 3.0))
+        elif kind == "adaptive_scan":
+            ts = data.draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4, unique=True))
+            params = {"ts": np.sort(ts), "shapes": np.linspace(1.0, 2.0, len(ts))}
+        threshold = data.draw(st.floats(-5.0, 2.0 * p))
+        constituents.append(Constituent(kind, kind, params, threshold, "drawn"))
+    test = Procedure(name="drawn", family=family, p=p, s=1, gamma=gamma, R=R, v=v,
+                     mode="paper_constants", constituents=tuple(constituents))
+    return model, test, data.draw(st.integers(0, 2 ** 20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_kernel_rows_equal_single_evaluate_calls(data):
+    model, test, seed = _random_case(data)
+    n = data.draw(st.integers(1, 64))
+    theta = np.zeros(model.p)
+    theta[:data.draw(st.integers(0, model.p))] = data.draw(st.floats(-2.0, 2.0))
+    x = sample(model, theta, substream(seed, 0), size=n).x
+    verdicts = [evaluate(test, Observation(x[i], model), substream(seed, 1, i))
+                for i in range(n)]
+    items, reads_decorrelated, thresholds = test.kernel_plan
+    # the injections each evaluate call drew from its stream
+    xi = np.concatenate([substream(seed, 1, i).standard_normal((1, model.R))
+                         for i in range(n)]) if reads_decorrelated else None
+    batch = _values(items, *canonical_layout(model, x), xi=xi)
+    for i, verdict in enumerate(verdicts):
+        assert verdict.values == {name: batch[name][i].item() for name in batch}
+        assert verdict.fired == tuple(name for name in batch
+                                      if batch[name][i] > thresholds[name])
 
 
 # a batch of one is sorted again by each sum; a batch of 50 is only

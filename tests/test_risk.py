@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrdetect import risk
-from corrdetect.divergences import ShiftedSparse, UniformSparse
+from corrdetect.divergences import PointMass, ShiftedSparse, UniformSparse
 from corrdetect.errors import ContractError
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.models import Grouped
@@ -122,6 +122,29 @@ class TestEstimateRisk:
         assert len(draws) == 100
         assert (twice.type_i, twice.per_alternative, twice.se_total) == (
             once.type_i, once.per_alternative, once.se_total)
+
+    def test_point_masses_of_equal_norm_keep_their_own_streams(self):
+        # one whole group against every fourth coordinate: equal norms, and
+        # type II errors far apart under the grouped model
+        test = build_test("grouped", 64, 16, 0.9, R=4, mode="calibrated",
+                          rng=substream(3, 0))
+        model = model_for(test)
+        whole, spread = np.zeros(64), np.zeros(64)
+        whole[:16] = spread[::4] = 0.5
+        a, b = PointMass(whole), PointMass(spread)
+        e1 = estimate_risk(test, model, [a, b], 400, master_seed=1)
+        e2 = estimate_risk(test, model, [b, a], 400, master_seed=1)
+        assert len(e1.per_alternative) == len(e2.per_alternative) == 2
+        assert e1.per_alternative == e2.per_alternative
+        assert e1.worst_type_ii == e2.worst_type_ii
+
+    def test_universes_of_equal_size_are_told_apart(self):
+        a = UniformSparse(16, 2, 1.0, universe=np.arange(8))
+        b = UniformSparse(16, 2, 1.0, universe=np.arange(8, 16))
+        assert a.descriptor()["universe_size"] == b.descriptor()["universe_size"]
+        assert risk._alt_key(a) != risk._alt_key(b)
+        assert risk._alt_key(a) == risk._alt_key(
+            UniformSparse(16, 2, 1.0, universe=np.arange(7, -1, -1)))
 
     def test_wilson_halfwidth_range(self):
         assert wilson_halfwidth(0, 100) > 0
