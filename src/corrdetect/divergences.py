@@ -521,28 +521,24 @@ def _log_sum_exp(a: np.ndarray, b: Optional[np.ndarray] = None) -> float:
     return float(np.log1p(np.add.reduce(terms, axis=None) / m) + np.log(m) + top)
 
 
-def _log_factorials(k) -> np.ndarray:
-    """log(k!) = ``math.lgamma(k + 1)`` at the integers of ``k``, shaped like it."""
-    k = np.asarray(k)
-    return np.array([math.lgamma(x + 1.0) for x in k.ravel().tolist()]).reshape(k.shape)
-
-
 def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
     """Support and log-pmf of the overlap of two uniform subsets.
 
     |S| = draw1 and |S~| = draw2 drawn uniformly from a population; the
     overlap count k ranges over [max(0, d1+d2-population), min(d1, d2)].
+    The log-pmf is the normalized running sum of log(pmf(k+1)/pmf(k)), so no
+    term near log(population!) forms and cancels.
     """
+    if not (0 <= draw1 <= population and 0 <= draw2 <= population):
+        raise ContractError("need 0 <= draw1, draw2 <= population")
     lo = max(0, draw1 + draw2 - population)
     hi = min(draw1, draw2)
     ks = np.arange(lo, hi + 1)
-
-    def logc(n, r):
-        return _log_factorials(n) - _log_factorials(r) - _log_factorials(n - r)
-
-    logpmf = (logc(draw2, ks) + logc(population - draw2, draw1 - ks)
-              - logc(population, draw1))
-    return ks, logpmf
+    k = ks[:-1].astype(float)
+    log_ratios = (np.log((draw1 - k) * (draw2 - k))
+                  - np.log((k + 1.0) * (population - draw1 - draw2 + k + 1.0)))
+    log_weights = np.concatenate(([0.0], np.cumsum(log_ratios)))
+    return ks, log_weights - _log_sum_exp(log_weights)
 
 
 @np.errstate(over="ignore")  # +inf past the float range

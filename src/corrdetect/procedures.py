@@ -116,6 +116,8 @@ class Constituent:
 
 @dataclass(frozen=True, eq=False)
 class TestProcedure:
+    __test__ = False  # not a pytest test class, under any name a test imports it by
+
     name: str
     family: str
     p: int
@@ -221,15 +223,12 @@ def _plan_equicorrelated(p: int, s, gamma: float) -> list:
             return [("noiseless", "noiseless", {}, lambda C: 0.0)]
         return [("chisq_raw", "chisq_raw", {}, lambda C: p + (C ** 2 / 2.0) * p)]
     items = [_sparse_item(p, s, 32.0) if s < root else _chisq_item(p)]
-    if s > p / 2:
-        if s <= p - root:
-            if not any(it[0] == "chisq" for it in items):
-                items.append(_chisq_item(p))
-        elif s < p:
+    if s > p / 2:  # and so s >= root: items holds chisq
+        if s >= p:  # s == p: the mean direction alone carries the separation
+            items = []
+        elif s > p - root:
             items.append(("thresholded_dense", "thresholded", {"t": _dense_t(p, s)},
                           lambda C, sh=_dense_shape(p, s): (C ** 2 / 8.0) * sh))
-        else:  # s == p: the mean direction alone carries the separation
-            items = []
         items.append(_linear_item(p, gamma, p))
     return items
 

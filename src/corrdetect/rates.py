@@ -195,6 +195,8 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     v = np.asarray(v, dtype=float)
     if v.shape != (p,):
         raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
+    if not (0.0 <= gamma <= 1.0):
+        raise ContractError("gamma must lie in [0, 1]")
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))

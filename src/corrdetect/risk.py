@@ -216,10 +216,11 @@ def default_alternatives(family: str, p: int, s: int, gamma: float,
     the deterministic first-coordinates signal.  Draws satisfy
     ||theta||^2 = target_sq exactly.
     """
+    check_family(family, R=R, v=v)
     if target_sq <= 0:
         raise ContractError("separation must be positive")
     alts = []
-    if family == "grouped" and R is not None and R > 1:
+    if family == "grouped" and R > 1:
         bs = p // R
         if s >= bs:
             m = max(1, s // bs)

@@ -394,8 +394,9 @@ class TestOtherCommands:
 
 # sha256 of the stdout of valid commands, recorded before the flag commands
 # went through the config validators; risk leaves out its wall time.  The two
-# hypergeometric_sum rows were re-recorded when the log-binomials moved to
-# math.lgamma: their values moved by about 6e-15 absolute
+# hypergeometric_sum rows were re-recorded when the overlap weights became a
+# running sum of log ratios: chi_sq moved by 1.3e-15 absolute, to within 3e-18
+# of a 50-digit value
 _PINNED = {
     "rate --family eq --p 100 --s 5 --gamma 0.5":
         "611753c19d60fe9baefeab560732ef915280a0c9d7f556fe44edcc920d8ee183",
@@ -405,13 +406,13 @@ _PINNED = {
         "ff67837a087ad27050acb7efc5e99004861dc2d5cee435d7e9683669c8530be3",
     "divergence --prior uniform_sparse --family eq --p 16 --s 3 --gamma 0.4 "
     "--magnitude 0.4 --method hypergeometric_sum":
-        "02a46daecacdf5681d72cdcd72855195f2b9a1d315dbcc49c11479964975f5f8",
+        "6f022e2fd0d4e6167303e1493460d14e4c15134e572cbd30c61d98a84a6f3fb8",
     "divergence --prior single_group_sparse --family grouped --p 16 --R 4 --s 2 "
     "--gamma 0.3 --magnitude 0.5 --method exact_enumeration":
         "fe8c3c7c0f7ff6e7adf34c1c58d6698bb25f25ed735b6cc185b335dfded16fa6",
     "divergence --prior shifted_sparse --family eq --p 16 --s 3 --gamma 0.4 "
     "--magnitude 0.2 --method hypergeometric_sum":
-        "8cc74de4ac0ebd47db7cfbfe84b03c8e3b2a6bc71a312f85d39eb6b78a099795",
+        "509c4ac6104222a1d6011df0f59470c4d05340b22af0b3218b94bc4922ebc10b",
     "divergence --prior uniform_sparse --signs rademacher --family eq --p 16 --s 3 "
     "--gamma 0.4 --magnitude 0.4 --method monte_carlo --n-mc 2000 --seed 5":
         "b771cfcd67b82856befeceb51b7afb67e2d21f8b9ca0b976f3a3afa7a7d9d039",

@@ -310,16 +310,22 @@ class TestHypergeometricMgf:
 
 @pytest.mark.parametrize("population,draw1,draw2", [
     (20, 7, 7), (256, 8, 8), (1024, 5, 5), (1024, 32, 32), (4096, 64, 64), (20, 12, 13),
-    (10 ** 7, 6, 6)])
+    (10 ** 7, 6, 6), (4096, 256, 256)])
 def test_hypergeometric_logpmf_matches_exact_binomials(population, draw1, draw2):
     ks, logpmf = hypergeometric_logpmf(population, draw1, draw2)
     assert ks.tolist() == list(range(max(0, draw1 + draw2 - population), min(draw1, draw2) + 1))
     exact = [math.log(math.comb(draw2, k)) + math.log(math.comb(population - draw2, draw1 - k))
              - math.log(math.comb(population, draw1)) for k in ks.tolist()]
-    # the log-binomials cancel log-factorials near log(population!), so the
-    # error is a few of its ulps: 4.4e-8 at 10^7 (scipy's gammaln gave 3.6e-8)
-    tol = max(1e-10, 8 * math.ulp(math.lgamma(population + 1.0)))
-    assert np.max(np.abs(logpmf - exact)) <= tol
+    # the running sum of log ratios forms no term near log(population!), so
+    # the error does not grow with the population: 1.1e-14 at 10^7 and
+    # 4.6e-13 at (4096, 256, 256)
+    assert np.max(np.abs(logpmf - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("population,draw1,draw2", [(5, 7, 2), (5, 2, 6), (5, -1, 2)])
+def test_hypergeometric_logpmf_refuses_draws_outside_the_population(population, draw1, draw2):
+    with pytest.raises(ContractError, match="population"):
+        hypergeometric_logpmf(population, draw1, draw2)
 
 
 @st.composite

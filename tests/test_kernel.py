@@ -25,13 +25,13 @@ from corrdetect.models import (
 )
 from corrdetect.procedures import (
     Constituent,
+    TestProcedure,
     _plan,
     _values,
     build_test,
     calibrate_null_quantile,
     evaluate,
 )
-from corrdetect.procedures import TestProcedure as Procedure  # not a pytest class
 from corrdetect.statistics import _REDUCTIONS
 from corrdetect.streams import substream
 
@@ -312,10 +312,11 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
             assert verdict.values[name] == alone[name][0]
 
 
-def _random_case(data):
-    """A model of any family, a one-to-several-constituent test of its kinds
-    (raw-data kinds only at gamma = 1), and a seed, all drawn by ``data``."""
-    family = data.draw(st.sampled_from(["equicorrelated", "grouped", "rank_one"]))
+def _random_case(data, families=("equicorrelated", "grouped", "rank_one")):
+    """A model of one of ``families``, a one-to-several-constituent test of
+    its kinds (raw-data kinds only at gamma = 1), and a seed, all drawn by
+    ``data``."""
+    family = data.draw(st.sampled_from(families))
     p = data.draw(st.sampled_from([8, 12, 16, 30, 64]))
     gamma = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
     R, v = None, None
@@ -346,8 +347,8 @@ def _random_case(data):
             params = {"ts": np.sort(ts), "shapes": np.linspace(1.0, 2.0, len(ts))}
         threshold = data.draw(st.floats(-5.0, 2.0 * p))
         constituents.append(Constituent(kind, kind, params, threshold, "drawn"))
-    test = Procedure(name="drawn", family=family, p=p, s=1, gamma=gamma, R=R, v=v,
-                     mode="paper_constants", constituents=tuple(constituents))
+    test = TestProcedure(name="drawn", family=family, p=p, s=1, gamma=gamma, R=R, v=v,
+                         mode="paper_constants", constituents=tuple(constituents))
     return model, test, data.draw(st.integers(0, 2 ** 20))
 
 
@@ -390,6 +391,28 @@ def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     v2 = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
     for name, _, _, _ in items:
         assert np.array_equal(v1[name], v2[name])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_batched_values_invariant_under_within_block_permutations(data):
+    """Any permutation of the coordinates, with the group labels permuted
+    alike, leaves every kernel value bit-identical: an equicorrelated model
+    is one block, and a grouped one has contiguous or interleaved labels."""
+    model, test, seed = _random_case(data, families=("equicorrelated", "grouped"))
+    p, n = model.p, data.draw(st.integers(1, 16))
+    perm = substream(seed, 0).permutation(p)
+    relabeled = (Grouped(p, model.R, model.gamma, labels=model.labels[perm])
+                 if model.family == "grouped" else model)
+    theta = np.zeros(p)
+    theta[:data.draw(st.integers(0, p))] = data.draw(st.floats(-2.0, 2.0))
+    x = sample(model, theta, substream(seed, 1), size=n).x
+    items, reads_decorrelated, _ = test.kernel_plan
+    xi = substream(seed, 2).standard_normal((n, model.R)) if reads_decorrelated else None
+    values = _values(items, *canonical_layout(model, x), xi=xi)
+    permuted = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
+    for name in values:
+        assert np.array_equal(values[name], permuted[name])
 
 
 def test_sign_pattern_noiseless_residual_is_zero_under_the_null():

@@ -168,6 +168,14 @@ class TestRankOne:
         with pytest.raises(ContractError):
             rate_rank_one(16, 2, 0.5, np.ones(8))
 
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
+    def test_gamma_outside_the_unit_interval_is_refused(self, gamma):
+        # as the equicorrelated and grouped rates refuse it
+        with pytest.raises(ContractError, match="gamma"):
+            rate_rank_one(64, 2, gamma, np.ones(64))
+        with pytest.raises(ContractError, match="gamma"):
+            rate_for("rank_one", 64, 2, gamma, v=np.ones(64))
+
 
 class TestRateFor:
     @pytest.mark.parametrize("s", [2, 20, 60])

@@ -230,6 +230,13 @@ class TestSweep:
             estimate_risk(test, model_for(test), [ShiftedSparse(16, 14, 0.5)], 100,
                           master_seed=0)
 
+    @pytest.mark.parametrize("family,R,v", [
+        ("bogus", None, None), ("grouped", None, None), ("rank_one", None, None),
+        ("equicorrelated", 4, None)])
+    def test_default_panel_refuses_a_family_it_cannot_build(self, family, R, v):
+        with pytest.raises(ContractError, match="family"):
+            default_alternatives(family, 64, 8, 0.5, R, v, 10.0)
+
     def test_grouped_default_panel_matches_regime(self):
         alts = default_alternatives("grouped", 64, 8, 0.5, 4, None, 10.0)
         from corrdetect.divergences import SingleGroupSparse
