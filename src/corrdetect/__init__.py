@@ -13,7 +13,7 @@ from .errors import (
     SingularCovarianceError,
     UnsupportedRegimeError,
 )
-from .gaussian import alpha, alpha_cached, laurent_massart_upper, thresholded_sum_tail_bound
+from .gaussian import alpha, laurent_massart_upper, thresholded_sum_tail_bound
 from .models import (
     CorrelationModel,
     Equicorrelated,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "CorrdetectError", "DomainError", "ContractError", "SingularCovarianceError",
     "UnsupportedRegimeError", "CalibrationError", "ConfigError",
-    "alpha", "alpha_cached", "laurent_massart_upper", "thresholded_sum_tail_bound",
+    "alpha", "laurent_massart_upper", "thresholded_sum_tail_bound",
     "Equicorrelated", "Grouped", "RankOne", "CorrelationModel", "Observation",
     "sample", "decorrelate", "precision_apply", "covariance_apply",
 ]

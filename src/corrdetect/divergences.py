@@ -30,10 +30,10 @@ every other prior is refused, whatever the method.  Overlap sums and both
 enumeration routes end in one log-sum-exp, :func:`_log_sum_exp`.
 
 Monte Carlo forms each pair term from the two supports alone
-(:func:`_pair_terms`), from one batched :func:`_supports` call per block of
-pairs, with no (2n, p) array (:func:`_monte_carlo_chisq`).  Every sum is a
-plain numpy reduction, so the estimate does not depend on the BLAS thread
-count.  A batched draw takes its subsets by Floyd's algorithm (see
+(:func:`_pair_terms`), from one batched ``supports`` call of the prior per
+block of pairs, with no (2n, p) array (:func:`_monte_carlo_chisq`).  Every
+sum is a plain numpy reduction, so the estimate does not depend on the BLAS
+thread count.  A batched draw takes its subsets by Floyd's algorithm (see
 :func:`_subsets`), so it consumes the stream differently from single draws,
 which are what the risk engine uses.
 """
@@ -156,9 +156,13 @@ class PointMass:
 
 class _SparsePrior:
     """A prior uniform over its supports, which owns its support law:
-    ``supports(rng, v, size)`` draws (:func:`_supports`); ``support_rows(limit,
-    v)`` lists every support and its values in ``itertools.combinations``
-    order, or None past ``limit`` supports or for drawn (Rademacher) signs;
+    ``supports(rng, v, size)`` draws ``(idx, values)``, ``idx`` (n,) for one
+    draw (``size`` None) or (size, n) for ``size`` draws, n distinct
+    coordinates each (a point mass answers it too, with n = p), and
+    ``values`` an array of that shape or a scalar that broadcasts against it;
+    ``support_rows(limit, v)`` lists every support and its values in
+    ``itertools.combinations`` order, or None past ``limit`` supports or for
+    drawn (Rademacher) signs;
     ``overlap_law(model, v)`` is its :class:`OverlapLaw`, or None (at gamma =
     1, None unless it stays finite); ``first_support_terms(model, limit)``,
     when a pair term depends only on the overlap k with the first support,
@@ -435,22 +439,10 @@ def _subsets(rng: np.random.Generator, population: int, k: int,
     return steps.T
 
 
-def _supports(prior: PriorSpec, rng: np.random.Generator, v=None,
-              size: Optional[int] = None) -> tuple:
-    """Coordinates and values of draw(s) from the prior: its ``supports``.
-
-    Returns ``(idx, values)``: ``idx`` (n,) for one draw (``size`` None) or
-    (size, n) for ``size`` draws, n distinct coordinates per draw (the
-    ``support_size`` of a sparse prior, p for a point mass), and ``values``
-    an array of that shape or a scalar that broadcasts against it; zero
-    elsewhere."""
-    return prior.supports(rng, v, size)
-
-
 def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
          size: Optional[int] = None) -> np.ndarray:
     """Signal vector(s) distributed according to the prior: the draws of
-    :func:`_supports`, written into zeros.
+    its ``supports``, written into zeros.
 
     With ``size`` given, returns ``size`` independent draws as rows of a
     (size, p) array.  Single draws (``size`` None) and batches take their
@@ -458,7 +450,7 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
     not reproduce a single draw from the same stream.  Shifted priors, which
     only :func:`risk_lower_bound` consumes, are refused.
     """
-    idx, values = _supports(prior, rng, v, size)
+    idx, values = prior.supports(rng, v, size)
     theta = np.zeros(idx.shape[:-1] + (prior.p,))
     if size is None:
         theta[idx] = values
@@ -671,7 +663,7 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
 def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
     """<theta, Sigma^-1 theta~> for each pair of sparse rows: rows 2i and
     2i + 1 of ``idx`` (2n, s) and ``values`` (broadcasting against it), as
-    :func:`_supports` gives them, form pair i.
+    a prior's ``supports`` gives them, form pair i.
 
     Per block, Sigma^-1 = I / (1 - gamma) - c (loadings)(loadings)'
     (``models._precision_weights``), so the pair term is
@@ -712,7 +704,7 @@ def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
     logs = np.empty(n_mc)
     for start in range(0, n_mc, pairs):
         n = min(pairs, n_mc - start)
-        idx, values = _supports(prior, rng, v, 2 * n)  # rows 2i, 2i + 1: pair i
+        idx, values = prior.supports(rng, v, 2 * n)  # rows 2i, 2i + 1: pair i
         logs[start:start + n] = _pair_terms(model, idx, values)
     peak = logs.max()
     if not peak < math.inf:

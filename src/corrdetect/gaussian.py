@@ -25,7 +25,6 @@ ulps.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import DomainError
 
 __all__ = [
     "alpha",
-    "alpha_cached",
     "laurent_massart_upper",
     "thresholded_sum_tail_bound",
 ]
@@ -86,17 +84,6 @@ def alpha(t):
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-@lru_cache(maxsize=4096)
-def alpha_cached(t: float) -> float:
-    """Memoized ``alpha``, keyed as ``lru_cache`` keys a float: by equality,
-    so 0.0 and -0.0 share an entry (``alpha`` gives both 1.0).
-
-    Test thresholds are reused across millions of replications; the cache is
-    read-mostly and safe for concurrent use.
-    """
-    return alpha(float(t))
 
 
 def laurent_massart_upper(weights, x: float) -> float:

@@ -51,14 +51,17 @@ class SignalSpec:
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
-        support = np.asarray(self.support, dtype=np.intp)
+        support = np.sort(np.asarray(self.support, dtype=np.intp))
+        if support.size and (support[0] < 0 or support[-1] >= theta.shape[0]
+                             or (support[1:] == support[:-1]).any()):
+            raise ContractError("support coordinates must be distinct and in range(p)")
         nz = np.flatnonzero(theta)
         if not np.isin(nz, support).all():
             raise ContractError("theta must vanish off the declared support")
         if support.size > self.s:
             raise ContractError("support size exceeds the declared sparsity s")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "support", np.sort(support))
+        object.__setattr__(self, "support", support)
 
     @property
     def p(self) -> int:
@@ -80,47 +83,17 @@ def signal(theta, s: Optional[int] = None) -> SignalSpec:
     return SignalSpec(theta=theta, s=support.size if s is None else s, support=support)
 
 
-def make_sparse_signal(p: int, s: int, magnitude: float, support_rule="first",
-                       sign_rule="plus", rng: Optional[np.random.Generator] = None,
-                       v=None) -> SignalSpec:
-    """Exactly s-sparse vector with entries of common magnitude.
-
-    support_rule: "first" (coordinates 0..s-1), "uniform" (uniform random
-    size-s subset, needs ``rng``), or an explicit index collection.
-    sign_rule: "plus" or "match_pattern" (sign of v per coordinate, +1 where
-    v vanishes).
-    """
+def make_sparse_signal(p: int, s: int, magnitude: float) -> SignalSpec:
+    """Exactly s-sparse vector: +magnitude on coordinates 0..s-1.  A uniform
+    or sign-matched support is a draw of ``divergences.UniformSparse``; an
+    explicit one, a :class:`SignalSpec`."""
     if not (1 <= s <= p):
         raise ContractError("need 1 <= s <= p")
     if magnitude < 0:
         raise ContractError("magnitude must be nonnegative")
-    if isinstance(support_rule, str):
-        if support_rule == "first":
-            idx = np.arange(s)
-        elif support_rule == "uniform":
-            if rng is None:
-                raise ContractError("uniform support rule needs an rng")
-            idx = rng.choice(p, size=s, replace=False)
-        else:
-            raise ContractError(f"unknown support rule {support_rule!r}")
-    else:
-        idx = np.asarray(support_rule, dtype=np.intp)
-        if idx.size > s:
-            raise ContractError("explicit support larger than s")
-        if idx.size and (idx.min() < 0 or idx.max() >= p):
-            raise ContractError("explicit support out of range")
     theta = np.zeros(p)
-    if sign_rule == "plus":
-        theta[idx] = magnitude
-    elif sign_rule == "match_pattern":
-        if v is None:
-            raise ContractError("match_pattern sign rule needs v")
-        v = np.asarray(v, dtype=float)
-        signs = np.where(v[idx] < 0, -1.0, 1.0)
-        theta[idx] = magnitude * signs
-    else:
-        raise ContractError(f"unknown sign rule {sign_rule!r}")
-    return SignalSpec(theta=theta, s=s, support=np.asarray(idx, dtype=np.intp))
+    theta[:s] = magnitude
+    return SignalSpec(theta=theta, s=s, support=np.arange(s))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CalibrationError, ContractError, DomainError, UnsupportedRegimeError
-from .gaussian import alpha
 from .geometry import omega as pattern_omega
 from .models import (
     _BLOCK_ELEMENTS,
@@ -62,7 +61,7 @@ from .models import (
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
     model_from,
 )
-from .statistics import REDUCTIONS, profile_input
+from .statistics import REDUCTIONS, profile_input, resolved
 
 __all__ = [
     "Constituent",
@@ -132,8 +131,8 @@ class TestProcedure:
     calibration: Optional[dict] = None
     # the constituents resolved for the evaluation kernel once, at
     # construction: ((name, kind, params, threshold), ...) with the params of
-    # ``_kernel_items``, whether any constituent reads decorrelated data, and
-    # {name: threshold}
+    # ``statistics.resolved``, whether any constituent reads decorrelated
+    # data, and {name: threshold}
     kernel_plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -201,16 +200,16 @@ def _plan(model: CorrelationModel, s) -> list:
     return _plan_rank_one(p, s, gamma, model.v)
 
 
-def _chisq_item(p, scale=2.0):
+def _plan_chisq(p, scale=2.0):
     return ("chisq", "chisq", {}, lambda C: p + (C ** 2 / scale) * math.sqrt(p))
 
 
-def _sparse_item(p, s, scale):
+def _plan_sparse(p, s, scale):
     return ("thresholded", "thresholded", {"t": _sparse_t(p, s)},
             lambda C, sh=_sparse_shape(p, s): (C ** 2 / scale) * sh)
 
 
-def _linear_item(p, gamma, bs):
+def _plan_linear(p, gamma, bs):
     sigma_sq = 1.0 - gamma + gamma * bs
     return ("linear", "linear", {"sigma_sq": sigma_sq},
             lambda C: sigma_sq * (1.0 + C ** 2 / 2.0))
@@ -222,14 +221,14 @@ def _plan_equicorrelated(p: int, s, gamma: float) -> list:
         if s < p:
             return [("noiseless", "noiseless", {}, lambda C: 0.0)]
         return [("chisq_raw", "chisq_raw", {}, lambda C: p + (C ** 2 / 2.0) * p)]
-    items = [_sparse_item(p, s, 32.0) if s < root else _chisq_item(p)]
+    items = [_plan_sparse(p, s, 32.0) if s < root else _plan_chisq(p)]
     if s > p / 2:  # and so s >= root: items holds chisq
         if s >= p:  # s == p: the mean direction alone carries the separation
             items = []
         elif s > p - root:
             items.append(("thresholded_dense", "thresholded", {"t": _dense_t(p, s)},
                           lambda C, sh=_dense_shape(p, s): (C ** 2 / 8.0) * sh))
-        items.append(_linear_item(p, gamma, p))
+        items.append(_plan_linear(p, gamma, p))
     return items
 
 
@@ -239,9 +238,9 @@ def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
     if gamma == 1.0:
         items = [("noiseless", "noiseless", {}, lambda C: 0.0)]
         if s >= bs:
-            items.append(_grouped_avg_item(p, s, 1.0, R))
+            items.append(_plan_grouped_avg(p, s, 1.0, R))
         return items
-    items = [_sparse_item(p, s, 64.0) if s < math.sqrt(p) else _chisq_item(p, scale=16.0)]
+    items = [_plan_sparse(p, s, 64.0) if s < math.sqrt(p) else _plan_chisq(p, scale=16.0)]
     if s <= p / (4 * R):
         return items
     if s < bs:
@@ -267,11 +266,11 @@ def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
                           lambda C, ss=sigma_sq, le=log_er:
                           ss * (1.0 + (C ** 2 / 64.0) * le)))
         return items
-    items.append(_grouped_avg_item(p, s, gamma, R))
+    items.append(_plan_grouped_avg(p, s, gamma, R))
     return items
 
 
-def _grouped_avg_item(p: int, s: int, gamma: float, R: int):
+def _plan_grouped_avg(p: int, s: int, gamma: float, R: int):
     bs = p // R
     sigma_sq = 1.0 - gamma + gamma * bs
     if s < p / math.sqrt(R):
@@ -293,7 +292,7 @@ def _plan_rank_one(p: int, s, gamma: float, v: np.ndarray) -> list:
     if s > w:
         raise UnsupportedRegimeError(
             f"rank-one tests are characterized only for s <= omega(v) = {w}")
-    return [_sparse_item(p, s, 16.0) if s <= math.sqrt(p) else _chisq_item(p)]
+    return [_plan_sparse(p, s, 16.0) if s <= math.sqrt(p) else _plan_chisq(p)]
 
 
 def _plan_adaptive(p: int, gamma: float) -> list:
@@ -309,7 +308,7 @@ def _plan_adaptive(p: int, gamma: float) -> list:
         items.append(("adaptive_sparse", "adaptive_scan",
                       {"ts": ts, "shapes": shapes, "members": sparse_members},
                       lambda C: C ** 2 / 32.0))
-    items.append(_chisq_item(p))
+    items.append(_plan_chisq(p))
     lo = int(math.floor(p - root)) + 1
     dense_members = np.arange(max(lo, 1), p)
     dense_members = dense_members[dense_members > p - root]
@@ -319,7 +318,7 @@ def _plan_adaptive(p: int, gamma: float) -> list:
         items.append(("adaptive_dense", "adaptive_scan",
                       {"ts": ts, "shapes": shapes, "members": dense_members},
                       lambda C: C ** 2 / 8.0))
-    items.append(_linear_item(p, gamma, p))
+    items.append(_plan_linear(p, gamma, p))
     return items
 
 
@@ -332,11 +331,10 @@ def _reads_decorrelated(items) -> bool:
 
 
 def _kernel_items(items) -> tuple:
-    """Plan items (name, kind, params, rule) with alpha(ts) of every adaptive
-    scan resolved once, into a params copy: the constituent's own params, and
-    so its descriptor, stay as planned."""
-    return tuple((name, kind, {**params, "alphas": alpha(params["ts"])}
-                  if kind == "adaptive_scan" else params, rule)
+    """Plan items (name, kind, params, rule) with the constants of each kind
+    resolved once (``statistics.resolved``): the constituent's own params,
+    and so its descriptor, stay as planned."""
+    return tuple((name, kind, resolved(kind, params), rule)
                  for name, kind, params, rule in items)
 
 
@@ -359,7 +357,7 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
     dec = profile = None
     values = {}
     for name, kind, params, _ in items:
-        reads, parts, combine = REDUCTIONS[kind]
+        reads, parts, combine, _, _ = REDUCTIONS[kind]
         a = raw
         if reads != "raw":
             if dec is None:
@@ -442,6 +440,19 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
 # public construction / evaluation
 
 
+def _check_mode(mode: str, eta: float, C: Optional[float], n_cal: int) -> None:
+    """Refuse operating-mode settings that every threshold of a test would
+    fail on (``SweepPlan`` checks its own with this too)."""
+    if mode not in ("calibrated", "paper_constants"):
+        raise ContractError(f"unknown mode {mode!r}")
+    if mode == "paper_constants" and C is None:
+        raise ContractError("paper_constants mode needs the constant C")
+    if not 0.0 < eta < 1.0:
+        raise ContractError("eta must lie in (0, 1)")
+    if mode == "calibrated" and n_cal < MIN_N_CAL:
+        raise ContractError(f"n_cal must be at least {MIN_N_CAL}")
+
+
 def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
                v=None, mode: str = "calibrated", eta: float = 0.1,
                n_cal: int = 4000, C: Optional[float] = None,
@@ -455,6 +466,7 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     null gets the empirical (1 - eta/(2 m)) null quantile from ``n_cal``
     replications drawn from ``rng``.
     """
+    _check_mode(mode, eta, C, n_cal)
     if s != "adaptive":
         s = int(s)
         if not (1 <= s <= p):
@@ -467,13 +479,11 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     items = _plan(model, s)
     calibration = None
     if mode == "paper_constants":
-        if C is None:
-            raise ContractError("paper_constants mode needs the constant C")
         rules = {name: (float(rule(C)), f"paper form at C={C}") for name, _, _, rule in items}
-    elif mode == "calibrated":
+    else:
         if rng is None:
             raise ContractError("calibrated mode needs a calibration stream")
-        random_items = [it for it in items if it[1] != "noiseless"]
+        random_items = [it for it in items if not REDUCTIONS[it[1]].exact_null]
         m = len(random_items)
         records = (calibrate_null_quantile(random_items, model, 1.0 - eta / (2.0 * m), n_cal, rng)
                    if m else {})
@@ -483,11 +493,9 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
             "budget_per_constituent": None if not m else eta / (2.0 * m),
             "thresholds": {name: rec.__dict__ for name, rec in records.items()},
         }
-    else:
-        raise ContractError(f"unknown mode {mode!r}")
-    constituents = tuple(  # a calibrated noiseless constituent has no rule: its null is 0
+    constituents = tuple(  # a calibrated exact-null constituent has no rule: its null is 0
         Constituent(name, kind, params, *rules.get(name, (0.0, "exact null residual")),
-                    deterministic_null=(kind == "noiseless"))
+                    deterministic_null=REDUCTIONS[kind].exact_null)
         for name, kind, params, _ in items)
     label = s if isinstance(s, str) else f"s={s}"
     name = f"{family}:{label}:gamma={gamma}"

@@ -46,7 +46,7 @@ from .divergences import (
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
 from .models import check_family, sample
-from .procedures import TestProcedure, build_test, evaluate, model_for
+from .procedures import TestProcedure, _check_mode, build_test, evaluate, model_for
 from .rates import rate_for
 from .streams import stable_token, substream
 
@@ -246,7 +246,7 @@ def default_alternatives(family: str, p: int, s: int, gamma: float,
         # dense regime mirrors the hardest construction
         s_eff = s if s < math.sqrt(p) else max(min(s, int(math.sqrt(p))), 1)
         alts.append(UniformSparse(p, s_eff, math.sqrt(target_sq / s_eff)))
-    alts.append(make_sparse_signal(p, s, math.sqrt(target_sq / s), support_rule="first"))
+    alts.append(make_sparse_signal(p, s, math.sqrt(target_sq / s)))
     return alts
 
 
@@ -281,6 +281,9 @@ class SweepPlan:
             raise ContractError("sweep grids must be nonempty")
         if any(m <= 0 for m in self.multipliers):
             raise ContractError("multipliers must be positive")
+        if self.n_reps < MIN_N_REPS:
+            raise ContractError(f"n_reps must be at least {MIN_N_REPS}")
+        _check_mode(self.mode, self.eta, self.C, self.n_cal)
         if self.workers < 1:
             raise ContractError("workers must be at least 1")
         if self.separation_reference not in ("cell", "gamma0"):

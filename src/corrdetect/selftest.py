@@ -278,7 +278,7 @@ def check_noiseless_risk(seed):
         test = build_test(family, 64, 8, 1.0, R=(R if R > 1 else None),
                           mode="paper_constants", C=3.0)
         model = model_for(test)
-        theta = make_sparse_signal(64, 8, 0.3, support_rule="first")
+        theta = make_sparse_signal(64, 8, 0.3)
         est = estimate_risk(test, model, [theta], 300, master_seed=seed,
                             cell_id=900 + R)
         _check(est.total == 0.0, f"noiseless risk {est.total} at R={R}")

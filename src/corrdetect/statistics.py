@@ -9,8 +9,10 @@ sum or a maximum; none when the reduction gives the statistic itself).  The
 evaluation kernel in ``procedures`` applies the table (``REDUCTIONS``) to
 data it has put in canonical layout once; :func:`value` is the public
 entry, and the named statistics (``thresholded_sum``, ``scan``, ...) are
-views of it.  A kind the model cannot carry is refused by the family's kind
-set, ``KINDS``.
+views of it.  An entry also names the parameter at which alpha is resolved
+once per plan (:func:`resolved`), and whether its null statistic is exactly
+0 (``exact_null``, so never calibrated).  A kind the model cannot carry is
+refused by the family's kind set, ``KINDS``.
 
 Sums are plain numpy reductions in the canonical order of ``models``: the
 entries of each exchangeable block are summed in ascending order, so every
@@ -34,11 +36,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .gaussian import alpha, alpha_cached
+from .gaussian import alpha
 from .models import CorrelationModel, Observation
 
 __all__ = [
-    "StatisticValue", "Reduction", "REDUCTIONS", "KINDS", "value", "profile_input",
+    "StatisticValue", "Reduction", "REDUCTIONS", "KINDS", "value", "resolved", "profile_input",
     "thresholded_sum", "thresholded_profile", "squared_norm", "linear_projection", "scan",
     "linear_scan", "averaged_group", "noiseless_residual",
 ]
@@ -57,6 +59,8 @@ class Reduction(NamedTuple):
     reads: str  # "raw", "decorrelated" or "profile"
     parts: Callable  # (input, model, params) -> parts (..., m), or the statistic
     combine: Optional[Callable]  # np.add.reduce, np.maximum.reduce or None
+    alpha_at: Optional[str] = None  # the parameter params["alpha"] is alpha of
+    exact_null: bool = False  # the statistic is 0 under the null
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +79,10 @@ def _chisq(z: np.ndarray, model=None, params=None) -> np.ndarray:
 def _thresholded(z: np.ndarray, model, params) -> np.ndarray:
     """Y_t per row, t = ``params["t"]``.  Only coordinates with |z| < t are
     zeroed, so a NaN coordinate makes its row NaN."""
-    t = params["t"]
-    below = np.abs(z) < t
+    below = np.abs(z) < params["t"]
     sq = z * z
     np.copyto(sq, 0.0, where=below)
-    return _ADD(sq, axis=-1) - (z.shape[-1] - _ADD(below, axis=-1)) * alpha_cached(t)
+    return _ADD(sq, axis=-1) - (z.shape[-1] - _ADD(below, axis=-1)) * params["alpha"]
 
 
 def profile_input(blocks: np.ndarray) -> tuple:
@@ -95,19 +98,16 @@ def profile_input(blocks: np.ndarray) -> tuple:
 
 
 def _adaptive(profile: tuple, model, params) -> np.ndarray:
-    """Y_t / shape for each member (t, shape) of an adaptive scan.  ``params``
-    may carry alpha(ts), resolved once per plan by ``procedures``."""
+    """Y_t / shape for each member (t, shape) of an adaptive scan."""
     a, suffix = profile
     ts = params["ts"]
-    alphas = params.get("alphas")
-    if alphas is None:
-        alphas = alpha(ts)
     p = a.shape[-1]
     rows = a.reshape(-1, p)
     idx = np.stack([np.searchsorted(row, ts) for row in rows])
     # gathered from the flat suffix sums, where row r starts at r * (p + 1)
     tails = suffix.reshape(-1)[idx + (p + 1) * np.arange(rows.shape[0])[:, None]]
-    return (tails - (p - idx) * alphas).reshape(a.shape[:-1] + ts.shape) / params["shapes"]
+    values = tails - (p - idx) * params["alpha"]
+    return values.reshape(a.shape[:-1] + ts.shape) / params["shapes"]
 
 
 def _linear(a, model, params) -> np.ndarray:
@@ -159,16 +159,16 @@ def _anchored_residual(a: np.ndarray) -> np.ndarray:
 
 # constituent kind -> its statistic; see the module docstring
 _REDUCTIONS = {
-    "thresholded": Reduction("decorrelated", _thresholded, _ADD),
+    "thresholded": Reduction("decorrelated", _thresholded, _ADD, "t"),
     "chisq": Reduction("decorrelated", _chisq, _ADD),
     "chisq_scan": Reduction("decorrelated", _chisq, _MAX),
-    "thresholded_scan": Reduction("decorrelated", _thresholded, _MAX),
-    "adaptive_scan": Reduction("profile", _adaptive, _MAX),
+    "thresholded_scan": Reduction("decorrelated", _thresholded, _MAX, "t"),
+    "adaptive_scan": Reduction("profile", _adaptive, _MAX, "ts"),
     "linear": Reduction("raw", _linear, None),
     "linear_scan": Reduction("raw", _group_linear, _MAX),
-    "thresholded_avg": Reduction("raw", _averaged, None),
+    "thresholded_avg": Reduction("raw", _averaged, None, "t"),
     "chisq_avg": Reduction("raw", _group_linear, _ADD),
-    "noiseless": Reduction("raw", _noiseless, None),
+    "noiseless": Reduction("raw", _noiseless, None, exact_null=True),
     # rank-one raw blocks keep their layout, and the energy is summed sorted
     "chisq_raw": Reduction("raw", lambda a, m, prm: _chisq(
         a if m.exchangeable else np.sort(a, axis=-1)), _ADD),
@@ -202,6 +202,14 @@ def _out(a):
     return a.item() if a.ndim == 0 else a
 
 
+def resolved(kind: str, params: dict) -> dict:
+    """A copy of a plan's params with ``params["alpha"]``, alpha at the
+    threshold(s) ``REDUCTIONS[kind].alpha_at``, resolved once per plan;
+    ``params`` itself for a kind that thresholds nothing."""
+    at = _REDUCTIONS[kind].alpha_at
+    return params if at is None else {**params, "alpha": alpha(params[at])}
+
+
 def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> StatisticValue:
     """The statistic of a constituent kind on the data it reads (raw or
     decorrelated, ``REDUCTIONS[kind].reads``): shape (..., p) with a model,
@@ -215,7 +223,7 @@ def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> S
     family = None if model is None else model.family
     if kind not in KINDS[family]:
         raise ContractError(f"no {kind!r} statistic for {family or 'model-free blocks'}")
-    reads, parts, combine = _REDUCTIONS[kind]
+    reads, parts, combine, _, _ = _REDUCTIONS[kind]
     x = _data(x)
     if model is not None:
         if x.shape[-1] != model.p:
@@ -231,7 +239,7 @@ def value(kind: str, x, model: Optional[CorrelationModel] = None, **params) -> S
     if params.get("t", 0.0) < 0:
         raise ContractError("threshold must be nonnegative")
     try:
-        y = parts(x, model, params)
+        y = parts(x, model, resolved(kind, params))
     except KeyError as missing:
         raise ContractError(f"the {kind!r} statistic needs the parameter {missing}") from None
     total = y if combine is None else combine(y, axis=-1)

@@ -189,7 +189,7 @@ def test_criterion_4_perfect_correlation():
         model = model_for(test)
         alts = [
             UniformSparse(64, 8, 0.25),
-            make_sparse_signal(64, 8, 0.25, support_rule="first"),
+            make_sparse_signal(64, 8, 0.25),
         ]
         est = estimate_risk(test, model, alts, 10_000, MASTER_SEED, cell_id=400 + R)
         assert est.total == 0.0, f"noiseless risk {est.total} at R={R}"

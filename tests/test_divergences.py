@@ -17,7 +17,6 @@ from corrdetect.divergences import (
     _log_sum_exp,
     _pair_terms,
     _subsets,
-    _supports,
     ENUMERATION_PAIR_BUDGET,
     DivergenceResult,
     GroupSupported,
@@ -502,6 +501,14 @@ def test_single_draws_keep_their_stream(prior, v, expected, after):
     assert float(rng.random()).hex() == after
 
 
+_UNIFORM_CASES = [
+    (UniformSparse(6, 2, 1.0), 15),
+    (UniformSparse(10, 2, 1.0, universe=np.array([0, 3, 4, 7, 9])), 10),
+    (SingleGroupSparse(12, 3, 2, 1.0), 18),
+    (GroupSupported(12, 4, 2, 1.0), 6),
+]
+
+
 class TestBatchedDraw:
     def test_rows_live_in_declared_space(self):
         rng = np.random.default_rng(3)
@@ -545,18 +552,21 @@ class TestBatchedDraw:
         batch = draw(PointMass(theta), np.random.default_rng(0), size=4)
         assert np.array_equal(batch, np.tile(theta, (4, 1)))
 
-    @pytest.mark.parametrize("prior,n_supports", [
-        (UniformSparse(6, 2, 1.0), 15),
-        (UniformSparse(10, 2, 1.0, universe=np.array([0, 3, 4, 7, 9])), 10),
-        (SingleGroupSparse(12, 3, 2, 1.0), 18),
-        (GroupSupported(12, 4, 2, 1.0), 6),
-    ])
+    @pytest.mark.parametrize("prior,n_supports", _UNIFORM_CASES)
     def test_supports_are_uniform(self, prior, n_supports):
         # every support equally likely: chi-square goodness of fit of the
         # support counts, on a fixed seed
         n = 30_000
         batch = draw(prior, substream(12, 0), size=n)
         counts = Counter(tuple(np.flatnonzero(th)) for th in batch)
+        assert len(counts) == n_supports
+        assert chisquare(list(counts.values())).pvalue > 1e-3
+
+    @pytest.mark.parametrize("prior,n_supports", _UNIFORM_CASES)
+    def test_single_draws_are_uniform(self, prior, n_supports):
+        # the risk engine's draws, one per stream, take another path
+        rng = substream(12, 1)
+        counts = Counter(tuple(np.flatnonzero(draw(prior, rng))) for _ in range(20_000))
         assert len(counts) == n_supports
         assert chisquare(list(counts.values())).pvalue > 1e-3
 
@@ -642,7 +652,7 @@ def _dense(idx, values, p):
 @pytest.mark.parametrize("prior", MC_PRIORS, ids=lambda pr: pr.descriptor()["prior"])
 def test_support_pair_terms_equal_the_dense_form(prior, model):
     v = getattr(model, "v", _SIGNS64)
-    idx, values = _supports(prior, substream(21, 0), v, 2 * 300)
+    idx, values = prior.supports(substream(21, 0), v, 2 * 300)
     thetas = _dense(idx, values, prior.p)
     prec = precision_apply(model, thetas[1::2])
     dense = (thetas[0::2] * prec).sum(axis=-1)
@@ -660,7 +670,7 @@ def test_support_pair_terms_equal_the_dense_form(prior, model):
                          ids=lambda pr: pr.descriptor()["prior"])
 def test_draw_is_the_dense_form_of_the_supports(prior):
     for size in (None, 40):
-        idx, values = _supports(prior, substream(22, 0), _SIGNS64, size)
+        idx, values = prior.supports(substream(22, 0), _SIGNS64, size)
         theta = draw(prior, substream(22, 0), v=_SIGNS64, size=size)
         want = _dense(np.atleast_2d(idx), values, prior.p)
         assert np.array_equal(theta, want if size else want[0])

@@ -17,7 +17,6 @@ from corrdetect.errors import DomainError
 from corrdetect.gaussian import (
     _erfcx,
     alpha,
-    alpha_cached,
     laurent_massart_upper,
     thresholded_sum_tail_bound,
 )
@@ -76,10 +75,6 @@ class TestAlpha:
         assert vals.shape == ts.shape
         for t, v in zip(ts, vals):
             assert v == alpha(float(t))
-
-    def test_cache_agrees_with_direct(self):
-        for t in [0.0, 0.5, 3.25, 17.0]:
-            assert alpha_cached(t) == alpha(t)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_domain_errors(self, bad):

@@ -26,6 +26,7 @@ from corrdetect.models import (
 from corrdetect.procedures import (
     Constituent,
     TestProcedure,
+    _kernel_items,
     _plan,
     _values,
     build_test,
@@ -120,7 +121,7 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
     # same input, bit for bit: the public statistics sort blocks the kernel
     # takes sorted, and the data carry a signal so that residuals are nonzero
     model, plans, reference = CASES[case]
-    items = [(name, kind, params, None) for name, kind, params in plans]
+    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x, layout = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
@@ -188,7 +189,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
     # an independent reference: the data stay in the model's own layout and
     # no statistic of the package is run
     model, plans, _ = CASES[case]
-    items = [(name, kind, params, None) for name, kind, params in plans]
+    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(11, 4), size=n).x
@@ -202,7 +203,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
 
 def test_canonical_layout_model_is_built_once():
     model, plans, _ = CASES["grouped-noncontiguous"]
-    items = [(name, kind, params, None) for name, kind, params in plans]
+    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
     x = sample(model, None, substream(16, 0), size=5).x
     xi = substream(16, 1).standard_normal((5, 4))
     first, second = canonical_layout(model, x), canonical_layout(model, x)
@@ -295,7 +296,7 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
     model = _model(family, gamma, R)
     v = model.v if family == "rank_one" else None
     test = build_test(family, 64, s, gamma, R=R, v=v, mode="paper_constants", C=3.0)
-    items = [(c.name, c.kind, c.params, None) for c in test.constituents]
+    items = _kernel_items([(c.name, c.kind, c.params, None) for c in test.constituents])
     n, k = 40, model.R
     theta = np.where(np.arange(64) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(13, 0), size=n).x
@@ -381,7 +382,7 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
                          + [(512, 5, 0.5, 2), (512, 200, 0.5, 2)])
 def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     test = build_test("grouped", p, s, gamma, R=R, mode="paper_constants", C=3.0)
-    items = [(c.name, c.kind, c.params, None) for c in test.constituents]
+    items = _kernel_items([(c.name, c.kind, c.params, None) for c in test.constituents])
     base = Grouped(p, R, gamma)
     perm = substream(14, 0).permutation(p)
     relabeled = Grouped(p, R, gamma, labels=base.labels[perm])

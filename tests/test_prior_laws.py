@@ -18,9 +18,14 @@ from corrdetect.divergences import (
     SingleGroupSparse,
     UniformSparse,
     _pair_terms,
-    _supports,
 )
-from corrdetect.models import Equicorrelated, Grouped, RankOne, precision_apply
+from corrdetect.models import (
+    Equicorrelated,
+    Grouped,
+    RankOne,
+    _precision_weights,
+    precision_apply,
+)
 from corrdetect.streams import substream
 
 _PROPERTY = dict(derandomize=True, database=None, deadline=None,
@@ -84,13 +89,20 @@ def cases(draw):
 @given(case=cases())
 def test_support_pair_terms_equal_the_dense_form(case):
     prior, model, v, seed = case
-    idx, values = _supports(prior, substream(seed, 0), v, 2 * 40)
+    idx, values = prior.supports(substream(seed, 0), v, 2 * 40)
     thetas = np.zeros((idx.shape[0], prior.p))
     np.put_along_axis(thetas, idx, np.broadcast_to(values, idx.shape), axis=-1)
-    prec = precision_apply(model, thetas[1::2])
-    dense = (thetas[0::2] * prec).sum(axis=-1)
-    # a pair term that cancels to about 0 is compared at the scale of what cancelled
-    scale = (np.abs(thetas[0::2]) * np.abs(prec)).sum(axis=-1)
+    dense = (thetas[0::2] * precision_apply(model, thetas[1::2])).sum(axis=-1)
+    # A pair term that cancels to about 0 is compared at the scale of what
+    # cancelled: both halves of <theta, theta~> / (1 - gamma) - c sum_k
+    # P_k(theta) P_k(theta~), each with its terms in absolute value.  The two
+    # sides sum in different orders, so a term can cancel to 0 in one and to
+    # a rounding residue in the other.
+    one_minus, coef = _precision_weights(model)
+    loaded = np.add.reduce(np.abs(model.block_view(thetas) * model.lift(np.ones(model.R))),
+                           axis=-1)
+    scale = ((np.abs(thetas[0::2]) * np.abs(thetas[1::2])).sum(axis=-1) / one_minus
+             + abs(coef) * (loaded[0::2] * loaded[1::2]).sum(axis=-1))
     terms = _pair_terms(model, idx, values)
     assert terms.shape == (40,)
     assert np.all(np.abs(terms - dense) <= 1e-12 * scale)

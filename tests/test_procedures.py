@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from corrdetect.divergences import UniformSparse, draw
 from corrdetect.errors import CalibrationError, ContractError, UnsupportedRegimeError
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.models import Equicorrelated, Grouped, Observation, RankOne, sample
@@ -109,6 +110,20 @@ class TestAssembly:
                                                       mode, kw):
         with pytest.raises(ContractError):
             build_test(family, p, 2, gamma, R=R, v=v, mode=mode, **kw)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"mode": "bogus"}, "unknown mode"),
+        ({"mode": "paper_constants"}, "needs the constant C"),
+        ({"eta": 1.5}, "eta"),
+        ({"eta": -0.1}, "eta"),
+        ({"mode": "paper_constants", "C": 3.0, "eta": 1.0}, "eta"),
+        ({"n_cal": 999}, "n_cal"),
+    ])
+    def test_refuses_a_mode_every_threshold_would_fail_on(self, kw, message):
+        # the noiseless test calibrates nothing, so only the refusal can catch these
+        for s, gamma in ((3, 0.5), (3, 1.0)):
+            with pytest.raises(ContractError, match=message):
+                build_test("equicorrelated", 16, s, gamma, rng=_rng(0), **kw)
 
     def test_descriptor_roundtrip_json(self):
         import json
@@ -253,7 +268,7 @@ class TestEvaluate:
         test = build_test("equicorrelated", 64, 8, 1.0, mode="paper_constants", C=3.0)
         model = model_for(test)
         rng = _rng(11)
-        theta = make_sparse_signal(64, 8, 1e-3, support_rule="uniform", rng=rng).theta
+        theta = draw(UniformSparse(64, 8, 1e-3), rng)
         for _ in range(1000):
             assert not evaluate(test, sample(model, None, rng), rng).reject
             assert evaluate(test, sample(model, theta, rng), rng).reject

@@ -32,7 +32,7 @@ class TestEstimateRisk:
     def test_perfect_correlation_zero_risk(self):
         test = _noiseless_test()
         model = model_for(test)
-        theta = make_sparse_signal(32, 4, 0.5, support_rule="first")
+        theta = make_sparse_signal(32, 4, 0.5)
         est = estimate_risk(test, model, [theta], 500, master_seed=7)
         assert est.type_i == 0.0
         assert est.worst_type_ii == 0.0
@@ -54,7 +54,7 @@ class TestEstimateRisk:
         test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
         model = model_for(test)
         alts = [UniformSparse(16, 3, 1.2),
-                make_sparse_signal(16, 3, 1.2, support_rule="first")]
+                make_sparse_signal(16, 3, 1.2)]
         est1 = estimate_risk(test, model, alts, 400, master_seed=11, workers=1)
         est2 = estimate_risk(test, model, alts, 400, master_seed=11, workers=4)
         assert est1.type_i == est2.type_i
@@ -64,7 +64,7 @@ class TestEstimateRisk:
         test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=2.0)
         model = model_for(test)
         a = UniformSparse(16, 3, 1.2)
-        b = make_sparse_signal(16, 2, 0.9, support_rule="first")
+        b = make_sparse_signal(16, 2, 0.9)
         e1 = estimate_risk(test, model, [a, b], 300, master_seed=5)
         e2 = estimate_risk(test, model, [b, a], 300, master_seed=5)
         assert e1.per_alternative == e2.per_alternative
@@ -212,6 +212,25 @@ class TestSweep:
     def test_plan_refuses_fewer_than_one_worker(self, workers):
         with pytest.raises(ContractError, match="workers"):
             self._tiny_plan(workers=workers)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"n_reps": 50}, "n_reps"),
+        ({"mode": "bogus"}, "unknown mode"),
+        ({"mode": "paper_constants"}, "needs the constant C"),
+        ({"eta": 1.5}, "eta"),
+        ({"eta": 0.0}, "eta"),
+        ({"n_cal": 999}, "n_cal"),
+    ])
+    def test_plan_refuses_what_every_cell_would_fail_on(self, change, message):
+        fields = dict(family="equicorrelated", p_grid=(32,), s_grid=(3,), gamma_grid=(0.5,),
+                      multipliers=(1.0,), n_reps=200, master_seed=0, n_cal=1000)
+        with pytest.raises(ContractError, match=message):
+            SweepPlan(**dict(fields, **change))
+
+    def test_paper_plan_takes_any_n_cal(self):
+        SweepPlan(family="equicorrelated", p_grid=(32,), s_grid=(3,), gamma_grid=(0.5,),
+                  multipliers=(1.0,), n_reps=200, master_seed=0, mode="paper_constants",
+                  C=3.0, n_cal=1)
 
     def test_non_package_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

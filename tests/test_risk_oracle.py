@@ -70,7 +70,7 @@ def test_equicorrelated_chisq_under_a_signal_and_a_plus_sign_prior():
     lam = (s * a * a - (s * a) ** 2 / p) / (1.0 - gamma)  # the same for every support
     exact_ii = ncx2.cdf(c.threshold, p, lam)
     _check_risk(one, Equicorrelated(p, gamma),
-                [make_sparse_signal(p, s, a, support_rule="first"), UniformSparse(p, s, a)],
+                [make_sparse_signal(p, s, a), UniformSparse(p, s, a)],
                 chi2.sf(c.threshold, p), [exact_ii, exact_ii], seed=7)
 
 

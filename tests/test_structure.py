@@ -5,12 +5,15 @@ other route asks the model for its block count, exchangeable blocks and block
 sums).  The only branches on the prior class are the shifted route (in
 ``ingster_suslina_chisq``, ``risk_lower_bound`` and the CLI) and the point
 mass closed form; every other route asks the prior for its support law, and
-no prior's sign rule is compared outside the prior classes.
-``divergences._log_sum_exp`` is the only log-sum-exp.  The runtime needs
-numpy only: no module imports scipy, eagerly or on first use.  The
-acceptance module, which the benchmark loads as its grid table, imports
-neither scipy nor pytest when it is loaded, and building every grid cell's
-alternatives and certificate prior does not load ``numpy.ma``."""
+no prior's sign rule is compared outside the prior classes.  Each kind's
+constants (alpha at its thresholds) are resolved by the kind table alone,
+and ``procedures`` names a kind only where it plans one.
+``divergences._log_sum_exp`` is the only log-sum-exp.  No module imports a
+name it does not use.  The runtime needs numpy only: no module imports
+scipy, eagerly or on first use.  The acceptance module, which the benchmark
+loads as its grid table, imports neither scipy nor pytest when it is loaded,
+and building every grid cell's alternatives and certificate prior does not
+load ``numpy.ma``."""
 
 import ast
 import os
@@ -80,6 +83,14 @@ def test_prior_guard_sees_every_form():
     assert _prior_isinstance_checks(ast.parse("isinstance(alt, SignalSpec)")) == 0
 
 
+def _inside(tree, wanted) -> set:
+    """ids of the nodes inside the function or class definitions ``wanted``
+    picks, and of the definitions themselves."""
+    return {id(node) for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.ClassDef)) and wanted(scope)
+            for node in ast.walk(scope)}
+
+
 def _reads_signs(node) -> bool:
     """``<prior>.signs`` or ``getattr(<prior>, "signs", ...)``; the CLI's flag
     namespace ``args`` is not a prior."""
@@ -95,13 +106,111 @@ def test_sign_rules_are_compared_only_inside_the_priors():
     offenders = []
     for path in _sources():
         tree = ast.parse(path.read_text())
-        inside = {id(node) for cls in ast.walk(tree)
-                  if isinstance(cls, ast.ClassDef) and cls.name in PRIORS
-                  for node in ast.walk(cls)}
+        inside = _inside(tree, lambda scope: scope.name in PRIORS)
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Compare) and id(node) not in inside
                       and any(_reads_signs(side) for side in [node.left, *node.comparators])]
     assert offenders == []
+
+
+def _kind_literals(tree) -> list:
+    """Lines of string literals naming a constituent kind outside the
+    ``_plan*`` functions."""
+    from corrdetect.statistics import REDUCTIONS
+
+    plans = _inside(tree, lambda scope: scope.name.startswith("_plan"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in REDUCTIONS
+            and id(node) not in plans]
+
+
+def test_procedures_names_a_kind_only_in_its_plans():
+    assert _kind_literals(ast.parse((SRC / "procedures.py").read_text())) == []
+
+
+def test_kind_guard_sees_every_form():
+    form = ("def _plan_x():\n    return ('a', 'noiseless')\n"
+            "def _values(kind):\n    return kind == 'noiseless' or {'chisq_scan': 1}\n")
+    assert _kind_literals(ast.parse(form)) == [4, 4]
+
+
+def test_alpha_is_resolved_only_by_the_kind_table():
+    """No memo of alpha, and no call of it in ``statistics`` or
+    ``procedures`` outside ``statistics.resolved``."""
+    gaussian = ast.parse((SRC / "gaussian.py").read_text())
+    assert not any(isinstance(node, (ast.Name, ast.Attribute))
+                   and "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for node in ast.walk(gaussian))
+    offenders = []
+    for name in ("statistics.py", "procedures.py"):
+        tree = ast.parse((SRC / name).read_text())
+        inside = _inside(tree, lambda scope: scope.name == "resolved")
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "alpha" and id(node) not in inside]
+    assert offenders == []
+
+
+def _sign_matching_literals(tree, module: str) -> list:
+    """Lines where the literal "match_pattern" appears in a module other than
+    the CLI, outside the prior classes and ``SIGN_RULES`` of ``divergences``,
+    and other than as the ``signs=`` of a call (building a prior names its
+    rule; applying the rule is the prior's)."""
+    if module == "cli.py":
+        return []
+    allowed = {id(kw.value) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               for kw in node.keywords if kw.arg == "signs"}
+    if module == "divergences.py":
+        allowed |= _inside(tree, lambda scope: scope.name in PRIORS)
+        allowed |= {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                    and any(getattr(target, "id", None) == "SIGN_RULES"
+                            for target in assign.targets)
+                    for node in ast.walk(assign)}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and node.value == "match_pattern" and id(node) not in allowed]
+
+
+def test_sign_matching_lives_in_the_priors():
+    offenders = [f"{path.name}:{line}" for path in _sources()
+                 for line in _sign_matching_literals(ast.parse(path.read_text()), path.name)]
+    assert offenders == []
+
+
+def test_sign_matching_guard_sees_every_form():
+    form = ("def f(rule, v):\n    if rule == 'match_pattern':\n        return v\n"
+            "UniformSparse(4, 2, 1.0, signs='match_pattern')\n")
+    assert _sign_matching_literals(ast.parse(form), "geometry.py") == [2]
+    assert _sign_matching_literals(ast.parse(form), "cli.py") == []
+
+
+def _unused_imports(text: str) -> list:
+    """Names a module imports and never reads, nor exports in ``__all__``;
+    a name on a line marked ``# noqa: F401`` is skipped."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+             for elt in node.value.elts}
+    return [f"{alias.lineno}:{bound}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]]
+
+
+def test_src_imports_no_unused_name():
+    offenders = [f"{path.name}:{entry}" for path in _sources()
+                 for entry in _unused_imports(path.read_text())]
+    assert offenders == []
+
+
+def test_unused_import_guard_sees_every_form():
+    text = ("import os\nimport numpy as np\nfrom .a import (\n    b,\n"
+            "    c,  # noqa: F401  kept for a wrapper\n    d,\n)\n"
+            "from __future__ import annotations\n__all__ = ['d']\nprint(np)\n")
+    assert _unused_imports(text) == ["1:os", "4:b"]
 
 
 def _is_scipy(name) -> bool:
