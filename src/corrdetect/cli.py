@@ -35,7 +35,7 @@ from .divergences import (
     ingster_suslina_chisq,
     risk_lower_bound,
 )
-from .models import check_family, model_from
+from .models import RankOne, check_family, model_from
 from .procedures import MIN_N_CAL, build_test, model_for
 from .rates import rate_for
 from .risk import (
@@ -65,19 +65,19 @@ _GROUP_PRIORS = ("single_group_sparse", "group_supported")
 
 
 def _load_pattern(path: str, p_grid) -> np.ndarray:
-    """The pattern in ``path``, checked to have length p for every p."""
+    """The pattern in ``path``, checked against the rank-one pattern rules
+    (``models.RankOne``) for every p."""
     try:
         v = np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
         raise ConfigError("model.v_file", str(exc))
     except ValueError as exc:  # a non-numeric entry
         raise ConfigError("model.v_file", f"pattern is not numeric: {exc}")
-    if not np.isfinite(v).all():
-        raise ConfigError("model.v_file", "pattern entries must be finite")
     for p in p_grid:
-        if v.shape != (p,):
-            raise ConfigError("model.v_file",
-                              f"pattern length {v.shape[0]} does not match p={p}")
+        try:
+            RankOne(p, 0.0, v)
+        except ContractError as exc:
+            raise ConfigError("model.v_file", str(exc)) from None
     return v
 
 
@@ -355,7 +355,7 @@ def _cmd_sweep(args) -> int:
     csv_path = os.path.join(args.out, "sweep.csv")
     write_rows_csv(rows, csv_path)
     write_manifest(plan, reports, csv_path, os.path.join(args.out, "manifest.json"),
-                   config=cfg)
+                   config=dict(cfg, seed=plan.master_seed))
     failures = [r for r in reports if r["status"] != "ok"]
     print(f"wrote {csv_path} ({len(rows)} rows; {len(failures)} failed cells)")
     for r in failures:

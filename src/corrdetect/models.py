@@ -245,7 +245,7 @@ class RankOne(_SingleBlock):
             v = v.copy()
             v.setflags(write=False)
         if v.shape != (self.p,):
-            raise ContractError("v must have length p")
+            raise ContractError(f"v must have length p={self.p}, got shape {v.shape}")
         nsq = float(v @ v)
         if abs(nsq - self.p) > 1e-9 * self.p:
             raise ContractError(

@@ -51,7 +51,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CalibrationError, ContractError, DomainError, UnsupportedRegimeError
-from .geometry import omega as pattern_omega
 from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
@@ -61,6 +60,7 @@ from .models import (
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
     model_from,
 )
+from .rates import _grouped_scan_sq, rate_equicorrelated, rate_rank_one
 from .statistics import REDUCTIONS, profile_input, resolved
 
 __all__ = [
@@ -216,16 +216,16 @@ def _plan_linear(p, gamma, bs):
 
 
 def _plan_equicorrelated(p: int, s, gamma: float) -> list:
-    root = math.sqrt(p)
-    if gamma == 1.0:
-        if s < p:
-            return [("noiseless", "noiseless", {}, lambda C: 0.0)]
+    regime = rate_equicorrelated(p, s, gamma).regime
+    if regime == "perfect-degenerate":
+        return [("noiseless", "noiseless", {}, lambda C: 0.0)]
+    if regime == "perfect-dense":
         return [("chisq_raw", "chisq_raw", {}, lambda C: p + (C ** 2 / 2.0) * p)]
-    items = [_plan_sparse(p, s, 32.0) if s < root else _plan_chisq(p)]
-    if s > p / 2:  # and so s >= root: items holds chisq
+    items = [_plan_sparse(p, s, 32.0) if regime == "sparse" else _plan_chisq(p)]
+    if s > p / 2:  # and so s >= sqrt(p): items holds chisq
         if s >= p:  # s == p: the mean direction alone carries the separation
             items = []
-        elif s > p - root:
+        elif regime == "very-dense":
             items.append(("thresholded_dense", "thresholded", {"t": _dense_t(p, s)},
                           lambda C, sh=_dense_shape(p, s): (C ** 2 / 8.0) * sh))
         items.append(_plan_linear(p, gamma, p))
@@ -247,7 +247,6 @@ def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
         # scan regime: constituent choice follows which term attains the
         # rate minimum (first branch wins ties; tie rule is plumbing, not
         # dictated by the closed forms).
-        from .rates import _grouped_scan_sq
         _, first, cap, sub = _grouped_scan_sq(p, s, gamma, R)
         if first <= cap:
             if sub == "scan-moderate":
@@ -283,16 +282,15 @@ def _plan_grouped_avg(p: int, s: int, gamma: float, R: int):
 
 
 def _plan_rank_one(p: int, s, gamma: float, v: np.ndarray) -> list:
-    if gamma == 1.0:
-        v0 = int(np.count_nonzero(v))
-        if s < v0:
-            return [("noiseless", "noiseless", {}, lambda C: 0.0)]
+    rate = rate_rank_one(p, s, gamma, v)
+    if rate.regime == "perfect-degenerate":
+        return [("noiseless", "noiseless", {}, lambda C: 0.0)]
+    if rate.regime == "perfect-dense":
         return [("chisq_raw", "chisq_raw", {}, lambda C: p + (C ** 2 / 2.0) * p)]
-    w = pattern_omega(v)
-    if s > w:
-        raise UnsupportedRegimeError(
-            f"rank-one tests are characterized only for s <= omega(v) = {w}")
-    return [_plan_sparse(p, s, 16.0) if s <= math.sqrt(p) else _plan_chisq(p)]
+    if rate.uncharacterized:
+        raise UnsupportedRegimeError("rank-one tests are characterized only for "
+                                     f"s <= omega(v) = {rate.components['omega']}")
+    return [_plan_sparse(p, s, 16.0) if rate.regime == "sparse" else _plan_chisq(p)]
 
 
 def _plan_adaptive(p: int, gamma: float) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -69,6 +70,20 @@ def _check_ps(p: int, s: int) -> None:
         raise ContractError(f"need 1 <= s <= p, got s={s}, p={p}")
 
 
+def _cell(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,
+          v: Optional[np.ndarray] = None):
+    """The result constructor of a checked cell: it takes (value, regime,
+    components)."""
+    _check_ps(p, s)
+    if R is not None and (R < 1 or p % R != 0):
+        raise ContractError(f"R must divide p, got R={R}, p={p}")
+    if v is not None and v.shape != (p,):
+        raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
+    if not (0.0 <= gamma <= 1.0):
+        raise ContractError("gamma must lie in [0, 1]")
+    return partial(RateResult, family, p, s, gamma, R)
+
+
 def psi1_sq(p: int, s: int, gamma: float) -> float:
     """Centered-component squared rate: the sparse/dense base branch."""
     if s < math.sqrt(p):
@@ -87,26 +102,16 @@ def _psi2_sq(p: int, s: int, gamma: float) -> tuple:
 
 
 def rate_equicorrelated(p: int, s: int, gamma: float) -> RateResult:
-    _check_ps(p, s)
-    if not (0.0 <= gamma <= 1.0):
-        raise ContractError("gamma must lie in [0, 1]")
+    result = _cell("equicorrelated", p, s, gamma)
     if gamma == 1.0:
-        if s < p:
-            return RateResult("equicorrelated", p, s, gamma, None, 0.0,
-                              "perfect-degenerate", {})
-        return RateResult("equicorrelated", p, s, gamma, None, float(p),
-                          "perfect-dense", {})
+        return result(0.0, "perfect-degenerate") if s < p else result(float(p), "perfect-dense")
     base = psi1_sq(p, s, gamma)
     root = math.sqrt(p)
     if s < root:
-        return RateResult("equicorrelated", p, s, gamma, None, base, "sparse",
-                          {"psi1_sq": base})
+        return result(base, "sparse", {"psi1_sq": base})
     mean_part, kappa, cap = _psi2_sq(p, s, gamma)
-    regime = "dense" if s <= p - root else "very-dense"
-    value = base + mean_part
-    return RateResult("equicorrelated", p, s, gamma, None, value, regime,
-                      {"psi1_sq": base, "psi2_sq": mean_part, "cap": cap,
-                       "kappa": kappa})
+    return result(base + mean_part, "dense" if s <= p - root else "very-dense",
+                  {"psi1_sq": base, "psi2_sq": mean_part, "cap": cap, "kappa": kappa})
 
 
 def _grouped_scan_sq(p: int, s: int, gamma: float, R: int) -> tuple:
@@ -140,47 +145,32 @@ def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
     (at the model's own gamma, respectively at gamma = 0) so the reductions
     hold with exact floating-point equality.
     """
-    _check_ps(p, s)
-    if R < 1 or p % R != 0:
-        raise ContractError(f"R must divide p, got R={R}, p={p}")
-    if not (0.0 <= gamma <= 1.0):
-        raise ContractError("gamma must lie in [0, 1]")
-    if R == 1:
-        base = rate_equicorrelated(p, s, gamma)
-        return RateResult("grouped", p, s, gamma, 1, base.value, base.regime,
-                          base.components)
-    if R == p:
-        base = rate_equicorrelated(p, s, 0.0)
-        return RateResult("grouped", p, s, gamma, p, base.value, base.regime,
-                          base.components)
+    result = _cell("grouped", p, s, gamma, R)
+    if R in (1, p):
+        base = rate_equicorrelated(p, s, gamma if R == 1 else 0.0)
+        return result(base.value, base.regime, base.components)
     bs = p / R
     if gamma == 1.0:
         if s < bs:
-            return RateResult("grouped", p, s, gamma, R, 0.0, "perfect-degenerate", {})
+            return result(0.0, "perfect-degenerate")
         if s < p / math.sqrt(R):
-            value = s * math.log1p(p ** 2 / (R * s ** 2))
-            return RateResult("grouped", p, s, gamma, R, value,
-                              "perfect-average-sparse", {})
-        return RateResult("grouped", p, s, gamma, R, p / math.sqrt(R),
-                          "perfect-average-dense", {})
+            return result(s * math.log1p(p ** 2 / (R * s ** 2)), "perfect-average-sparse")
+        return result(p / math.sqrt(R), "perfect-average-dense")
     base = psi1_sq(p, s, gamma)
     if s <= p / (4 * R):
-        return RateResult("grouped", p, s, gamma, R, base, "within-group-sparse",
-                          {"psi1_sq": base})
+        return result(base, "within-group-sparse", {"psi1_sq": base})
     if s < bs:
         scan, first, cap, sub = _grouped_scan_sq(p, s, gamma, R)
-        return RateResult("grouped", p, s, gamma, R, base + scan, sub,
-                          {"psi1_sq": base, "upsilon_sq": scan,
-                           "scan_term": first, "cap": cap})
+        return result(base + scan, sub,
+                      {"psi1_sq": base, "upsilon_sq": scan, "scan_term": first, "cap": cap})
     sigma_sq = 1.0 - gamma + gamma * bs
     if s < p / math.sqrt(R):
         avg = sigma_sq * (R * s / p) * math.log1p(p ** 2 / (R * s ** 2))
-        return RateResult("grouped", p, s, gamma, R, base + avg, "average-sparse",
-                          {"psi1_sq": base, "rho_sq": avg, "cap": sigma_sq})
+        return result(base + avg, "average-sparse",
+                      {"psi1_sq": base, "rho_sq": avg, "cap": sigma_sq})
     value = (1.0 - gamma) * math.sqrt(p) + sigma_sq * math.sqrt(R)
-    return RateResult("grouped", p, s, gamma, R, value, "average-dense",
-                      {"psi1_sq": (1.0 - gamma) * math.sqrt(p),
-                       "rho_sq": sigma_sq * math.sqrt(R), "cap": sigma_sq})
+    return result(value, "average-dense", {"psi1_sq": (1.0 - gamma) * math.sqrt(p),
+                                           "rho_sq": sigma_sq * math.sqrt(R), "cap": sigma_sq})
 
 
 def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
@@ -191,30 +181,21 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     explicit uncharacterized verdict, not a number.  At gamma = 1 the rate is
     0 below the pattern's support size and p at or above it.
     """
-    _check_ps(p, s)
     v = np.asarray(v, dtype=float)
-    if v.shape != (p,):
-        raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
-    if not (0.0 <= gamma <= 1.0):
-        raise ContractError("gamma must lie in [0, 1]")
+    result = _cell("rank_one", p, s, gamma, v=v)
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))
-        if s < v0:
-            return RateResult("rank_one", p, s, gamma, None, 0.0,
-                              "perfect-degenerate", {"omega": w, "pattern_support": v0})
-        return RateResult("rank_one", p, s, gamma, None, float(p), "perfect-dense",
-                          {"omega": w, "pattern_support": v0})
+        components = {"omega": w, "pattern_support": v0}
+        return (result(0.0, "perfect-degenerate", components) if s < v0
+                else result(float(p), "perfect-dense", components))
     if s > w:
-        return RateResult("rank_one", p, s, gamma, None, None, "uncharacterized",
-                          {"omega": w})
+        return result(None, "uncharacterized", {"omega": w})
     if s <= math.sqrt(p):
         value = (1.0 - gamma) * s * math.log1p(p / s ** 2)
-        return RateResult("rank_one", p, s, gamma, None, value, "sparse",
-                          {"psi1_sq": value, "omega": w})
+        return result(value, "sparse", {"psi1_sq": value, "omega": w})
     value = (1.0 - gamma) * math.sqrt(p)
-    return RateResult("rank_one", p, s, gamma, None, value, "dense",
-                      {"psi1_sq": value, "omega": w})
+    return result(value, "dense", {"psi1_sq": value, "omega": w})
 
 
 def rate_for(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,

@@ -248,6 +248,25 @@ class TestSweepCommand:
         assert code == 2 and f"config error at {field}:" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags,env", [(["--seed", "5"], {}),
+                                           ([], {"CORRDETECT_SEED": "9"})])
+    def test_manifest_replays_a_flag_or_environment_seed(self, tmp_path, monkeypatch,
+                                                         flags, env):
+        # the manifest once held the config without the seed the run used, so
+        # a replay fell back to seed 0 or to the environment of the replay
+        monkeypatch.delenv("CORRDETECT_SEED", raising=False)
+        data = json.loads(_sweep_config(tmp_path, model={
+            "family": "equicorrelated", "p": [16], "gamma": [0.5]}).read_text())
+        del data["seed"]
+        cfg = tmp_path / "unseeded.json"
+        cfg.write_text(json.dumps(data))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out1)] + flags,
+                       env=env)[0] == 0
+        assert run_cli(["sweep", "--config", str(out1 / "manifest.json"),
+                        "--out", str(out2)])[0] == 0
+        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
     @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
     def test_bad_env_seed_refused(self, tmp_path, env):
         cfg = _sweep_config(tmp_path)
@@ -485,6 +504,26 @@ def test_flag_is_refused_at_its_field_path(argv, field):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert f"config error at {field}:" in err
+
+
+@pytest.mark.parametrize("command", ["rate", "calibrate", "divergence", "sweep"])
+def test_pattern_of_the_wrong_norm_is_a_config_error(tmp_path, command):
+    # ||v||^2 = 7, not p = 4: this exited 1 from the library, and failed every
+    # sweep cell
+    vf = tmp_path / "v.txt"
+    vf.write_text("1 1 1 2\n")
+    cfg = _sweep_config(tmp_path, model={"family": "rank_one", "p": [4], "gamma": [0.5],
+                                         "v_file": str(vf)})
+    model = ["--family", "rankone", "--p", "4", "--gamma", "0.5", "--v-file", str(vf)]
+    argv = {"rate": ["rate", "--s", "1"] + model,
+            "calibrate": ["calibrate", "--s", "1", "--n-cal", "1000"] + model,
+            "divergence": ["divergence", "--prior", "uniform_sparse", "--s", "1",
+                           "--magnitude", "0.4"] + model,
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]}[command]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "config error at model.v_file:" in err and "||v||^2 must equal p" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_refuses_a_test_sparsity(tmp_path):

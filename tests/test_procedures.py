@@ -11,6 +11,7 @@ from corrdetect.errors import CalibrationError, ContractError, UnsupportedRegime
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.models import Equicorrelated, Grouped, Observation, RankOne, sample
 from corrdetect.procedures import (
+    _plan,
     build_test,
     calibrate_null_quantile,
     evaluate,
@@ -131,6 +132,75 @@ class TestAssembly:
         d = json.loads(t.to_json())
         assert d["family"] == "equicorrelated" and d["p"] == 50
         assert d["constituents"][0]["kind"] == "thresholded"
+
+
+def _equicorrelated_names(p, s, gamma):
+    """The constituents the printed regime table asks for, each inequality
+    in integers: s < sqrt(p) iff s^2 < p, s > p - sqrt(p) iff (p - s)^2 < p."""
+    if gamma == 1.0:
+        return ["noiseless"] if s < p else ["chisq_raw"]
+    names = ["thresholded" if s * s < p else "chisq"]
+    if 2 * s > p:  # the mean direction carries part of the separation
+        if s == p:
+            names = []
+        elif (p - s) ** 2 < p:
+            names.append("thresholded_dense")
+        names.append("linear")
+    return names
+
+
+def _rank_one_names(p, s, gamma, v, omega):
+    """The rank-one constituents, or None where the rate is uncharacterized
+    (s > omega(v)); the sparse boundary s <= sqrt(p) is inclusive."""
+    if gamma == 1.0:
+        return ["noiseless"] if s < np.count_nonzero(v) else ["chisq_raw"]
+    if s > omega:
+        return None
+    return ["thresholded" if s * s <= p else "chisq"]
+
+
+def _omega(v):
+    """The largest s whose s largest squared entries sum to at most p/4."""
+    squares = sorted((x * x for x in v), reverse=True)
+    return max(s for s in range(len(v) + 1) if sum(squares[:s]) <= len(v) / 4)
+
+
+def _patterns(p):
+    """A +-1 pattern, and the bump of ``_hetero_pattern`` (the first isqrt(p)
+    entries) scaled to ||v||^2 = p."""
+    signs = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
+    k = math.isqrt(p)
+    bump = np.zeros(p)
+    bump[:k] = math.sqrt(p / k)
+    return signs, bump
+
+
+class TestPlanOracle:
+    """Every plan at p <= 64 against the regime table, including s = sqrt(p)
+    and the small p at which the sqrt(p) and p - sqrt(p) boundaries meet."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0])
+    def test_equicorrelated_plans_follow_the_regime_table(self, gamma):
+        for p in range(1, 65):
+            model = Equicorrelated(p, gamma)
+            for s in range(1, p + 1):
+                names = [name for name, _, _, _ in _plan(model, s)]
+                assert names == _equicorrelated_names(p, s, gamma), (p, s)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0])
+    def test_rank_one_plans_follow_the_regime_table(self, gamma):
+        for p in range(1, 65):
+            for v in _patterns(p):
+                model, omega = RankOne(p, gamma, v), _omega(v)
+                for s in range(1, p + 1):
+                    want = _rank_one_names(p, s, gamma, v, omega)
+                    if want is None:
+                        with pytest.raises(UnsupportedRegimeError,
+                                           match=rf"omega\(v\) = {omega}$"):
+                            _plan(model, s)
+                    else:
+                        names = [name for name, _, _, _ in _plan(model, s)]
+                        assert names == want, (p, s, v)
 
 
 class TestCalibration:

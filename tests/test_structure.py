@@ -7,13 +7,15 @@ sums).  The only branches on the prior class are the shifted route (in
 mass closed form; every other route asks the prior for its support law, and
 no prior's sign rule is compared outside the prior classes.  Each kind's
 constants (alpha at its thresholds) are resolved by the kind table alone,
-and ``procedures`` names a kind only where it plans one.
-``divergences._log_sum_exp`` is the only log-sum-exp.  No module imports a
-name it does not use.  The runtime needs numpy only: no module imports
-scipy, eagerly or on first use.  The acceptance module, which the benchmark
-loads as its grid table, imports neither scipy nor pytest when it is loaded,
-and building every grid cell's alternatives and certificate prior does not
-load ``numpy.ma``."""
+and ``procedures`` names a kind only where it plans one.  ``rates`` decides
+every equicorrelated and rank-one regime: those two plans compare no square
+root, omega(v) or pattern support of their own, and ``procedures`` imports
+nothing from ``geometry``.  ``divergences._log_sum_exp`` is the only
+log-sum-exp.  No module imports a name it does not use.  The runtime needs
+numpy only: no module imports scipy, eagerly or on first use.  The
+acceptance module, which the benchmark loads as its grid table, imports
+neither scipy nor pytest when it is loaded, and building every grid cell's
+alternatives and certificate prior does not load ``numpy.ma``."""
 
 import ast
 import os
@@ -149,6 +151,49 @@ def test_alpha_is_resolved_only_by_the_kind_table():
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                       and node.func.id == "alpha" and id(node) not in inside]
     assert offenders == []
+
+
+# the plans that read their branch from the rate, and the calls that would
+# decide a regime boundary again
+RATE_PLANS = ("_plan_equicorrelated", "_plan_rank_one")
+REGIME_CALLS = re.compile(r"^(sqrt|count_nonzero|\w*omega)$")
+
+
+def _called(func) -> str:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _regime_decisions(tree) -> list:
+    """Lines where a rate plan calls sqrt, omega or count_nonzero, and lines
+    that import from ``geometry``, eagerly or on first use."""
+    plans = _inside(tree, lambda scope: scope.name in RATE_PLANS)
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and id(node) in plans and REGIME_CALLS.match(_called(node.func))]
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and ((node.module or "").split(".")[-1] == "geometry"
+                    or any(alias.name == "geometry" for alias in node.names))
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[-1] == "geometry" for alias in node.names)]
+    return sorted(calls + imports)
+
+
+def test_rates_decide_the_equicorrelated_and_rank_one_regimes():
+    assert _regime_decisions(ast.parse((SRC / "procedures.py").read_text())) == []
+
+
+def test_regime_guard_sees_every_form():
+    form = ("from .geometry import omega as pattern_omega\n"
+            "from . import geometry\n"
+            "import corrdetect.geometry\n"
+            "def _plan_equicorrelated(p, s):\n"
+            "    return s < math.sqrt(p) or s <= sqrt(p)\n"
+            "def _plan_rank_one(p, s, v):\n"
+            "    from corrdetect.geometry import omega\n"
+            "    return s > pattern_omega(v) or s < np.count_nonzero(v) or geometry.omega(v)\n"
+            "def _plan_grouped(p, s):\n"
+            "    return s < math.sqrt(p)\n")
+    assert _regime_decisions(ast.parse(form)) == [1, 2, 3, 5, 5, 7, 8, 8, 8]
 
 
 def _sign_matching_literals(tree, module: str) -> list:
