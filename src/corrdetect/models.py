@@ -45,7 +45,10 @@ consumes k injections.  ``sample(..., size=n)`` draws the n x k factors before
 the n x p noise.  Batched callers that must reproduce n single-vector draws
 instead pass rows laid out as [k factors | p noise | k injections], which is
 the order in which n sequential ``sample`` + ``decorrelate`` calls consume a
-stream.
+stream: null calibration draws all the rows from one stream, and the risk
+engine (``risk``) fills row j of [k factors | p noise] from replication j's
+own stream.  Theta rows (n, p), one per draw, then give each row its own
+signal; a single theta (p,) is shared by every row.
 """
 
 from __future__ import annotations
@@ -350,26 +353,39 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
            size: Optional[int] = None, *, normals: Optional[np.ndarray] = None) -> Observation:
     """Draw from the model via its additive random-effect representation.
 
-    ``theta`` may be None (the null).  With ``size`` given, returns a batch of
-    shape (size, p).  The shared factor(s) are drawn before the idiosyncratic
-    noise, so a fixed stream reproduces bit-identical observations.  Instead
-    of ``rng``, ``normals`` (rows of k = R factors then p noise coordinates)
-    supplies the standard normals for one draw per row.
+    ``theta`` may be None (the null), one vector (p,) shared by every draw,
+    or rows (n, p), one per draw of a batch of n.  With ``size`` given,
+    returns a batch of shape (size, p).  The shared factor(s) are drawn
+    before the idiosyncratic noise, so a fixed stream reproduces
+    bit-identical observations.  Instead of ``rng``, ``normals`` (rows of
+    k = R factors then p noise coordinates) supplies the standard normals
+    for one draw per row.
     """
-    p = model.p
-    if theta is None:
-        theta = 0.0
-    else:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (p,):
-            raise ContractError("theta length must equal model dimension p")
-        theta = model.block_view(theta)
-    k = model.R
+    p, k = model.p, model.R
     if normals is not None:
         normals = np.asarray(normals, dtype=float)
         if normals.shape[-1] != k + p:
             raise ContractError(f"normals rows must hold k + p = {k + p} values")
-    elif size is None:
+        draws = normals.shape[:-1]
+        if size is not None and draws != (size,):
+            raise ContractError(f"size={size} does not match the normals rows {draws}")
+    elif rng is None:
+        raise ContractError("sample needs rng or normals")
+    elif size is not None and size < 0:
+        raise ContractError(f"size must be nonnegative, got {size}")
+    else:
+        draws = () if size is None else (size,)
+    if theta is None:
+        theta = 0.0
+    else:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape[-1:] != (p,):
+            raise ContractError("theta length must equal model dimension p")
+        if theta.ndim > 1 and (theta.ndim > 2 or theta.shape[:-1] != draws):
+            raise ContractError(f"theta rows {theta.shape[:-1]} do not match the "
+                                f"draws {draws}")
+        theta = model.block_view(theta)
+    if normals is None and size is None:
         # one call for the k factors and the p noise coordinates: the stream
         # yields the same values as two calls would
         normals = rng.standard_normal(k + p)

@@ -8,6 +8,14 @@ count or scheduling, and alternative estimates do not move when the
 alternatives list is permuted (the alternative key is a stable hash of its
 descriptor; two distinct descriptors with the same hash are refused).
 
+Replications run in blocks of ``_BLOCK_ELEMENTS // p`` rows, the row rule of
+null calibration.  Each replication's stream is read in the order a lone
+replication reads it: the prior draw (for a prior), then the k + p standard
+normals of its ``sample`` row, then the k injections its ``evaluate`` call
+draws.  A block makes one ``sample`` call on its rows of normals (with one
+theta row per replication for a prior), then one ``evaluate`` call per row,
+so every verdict equals the per-replication loop's bit for bit.
+
 A sweep cell is the unit of risk work: type I error does not depend on the
 separation multiplier, so ``run_sweep`` makes one ``estimate_risk`` call per
 cell, keyed by the cell number itself, on every multiplier's panel at once.
@@ -45,7 +53,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import check_family, sample
+from .models import _BLOCK_ELEMENTS, Observation, check_family, sample
 from .procedures import TestProcedure, _check_mode, build_test, evaluate, model_for
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -127,14 +135,26 @@ def _reject_count_chunk(test, model, alt, master_seed, cell_id, kind, alt_code,
     # the null and fixed signals keep one theta; a prior is redrawn per replication
     prior = alt is not None and not isinstance(alt, SignalSpec)
     theta = None if alt is None or prior else alt.theta
+    p, k = model.p, model.R
+    rows = max(1, _BLOCK_ELEMENTS // p)
     count = 0
-    for i in range(start, stop):
-        rng = substream(master_seed, cell_id, kind, alt_code, i)
+    for a in range(start, stop, rows):
+        n = min(rows, stop - a)
+        rngs = [substream(master_seed, cell_id, kind, alt_code, i)
+                for i in range(a, a + n)]
+        # each stream in the order of a lone replication: the prior draw,
+        # the k + p normals of ``sample``, then evaluate's k injections
+        normals = np.empty((n, k + p))
         if prior:
-            theta = draw_prior(alt, rng, v=v)
-        obs = sample(model, theta, rng)
-        if evaluate(test, obs, rng).reject:
-            count += 1
+            theta = np.empty((n, p))
+        for j, rng in enumerate(rngs):
+            if prior:
+                theta[j] = draw_prior(alt, rng, v=v)
+            rng.standard_normal(out=normals[j])
+        x = sample(model, theta, normals=normals).x
+        for xj, rng in zip(x, rngs):
+            if evaluate(test, Observation(xj, model), rng).reject:
+                count += 1
     return count
 
 

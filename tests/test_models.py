@@ -176,6 +176,34 @@ class TestSampler:
         with pytest.raises(ContractError):
             sample(Equicorrelated(4, 0.0), np.ones(5), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("theta,kwargs", [
+        (None, {}),  # neither rng nor normals
+        (None, {"size": 3, "normals": np.zeros((2, 5))}),
+        (None, {"size": -1, "rng": 0}),
+        (np.ones((3, 4)), {"normals": np.zeros((2, 5))}),
+        (np.ones((2, 4)), {"rng": 0}),  # two theta rows for one draw
+        (np.ones((1, 2, 4)), {"normals": np.zeros((1, 2, 5))}),
+    ])
+    def test_bad_argument_combinations_refused(self, theta, kwargs):
+        if "rng" in kwargs:
+            kwargs = dict(kwargs, rng=np.random.default_rng(kwargs["rng"]))
+        with pytest.raises(ContractError):
+            sample(Equicorrelated(4, 0.0), theta, **kwargs)
+
+    @pytest.mark.parametrize("model", [
+        Equicorrelated(12, 0.3),
+        Grouped(12, 3, 0.4, labels=[2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]),
+        RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)),
+    ])
+    def test_theta_rows_equal_single_draws(self, model):
+        # row j of one batched call equals a single draw from stream j, bit for bit
+        n, k = 4, model.R
+        theta = np.random.default_rng(3).standard_normal((n, 12))
+        normals = np.array([np.random.default_rng(j).standard_normal(k + 12)
+                            for j in range(n)])
+        want = [sample(model, theta[j], np.random.default_rng(j)).x for j in range(n)]
+        assert np.array_equal(sample(model, theta, normals=normals).x, want)
+
 
 class TestDecorrelate:
     @pytest.mark.parametrize("model", [

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from corrdetect import risk
-from corrdetect.divergences import PointMass, ShiftedSparse, UniformSparse
+from corrdetect.divergences import PointMass, ShiftedSparse, UniformSparse, draw
 from corrdetect.errors import ContractError
-from corrdetect.geometry import make_sparse_signal
-from corrdetect.models import Grouped
-from corrdetect.procedures import build_test, model_for
+from corrdetect.geometry import SignalSpec, make_sparse_signal
+from corrdetect.models import _BLOCK_ELEMENTS, Grouped, sample
+from corrdetect.procedures import build_test, evaluate, model_for
 from corrdetect.rates import rate_equicorrelated, rate_grouped
 from corrdetect.risk import (
     SweepPlan,
@@ -306,17 +306,21 @@ class TestSharedNull:
             assert len({r["type_i"] for r in rows if r["gamma"] == gamma}) == 1
 
     def test_null_simulated_once_per_cell(self, monkeypatch):
-        nulls = []
+        nulls = []  # null rows of each null ``sample`` call
 
-        def counting(model, theta, rng, sample=risk.sample):
+        def counting(model, theta, rng=None, sample=risk.sample, **kw):
+            obs = sample(model, theta, rng, **kw)
             if theta is None:
-                nulls.append(1)
-            return sample(model, theta, rng)
+                nulls.append(len(np.atleast_2d(obs.x)))
+            return obs
 
         monkeypatch.setattr(risk, "sample", counting)
         plan = self._plan()
         run_sweep(plan)
-        assert len(nulls) == len(plan.gamma_grid) * plan.n_reps
+        assert sum(nulls) == len(plan.gamma_grid) * plan.n_reps
+        # one null call per block of _BLOCK_ELEMENTS // p replications
+        blocks = math.ceil(plan.n_reps / (_BLOCK_ELEMENTS // plan.p_grid[0]))
+        assert len(nulls) == len(plan.gamma_grid) * blocks
 
     def test_csv_identical_across_workers(self, sweep, tmp_path):
         rows2, _ = run_sweep(self._plan(workers=2))
@@ -324,3 +328,67 @@ class TestSharedNull:
         write_rows_csv(sweep[0], p1)
         write_rows_csv(rows2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _sign_pattern(p):
+    return np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
+
+
+def _bump_pattern(p):
+    # the acceptance grid's heterogeneous pattern: a bump on the first isqrt(p)
+    v = np.zeros(p)
+    v[:math.isqrt(p)] = p ** 0.25
+    return v
+
+
+class TestBlockEngine:
+    """``_reject_count_chunk`` samples a block of replications in one call;
+    every verdict equals the per-replication loop's, bit for bit."""
+
+    KEY = (5, 3, 2, 17)  # master seed, cell, stream kind, alternative code
+
+    def _reference(self, test, model, alt, start, stop):
+        """substream, then draw, then sample, then evaluate, per replication."""
+        verdicts = []
+        for i in range(start, stop):
+            rng = substream(*self.KEY, i)
+            theta = alt
+            if isinstance(alt, SignalSpec):
+                theta = alt.theta
+            elif alt is not None:
+                theta = draw(alt, rng, v=getattr(model, "v", None))
+            verdicts.append(evaluate(test, sample(model, theta, rng), rng))
+        return verdicts
+
+    @pytest.mark.parametrize("family,p,s,gamma,R,v,prior,window", [
+        # one block is 8 rows at p = 4096: blocks [3, 11), [11, 19), [19, 22)
+        ("equicorrelated", 4096, 10, 0.5, None, None, UniformSparse(4096, 10, 0.6),
+         (3, 22)),
+        ("grouped", 64, 16, 0.5, 8, None, UniformSparse(64, 16, 0.5), (0, 130)),
+        # gamma = 1 reads no decorrelated data, so draws no injections
+        ("grouped", 64, 16, 1.0, 8, None, UniformSparse(64, 16, 0.5), (0, 130)),
+        ("rank_one", 64, 3, 0.5, None, _sign_pattern(64),
+         UniformSparse(64, 3, 1.5, signs="match_pattern"), (7, 110)),
+        # omega(v) = 4 at p = 256; one block is 128 rows
+        ("rank_one", 256, 3, 0.5, None, _bump_pattern(256),
+         UniformSparse(256, 3, 1.5, universe=np.arange(16, 256)), (7, 140)),
+    ])
+    def test_verdicts_equal_the_per_replication_loop(self, monkeypatch, family, p, s,
+                                                     gamma, R, v, prior, window):
+        test = build_test(family, p, s, gamma, R=R, v=v, mode="paper_constants", C=3.0)
+        model = model_for(test)
+        seen = []
+
+        def spy(test, obs, rng, evaluate=risk.evaluate):
+            verdict = evaluate(test, obs, rng)
+            seen.append(verdict.values)
+            return verdict
+
+        monkeypatch.setattr(risk, "evaluate", spy)
+        for alt in (None, prior, make_sparse_signal(p, s, prior.magnitude)):
+            want = self._reference(test, model, alt, *window)
+            seen.clear()
+            count = risk._reject_count_chunk(test, model, alt, *self.KEY, *window,
+                                             getattr(model, "v", None))
+            assert seen == [verdict.values for verdict in want]
+            assert count == sum(verdict.reject for verdict in want)
