@@ -6,8 +6,10 @@ threshold.  The statistic of every kind is an entry of the kind table in
 ``statistics``; this module plans which kinds a test uses (``_plan``, from
 the family's kind set ``statistics.KINDS``), sets their thresholds, and
 runs the table on batches of canonical data (``_values``, the one
-evaluation path of ``evaluate`` and of calibration).  Two operating modes
-share identical statistic plans:
+evaluation path of ``evaluate`` and of calibration).  Plans read their
+regime from the family's rate, so they follow its reductions: a grouped plan
+at R = 1 is the equicorrelated plan, at R = p the gamma = 0 plan on raw
+data.  Two operating modes share identical statistic plans:
 
 * ``paper_constants``: thresholds follow the closed forms driven by a single
   constant C (sound but very conservative);
@@ -60,7 +62,7 @@ from .models import (
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
     model_from,
 )
-from .rates import _grouped_scan_sq, rate_equicorrelated, rate_rank_one
+from .rates import rate_equicorrelated, rate_grouped, rate_rank_one
 from .statistics import REDUCTIONS, profile_input, resolved
 
 __all__ = [
@@ -233,46 +235,46 @@ def _plan_equicorrelated(p: int, s, gamma: float) -> list:
 
 
 def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
-    bs = p // R
-    log_er = 1.0 + math.log(R)
-    if gamma == 1.0:
+    if R == 1:  # the single random effect
+        return _plan_equicorrelated(p, s, gamma)
+    if R == p:
+        # independent observations: the gamma = 0 plan on raw data, which at
+        # block size 1 are the standardized group means (sigma^2 = 1)
+        raw = {"thresholded": "thresholded_avg", "chisq": "chisq_avg"}
+        return [(name, raw.get(kind, kind), params, rule)
+                for name, kind, params, rule in _plan_equicorrelated(p, s, 0.0)]
+    rate = rate_grouped(p, s, gamma, R)
+    if rate.regime.startswith("perfect"):
         items = [("noiseless", "noiseless", {}, lambda C: 0.0)]
-        if s >= bs:
-            items.append(_plan_grouped_avg(p, s, 1.0, R))
-        return items
-    items = [_plan_sparse(p, s, 64.0) if s < math.sqrt(p) else _plan_chisq(p, scale=16.0)]
-    if s <= p / (4 * R):
-        return items
-    if s < bs:
-        # scan regime: constituent choice follows which term attains the
-        # rate minimum (first branch wins ties; tie rule is plumbing, not
-        # dictated by the closed forms).
-        _, first, cap, sub = _grouped_scan_sq(p, s, gamma, R)
-        if first <= cap:
-            if sub == "scan-moderate":
-                items.append(("chisq_scan", "chisq_scan", {},
-                              lambda C, b=bs, le=log_er:
-                              b + 2.0 * math.sqrt(b * (C ** 2 / 128.0) * le)
-                              + 2.0 * (C ** 2 / 128.0) * le))
-            else:
-                t = math.sqrt(2.0 * math.log1p(R * p * log_er / (p - R * s) ** 2))
-                shape = (bs - s) * math.log1p(R * p * log_er / (p - R * s) ** 2) + math.log(R)
-                items.append(("thresholded_scan", "thresholded_scan", {"t": t},
-                              lambda C, sh=shape: (C ** 2 / 64.0) * sh))
-        else:
-            sigma_sq = 1.0 - gamma + gamma * bs
-            items.append(("linear_scan", "linear_scan", {"sigma_sq": sigma_sq},
-                          lambda C, ss=sigma_sq, le=log_er:
-                          ss * (1.0 + (C ** 2 / 64.0) * le)))
-        return items
-    items.append(_plan_grouped_avg(p, s, gamma, R))
+    elif rate_equicorrelated(p, s, gamma).regime == "sparse":
+        items = [_plan_sparse(p, s, 64.0)]
+    else:
+        items = [_plan_chisq(p, scale=16.0)]
+    if rate.regime not in ("perfect-degenerate", "within-group-sparse"):
+        items.append(_plan_group_constituent(p, s, gamma, R, rate))
     return items
 
 
-def _plan_grouped_avg(p: int, s: int, gamma: float, R: int):
+def _plan_group_constituent(p: int, s: int, gamma: float, R: int, rate):
+    """The group constituent of a scan or averaged regime.  In a scan regime
+    it follows which term attains the rate minimum (the scan term wins ties;
+    the tie rule is plumbing, not dictated by the closed forms)."""
     bs = p // R
+    log_er = 1.0 + math.log(R)
     sigma_sq = 1.0 - gamma + gamma * bs
-    if s < p / math.sqrt(R):
+    if rate.regime.startswith("scan") and rate.components["scan_term"] > rate.components["cap"]:
+        return ("linear_scan", "linear_scan", {"sigma_sq": sigma_sq},
+                lambda C, ss=sigma_sq, le=log_er: ss * (1.0 + (C ** 2 / 64.0) * le))
+    if rate.regime == "scan-moderate":
+        return ("chisq_scan", "chisq_scan", {},
+                lambda C, b=bs, le=log_er:
+                b + 2.0 * math.sqrt(b * (C ** 2 / 128.0) * le) + 2.0 * (C ** 2 / 128.0) * le)
+    if rate.regime == "scan-dense":
+        t = math.sqrt(2.0 * math.log1p(R * p * log_er / (p - R * s) ** 2))
+        shape = (bs - s) * math.log1p(R * p * log_er / (p - R * s) ** 2) + math.log(R)
+        return ("thresholded_scan", "thresholded_scan", {"t": t},
+                lambda C, sh=shape: (C ** 2 / 64.0) * sh)
+    if rate.regime.endswith("average-sparse"):
         t = math.sqrt(2.0 * math.log1p(p ** 2 / (R * s ** 2)))
         shape = (4.0 * R * s / p) * math.log1p(p ** 2 / (16.0 * R * s ** 2))
         return ("thresholded_avg", "thresholded_avg", {"t": t},

@@ -114,36 +114,14 @@ def rate_equicorrelated(p: int, s: int, gamma: float) -> RateResult:
                   {"psi1_sq": base, "psi2_sq": mean_part, "cap": cap, "kappa": kappa})
 
 
-def _grouped_scan_sq(p: int, s: int, gamma: float, R: int) -> tuple:
-    """Scan-regime squared rate component for p/(4R) < s < p/R.
-
-    Returns (value, first_branch, cap, sub_regime).  The value is the minimum
-    of a scan term and a group-mean cap (1-g+g p/R) log(eR); which term
-    attains the minimum selects the scan constituent downstream (first branch
-    wins ties).
-    """
-    bs = p / R
-    log_er = 1.0 + math.log(R)
-    cap = (1.0 - gamma + gamma * bs) * log_er
-    boundary = bs - math.sqrt(bs * log_er)
-    if s <= boundary:
-        first = (1.0 - gamma) * p / (p - R * s) * (math.sqrt(bs * log_er) + math.log(R))
-        sub = "scan-moderate"
-    else:
-        first = (1.0 - gamma) * p / (p - R * s) * (
-            (bs - s) * math.log1p(R * p * log_er / (p - R * s) ** 2) + math.log(R)
-        )
-        sub = "scan-dense"
-    return min(first, cap), first, cap, sub
-
-
 def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
     """Squared rate for the grouped random-effects model.
 
     R = 1 reduces to the single random effect and R = p to independent
     observations; those endpoints delegate to the equicorrelated formulas
     (at the model's own gamma, respectively at gamma = 0) so the reductions
-    hold with exact floating-point equality.
+    hold with exact floating-point equality.  Grouped plans, default panels
+    and the boundary audit read their regime here and reduce the same way.
     """
     result = _cell("grouped", p, s, gamma, R)
     if R in (1, p):
@@ -159,11 +137,24 @@ def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
     base = psi1_sq(p, s, gamma)
     if s <= p / (4 * R):
         return result(base, "within-group-sparse", {"psi1_sq": base})
+    sigma_sq = 1.0 - gamma + gamma * bs
     if s < bs:
-        scan, first, cap, sub = _grouped_scan_sq(p, s, gamma, R)
+        # scan regime: the minimum of a scan term and the group-mean cap
+        # (1-g+g p/R) log(eR); the plan's scan constituent follows which term
+        # attains it (the scan term wins ties)
+        log_er = 1.0 + math.log(R)
+        cap = sigma_sq * log_er
+        if s <= bs - math.sqrt(bs * log_er):
+            first = (1.0 - gamma) * p / (p - R * s) * (math.sqrt(bs * log_er) + math.log(R))
+            sub = "scan-moderate"
+        else:
+            first = (1.0 - gamma) * p / (p - R * s) * (
+                (bs - s) * math.log1p(R * p * log_er / (p - R * s) ** 2) + math.log(R)
+            )
+            sub = "scan-dense"
+        scan = min(first, cap)
         return result(base + scan, sub,
                       {"psi1_sq": base, "upsilon_sq": scan, "scan_term": first, "cap": cap})
-    sigma_sq = 1.0 - gamma + gamma * bs
     if s < p / math.sqrt(R):
         avg = sigma_sq * (R * s / p) * math.log1p(p ** 2 / (R * s ** 2))
         return result(base + avg, "average-sparse",
@@ -277,8 +268,7 @@ def _boundary_sparsities(family: str, p: int, R: Optional[int]) -> list:
         bs = p / R
         log_er = 1.0 + math.log(R)
         straddle("s=p/R-sqrt((p/R)log(eR))", bs - math.sqrt(bs * log_er))
-        if bs >= 2:
-            pairs.append(("s=p/R", int(bs) - 1, int(bs)))
+        pairs.append(("s=p/R", int(bs) - 1, int(bs)))
         straddle("s=p/sqrt(R)", p / math.sqrt(R))
     named = {}
     for name, lo, hi in pairs:
@@ -296,12 +286,16 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
     Returns rows ``{boundary, s_lo, s_hi, lo, hi, ratio, flagged, documented}``.
     ``flagged`` marks ratios above ``max_ratio``; ``documented`` marks the two
     boundaries where a genuine discontinuity exists: s = p under strong
-    correlation ((1-gamma) log(ep) small) and s = p/R in the grouped model.
+    correlation ((1-gamma) log(ep) small) and s = p/R in the grouped model
+    (at R = 1 and R = p the grouped audit is the equicorrelated one).
     A flagged-but-undocumented row signals a formula defect.
     """
     if family != "equicorrelated" and (family != "grouped" or R is None):
         raise ContractError("the boundary audit covers the equicorrelated family "
                             f"and the grouped family with R; got {family!r}, R={R}")
+    if family == "grouped" and R in (1, p):  # the reductions of ``rate_grouped``
+        return boundary_audit("equicorrelated", p, gamma if R == 1 else 0.0,
+                              max_ratio=max_ratio)
     rows = []
     for name, lo_s, hi_s in _boundary_sparsities(family, p, R):
         lo = rate_for(family, p, lo_s, gamma, R).value

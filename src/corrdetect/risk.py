@@ -53,7 +53,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import _BLOCK_ELEMENTS, Observation, check_family, sample
+from .models import _BLOCK_ELEMENTS, Observation, check_family, model_from, sample
 from .procedures import TestProcedure, _check_mode, build_test, evaluate, model_for
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -234,28 +234,30 @@ def default_alternatives(family: str, p: int, s: int, gamma: float,
     One regime-matched prior (the hardest-instance construction: uniform
     sparse supports, within-one-group supports, or whole-group blocks) plus
     the deterministic first-coordinates signal.  Draws satisfy
-    ||theta||^2 = target_sq exactly.
+    ||theta||^2 = target_sq exactly.  A grouped panel takes its regime from
+    the rate at gamma = 0 (no prior depends on gamma), and so is the
+    equicorrelated panel at R = 1 and R = p.
     """
-    check_family(family, R=R, v=v)
+    model = model_from(family, p, gamma, R, v)
     if target_sq <= 0:
         raise ContractError("separation must be positive")
     alts = []
-    if family == "grouped" and R > 1:
+    if family == "grouped" and 1 < R < p:
+        regime = rate_for(family, p, s, 0.0, R).regime
         bs = p // R
-        if s >= bs:
+        if regime.startswith("average"):
             m = max(1, s // bs)
             alts.append(GroupSupported(p, R, m, math.sqrt(target_sq / (m * bs))))
-        elif s > p // (4 * R):
+        elif regime.startswith("scan"):
             alts.append(SingleGroupSparse(p, R, s, math.sqrt(target_sq / s)))
         else:
             alts.append(UniformSparse(p, s, math.sqrt(target_sq / s)))
     elif family == "rank_one":
-        v = np.asarray(v, dtype=float)
-        if np.all(np.abs(np.abs(v) - 1.0) < 1e-12):
+        if model.sign_pattern:
             alts.append(UniformSparse(p, s, math.sqrt(target_sq / s),
                                       signs="match_pattern"))
         else:
-            zeros = np.flatnonzero(v == 0.0)
+            zeros = np.flatnonzero(model.v == 0.0)
             if zeros.size >= s:
                 alts.append(UniformSparse(p, s, math.sqrt(target_sq / s),
                                           universe=zeros))

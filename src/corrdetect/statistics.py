@@ -184,8 +184,7 @@ KINDS = {
     None: frozenset(kind for kind, r in _REDUCTIONS.items() if r.reads != "raw"),
     "equicorrelated": frozenset({"thresholded", "chisq", "linear", "adaptive_scan",
                                  "noiseless", "chisq_raw"}),
-    "grouped": frozenset({"thresholded", "chisq", "linear", "chisq_scan", "thresholded_scan",
-                          "linear_scan", "thresholded_avg", "chisq_avg", "noiseless"}),
+    "grouped": frozenset(_REDUCTIONS) - {"adaptive_scan"},  # a single-random-effect scan
     "rank_one": frozenset({"thresholded", "chisq", "linear", "noiseless", "chisq_raw"}),
 }
 

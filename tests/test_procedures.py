@@ -18,6 +18,7 @@ from corrdetect.procedures import (
     model_for,
 )
 from corrdetect.rates import rate_equicorrelated
+from corrdetect.statistics import REDUCTIONS
 from corrdetect.streams import substream
 
 
@@ -159,6 +160,43 @@ def _rank_one_names(p, s, gamma, v, omega):
     return ["thresholded" if s * s <= p else "chisq"]
 
 
+def _grouped_names(p, s, gamma, R):
+    """The grouped constituents: R = 1 is the single random effect and R = p
+    independence (the gamma = 0 names).  Otherwise, with b = p/R, the printed
+    inequalities in integers: s <= p/(4R) iff 4Rs <= p, s < b, and
+    s < p/sqrt(R) iff R s^2 < p^2; in a scan regime, the smaller of the scan
+    term and the group-mean cap picks the scan constituent."""
+    if R == 1:
+        return _equicorrelated_names(p, s, gamma)
+    if R == p:
+        return _equicorrelated_names(p, s, 0.0)
+    b = p // R
+    average = "thresholded_avg" if R * s * s < p * p else "chisq_avg"
+    if gamma == 1.0:
+        return ["noiseless"] if s < b else ["noiseless", average]
+    names = ["thresholded" if s * s < p else "chisq"]
+    if 4 * R * s <= p:
+        return names
+    if s >= b:
+        return names + [average]
+    return names + [_scan_name(p, s, gamma, R)]
+
+
+def _scan_name(p, s, gamma, R):
+    """The scan constituent at p/(4R) < s < b = p/R, log(eR) = 1 + log R: the
+    scan term is (1-g) p/(p-Rs) (sqrt(b log(eR)) + log R) when
+    (b - s)^2 >= b log(eR), else (1-g) p/(p-Rs) ((b-s) log(1 + Rp log(eR)/(p-Rs)^2)
+    + log R); above the cap (1-g+gb) log(eR) the linear scan carries the test."""
+    b, log_er = p // R, 1 + math.log(R)
+    moderate = (b - s) ** 2 >= b * log_er
+    inner = (math.sqrt(b * log_er) if moderate
+             else (b - s) * math.log1p(R * p * log_er / (p - R * s) ** 2))
+    term = (1 - gamma) * p * (inner + math.log(R)) / (p - R * s)
+    if term > (1 - gamma + gamma * b) * log_er:
+        return "linear_scan"
+    return "chisq_scan" if moderate else "thresholded_scan"
+
+
 def _omega(v):
     """The largest s whose s largest squared entries sum to at most p/4."""
     squares = sorted((x * x for x in v), reverse=True)
@@ -202,6 +240,19 @@ class TestPlanOracle:
                         names = [name for name, _, _, _ in _plan(model, s)]
                         assert names == want, (p, s, v)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9, 1.0])
+    def test_grouped_plans_follow_the_regime_table(self, gamma):
+        for p in range(1, 65):
+            for R in (R for R in range(1, p + 1) if p % R == 0):
+                model = Grouped(p, R, gamma)
+                for s in range(1, p + 1):
+                    items = _plan(model, s)
+                    names = [name for name, _, _, _ in items]
+                    assert names == _grouped_names(p, s, gamma, R), (p, R, s)
+                    if R == p:  # independence reads raw data, at gamma = 1 too
+                        assert all(REDUCTIONS[kind].reads == "raw"
+                                   for _, kind, _, _ in items), (p, s)
+
 
 class TestCalibration:
     def test_chisq_threshold_matches_chi2_quantile(self):
@@ -233,11 +284,16 @@ class TestCalibration:
         assert len(test.constituents) == 4
         assert test.calibration["n_cal"] == 1600
 
-    def test_null_rejection_within_budget(self):
+    @pytest.mark.parametrize("family,p,s,gamma,R", [
+        ("equicorrelated", 60, 55, 0.5, None),
+        # R = p: the very-dense gamma = 0 plan on raw data, at any gamma
+        ("grouped", 16, 14, 0.5, 16), ("grouped", 16, 14, 1.0, 16),
+    ])
+    def test_null_rejection_within_budget(self, family, p, s, gamma, R):
         # eta = 0.1 composite: type I <= 0.05 plus Monte Carlo slack
         # (evaluation noise plus the calibration quantiles' level noise).
         eta, n_check, n_cal = 0.1, 10_000, 4000
-        test = build_test("equicorrelated", 60, 55, 0.5, mode="calibrated",
+        test = build_test(family, p, s, gamma, R=R, mode="calibrated",
                           eta=eta, n_cal=n_cal, rng=_rng(3))
         model = model_for(test)
         rng = _rng(4)
@@ -290,6 +346,24 @@ class TestCalibration:
         v1 = evaluate(paper, obs, _rng(7)).values
         v2 = evaluate(cal, obs, _rng(7)).values
         assert v1 == v2  # bit-identical statistic plans
+
+
+class TestGroupedReductions:
+    """A grouped test at R = 1 is the equicorrelated test, and at R = p the
+    gamma = 0 plan on raw data, as the grouped rate reduces."""
+
+    @pytest.mark.parametrize("s,gamma", [(3, 0.5), (20, 0.5), (60, 0.9), (64, 0.3),
+                                         (8, 1.0), (64, 1.0)])
+    @pytest.mark.parametrize("kw", [{"mode": "paper_constants", "C": 3.0}, {"n_cal": 2000}])
+    def test_R1_is_the_equicorrelated_test(self, s, gamma, kw):
+        tests = [build_test(family, 64, s, gamma, R=R, rng=substream(5, 1), **kw)
+                 for family, R in (("grouped", 1), ("equicorrelated", None))]
+        described = [t.descriptor() for t in tests]
+        for key in ("constituents", "calibration"):
+            assert described[0][key] == described[1][key]
+        x = sample(model_for(tests[1]), None, _rng(11)).x
+        values = [evaluate(t, Observation(x, model_for(t)), _rng(12)).values for t in tests]
+        assert values[0] == values[1]
 
 
 class TestEvaluate:

@@ -250,6 +250,18 @@ class TestBoundaryAudit:
         with pytest.raises(ContractError):
             boundary_audit(family, 64, 0.5, R)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
+    def test_grouped_audit_follows_the_rate_reductions(self, gamma):
+        # R = 1 audits the single random effect at gamma, R = p independence
+        for p in (2, 16, 64, 100):
+            assert boundary_audit("grouped", p, gamma, 1) == boundary_audit(
+                "equicorrelated", p, gamma)
+            assert boundary_audit("grouped", p, gamma, p) == boundary_audit(
+                "equicorrelated", p, 0.0)
+        rows = {row["boundary"]: row for row in boundary_audit("grouped", 64, gamma, 1)}
+        assert "s=sqrt(p)" in rows and "s=p/(4R)" not in rows
+        assert rows["s=p"]["documented"] == (gamma >= 0.9)  # (1-g) log(64e) < 1
+
     def test_grouped_pR_discontinuity(self):
         rows = boundary_audit("grouped", 1024, 0.999, 8)
         jump = [r for r in rows if r["boundary"] == "s=p/R"][0]

@@ -256,6 +256,25 @@ class TestSweep:
         with pytest.raises(ContractError, match="family"):
             default_alternatives(family, 64, 8, 0.5, R, v, 10.0)
 
+    @pytest.mark.parametrize("family,R,v,gamma", [
+        ("rank_one", None, np.full(16, 2.0), 0.5),  # ||v||^2 = 4p
+        ("rank_one", None, np.r_[np.ones(15), np.nan], 0.5),
+        ("rank_one", None, np.ones(8), 0.5),  # a pattern of another length
+        ("equicorrelated", None, None, 1.5), ("grouped", 4, None, 1.5),
+        ("rank_one", None, np.ones(16), 1.5)])
+    def test_default_panel_refuses_a_model_it_cannot_build(self, family, R, v, gamma):
+        with pytest.raises(ContractError):
+            default_alternatives(family, 16, 4, gamma, R, v, 10.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_grouped_panel_at_R1_and_Rp_is_the_equicorrelated_panel(self, gamma):
+        for s in (1, 3, 8, 20, 40, 64):
+            want = [a.descriptor() for a in
+                    default_alternatives("equicorrelated", 64, s, gamma, None, None, 10.0)]
+            for R in (1, 64):
+                got = default_alternatives("grouped", 64, s, gamma, R, None, 10.0)
+                assert [a.descriptor() for a in got] == want, (s, R)
+
     def test_grouped_default_panel_matches_regime(self):
         alts = default_alternatives("grouped", 64, 8, 0.5, 4, None, 10.0)
         from corrdetect.divergences import SingleGroupSparse
@@ -265,6 +284,20 @@ class TestSweep:
         assert isinstance(alts2[0], GroupSupported)
         draws = alts2[0]
         assert draws.m * (64 // 4) * draws.magnitude ** 2 == pytest.approx(10.0)
+
+
+def test_grouped_sweep_at_R1_is_the_equicorrelated_sweep():
+    """Row for row equal in every column but the family and R, refused
+    gamma = 1 cells (rate 0) included."""
+    plans = [SweepPlan(family=family, p_grid=(64,), R_grid=R_grid,
+                       s_grid=(3, 8, 20, 40, 60, 64), gamma_grid=(0.0, 0.5, 0.9, 1.0),
+                       multipliers=(0.5, 4.0), n_reps=200, master_seed=7, n_cal=1000)
+             for family, R_grid in (("grouped", (1,)), ("equicorrelated", (None,)))]
+    grouped, equi = ([{key: repr(value) for key, value in row.items()
+                       if key not in ("family", "R")} for row in run_sweep(plan)[0]]
+                     for plan in plans)
+    assert len(grouped) == 48 and sum(row["rate_sq"] != "nan" for row in grouped) > 30
+    assert grouped == equi
 
 
 class TestSharedNull:

@@ -8,14 +8,15 @@ mass closed form; every other route asks the prior for its support law, and
 no prior's sign rule is compared outside the prior classes.  Each kind's
 constants (alpha at its thresholds) are resolved by the kind table alone,
 and ``procedures`` names a kind only where it plans one.  ``rates`` decides
-every equicorrelated and rank-one regime: those two plans compare no square
-root, omega(v) or pattern support of their own, and ``procedures`` imports
-nothing from ``geometry``.  ``divergences._log_sum_exp`` is the only
-log-sum-exp.  No module imports a name it does not use.  The runtime needs
-numpy only: no module imports scipy, eagerly or on first use.  The
-acceptance module, which the benchmark loads as its grid table, imports
-neither scipy nor pytest when it is loaded, and building every grid cell's
-alternatives and certificate prior does not load ``numpy.ma``."""
+every equicorrelated, grouped and rank-one regime: those plans compare no
+square root, omega(v) or pattern support of their own, and ``procedures``
+imports nothing from ``geometry`` and no private name from ``rates``.
+``divergences._log_sum_exp`` is the only log-sum-exp.  No module imports a
+name it does not use.  The runtime needs numpy only: no module imports
+scipy, eagerly or on first use.  The acceptance module, which the benchmark
+loads as its grid table, imports neither scipy nor pytest when it is loaded,
+and building every grid cell's alternatives and certificate prior does not
+load ``numpy.ma``."""
 
 import ast
 import os
@@ -155,7 +156,7 @@ def test_alpha_is_resolved_only_by_the_kind_table():
 
 # the plans that read their branch from the rate, and the calls that would
 # decide a regime boundary again
-RATE_PLANS = ("_plan_equicorrelated", "_plan_rank_one")
+RATE_PLANS = ("_plan_equicorrelated", "_plan_grouped", "_plan_rank_one")
 REGIME_CALLS = re.compile(r"^(sqrt|count_nonzero|\w*omega)$")
 
 
@@ -178,7 +179,7 @@ def _regime_decisions(tree) -> list:
     return sorted(calls + imports)
 
 
-def test_rates_decide_the_equicorrelated_and_rank_one_regimes():
+def test_rates_decide_every_planned_regime():
     assert _regime_decisions(ast.parse((SRC / "procedures.py").read_text())) == []
 
 
@@ -193,7 +194,42 @@ def test_regime_guard_sees_every_form():
             "    return s > pattern_omega(v) or s < np.count_nonzero(v) or geometry.omega(v)\n"
             "def _plan_grouped(p, s):\n"
             "    return s < math.sqrt(p)\n")
-    assert _regime_decisions(ast.parse(form)) == [1, 2, 3, 5, 5, 7, 8, 8, 8]
+    assert _regime_decisions(ast.parse(form)) == [1, 2, 3, 5, 5, 7, 8, 8, 8, 10]
+
+
+def _private_rates_names(tree) -> list:
+    """Lines that import an underscore name from ``rates``, or read one
+    through the module under any name it is imported as."""
+    modules, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "rates":
+                lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "rates"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[-1] == "rates"}
+    return sorted(lines + [node.lineno for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                           and ast.unparse(node.value) in modules])
+
+
+def test_procedures_imports_nothing_private_from_rates():
+    assert _private_rates_names(ast.parse((SRC / "procedures.py").read_text())) == []
+
+
+def test_private_rates_guard_sees_every_form():
+    form = ("from .rates import _cell, rate_grouped\n"
+            "from corrdetect.rates import (rate_for,\n"
+            "                              _psi2_sq)\n"
+            "from . import rates\n"
+            "from .. import rates as r\n"
+            "import corrdetect.rates\n"
+            "from .models import _BLOCK_ELEMENTS\n"
+            "def f():\n"
+            "    return rates._JUMPS, r._cell, corrdetect.rates._psi2_sq, rates.rate_for\n")
+    assert _private_rates_names(ast.parse(form)) == [1, 2, 9, 9, 9]
 
 
 def _sign_matching_literals(tree, module: str) -> list:
