@@ -55,8 +55,7 @@ class SignalSpec:
         if support.size and (support[0] < 0 or support[-1] >= theta.shape[0]
                              or (support[1:] == support[:-1]).any()):
             raise ContractError("support coordinates must be distinct and in range(p)")
-        nz = np.flatnonzero(theta)
-        if not np.isin(nz, support).all():
+        if np.count_nonzero(theta[support]) != np.count_nonzero(theta):
             raise ContractError("theta must vanish off the declared support")
         if support.size > self.s:
             raise ContractError("support size exceeds the declared sparsity s")

@@ -38,7 +38,6 @@ __all__ = [
     "rate_for",
     "blessing_curse_thresholds",
     "psi1_sq",
-    "rate_rows_csv",
     "boundary_audit",
 ]
 
@@ -226,24 +225,6 @@ def blessing_curse_thresholds(p: int, s: int) -> dict:
     return {"one_minus_gamma_star": star, "one_minus_gamma_lower": curse}
 
 
-def rate_rows_csv(results, path) -> None:
-    """Write rate rows as CSV: family,p,s,gamma,R,regime,rate_sq,psi1_sq,cap."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "p", "s", "gamma", "R", "regime",
-                         "rate_sq", "psi1_sq", "cap"])
-        for r in results:
-            writer.writerow([
-                r.family, r.p, r.s, repr(r.gamma), "" if r.R is None else r.R,
-                r.regime,
-                "" if r.value is None else repr(r.value),
-                repr(r.components.get("psi1_sq", "")) if "psi1_sq" in r.components else "",
-                repr(r.components.get("cap", "")) if "cap" in r.components else "",
-            ])
-
-
 _JUMPS = ("s=p", "s=p/R")  # the boundaries where a rate may jump
 
 
@@ -293,6 +274,7 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
     if family != "equicorrelated" and (family != "grouped" or R is None):
         raise ContractError("the boundary audit covers the equicorrelated family "
                             f"and the grouped family with R; got {family!r}, R={R}")
+    rate_for(family, p, 1, gamma, R)  # refuses a bad p, gamma or R before any boundary
     if family == "grouped" and R in (1, p):  # the reductions of ``rate_grouped``
         return boundary_audit("equicorrelated", p, gamma if R == 1 else 0.0,
                               max_ratio=max_ratio)

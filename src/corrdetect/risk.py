@@ -47,6 +47,7 @@ import numpy as np
 from . import __version__
 from .divergences import (
     GroupSupported,
+    ShiftedSparse,
     SingleGroupSparse,
     UniformSparse,
     draw as draw_prior,
@@ -63,6 +64,7 @@ __all__ = [
     "SweepPlan",
     "estimate_risk",
     "default_alternatives",
+    "certificate_prior",
     "run_sweep",
     "write_rows_csv",
     "write_manifest",
@@ -227,6 +229,28 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         wall_time=time.perf_counter() - start_time, se_per_alternative=se_alt)
 
 
+def _panel_prior(model, s: int, target_sq: float):
+    """The prior at squared norm ``target_sq`` that the panel and the
+    certificate share: whole groups once s >= p/R, else s coordinates of one
+    group; a sign pattern's signs, else the pattern's zeros when they hold s
+    coordinates; min(s, isqrt(p)) uniform coordinates under equicorrelation."""
+    p = model.p
+    if model.family == "grouped":
+        bs = model.block_size
+        if s >= bs:
+            m = s // bs
+            return GroupSupported(p, model.R, m, math.sqrt(target_sq / (m * bs)))
+        return SingleGroupSparse(p, model.R, s, math.sqrt(target_sq / s))
+    if model.family == "equicorrelated":
+        s = min(s, math.isqrt(p))
+        return UniformSparse(p, s, math.sqrt(target_sq / s))
+    if model.sign_pattern:
+        return UniformSparse(p, s, math.sqrt(target_sq / s), signs="match_pattern")
+    zeros = np.flatnonzero(model.v == 0.0)
+    return UniformSparse(p, s, math.sqrt(target_sq / s),
+                         universe=zeros if zeros.size >= s else None)
+
+
 def default_alternatives(family: str, p: int, s: int, gamma: float,
                          R: Optional[int], v, target_sq: float) -> list:
     """Least-favorable-style panel at squared separation ``target_sq``.
@@ -234,42 +258,35 @@ def default_alternatives(family: str, p: int, s: int, gamma: float,
     One regime-matched prior (the hardest-instance construction: uniform
     sparse supports, within-one-group supports, or whole-group blocks) plus
     the deterministic first-coordinates signal.  Draws satisfy
-    ||theta||^2 = target_sq exactly.  A grouped panel takes its regime from
-    the rate at gamma = 0 (no prior depends on gamma), and so is the
-    equicorrelated panel at R = 1 and R = p.
+    ||theta||^2 = target_sq exactly.  A grouped panel follows the rate at
+    gamma = 0 (no prior depends on gamma): s uniform coordinates when sparse
+    within groups, and at R = 1 and R = p the equicorrelated panel.
     """
     model = model_from(family, p, gamma, R, v)
     if target_sq <= 0:
         raise ContractError("separation must be positive")
-    alts = []
-    if family == "grouped" and 1 < R < p:
-        regime = rate_for(family, p, s, 0.0, R).regime
-        bs = p // R
-        if regime.startswith("average"):
-            m = max(1, s // bs)
-            alts.append(GroupSupported(p, R, m, math.sqrt(target_sq / (m * bs))))
-        elif regime.startswith("scan"):
-            alts.append(SingleGroupSparse(p, R, s, math.sqrt(target_sq / s)))
-        else:
-            alts.append(UniformSparse(p, s, math.sqrt(target_sq / s)))
-    elif family == "rank_one":
-        if model.sign_pattern:
-            alts.append(UniformSparse(p, s, math.sqrt(target_sq / s),
-                                      signs="match_pattern"))
-        else:
-            zeros = np.flatnonzero(model.v == 0.0)
-            if zeros.size >= s:
-                alts.append(UniformSparse(p, s, math.sqrt(target_sq / s),
-                                          universe=zeros))
-            else:
-                alts.append(UniformSparse(p, s, math.sqrt(target_sq / s)))
+    regime = rate_for(family, p, s, 0.0, R).regime if family == "grouped" else ""
+    if regime == "within-group-sparse":
+        prior = UniformSparse(p, s, math.sqrt(target_sq / s))
+    elif regime in ("sparse", "dense", "very-dense"):  # R = 1 or p: the rate reduces
+        prior = _panel_prior(model_from("equicorrelated", p, gamma), s, target_sq)
     else:
-        # equicorrelated: effective support min(s, floor(sqrt(p))) in the
-        # dense regime mirrors the hardest construction
-        s_eff = s if s < math.sqrt(p) else max(min(s, int(math.sqrt(p))), 1)
-        alts.append(UniformSparse(p, s_eff, math.sqrt(target_sq / s_eff)))
-    alts.append(make_sparse_signal(p, s, math.sqrt(target_sq / s)))
-    return alts
+        prior = _panel_prior(model, s, target_sq)
+    return [prior, make_sparse_signal(p, s, math.sqrt(target_sq / s))]
+
+
+def certificate_prior(model, s: int, target_sq: float):
+    """The prior whose exact chi-square divergence certifies the lower bound
+    at squared norm ``target_sq``: the panel's prior, but with group shapes
+    at every R and the shifted prior in the very-dense equicorrelated regime
+    (of the rate at gamma = 0, as the panel reads it)."""
+    if target_sq < 0:
+        raise ContractError("the squared norm must be nonnegative")
+    p = model.p
+    if (model.family == "equicorrelated"
+            and rate_for(model.family, p, s, 0.0).regime == "very-dense"):
+        return ShiftedSparse(p, s, math.sqrt(target_sq / s))
+    return _panel_prior(model, s, target_sq)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ multiplier 8 (on the squared rate), lower-bound indistinguishability at
 multiplier 1/64 with exact divergence certificates.
 
 This module is also the benchmark's grid table: ``benchmarks/`` loads it for
-``GRID`` and ``_certificate_prior``.  So it stays cheap to import: scipy is
-imported only inside the criterion-1 quadrature oracle, and the module never
-imports pytest (the shared grid build is a cached function, not a fixture).
+``GRID`` and ``_certificate_prior``, which delegates to
+``corrdetect.risk.certificate_prior`` and decides no regime or sign rule of
+its own.  So it stays cheap to import: scipy is imported only inside the
+criterion-1 quadrature oracle, and the module never imports pytest (the
+shared grid build is a cached function, not a fixture).
 """
 
 import functools
@@ -23,10 +25,7 @@ import time
 import numpy as np
 
 from corrdetect.divergences import (
-    GroupSupported,
     PointMass,
-    ShiftedSparse,
-    SingleGroupSparse,
     UniformSparse,
     ingster_suslina_chisq,
     risk_lower_bound,
@@ -38,11 +37,18 @@ from corrdetect.models import (
     Grouped,
     RankOne,
     covariance_apply,
+    model_from,
     precision_apply,
 )
 from corrdetect.procedures import build_test, model_for
 from corrdetect.rates import rate_equicorrelated, rate_for
-from corrdetect.risk import SweepPlan, default_alternatives, estimate_risk, run_sweep
+from corrdetect.risk import (
+    SweepPlan,
+    certificate_prior,
+    default_alternatives,
+    estimate_risk,
+    run_sweep,
+)
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.streams import substream
 
@@ -257,22 +263,8 @@ GRID = [
 
 
 def _certificate_prior(family, p, s, gamma, R, v, target_sq):
-    """Exact-overlap-method prior certifying indistinguishability."""
-    if family == "grouped" and R is not None:
-        bs = p // R
-        if s >= bs:
-            m = max(1, s // bs)
-            return GroupSupported(p, R, m, math.sqrt(target_sq / (m * bs)))
-        return SingleGroupSparse(p, R, s, math.sqrt(target_sq / s))
-    if family == "rank_one":
-        if np.all(np.abs(np.abs(v) - 1.0) < 1e-12):
-            return UniformSparse(p, s, math.sqrt(target_sq / s), signs="match_pattern")
-        zeros = np.flatnonzero(v == 0.0)
-        return UniformSparse(p, s, math.sqrt(target_sq / s), universe=zeros)
-    if s > p - math.sqrt(p):
-        return ShiftedSparse(p, s, math.sqrt(target_sq / s))
-    s_eff = s if s < math.sqrt(p) else int(math.isqrt(p))
-    return UniformSparse(p, s_eff, math.sqrt(target_sq / s_eff))
+    """The benchmark's name for :func:`corrdetect.risk.certificate_prior`."""
+    return certificate_prior(model_from(family, p, gamma, R, v), s, target_sq)
 
 
 @functools.cache

@@ -15,7 +15,6 @@ from corrdetect.rates import (
     rate_for,
     rate_grouped,
     rate_rank_one,
-    rate_rows_csv,
 )
 
 
@@ -250,6 +249,16 @@ class TestBoundaryAudit:
         with pytest.raises(ContractError):
             boundary_audit(family, 64, 0.5, R)
 
+    @pytest.mark.parametrize("family,p,gamma,R", [
+        ("grouped", 8, 0.5, 0), ("grouped", 0, 0.5, 0), ("grouped", 8, 0.5, 3),
+        ("equicorrelated", -4, 0.5, None), ("equicorrelated", 0, 0.5, None),
+        ("equicorrelated", 16, 1.5, None)])
+    def test_refuses_a_bad_cell_before_any_boundary(self, family, p, gamma, R):
+        # R = 0 once divided by zero, p = -4 took a negative square root and
+        # p = 0 returned no rows
+        with pytest.raises(ContractError):
+            boundary_audit(family, p, gamma, R)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
     def test_grouped_audit_follows_the_rate_reductions(self, gamma):
         # R = 1 audits the single random effect at gamma, R = p independence
@@ -303,13 +312,3 @@ def test_boundary_audit_flags_only_documented_jumps(cell):
     family, p, _, gamma, R = cell
     rows = boundary_audit(family, p, gamma, R)
     assert [row for row in rows if row["flagged"] and not row["documented"]] == [], cell
-
-
-def test_csv_export(tmp_path):
-    rows = [rate_equicorrelated(100, 5, 0.0), rate_grouped(64, 16, 1.0, 4)]
-    path = tmp_path / "rates.csv"
-    rate_rows_csv(rows, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "family,p,s,gamma,R,regime,rate_sq,psi1_sq,cap"
-    assert text[1].startswith("equicorrelated,100,5,0.0,,sparse,")
-    assert float(text[1].split(",")[6]) == rows[0].value

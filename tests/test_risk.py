@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from corrdetect import risk
-from corrdetect.divergences import PointMass, ShiftedSparse, UniformSparse, draw
+from corrdetect.divergences import (
+    PointMass,
+    ShiftedSparse,
+    UniformSparse,
+    draw,
+    risk_lower_bound,
+)
 from corrdetect.errors import ContractError
 from corrdetect.geometry import SignalSpec, make_sparse_signal
-from corrdetect.models import _BLOCK_ELEMENTS, Grouped, sample
+from corrdetect.models import _BLOCK_ELEMENTS, Grouped, model_from, sample
 from corrdetect.procedures import build_test, evaluate, model_for
-from corrdetect.rates import rate_equicorrelated, rate_grouped
+from corrdetect.rates import rate_equicorrelated, rate_for, rate_grouped
 from corrdetect.risk import (
     SweepPlan,
+    certificate_prior,
     default_alternatives,
     estimate_risk,
     run_sweep,
@@ -298,6 +305,39 @@ def test_grouped_sweep_at_R1_is_the_equicorrelated_sweep():
                      for plan in plans)
     assert len(grouped) == 48 and sum(row["rate_sq"] != "nan" for row in grouped) > 30
     assert grouped == equi
+
+
+def test_certificates_keep_criterion_6_beyond_the_grid():
+    """The certificate prior at rate/64 bounds the risk from below by
+    criterion 6's 0.75 in every small-p cell: p in {16, 36, 64}, the
+    equicorrelated family and every R dividing p, gamma in {0, 0.5, 0.9} and
+    every s.  Only the equicorrelated cells at s = p are refused: no shifted
+    prior has s = p."""
+    cells, worst, refused = 0, math.inf, []
+    for p in (16, 36, 64):
+        for R in [None] + [R for R in range(1, p + 1) if p % R == 0]:
+            family = "equicorrelated" if R is None else "grouped"
+            for gamma in (0.0, 0.5, 0.9):
+                model = model_from(family, p, gamma, R)
+                for s in range(1, p + 1):
+                    cells += 1
+                    target = rate_for(family, p, s, gamma, R).value / 64.0
+                    try:
+                        prior = certificate_prior(model, s, target)
+                    except ContractError:
+                        refused.append((family, p, s, gamma))
+                        continue
+                    worst = min(worst, risk_lower_bound(prior, model,
+                                                        method="hypergeometric_sum"))
+    assert cells == 2904
+    assert refused == [("equicorrelated", p, p, gamma)
+                       for p in (16, 36, 64) for gamma in (0.0, 0.5, 0.9)]
+    assert worst >= 0.75
+
+
+def test_certificate_prior_refuses_a_negative_squared_norm():
+    with pytest.raises(ContractError, match="nonnegative"):
+        certificate_prior(model_from("equicorrelated", 16, 0.5), 2, -1.0)
 
 
 class TestSharedNull:

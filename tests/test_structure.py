@@ -10,9 +10,12 @@ constants (alpha at its thresholds) are resolved by the kind table alone,
 and ``procedures`` names a kind only where it plans one.  ``rates`` decides
 every equicorrelated, grouped and rank-one regime: those plans compare no
 square root, omega(v) or pattern support of their own, and ``procedures``
-imports nothing from ``geometry`` and no private name from ``rates``.
-``divergences._log_sum_exp`` is the only log-sum-exp.  No module imports a
-name it does not use.  The runtime needs numpy only: no module imports
+imports nothing from ``geometry`` and no private name from ``rates``.  The
+risk panel's prior and ``risk.certificate_prior`` compare no square root or
+omega(v) of their own, and the acceptance module's ``_certificate_prior``
+only delegates to ``risk.certificate_prior``: it neither branches nor names a
+prior class.  ``divergences._log_sum_exp`` is the only log-sum-exp.  No
+module imports a name it does not use.  The runtime needs numpy only: no module imports
 scipy, eagerly or on first use.  The acceptance module, which the benchmark
 loads as its grid table, imports neither scipy nor pytest when it is loaded,
 and building every grid cell's alternatives and certificate prior does not
@@ -230,6 +233,65 @@ def test_private_rates_guard_sees_every_form():
             "def f():\n"
             "    return rates._JUMPS, r._cell, corrdetect.rates._psi2_sq, rates.rate_for\n")
     assert _private_rates_names(ast.parse(form)) == [1, 2, 9, 9, 9]
+
+
+# the priors of the risk panel and the certificate, which read their regimes
+# from the rate, and the calls that would decide a regime boundary again
+PRIOR_RULES = ("_panel_prior", "default_alternatives", "certificate_prior")
+ROOT_CALLS = re.compile(r"^(sqrt|isqrt|\w*omega)$")
+
+
+def _root_comparisons(tree) -> list:
+    """Lines where a comparison in the panel or certificate prior rules
+    compares a sqrt, isqrt or omega call."""
+    rules = _inside(tree, lambda scope: scope.name in PRIOR_RULES)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) in rules
+                  and any(isinstance(sub, ast.Call) and ROOT_CALLS.match(_called(sub.func))
+                          for sub in ast.walk(node)))
+
+
+def test_prior_rules_compare_no_root_or_omega():
+    assert _root_comparisons(ast.parse((SRC / "risk.py").read_text())) == []
+
+
+def test_root_comparison_guard_sees_every_form():
+    form = ("def default_alternatives(p, s):\n"
+            "    return s < math.sqrt(p) or s > p - isqrt(p)\n"
+            "def certificate_prior(p, s, v):\n"
+            "    if s <= pattern_omega(v):\n"
+            "        return min(s, math.isqrt(p))\n"
+            "def other(p, s):\n"
+            "    return s < math.sqrt(p)\n")
+    assert _root_comparisons(ast.parse(form)) == [2, 2, 4]
+
+
+def _rules_in(tree, name: str) -> list:
+    """Lines inside the function ``name`` that branch (``if``, a conditional
+    expression or ``match``) or name a prior class."""
+    inside = _inside(tree, lambda scope: scope.name == name)
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) in inside
+                  and (isinstance(node, (ast.If, ast.IfExp, ast.Match))
+                       or isinstance(node, (ast.Name, ast.Attribute)) and _names(node) & PRIORS))
+
+
+def test_acceptance_certificate_prior_only_delegates():
+    tree = ast.parse((Path(__file__).resolve().parent / "test_acceptance.py").read_text())
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_certificate_prior"
+               for node in ast.walk(tree))
+    assert _rules_in(tree, "_certificate_prior") == []
+
+
+def test_delegate_guard_sees_every_form():
+    form = ("def _certificate_prior(p, s):\n"
+            "    if s > p:\n"
+            "        return 1\n"
+            "    x = 1 if s else 2\n"
+            "    return divergences.ShiftedSparse(p, s) or GroupSupported(p)\n"
+            "def other(p):\n"
+            "    if p:\n"
+            "        return UniformSparse(p)\n")
+    assert _rules_in(ast.parse(form), "_certificate_prior") == [2, 4, 5, 5]
 
 
 def _sign_matching_literals(tree, module: str) -> list:
