@@ -567,25 +567,24 @@ def _mgf_majorant(q: float, s: int, lam_sq: float) -> float:
 # quadratic forms
 
 
-def _span_quadratic(model: CorrelationModel, theta: np.ndarray,
-                    theta2: np.ndarray) -> float:
-    """<theta, Sigma^-1 theta2>, extended continuously to gamma = 1 for
+def _span_quadratic(model: CorrelationModel, theta: np.ndarray) -> float:
+    """<theta, Sigma^-1 theta>, extended continuously to gamma = 1 for
     vectors in the span of the correlation direction(s)."""
     if model.gamma < 1.0:
-        return float(theta @ precision_apply(model, theta2))
+        return float(theta @ precision_apply(model, theta))
     # gamma = 1: only the block projections survive.  A block's reduced
     # statistic has mean c = <loadings, block> / block_size and unit variance,
-    # so the pair quadratic is sum_k c1_k c2_k; both vectors must lie in the
-    # span (a zero residual) for the divergence to be finite.
-    blocks = model.block_view(np.stack([theta, theta2]))
+    # so the quadratic is sum_k c_k^2; the vector must lie in the span (a zero
+    # residual) for the divergence to be finite.
+    blocks = model.block_view(theta)
     c = model.project(blocks) / model.block_size
     residual = blocks - model.lift(c)
-    tol = 1e-9 * (1.0 + float(theta @ theta) + float(theta2 @ theta2))
-    if np.abs(residual).max(initial=0.0) ** 2 > tol:
+    energy = float(theta @ theta)
+    if np.abs(residual).max(initial=0.0) ** 2 > 1e-9 * (1.0 + energy + energy):
         raise SingularCovarianceError(
             "gamma = 1 divergence is finite only for priors supported in the "
             "span of the correlation direction(s)")
-    return float(np.add.reduce(c[0] * c[1]))
+    return float(np.add.reduce(c * c))
 
 
 @np.errstate(over="ignore")
@@ -607,7 +606,7 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     if isinstance(prior, ShiftedSparse):
         raise ContractError("shifted priors are consumed by risk_lower_bound")
     if isinstance(prior, PointMass):
-        q = _span_quadratic(model, prior.theta, prior.theta)
+        q = _span_quadratic(model, prior.theta)
         return DivergenceResult.from_chi_sq(_expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")

@@ -106,7 +106,11 @@ class Constituent:
     params: dict
     threshold: float
     threshold_note: str
-    deterministic_null: bool = False
+
+    @property
+    def deterministic_null(self) -> bool:
+        """The statistic is 0 under the null (``Reduction.exact_null``)."""
+        return REDUCTIONS[self.kind].exact_null
 
     def descriptor(self) -> dict:
         params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
@@ -133,16 +137,14 @@ class TestProcedure:
     calibration: Optional[dict] = None
     # the constituents resolved for the evaluation kernel once, at
     # construction: ((name, kind, params, threshold), ...) with the params of
-    # ``statistics.resolved``, whether any constituent reads decorrelated
-    # data, and {name: threshold}
+    # ``statistics.resolved``, and whether any constituent reads decorrelated
+    # data
     kernel_plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         items = _kernel_items((c.name, c.kind, c.params, c.threshold)
                               for c in self.constituents)
-        thresholds = {c.name: c.threshold for c in self.constituents}
-        object.__setattr__(self, "kernel_plan",
-                           (items, _reads_decorrelated(items), thresholds))
+        object.__setattr__(self, "kernel_plan", (items, _reads_decorrelated(items)))
 
     def descriptor(self) -> dict:
         return {
@@ -163,7 +165,6 @@ class Verdict:
     reject: bool
     fired: tuple
     values: dict
-    thresholds: dict
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def _plan_sparse(p, s, scale):
             lambda C, sh=_sparse_shape(p, s): (C ** 2 / scale) * sh)
 
 
-def _plan_linear(p, gamma, bs):
-    sigma_sq = 1.0 - gamma + gamma * bs
+def _plan_linear(p, gamma):
+    sigma_sq = 1.0 - gamma + gamma * p
     return ("linear", "linear", {"sigma_sq": sigma_sq},
             lambda C: sigma_sq * (1.0 + C ** 2 / 2.0))
 
@@ -230,7 +231,7 @@ def _plan_equicorrelated(p: int, s, gamma: float) -> list:
         elif regime == "very-dense":
             items.append(("thresholded_dense", "thresholded", {"t": _dense_t(p, s)},
                           lambda C, sh=_dense_shape(p, s): (C ** 2 / 8.0) * sh))
-        items.append(_plan_linear(p, gamma, p))
+        items.append(_plan_linear(p, gamma))
     return items
 
 
@@ -318,7 +319,7 @@ def _plan_adaptive(p: int, gamma: float) -> list:
         items.append(("adaptive_dense", "adaptive_scan",
                       {"ts": ts, "shapes": shapes, "members": dense_members},
                       lambda C: C ** 2 / 8.0))
-    items.append(_plan_linear(p, gamma, p))
+    items.append(_plan_linear(p, gamma))
     return items
 
 
@@ -378,10 +379,11 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
 # calibration
 
 
-def _wilson_bounds(q: float, n: int, z: float = 2.0) -> tuple:
-    denom = n + z * z
-    center = (q * n + z * z / 2.0) / denom
-    half = z * math.sqrt(q * (1.0 - q) * n + z * z / 4.0) / denom
+def _wilson_bounds(q: float, n: int) -> tuple:
+    """The Wilson score interval of a proportion q out of n at z = 2."""
+    denom = n + 4.0
+    center = (q * n + 2.0) / denom
+    half = 2.0 * math.sqrt(q * (1.0 - q) * n + 1.0) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -494,8 +496,7 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
             "thresholds": {name: rec.__dict__ for name, rec in records.items()},
         }
     constituents = tuple(  # a calibrated exact-null constituent has no rule: its null is 0
-        Constituent(name, kind, params, *rules.get(name, (0.0, "exact null residual")),
-                    deterministic_null=REDUCTIONS[kind].exact_null)
+        Constituent(name, kind, params, *rules.get(name, (0.0, "exact null residual")))
         for name, kind, params, _ in items)
     label = s if isinstance(s, str) else f"s={s}"
     name = f"{family}:{label}:gamma={gamma}"
@@ -513,8 +514,9 @@ def evaluate(test: TestProcedure, obs: Observation,
     (``TestProcedure.kernel_plan``).  The observation is copied once, by the
     canonical sort of an exchangeable model, and once more by decorrelation
     when some constituent reads decorrelated data; the decorrelation noise
-    is then drawn fresh from ``rng``.  Both operating modes produce
-    bit-identical statistic values for a fixed draw.  A NaN value (the
+    is then drawn fresh from ``rng``.  A constituent fires when its value
+    exceeds the threshold its kernel item carries.  Both operating modes
+    produce bit-identical statistic values for a fixed draw.  A NaN value (the
     observation holds a NaN, or infinities that cancel) raises
     :class:`DomainError`.
     """
@@ -522,15 +524,14 @@ def evaluate(test: TestProcedure, obs: Observation,
     _check_compatibility(test, model)
     if obs.x.ndim != 1:
         raise ContractError("evaluate takes a single observation vector")
-    items, reads_decorrelated, thresholds = test.kernel_plan
+    items, reads_decorrelated = test.kernel_plan
     x, layout = canonical_layout(model, obs.x[None, :])
     xi = rng.standard_normal((1, model.R)) if reads_decorrelated else None
     values = {name: v.item() for name, v in _values(items, x, layout, xi).items()}
     if any(math.isnan(value) for value in values.values()):
         raise DomainError("a statistic is NaN: the observation holds a NaN or infinities")
     fired = tuple([name for name, _, _, threshold in items if values[name] > threshold])
-    return Verdict(reject=bool(fired), fired=fired, values=values,
-                   thresholds=dict(thresholds))
+    return Verdict(reject=bool(fired), fired=fired, values=values)
 
 
 def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:

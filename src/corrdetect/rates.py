@@ -260,12 +260,11 @@ def _boundary_sparsities(family: str, p: int, R: Optional[int]) -> list:
     return [(name, lo, hi) for (lo, hi), name in named.items()]
 
 
-def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
-                   max_ratio: float = 8.0) -> list:
+def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None) -> list:
     """Ratio of adjacent branch values across every regime boundary.
 
     Returns rows ``{boundary, s_lo, s_hi, lo, hi, ratio, flagged, documented}``.
-    ``flagged`` marks ratios above ``max_ratio``; ``documented`` marks the two
+    ``flagged`` marks ratios above 8; ``documented`` marks the two
     boundaries where a genuine discontinuity exists: s = p under strong
     correlation ((1-gamma) log(ep) small) and s = p/R in the grouped model
     (at R = 1 and R = p the grouped audit is the equicorrelated one).
@@ -276,8 +275,7 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
                             f"and the grouped family with R; got {family!r}, R={R}")
     rate_for(family, p, 1, gamma, R)  # refuses a bad p, gamma or R before any boundary
     if family == "grouped" and R in (1, p):  # the reductions of ``rate_grouped``
-        return boundary_audit("equicorrelated", p, gamma if R == 1 else 0.0,
-                              max_ratio=max_ratio)
+        return boundary_audit("equicorrelated", p, gamma if R == 1 else 0.0)
     rows = []
     for name, lo_s, hi_s in _boundary_sparsities(family, p, R):
         lo = rate_for(family, p, lo_s, gamma, R).value
@@ -294,6 +292,6 @@ def boundary_audit(family: str, p: int, gamma: float, R: Optional[int] = None,
         )
         rows.append({
             "boundary": name, "s_lo": lo_s, "s_hi": hi_s, "lo": lo, "hi": hi,
-            "ratio": ratio, "flagged": ratio > max_ratio, "documented": documented,
+            "ratio": ratio, "flagged": ratio > 8.0, "documented": documented,
         })
     return rows

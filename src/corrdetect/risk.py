@@ -25,8 +25,8 @@ submits all of its null and alternative chunks in a single ``map``.
 
 Separation convention: a multiplier m places alternatives at squared norm
 ||theta||^2 = m * rate_sq, where rate_sq is the branch value reported by the
-rates module.  Risk estimates carry Wilson-interval half-widths (z = 1) as
-standard errors; rates near 0 or 1 keep honest uncertainty that way.
+rates module.  Risk estimates carry Wilson-interval half-widths, at a fixed
+z = 1, as standard errors; rates near 0 or 1 keep honest uncertainty that way.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,10 +83,9 @@ _ALT_STREAM = 2
 _CAL_STREAM = 0
 
 
-def wilson_halfwidth(k: int, n: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval for k successes out of n."""
-    denom = n + z * z
-    return z * math.sqrt(k * (n - k) / n + z * z / 4.0) / denom
+def wilson_halfwidth(k: int, n: int) -> float:
+    """Half-width of the Wilson score interval at z = 1 for k successes out of n."""
+    return math.sqrt(k * (n - k) / n + 0.25) / (n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,7 @@ class RiskEstimate:
     se_per_alternative: dict
 
     def descriptor(self) -> dict:
-        return {
-            "type_i": self.type_i, "worst_type_ii": self.worst_type_ii,
-            "per_alternative": self.per_alternative, "total": self.total,
-            "se_type_i": self.se_type_i, "se_worst_type_ii": self.se_worst_type_ii,
-            "se_total": self.se_total, "n_reps": self.n_reps,
-            "master_seed": self.master_seed, "wall_time": self.wall_time,
-            "se_per_alternative": self.se_per_alternative,
-        }
+        return asdict(self)
 
     def panel(self, alternatives: Sequence) -> tuple:
         """(worst_type_ii, its se, total, se_total) over some of the estimated
@@ -132,8 +124,8 @@ def _alt_key(alt) -> str:
     return "prior:" + json.dumps(alt.descriptor(), sort_keys=True)
 
 
-def _reject_count_chunk(test, model, alt, master_seed, cell_id, kind, alt_code,
-                        start, stop, v) -> int:
+def _reject_count_chunk(test, model, master_seed, cell_id, alt, kind, alt_code,
+                        start, stop) -> int:
     # the null and fixed signals keep one theta; a prior is redrawn per replication
     prior = alt is not None and not isinstance(alt, SignalSpec)
     theta = None if alt is None or prior else alt.theta
@@ -151,17 +143,13 @@ def _reject_count_chunk(test, model, alt, master_seed, cell_id, kind, alt_code,
             theta = np.empty((n, p))
         for j, rng in enumerate(rngs):
             if prior:
-                theta[j] = draw_prior(alt, rng, v=v)
+                theta[j] = draw_prior(alt, rng, v=getattr(model, "v", None))
             rng.standard_normal(out=normals[j])
         x = sample(model, theta, normals=normals).x
         for xj, rng in zip(x, rngs):
             if evaluate(test, Observation(xj, model), rng).reject:
                 count += 1
     return count
-
-
-def _chunk_worker(args):
-    return _reject_count_chunk(*args)
 
 
 def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
@@ -182,7 +170,6 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
     if workers < 1:
         raise ContractError("workers must be at least 1")
     start_time = time.perf_counter()
-    v = getattr(model, "v", None)
     keys = {}  # stream token -> descriptor key, in first-seen order
     units = [(None, _NULL_STREAM, 0)]
     for alt in alternatives:
@@ -196,19 +183,22 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
         keys[code] = key
         units.append((alt, _ALT_STREAM, code))
     counts = dict.fromkeys(((kind, code) for _, kind, code in units), 0)
+    from functools import partial
+
     own_executor = None
     try:
         if workers > 1 and executor is None:
             own_executor = ProcessPoolExecutor(max_workers=workers)
             executor = own_executor
         chunk = max(200, n_reps // (8 * workers))
-        tasks = [(test, model, alt, master_seed, cell_id, kind, alt_code,
-                  a, min(a + chunk, n_reps), v)
-                 for alt, kind, alt_code in units
-                 for a in range(0, n_reps, chunk)]
+        alts, kinds, codes, starts, stops = zip(*(
+            (alt, kind, code, a, min(a + chunk, n_reps))
+            for alt, kind, code in units for a in range(0, n_reps, chunk)))
         mapper = map if executor is None else executor.map
-        for task, count in zip(tasks, mapper(_chunk_worker, tasks)):
-            counts[task[5:7]] += count  # task[5:7] = (kind, alt_code)
+        counter = partial(_reject_count_chunk, test, model, master_seed, cell_id)
+        for kind, code, count in zip(kinds, codes,
+                                     mapper(counter, alts, kinds, codes, starts, stops)):
+            counts[(kind, code)] += count
     finally:
         if own_executor is not None:
             own_executor.shutdown()

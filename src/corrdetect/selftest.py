@@ -42,8 +42,8 @@ def _check(cond, detail=""):
         raise AssertionError(detail or "check failed")
 
 
-def _close(a, b, rel=1e-10, abs_tol=0.0):
-    _check(abs(a - b) <= rel * max(abs(a), abs(b)) + abs_tol,
+def _close(a, b, rel=1e-10):
+    _check(abs(a - b) <= rel * max(abs(a), abs(b)),
            f"{a!r} != {b!r} (rel={rel})")
 
 

@@ -6,7 +6,9 @@ rate minimum dictates them); rank-one patterns (sign patterns and a
 heterogeneous pattern) within the characterized sparsity range; and the
 sparsity-adaptive composite.  Upper-bound power runs at separation
 multiplier 8 (on the squared rate), lower-bound indistinguishability at
-multiplier 1/64 with exact divergence certificates.
+multiplier 1/64 with exact divergence certificates.  The same grid checks
+each calibrated chi-square-type threshold's exact null level against its
+budget eta/(2m).
 
 This module is also the benchmark's grid table: ``benchmarks/`` loads it for
 ``GRID`` and ``_certificate_prior``, which delegates to
@@ -269,8 +271,9 @@ def _certificate_prior(family, p, s, gamma, R, v, target_sq):
 
 @functools.cache
 def grid_results():
-    """Each cell's rate, risks at multipliers 8 and 1/64 and certificate
-    bound: built once, shared by criteria 5 and 6."""
+    """Each cell's rate, calibrated test, risks at multipliers 8 and 1/64 and
+    certificate bound: built once, shared by criteria 5 and 6 and the
+    calibrated-level check."""
     rows = []
     for idx, (label, family, p, s, gamma, R, vmk, adaptive) in enumerate(GRID):
         v = vmk(p) if vmk else None
@@ -291,7 +294,7 @@ def grid_results():
             default_alternatives(family, p, s, gamma, R, v, low_target),
             4000, MASTER_SEED, cell_id=700 + idx)
         rows.append({"label": label, "regime": rate.regime, "rate": rate.value,
-                     "high": high, "low": low, "cert_bound": bound})
+                     "test": test, "high": high, "low": low, "cert_bound": bound})
     return rows
 
 
@@ -322,6 +325,40 @@ def test_criterion_6_lower_bound_indistinguishability():
             f"weakest certificate {worst_cert['cert_bound']:.3f} "
             f"({worst_cert['label']}); lowest empirical total "
             f"{worst_low['low'].total:.3f} ({worst_low['label']}) at multiplier 1/64")
+
+
+def test_calibrated_chi_square_levels_meet_their_budgets():
+    """Each calibrated chi-square-type constituent of the grid has an exact
+    null level within 4 binomial standard errors, sqrt(b (1 - b) / n_cal), of
+    its budget b = eta/(2m).  The null laws: ``chisq`` is chi^2_p,
+    ``chisq_scan`` the maximum of R chi^2_{p/R}, ``linear`` sigma^2 chi^2_1,
+    ``linear_scan`` the maximum of R of those and ``chisq_avg``
+    sigma^2 chi^2_R, with sigma^2 = ``params["sigma_sq"]``."""
+    from scipy.stats import chi2
+
+    checked = []
+    for row in grid_results():
+        test = row["test"]
+        p, R = test.p, test.R or 1
+        # kind -> (degrees of freedom, scaled by sigma^2, copies)
+        laws = {"chisq": (p, False, 1), "chisq_scan": (p // R, False, R),
+                "linear": (1, True, 1), "linear_scan": (1, True, R),
+                "chisq_avg": (R, True, 1)}
+        b, n_cal = test.calibration["budget_per_constituent"], test.calibration["n_cal"]
+        se = math.sqrt(b * (1.0 - b) / n_cal)
+        for c in test.constituents:
+            if c.kind not in laws:
+                continue
+            df, scaled, copies = laws[c.kind]
+            scale = c.params["sigma_sq"] if scaled else 1.0
+            level = 1.0 - chi2.cdf(c.threshold / scale, df) ** copies
+            assert abs(level - b) <= 4.0 * se, (row["label"], c.name, level, b, se)
+            checked.append(((level - b) / se, row["label"], c.name))
+    assert checked
+    z, label, name = max(checked, key=lambda entry: abs(entry[0]))
+    _report("calibrated-levels",
+            f"{len(checked)} chi-square-type constituents; farthest from its budget "
+            f"{z:+.2f} standard errors ({label} {name})")
 
 
 # ---------------------------------------------------------------------------

@@ -363,15 +363,15 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
     x = sample(model, theta, substream(seed, 0), size=n).x
     verdicts = [evaluate(test, Observation(x[i], model), substream(seed, 1, i))
                 for i in range(n)]
-    items, reads_decorrelated, thresholds = test.kernel_plan
+    items, reads_decorrelated = test.kernel_plan
     # the injections each evaluate call drew from its stream
     xi = np.concatenate([substream(seed, 1, i).standard_normal((1, model.R))
                          for i in range(n)]) if reads_decorrelated else None
     batch = _values(items, *canonical_layout(model, x), xi=xi)
     for i, verdict in enumerate(verdicts):
         assert verdict.values == {name: batch[name][i].item() for name in batch}
-        assert verdict.fired == tuple(name for name in batch
-                                      if batch[name][i] > thresholds[name])
+        assert verdict.fired == tuple(name for name, _, _, threshold in items
+                                      if batch[name][i] > threshold)
 
 
 # a batch of one is sorted again by each sum; a batch of 50 is only
@@ -408,7 +408,7 @@ def test_batched_values_invariant_under_within_block_permutations(data):
     theta = np.zeros(p)
     theta[:data.draw(st.integers(0, p))] = data.draw(st.floats(-2.0, 2.0))
     x = sample(model, theta, substream(seed, 1), size=n).x
-    items, reads_decorrelated, _ = test.kernel_plan
+    items, reads_decorrelated = test.kernel_plan
     xi = substream(seed, 2).standard_normal((n, model.R)) if reads_decorrelated else None
     values = _values(items, *canonical_layout(model, x), xi=xi)
     permuted = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)

@@ -11,6 +11,7 @@ from corrdetect.errors import CalibrationError, ContractError, UnsupportedRegime
 from corrdetect.geometry import make_sparse_signal
 from corrdetect.models import Equicorrelated, Grouped, Observation, RankOne, sample
 from corrdetect.procedures import (
+    Constituent,
     _plan,
     build_test,
     calibrate_null_quantile,
@@ -76,6 +77,11 @@ class TestAssembly:
         assert [c.name for c in t3.constituents] == ["noiseless", "thresholded_avg"]
         t4 = build_test("grouped", 64, 32, 1.0, R=4, mode="paper_constants", C=3.0)
         assert [c.name for c in t4.constituents] == ["noiseless", "chisq_avg"]
+
+    def test_deterministic_null_is_read_from_the_kind_table(self):
+        # a hand-built constituent reads it too: no copy to set or forget
+        assert Constituent("noiseless", "noiseless", {}, 0.0, "hand-built").deterministic_null
+        assert not Constituent("chisq", "chisq", {}, 0.0, "hand-built").deterministic_null
 
     def test_rank_one_needs_characterized_range(self):
         v = np.ones(64)
@@ -371,12 +377,12 @@ class TestEvaluate:
         test = build_test("equicorrelated", 100, 95, 0.2, mode="paper_constants", C=2.0)
         model = model_for(test)
         rng = _rng(8)
+        thresholds = {c.name: c.threshold for c in test.constituents}
         seen_fired = False
         for _ in range(200):
             obs = sample(model, None, rng)
             verdict = evaluate(test, obs, rng)
-            exceed = {n for n, v in verdict.values.items()
-                      if v > verdict.thresholds[n]}
+            exceed = {n for n, v in verdict.values.items() if v > thresholds[n]}
             assert verdict.reject == bool(exceed)
             assert set(verdict.fired) == exceed
             seen_fired = seen_fired or verdict.reject

@@ -461,7 +461,7 @@ class TestBlockEngine:
         for alt in (None, prior, make_sparse_signal(p, s, prior.magnitude)):
             want = self._reference(test, model, alt, *window)
             seen.clear()
-            count = risk._reject_count_chunk(test, model, alt, *self.KEY, *window,
-                                             getattr(model, "v", None))
+            count = risk._reject_count_chunk(test, model, *self.KEY[:2], alt,
+                                             *self.KEY[2:], *window)
             assert seen == [verdict.values for verdict in want]
             assert count == sum(verdict.reject for verdict in want)

@@ -15,7 +15,9 @@ risk panel's prior and ``risk.certificate_prior`` compare no square root or
 omega(v) of their own, and the acceptance module's ``_certificate_prior``
 only delegates to ``risk.certificate_prior``: it neither branches nor names a
 prior class.  ``divergences._log_sum_exp`` is the only log-sum-exp.  No
-module imports a name it does not use.  The runtime needs numpy only: no module imports
+module imports a name it does not use, and every defaulted parameter of a
+``src`` function is passed by some call, other than those an interface's
+signature fixes.  The runtime needs numpy only: no module imports
 scipy, eagerly or on first use.  The acceptance module, which the benchmark
 loads as its grid table, imports neither scipy nor pytest when it is loaded,
 and building every grid cell's alternatives and certificate prior does not
@@ -354,6 +356,103 @@ def test_unused_import_guard_sees_every_form():
             "    c,  # noqa: F401  kept for a wrapper\n    d,\n)\n"
             "from __future__ import annotations\n__all__ = ['d']\nprint(np)\n")
     assert _unused_imports(text) == ["1:os", "4:b"]
+
+
+# defaulted parameters that an interface fixes: numpy's ``ISeedSequence``
+# signature, and the kind table's ``parts(a, model, params)``
+INTERFACE_DEFAULTS = {"streams._Seeds.generate_state(dtype)", "statistics._chisq(model)",
+                      "statistics._chisq(params)"}
+
+
+def _defaulted_params(tree) -> list:
+    """(name, callee, definition, positional index or None, parameter) for
+    each defaulted parameter of a module-level function or method; a method's
+    index counts from its first argument after ``self``, and ``__init__`` is
+    called by its class name."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        for node in scope.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = isinstance(scope, ast.ClassDef) and not any(
+                _called(d) == "staticmethod" for d in node.decorator_list)
+            name = (f"{scope.name}.{node.name}" if isinstance(scope, ast.ClassDef)
+                    else node.name)
+            callee = scope.name if node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            out += [(name, callee, node, i - method, arg.arg)
+                    for i, arg in enumerate(positional) if i >= first]
+            out += [(name, callee, node, None, arg.arg)
+                    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def _calls(tree):
+    """(call, callee name, positional args, keywords); ``partial(f, ...)``
+    counts as a call of ``f``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if _called(node.func) == "partial" and node.args:
+                yield node, _called(node.args[0]), node.args[1:], node.keywords
+            else:
+                yield node, _called(node.func), node.args, node.keywords
+
+
+def _passes(args, keywords, index, param) -> bool:
+    """The call passes ``param`` by name, by ``**``, by position or by ``*``."""
+    return (any(kw.arg in (param, None) for kw in keywords)
+            or index is not None and (len(args) > index
+                                      or any(isinstance(a, ast.Starred) for a in args)))
+
+
+def _unpassed_defaults(defining: dict, calling: list) -> list:
+    """``module.function(parameter)`` for each defaulted parameter of the
+    ``defining`` trees ({module: tree}) that no call in the ``calling`` trees
+    passes, calls from inside the function itself aside.  Calls are matched
+    by the function's bare name, so a namesake's call counts as a use."""
+    calls = [found for tree in calling for found in _calls(tree)]
+    unpassed = []
+    for module, tree in defining.items():
+        for name, callee, node, index, param in _defaulted_params(tree):
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(called == callee and id(call) not in own
+                       and _passes(args, keywords, index, param)
+                       for call, called, args, keywords in calls):
+                unpassed.append(f"{module}.{name}({param})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_takes_a_second_value():
+    """A default that no caller overrides is a constant: no call in ``src``,
+    ``tests``, ``benchmarks`` or ``demos`` passing it means it should go."""
+    root = SRC.parents[1]
+    defining = {path.stem: ast.parse(path.read_text()) for path in _sources()}
+    calling = list(defining.values()) + [
+        ast.parse(path.read_text()) for folder in ("tests", "benchmarks", "demos")
+        for path in sorted((root / folder).rglob("*.py"))]
+    assert set(_unpassed_defaults(defining, calling)) == INTERFACE_DEFAULTS
+
+
+def test_default_guard_sees_every_form():
+    form = ast.parse(
+        "def f(a, b=1, *, c=2):\n    return f(a, 0, c=3)\n"
+        "def g(a, b=1, c=2, d=3, *, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, a=1, b=2):\n        pass\n"
+        "    def m(self, a=1, b=2):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(a=1):\n        pass\n")
+    calls = ast.parse("g(0, 1)\ng(*xs, **kw)\nK(b=5)\nk.m(0)\npartial(K.s, 7)\n"
+                      "h = partial(g, 0, 1, 2)\n")
+    assert _unpassed_defaults({"mod": form}, [form, calls]) == [
+        "mod.f(b)", "mod.f(c)", "mod.K.__init__(a)", "mod.K.m(b)"]
+    assert _unpassed_defaults({"mod": form}, [form]) == [
+        "mod.f(b)", "mod.f(c)", "mod.g(b)", "mod.g(c)", "mod.g(d)", "mod.g(e)",
+        "mod.K.__init__(a)", "mod.K.__init__(b)", "mod.K.m(a)", "mod.K.m(b)", "mod.K.s(a)"]
 
 
 def _is_scipy(name) -> bool:
