@@ -36,7 +36,7 @@ from .divergences import (
     risk_lower_bound,
 )
 from .models import RankOne, check_family, model_from
-from .procedures import MIN_N_CAL, build_test, model_for
+from .procedures import MIN_N_CAL, build_test
 from .rates import rate_for
 from .risk import (
     MIN_N_REPS,
@@ -340,7 +340,7 @@ def _cmd_risk(args) -> int:
     test = build_test(family, p, s_true if s is None else s, gamma, R=R, v=v, mode=mode,
                       eta=eta, n_cal=n_cal, C=C, rng=substream(seed, 0))
     alts = default_alternatives(family, p, s_true, gamma, R, v, mult * rate.value)
-    est = estimate_risk(test, model_for(test), alts, n_reps, seed, workers=workers)
+    est = estimate_risk(test, test.model, alts, n_reps, seed, workers=workers)
     _emit(json.dumps({"rate": {"regime": rate.regime, "rate_sq": rate.value},
                       "multiplier": mult, "estimate": est.descriptor()},
                      indent=2, sort_keys=True) + "\n", args.out)

@@ -78,7 +78,7 @@ __all__ = [
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (np.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+    if not 0.0 <= gamma <= 1.0:  # false for NaN, inf and integers past float range
         raise ContractError(f"gamma must lie in [0, 1], got {gamma}")
 
 

@@ -1,8 +1,9 @@
 """Test procedures: plans, thresholds, null calibration and the evaluation kernel.
 
-A test procedure is an OR over constituents.  Each constituent pairs a
-statistic plan -- a constituent kind and its parameters -- with a
-threshold.  The statistic of every kind is an entry of the kind table in
+A test procedure is the model it was built for and an OR over constituents.
+Each constituent record pairs a statistic plan -- a constituent kind, its
+parameters as planned and as the kernel reads them -- with a threshold.
+The statistic of every kind is an entry of the kind table in
 ``statistics``; this module plans which kinds a test uses (``_plan``, from
 the family's kind set ``statistics.KINDS``), sets their thresholds, and
 runs the table on batches of canonical data (``_values``, the one
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -99,13 +100,20 @@ def _dense_t(p: int, s: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Constituent:
-    """One statistic plus its threshold rule (reject iff value > threshold)."""
+    """One statistic plus its threshold rule (reject iff value > threshold).
+    The kernel reads ``kernel_params``: the planned ``params``, which the
+    descriptor reports, with the kind's constants resolved once, when the
+    record is built (``statistics.resolved``)."""
 
     name: str
     kind: str
     params: dict
     threshold: float
     threshold_note: str
+    kernel_params: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel_params", resolved(self.kind, self.params))
 
     @property
     def deterministic_null(self) -> bool:
@@ -124,33 +132,26 @@ class TestProcedure:
     __test__ = False  # not a pytest test class, under any name a test imports it by
 
     name: str
-    family: str
-    p: int
+    model: CorrelationModel
     s: Union[int, str]
-    gamma: float
-    R: Optional[int]
-    v: Optional[np.ndarray]
     mode: str
     constituents: tuple
     eta: Optional[float] = None
     C: Optional[float] = None
     calibration: Optional[dict] = None
-    # the constituents resolved for the evaluation kernel once, at
-    # construction: ((name, kind, params, threshold), ...) with the params of
-    # ``statistics.resolved``, and whether any constituent reads decorrelated
-    # data
-    kernel_plan: tuple = field(init=False, repr=False)
+    # whether ``evaluate`` draws injections for decorrelated data
+    reads_decorrelated: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        items = _kernel_items((c.name, c.kind, c.params, c.threshold)
-                              for c in self.constituents)
-        object.__setattr__(self, "kernel_plan", (items, _reads_decorrelated(items)))
+        object.__setattr__(self, "reads_decorrelated", _reads_decorrelated(self.constituents))
 
     def descriptor(self) -> dict:
+        model = self.model
+        v = getattr(model, "v", None)  # the rank-one pattern
         return {
-            "name": self.name, "family": self.family, "p": self.p, "s": self.s,
-            "gamma": self.gamma, "R": self.R,
-            "v": None if self.v is None else list(self.v),
+            "name": self.name, "family": model.family, "p": model.p, "s": self.s,
+            "gamma": model.gamma, "R": model.R if model.family == "grouped" else None,
+            "v": None if v is None else list(v),
             "mode": self.mode, "eta": self.eta, "C": self.C,
             "calibration": self.calibration,
             "constituents": [c.descriptor() for c in self.constituents],
@@ -183,8 +184,8 @@ class ThresholdRecord:
 
 
 def model_for(test: "TestProcedure") -> CorrelationModel:
-    """The test's model; a rank-one model shares the test's pattern array."""
-    return model_from(test.family, test.p, test.gamma, test.R, test.v)
+    """The model ``build_test`` built the test for, ``test.model`` itself."""
+    return test.model
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +241,12 @@ def _plan_grouped(p: int, s, gamma: float, R: int) -> list:
         return _plan_equicorrelated(p, s, gamma)
     if R == p:
         # independent observations: the gamma = 0 plan on raw data, which at
-        # block size 1 are the standardized group means (sigma^2 = 1)
+        # block size 1 are the standardized group means, of variance
+        # sigma^2 = 1 - gamma + gamma p/R = 1 (the group energy reads it)
+        sigma_sq = 1.0 - gamma + gamma * (p // R)
         raw = {"thresholded": "thresholded_avg", "chisq": "chisq_avg"}
-        return [(name, raw.get(kind, kind), params, rule)
+        return [(name, raw.get(kind, kind),
+                 {"sigma_sq": sigma_sq} if kind == "chisq" else params, rule)
                 for name, kind, params, rule in _plan_equicorrelated(p, s, 0.0)]
     rate = rate_grouped(p, s, gamma, R)
     if rate.regime.startswith("perfect"):
@@ -327,38 +331,31 @@ def _plan_adaptive(p: int, gamma: float) -> list:
 # statistic evaluation
 
 
-def _reads_decorrelated(items) -> bool:
-    return any(REDUCTIONS[kind].reads != "raw" for _, kind, _, _ in items)
+def _reads_decorrelated(constituents) -> bool:
+    return any(REDUCTIONS[c.kind].reads != "raw" for c in constituents)
 
 
-def _kernel_items(items) -> tuple:
-    """Plan items (name, kind, params, rule) with the constants of each kind
-    resolved once (``statistics.resolved``): the constituent's own params,
-    and so its descriptor, stay as planned."""
-    return tuple((name, kind, resolved(kind, params), rule)
-                 for name, kind, params, rule in items)
-
-
-def _values(items, x: np.ndarray, model: CorrelationModel,
+def _values(constituents, x: np.ndarray, model: CorrelationModel,
             xi: Optional[np.ndarray] = None) -> dict:
-    """The evaluation kernel: every plan's value on each row of ``x``.
+    """The evaluation kernel: every constituent's value on each row of ``x``.
 
     ``x`` (n, p) must be in the canonical layout of ``model``
     (``models.canonical_layout``).  The kernel views it as blocks
     (n, k, p/k), every block sorted; rank-one data is one block in its given
-    layout.  Plans that read decorrelated data get those blocks decorrelated
-    once with the injections ``xi`` (n, k); decorrelation is monotone within
-    a block, so they stay sorted, and blocks that are not exchangeable
-    (rank-one) are sorted here.  Each plan's statistic is then its entry of
-    the kind table (``statistics.REDUCTIONS``): the parts, then the combine
-    step, with no further sort or check; the adaptive scans share one
-    profile of the decorrelated rows.  Returns {name: (n,) array}.
+    layout.  Constituents that read decorrelated data get those blocks
+    decorrelated once with the injections ``xi`` (n, k); decorrelation is
+    monotone within a block, so they stay sorted, and blocks that are not
+    exchangeable (rank-one) are sorted here.  Each statistic is then its
+    kind's entry of the kind table (``statistics.REDUCTIONS``) at its
+    ``kernel_params``: the parts, then the combine step, with no further
+    sort or check; the adaptive scans share one profile of the decorrelated
+    rows.  Returns {name: (n,) array}.
     """
     raw = model.block_view(x)
     dec = profile = None
     values = {}
-    for name, kind, params, _ in items:
-        reads, parts, combine, _, _ = REDUCTIONS[kind]
+    for c in constituents:
+        reads, parts, combine, _, _ = REDUCTIONS[c.kind]
         a = raw
         if reads != "raw":
             if dec is None:
@@ -370,8 +367,8 @@ def _values(items, x: np.ndarray, model: CorrelationModel,
                 if profile is None:
                     profile = profile_input(dec)
                 a = profile
-        y = parts(a, model, params)
-        values[name] = y if combine is None else combine(y, axis=-1)
+        y = parts(a, model, c.kernel_params)
+        values[c.name] = y if combine is None else combine(y, axis=-1)
     return values
 
 
@@ -387,12 +384,12 @@ def _wilson_bounds(q: float, n: int) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int,
+def calibrate_null_quantile(constituents, model: CorrelationModel, q: float, n_cal: int,
                             rng: np.random.Generator) -> dict:
-    """Empirical null q-quantiles for one or several statistic plans.
+    """Empirical null q-quantiles of one or several constituents.
 
-    Simulates ``n_cal`` null observations once and evaluates every plan on
-    each, so a composite's constituents are calibrated on a common stream.
+    Simulates ``n_cal`` null observations once and evaluates every
+    constituent on each, so a composite is calibrated on a common stream.
     Replications run in blocks of at most ``_BLOCK_ELEMENTS // p`` rows
     through the evaluation kernel; each block takes its standard normals in
     one draw whose rows follow the single-draw stream layout (see
@@ -412,18 +409,17 @@ def calibrate_null_quantile(items, model: CorrelationModel, q: float, n_cal: int
             f"n_cal={n_cal} leaves only {expected_tail:.1f} expected replications "
             f"beyond the {q} quantile; need >= {_MIN_TAIL} (raise n_cal or lower q)")
     from .models import sample as draw
-    items = _kernel_items(items)
     p, k = model.p, model.R
-    k_xt = k if _reads_decorrelated(items) else 0
+    k_xt = k if _reads_decorrelated(constituents) else 0
     rows = max(1, _BLOCK_ELEMENTS // p)
-    values = {name: np.empty(n_cal) for name, _, _, _ in items}
+    values = {c.name: np.empty(n_cal) for c in constituents}
     for start in range(0, n_cal, rows):
         n = min(rows, n_cal - start)
         # one row per replication: [k factors | p noise | k_xt injections]
         normals = rng.standard_normal((n, k + p + k_xt))
         obs = draw(model, None, normals=normals[:, :k + p])
         x, layout = canonical_layout(model, obs.x)
-        for name, v in _values(items, x, layout, xi=normals[:, k + p:]).items():
+        for name, v in _values(constituents, x, layout, xi=normals[:, k + p:]).items():
             values[name][start:start + n] = v
     out = {}
     lo_q, hi_q = _wilson_bounds(q, n_cal)
@@ -473,36 +469,34 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
         s = int(s)
         if not (1 <= s <= p):
             raise ContractError("need 1 <= s <= p")
-    if v is not None:
-        # one frozen copy, shared by every model built for this test
-        v = np.array(v, dtype=float)
-        v.setflags(write=False)
     model = model_from(family, p, gamma, R, v)
     items = _plan(model, s)
     calibration = None
     if mode == "paper_constants":
-        rules = {name: (float(rule(C)), f"paper form at C={C}") for name, _, _, rule in items}
+        constituents = tuple(Constituent(name, kind, params, float(rule(C)), f"paper form at C={C}")
+                             for name, kind, params, rule in items)
     else:
         if rng is None:
             raise ContractError("calibrated mode needs a calibration stream")
-        random_items = [it for it in items if not REDUCTIONS[it[1]].exact_null]
-        m = len(random_items)
-        records = (calibrate_null_quantile(random_items, model, 1.0 - eta / (2.0 * m), n_cal, rng)
+        # a calibrated exact-null constituent keeps this rule: its null is 0
+        planned = [Constituent(name, kind, params, 0.0, "exact null residual")
+                   for name, kind, params, _ in items]
+        random = [c for c in planned if not c.deterministic_null]
+        m = len(random)
+        records = (calibrate_null_quantile(random, model, 1.0 - eta / (2.0 * m), n_cal, rng)
                    if m else {})
-        rules = {name: (rec.value, f"calibrated q={rec.q}") for name, rec in records.items()}
+        constituents = tuple(c if c.deterministic_null else replace(
+            c, threshold=records[c.name].value, threshold_note=f"calibrated q={records[c.name].q}")
+            for c in planned)
         calibration = {
             "eta": eta, "n_cal": n_cal, "seed": seed_label,
             "budget_per_constituent": None if not m else eta / (2.0 * m),
             "thresholds": {name: rec.__dict__ for name, rec in records.items()},
         }
-    constituents = tuple(  # a calibrated exact-null constituent has no rule: its null is 0
-        Constituent(name, kind, params, *rules.get(name, (0.0, "exact null residual")))
-        for name, kind, params, _ in items)
     label = s if isinstance(s, str) else f"s={s}"
-    name = f"{family}:{label}:gamma={gamma}"
-    return TestProcedure(name=name, family=family, p=p, s=s, gamma=gamma, R=R,
-                         v=v, mode=mode, constituents=constituents, eta=eta,
-                         C=C, calibration=calibration)
+    return TestProcedure(name=f"{family}:{label}:gamma={gamma}", model=model, s=s,
+                         mode=mode, constituents=constituents, eta=eta, C=C,
+                         calibration=calibration)
 
 
 def evaluate(test: TestProcedure, obs: Observation,
@@ -510,39 +504,41 @@ def evaluate(test: TestProcedure, obs: Observation,
     """Composite verdict on one observation (OR of constituents).
 
     The evaluation kernel applied to a batch of one (a view of the
-    observation), with the test's plan as resolved at construction
-    (``TestProcedure.kernel_plan``).  The observation is copied once, by the
-    canonical sort of an exchangeable model, and once more by decorrelation
-    when some constituent reads decorrelated data; the decorrelation noise
-    is then drawn fresh from ``rng``.  A constituent fires when its value
-    exceeds the threshold its kernel item carries.  Both operating modes
-    produce bit-identical statistic values for a fixed draw.  A NaN value (the
-    observation holds a NaN, or infinities that cancel) raises
-    :class:`DomainError`.
+    observation).  An observation of another model than the test's own
+    (``TestProcedure.model``) must match it in family, p, gamma, group count
+    and pattern (to 1e-12); its groups may be laid out differently.  The
+    observation is copied once, by the canonical sort of an exchangeable
+    model, and once more by decorrelation when some constituent reads
+    decorrelated data; the decorrelation noise is then drawn fresh from
+    ``rng``.  A constituent fires when its value exceeds its threshold.
+    Both operating modes produce bit-identical statistic values for a fixed
+    draw.  A NaN value (the observation holds a NaN, or infinities that
+    cancel) raises :class:`DomainError`.
     """
     model = obs.model
-    _check_compatibility(test, model)
+    if model is not test.model:
+        _check_compatibility(test.model, model)
     if obs.x.ndim != 1:
         raise ContractError("evaluate takes a single observation vector")
-    items, reads_decorrelated = test.kernel_plan
+    constituents = test.constituents
     x, layout = canonical_layout(model, obs.x[None, :])
-    xi = rng.standard_normal((1, model.R)) if reads_decorrelated else None
-    values = {name: v.item() for name, v in _values(items, x, layout, xi).items()}
+    xi = rng.standard_normal((1, model.R)) if test.reads_decorrelated else None
+    values = {name: v.item() for name, v in _values(constituents, x, layout, xi).items()}
     if any(math.isnan(value) for value in values.values()):
         raise DomainError("a statistic is NaN: the observation holds a NaN or infinities")
-    fired = tuple([name for name, _, _, threshold in items if values[name] > threshold])
+    fired = tuple([c.name for c in constituents if values[c.name] > c.threshold])
     return Verdict(reject=bool(fired), fired=fired, values=values)
 
 
-def _check_compatibility(test: TestProcedure, model: CorrelationModel) -> None:
-    if model.family != test.family or model.p != test.p:
+def _check_compatibility(built: CorrelationModel, model: CorrelationModel) -> None:
+    if model.family != built.family or model.p != built.p:
         raise ContractError("observation model does not match the test's family/dimension")
-    if model.gamma != test.gamma:
+    if model.gamma != built.gamma:
         raise ContractError(
             f"observation gamma={model.gamma} routed to a test built for "
-            f"gamma={test.gamma}")
-    if model.R != (test.R or 1):
+            f"gamma={built.gamma}")
+    if model.R != built.R:
         raise ContractError("group count mismatch")
-    if (test.v is not None and model.v is not test.v
-            and np.abs(model.v - test.v).max() > 1e-12):
+    if (built.family == "rank_one" and model.v is not built.v
+            and np.abs(model.v - built.v).max() > 1e-12):
         raise ContractError("pattern mismatch")

@@ -55,7 +55,7 @@ from .divergences import (
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
 from .models import _BLOCK_ELEMENTS, Observation, check_family, model_from, sample
-from .procedures import TestProcedure, _check_mode, build_test, evaluate, model_for
+from .procedures import TestProcedure, _check_mode, build_test, evaluate
 from .rates import rate_for
 from .streams import stable_token, substream
 
@@ -378,12 +378,11 @@ def _run_cell(plan, p, s, gamma, R, cell_id, executor):
                           C=plan.C, n_cal=plan.n_cal,
                           rng=substream(plan.master_seed, cell_id, _CAL_STREAM),
                           seed_label=f"seed={plan.master_seed}/cell={cell_id}")
-        model = model_for(test)
         panels = [default_alternatives(plan.family, p, s, gamma, R, plan.v,
                                        mult * ref.value)
                   for mult in plan.multipliers]
         # one call per cell: the null is shared by every multiplier's row
-        est = estimate_risk(test, model, [alt for panel in panels for alt in panel],
+        est = estimate_risk(test, test.model, [alt for panel in panels for alt in panel],
                             plan.n_reps, plan.master_seed, cell_id=cell_id,
                             workers=plan.workers, executor=executor)
         out = []

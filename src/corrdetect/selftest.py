@@ -30,7 +30,7 @@ from .divergences import (
 from .geometry import make_sparse_signal, membership, omega, signal
 from .models import Equicorrelated, Grouped, RankOne, decorrelate, precision_apply, sample
 from .models import covariance_apply
-from .procedures import build_test, evaluate, model_for
+from .procedures import build_test, evaluate
 from .risk import SweepPlan, estimate_risk, run_sweep, write_rows_csv
 from .streams import substream
 
@@ -213,7 +213,7 @@ def check_procedures(seed):
            "scan plan")
     cal = build_test("equicorrelated", 48, 40, 0.5, mode="calibrated", eta=0.1,
                      n_cal=4000, rng=substream(seed, 109))
-    model = model_for(cal)
+    model = cal.model
     rng = substream(seed, 110)
     n_check = 3000
     rejects = sum(evaluate(cal, sample(model, None, rng), rng).reject
@@ -277,7 +277,7 @@ def check_noiseless_risk(seed):
         family = "grouped" if R > 1 else "equicorrelated"
         test = build_test(family, 64, 8, 1.0, R=(R if R > 1 else None),
                           mode="paper_constants", C=3.0)
-        model = model_for(test)
+        model = test.model
         theta = make_sparse_signal(64, 8, 0.3)
         est = estimate_risk(test, model, [theta], 300, master_seed=seed,
                             cell_id=900 + R)

@@ -339,7 +339,7 @@ def test_calibrated_chi_square_levels_meet_their_budgets():
     checked = []
     for row in grid_results():
         test = row["test"]
-        p, R = test.p, test.R or 1
+        p, R = test.model.p, test.model.R
         # kind -> (degrees of freedom, scaled by sigma^2, copies)
         laws = {"chisq": (p, False, 1), "chisq_scan": (p // R, False, R),
                 "linear": (1, True, 1), "linear_scan": (1, True, R),

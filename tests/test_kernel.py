@@ -26,7 +26,6 @@ from corrdetect.models import (
 from corrdetect.procedures import (
     Constituent,
     TestProcedure,
-    _kernel_items,
     _plan,
     _values,
     build_test,
@@ -90,6 +89,13 @@ CASES = {
 }
 
 
+def _records(plans):
+    """Constituent records of (name, kind, params) plans; the kernel and
+    calibration do not read their thresholds."""
+    return [Constituent(name, kind, params, math.nan, "unthresholded")
+            for name, kind, params in plans]
+
+
 def test_calibration_cases_cover_every_constituent_kind():
     kinds = {kind for _, plans, _ in CASES.values() for _, kind, _ in plans}
     assert kinds == set(_REDUCTIONS)
@@ -99,9 +105,8 @@ def test_calibration_cases_cover_every_constituent_kind():
 def test_block_calibration_matches_sequential_replications(case):
     model, plans, reference = CASES[case]
     n_cal, q = 1000, 0.95
-    items = [(name, kind, params, None) for name, kind, params in plans]
     rng = substream(11, 3)
-    records = calibrate_null_quantile(items, model, q, n_cal, rng)
+    records = calibrate_null_quantile(_records(plans), model, q, n_cal, rng)
 
     ref_rng = substream(11, 3)
     values = {name: np.empty(n_cal) for name, _, _ in plans}
@@ -121,7 +126,7 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
     # same input, bit for bit: the public statistics sort blocks the kernel
     # takes sorted, and the data carry a signal so that residuals are nonzero
     model, plans, reference = CASES[case]
-    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
+    items = _records(plans)
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x, layout = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
@@ -189,7 +194,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
     # an independent reference: the data stay in the model's own layout and
     # no statistic of the package is run
     model, plans, _ = CASES[case]
-    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
+    items = _records(plans)
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(11, 4), size=n).x
@@ -203,7 +208,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
 
 def test_canonical_layout_model_is_built_once():
     model, plans, _ = CASES["grouped-noncontiguous"]
-    items = _kernel_items([(name, kind, params, None) for name, kind, params in plans])
+    items = _records(plans)
     x = sample(model, None, substream(16, 0), size=5).x
     xi = substream(16, 1).standard_normal((5, 4))
     first, second = canonical_layout(model, x), canonical_layout(model, x)
@@ -219,7 +224,7 @@ def test_canonical_layout_model_is_built_once():
 def test_raw_data_plans_take_no_injections():
     model = Grouped(P, 4, 0.5)
     rng = substream(12, 0)
-    calibrate_null_quantile([("linear_scan", "linear_scan", {}, None)], model, 0.95, 1000, rng)
+    calibrate_null_quantile(_records([("linear_scan", "linear_scan", {})]), model, 0.95, 1000, rng)
     ref = substream(12, 0)
     for _ in range(1000):
         sample(model, None, ref)
@@ -296,7 +301,7 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
     model = _model(family, gamma, R)
     v = model.v if family == "rank_one" else None
     test = build_test(family, 64, s, gamma, R=R, v=v, mode="paper_constants", C=3.0)
-    items = _kernel_items([(c.name, c.kind, c.params, None) for c in test.constituents])
+    items = test.constituents
     n, k = 40, model.R
     theta = np.where(np.arange(64) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(13, 0), size=n).x
@@ -308,19 +313,18 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
         verdict = evaluate(test, Observation(x[i], model), substream(13, 2, i))
         injections = substream(13, 2, i).standard_normal((1, k))
         alone = _values(items, *canonical_layout(model, x[i:i + 1]), xi=injections)
-        for name, _, _, _ in items:
-            assert single[name][0] == batch[name][i]
-            assert verdict.values[name] == alone[name][0]
+        for c in items:
+            assert single[c.name][0] == batch[c.name][i]
+            assert verdict.values[c.name] == alone[c.name][0]
 
 
 def _random_case(data, families=("equicorrelated", "grouped", "rank_one")):
     """A model of one of ``families``, a one-to-several-constituent test of
-    its kinds (raw-data kinds only at gamma = 1), and a seed, all drawn by
-    ``data``."""
+    its kinds built for that model (raw-data kinds only at gamma = 1), and a
+    seed, all drawn by ``data``."""
     family = data.draw(st.sampled_from(families))
     p = data.draw(st.sampled_from([8, 12, 16, 30, 64]))
     gamma = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
-    R, v = None, None
     if family == "grouped":
         R = data.draw(st.sampled_from([r for r in (2, 3, 4) if p % r == 0]))
         labels = np.repeat(np.arange(R), p // R)
@@ -332,7 +336,6 @@ def _random_case(data, families=("equicorrelated", "grouped", "rank_one")):
         signs = data.draw(st.booleans())
         v = rng.choice([-1.0, 1.0], size=p) if signs else rng.uniform(-1.5, 1.5, size=p)
         model = RankOne.renormalized(p, gamma, v)
-        v = model.v
     else:
         model = Equicorrelated(p, gamma)
     kinds = sorted(kind for kind in stats.KINDS[family]
@@ -348,8 +351,8 @@ def _random_case(data, families=("equicorrelated", "grouped", "rank_one")):
             params = {"ts": np.sort(ts), "shapes": np.linspace(1.0, 2.0, len(ts))}
         threshold = data.draw(st.floats(-5.0, 2.0 * p))
         constituents.append(Constituent(kind, kind, params, threshold, "drawn"))
-    test = TestProcedure(name="drawn", family=family, p=p, s=1, gamma=gamma, R=R, v=v,
-                         mode="paper_constants", constituents=tuple(constituents))
+    test = TestProcedure(name="drawn", model=model, s=1, mode="paper_constants",
+                         constituents=tuple(constituents))
     return model, test, data.draw(st.integers(0, 2 ** 20))
 
 
@@ -363,15 +366,15 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
     x = sample(model, theta, substream(seed, 0), size=n).x
     verdicts = [evaluate(test, Observation(x[i], model), substream(seed, 1, i))
                 for i in range(n)]
-    items, reads_decorrelated = test.kernel_plan
+    items = test.constituents
     # the injections each evaluate call drew from its stream
     xi = np.concatenate([substream(seed, 1, i).standard_normal((1, model.R))
-                         for i in range(n)]) if reads_decorrelated else None
+                         for i in range(n)]) if test.reads_decorrelated else None
     batch = _values(items, *canonical_layout(model, x), xi=xi)
     for i, verdict in enumerate(verdicts):
         assert verdict.values == {name: batch[name][i].item() for name in batch}
-        assert verdict.fired == tuple(name for name, _, _, threshold in items
-                                      if batch[name][i] > threshold)
+        assert verdict.fired == tuple(c.name for c in items
+                                      if batch[c.name][i] > c.threshold)
 
 
 # a batch of one is sorted again by each sum; a batch of 50 is only
@@ -382,7 +385,7 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
                          + [(512, 5, 0.5, 2), (512, 200, 0.5, 2)])
 def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     test = build_test("grouped", p, s, gamma, R=R, mode="paper_constants", C=3.0)
-    items = _kernel_items([(c.name, c.kind, c.params, None) for c in test.constituents])
+    items = test.constituents
     base = Grouped(p, R, gamma)
     perm = substream(14, 0).permutation(p)
     relabeled = Grouped(p, R, gamma, labels=base.labels[perm])
@@ -390,8 +393,8 @@ def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     xi = substream(14, 2).standard_normal((n, R))
     v1 = _values(items, *canonical_layout(base, x), xi=xi)
     v2 = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
-    for name, _, _, _ in items:
-        assert np.array_equal(v1[name], v2[name])
+    for c in items:
+        assert np.array_equal(v1[c.name], v2[c.name])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -408,8 +411,8 @@ def test_batched_values_invariant_under_within_block_permutations(data):
     theta = np.zeros(p)
     theta[:data.draw(st.integers(0, p))] = data.draw(st.floats(-2.0, 2.0))
     x = sample(model, theta, substream(seed, 1), size=n).x
-    items, reads_decorrelated = test.kernel_plan
-    xi = substream(seed, 2).standard_normal((n, model.R)) if reads_decorrelated else None
+    items = test.constituents
+    xi = substream(seed, 2).standard_normal((n, model.R)) if test.reads_decorrelated else None
     values = _values(items, *canonical_layout(model, x), xi=xi)
     permuted = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
     for name in values:

@@ -4,6 +4,8 @@ Dense-solve oracles build the full covariance at tiny p and compare against
 the O(p) closed forms; distributional checks run on seeded vectorized draws.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -65,6 +67,16 @@ class TestConstruction:
         with pytest.raises(ContractError):
             Equicorrelated(4, 1.5)
         Equicorrelated(4, 1.0)  # singular covariance is a first-class variant
+
+    @pytest.mark.parametrize("gamma", [2 ** 70, -2 ** 70, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [lambda g: Equicorrelated(16, g),
+                                       lambda g: Grouped(16, 4, g),
+                                       lambda g: RankOne(16, g, np.ones(16))],
+                             ids=["equicorrelated", "grouped", "rank_one"])
+    def test_gamma_outside_the_floats_is_refused(self, build, gamma):
+        # an integer beyond float range is refused as NaN and infinities are
+        with pytest.raises(ContractError, match="gamma must lie in"):
+            build(gamma)
 
     def test_rank_one_leaves_caller_pattern_writeable(self):
         v = np.ones(16)

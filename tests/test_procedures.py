@@ -263,7 +263,7 @@ class TestPlanOracle:
 class TestCalibration:
     def test_chisq_threshold_matches_chi2_quantile(self):
         model = Equicorrelated(50, 0.4)
-        items = [("chisq", "chisq", {}, None)]
+        items = [Constituent("chisq", "chisq", {}, math.nan, "unthresholded")]
         recs = calibrate_null_quantile(items, model, 0.95, 20_000, _rng(0))
         rec = recs["chisq"]
         oracle = chi2.ppf(0.95, 50)  # decorrelated null energy is chi^2_50
@@ -272,14 +272,14 @@ class TestCalibration:
     def test_linear_median(self):
         p, g = 40, 0.7
         model = Equicorrelated(p, g)
-        items = [("linear", "linear", {}, None)]
+        items = [Constituent("linear", "linear", {}, math.nan, "unthresholded")]
         recs = calibrate_null_quantile(items, model, 0.5, 20_000, _rng(1))
         oracle = (1 - g + g * p) * chi2.ppf(0.5, 1)
         assert abs(recs["linear"].value - oracle) <= 0.08 * oracle
 
     def test_refuses_thin_tails(self):
         model = Equicorrelated(10, 0.0)
-        items = [("chisq", "chisq", {}, None)]
+        items = [Constituent("chisq", "chisq", {}, math.nan, "unthresholded")]
         with pytest.raises(CalibrationError):
             calibrate_null_quantile(items, model, 0.999, 1000, _rng(2))
 
@@ -371,6 +371,27 @@ class TestGroupedReductions:
         values = [evaluate(t, Observation(x, model_for(t)), _rng(12)).values for t in tests]
         assert values[0] == values[1]
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 1.0])
+    def test_R_p_group_energy_carries_its_variance(self, gamma):
+        # at block size 1 each group mean has variance 1 - gamma + gamma = 1,
+        # the sigma^2 of the law sigma^2 chi^2_R that every chisq_avg carries
+        planned = [c for s in range(1, 17)
+                   for c in build_test("grouped", 16, s, gamma, R=16,
+                                       mode="paper_constants", C=1.0).constituents
+                   if c.kind == "chisq_avg"]
+        assert planned
+        assert all(c.params["sigma_sq"] == pytest.approx(1.0) for c in planned)
+
+    def test_R_p_group_energy_level_meets_its_budget(self):
+        # the chi-square level check of tests/test_acceptance.py, on an R = p cell
+        p = R = 16
+        test = build_test("grouped", p, 14, 0.5, R=R, mode="calibrated", eta=0.1,
+                          n_cal=4000, rng=substream(6, 0))
+        [c] = [c for c in test.constituents if c.kind == "chisq_avg"]
+        b, n_cal = test.calibration["budget_per_constituent"], test.calibration["n_cal"]
+        level = chi2.sf(c.threshold / c.params["sigma_sq"], R)
+        assert abs(level - b) <= 4.0 * math.sqrt(b * (1.0 - b) / n_cal)
+
 
 class TestEvaluate:
     def test_composite_is_or_of_constituents(self):
@@ -397,11 +418,54 @@ class TestEvaluate:
     def test_pattern_mismatch_rejected(self):
         v = np.array([1.0, -1.0] * 8)
         test = build_test("rank_one", 16, 2, 0.5, v=v, mode="paper_constants", C=3.0)
-        for pattern in (test.v, test.v.copy()):  # the test's own array, an equal one
+        for pattern in (test.model.v, test.model.v.copy()):  # the test's own array, an equal one
             evaluate(test, sample(RankOne(16, 0.5, pattern), None, _rng(9)), _rng(10))
-        flipped = RankOne(16, 0.5, -test.v)
+        flipped = RankOne(16, 0.5, -test.model.v)
         with pytest.raises(ContractError):
             evaluate(test, sample(flipped, None, _rng(9)), _rng(10))
+
+    @pytest.mark.parametrize("family,R,observed,message", [
+        ("equicorrelated", None, Grouped(16, 4, 0.5), "family/dimension"),
+        ("grouped", 4, Equicorrelated(16, 0.5), "family/dimension"),
+        ("equicorrelated", None, RankOne(16, 0.5, np.ones(16)), "family/dimension"),
+        ("equicorrelated", None, Equicorrelated(32, 0.5), "family/dimension"),
+        ("grouped", 4, Grouped(32, 4, 0.5), "family/dimension"),
+        ("grouped", 4, Grouped(16, 2, 0.5), "group count mismatch"),
+    ])
+    def test_family_dimension_and_group_count_mismatches_rejected(self, family, R,
+                                                                  observed, message):
+        test = build_test(family, 16, 4, 0.5, R=R, mode="paper_constants", C=3.0)
+        with pytest.raises(ContractError, match=message):
+            evaluate(test, sample(observed, None, _rng(9)), _rng(10))
+
+    def test_interleaved_labels_are_accepted_by_a_test_of_the_same_cell(self):
+        # a labelled model is another object than the test's own, with the
+        # same family, p, R and gamma: its groups are laid out differently
+        p, R, gamma = 16, 4, 0.5
+        test = build_test("grouped", p, 6, gamma, R=R, mode="paper_constants", C=3.0)
+        labels = np.arange(p) % R  # group g holds the coordinates g, g + R, ...
+        x = _rng(9).standard_normal(p)
+        interleaved = evaluate(test, Observation(x, Grouped(p, R, gamma, labels=labels)),
+                               _rng(10))
+        by_group = x.reshape(-1, R).T.ravel()  # the same groups, laid out one after another
+        contiguous = evaluate(test, Observation(by_group, Grouped(p, R, gamma)), _rng(10))
+        assert interleaved.values == contiguous.values
+        assert interleaved.fired == contiguous.fired
+
+    @pytest.mark.parametrize("mode,kw", [
+        ("paper_constants", {"C": 3.0}),
+        ("calibrated", {"n_cal": 1000, "eta": 0.2, "rng": _rng(12)}),
+    ])
+    @pytest.mark.parametrize("family,R,v", [
+        ("equicorrelated", None, None), ("grouped", 4, None),
+        ("rank_one", None, [1.0, -1.0] * 8),
+    ])
+    def test_model_for_is_the_model_the_test_was_built_for(self, family, R, v, mode, kw):
+        test = build_test(family, 16, 2, 0.5, R=R, v=v, mode=mode, **kw)
+        assert model_for(test) is test.model
+        d = test.descriptor()  # the cell fields are read from the model
+        cell = {key: d[key] for key in ("family", "p", "gamma", "R", "v") if d[key] is not None}
+        assert cell == test.model.descriptor()
 
     @pytest.mark.parametrize("mode,kw", [
         ("paper_constants", {"C": 3.0}),
@@ -411,8 +475,8 @@ class TestEvaluate:
         v = np.array([1.0, -1.0] * 8)
         test = build_test("rank_one", 16, 2, 0.5, v=v, mode=mode, **kw)
         v[0] = 3.0  # the caller's array stays writeable and the test keeps its copy
-        assert test.v[0] == 1.0
-        assert model_for(test).v is test.v
+        assert test.model.v[0] == 1.0
+        assert model_for(test).v is test.model.v
 
     def test_noiseless_test_is_errorless(self):
         test = build_test("equicorrelated", 64, 8, 1.0, mode="paper_constants", C=3.0)

@@ -118,7 +118,7 @@ def test_rank_one_chisq_centres_on_a_heterogeneous_pattern():
                "chisq", t)
     theta = np.r_[np.zeros(p - 12), np.full(12, 0.45)]  # where v is largest
     lam = _centred_energy(theta, [np.arange(p)], v).sum() / (1.0 - gamma)
-    _check_risk(one, RankOne(p, gamma, one.v), [PointMass(theta)],
+    _check_risk(one, RankOne(p, gamma, one.model.v), [PointMass(theta)],
                 chi2.sf(t, p), [ncx2.cdf(t, p, lam)], seed=11)
 
 
