@@ -288,8 +288,8 @@ class UniformSparse(_SparsePrior):
 
 def _whole_groups(prior, model: CorrelationModel) -> bool:
     """Whether the prior's R groups of p/R consecutive coordinates are the
-    exchangeable blocks of the model, in the model's own layout."""
-    return model.exchangeable and model.R == prior.R and model.canonical is model
+    exchangeable blocks of the model: both split p into R consecutive runs."""
+    return model.exchangeable and model.R == prior.R
 
 
 @dataclass(frozen=True, eq=False)

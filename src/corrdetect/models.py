@@ -9,18 +9,20 @@ Gaussian per group on its block indicator, or a single Gaussian times a fixed
 pattern ``v`` with ||v||^2 = p.  Samplers always use this representation (cost
 O(p) per draw, exact at gamma = 1), never a covariance factorization.
 
-Every model is k = ``R`` blocks of p/k coordinates with one shared factor
-each (``block_view``, ``scatter_blocks``).  The equicorrelated model is the
-grouped model with R = 1; the rank-one model is also a single block, with
-loadings ``v`` and no exchangeable order.  :func:`model_from` maps a family
-name to its model.  Each model owns its block algebra: ``project`` maps
-blocks (..., k, p/k) to their inner products with the loadings (..., k),
-``project_support`` does the same for vectors given by their nonzero
-coordinates and values, ``lift`` maps (..., k) back to loadings times value,
-broadcasting against the blocks, and ``exchangeable`` says whether a block
-may be sorted (``canonical`` is the model of the sorted layout).  The
-loadings are 1 in the exchangeable models, which therefore only sum and
-broadcast, and ``v`` in the rank-one one.
+Every model is k = ``R`` blocks of p/k consecutive coordinates with one
+shared factor each (``block_view``, ``scatter_blocks``): block j holds the
+coordinates j p/k to (j + 1) p/k - 1.  A coordinate permutation does not
+change the detection problem, so where each group sits is immaterial.  The
+equicorrelated model is the grouped model with R = 1; the rank-one model is
+also a single block, with loadings ``v`` and no exchangeable order.
+:func:`model_from` maps a family name to its model.  Each model owns its
+block algebra: ``project`` maps blocks (..., k, p/k) to their inner products
+with the loadings (..., k), ``project_support`` does the same for vectors
+given by their nonzero coordinates and values, ``lift`` maps (..., k) back to
+loadings times value, broadcasting against the blocks, and ``exchangeable``
+says whether a block may be sorted.  The loadings are 1 in the exchangeable
+models, which therefore only sum and broadcast, and ``v`` in the rank-one
+one.
 
 Covariance and precision act in closed form through Sherman-Morrison:
 
@@ -34,10 +36,16 @@ coordinate permutation and the grouped model under permutations within a
 group, so each has exchangeable blocks: all of p, or each group.  Sums over a
 block are plain numpy reductions of its entries in ascending order, which
 makes them bit-identical under those permutations.  :func:`canonical_layout`
-sorts every block once; because decorrelation is monotone within a block, the
-decorrelated blocks come out sorted too, so the evaluation kernel sums them
-without sorting again.  Rank-one data has no exchangeable block and keeps its
-layout.
+sorts every block once and leaves it where it was, so the model describes
+the sorted data as well; because decorrelation is monotone within a block,
+the decorrelated blocks come out sorted too, so the evaluation kernel sums
+them without sorting again.  Rank-one data has no exchangeable block and
+keeps its layout.
+
+Arguments are checked on entry: a dimension (p, R or a sample size) must be
+an integer that ``operator.index`` accepts, gamma a real number in [0, 1],
+and every array real-valued with the model's length on its last axis.  A
+violation raises :class:`ContractError`.
 
 Random stream layout.  A draw consumes k shared factors and then p noise
 coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
@@ -54,6 +62,8 @@ signal; a single theta (p,) is shared by every row.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
 
@@ -78,8 +88,43 @@ __all__ = [
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma <= 1.0:  # false for NaN, inf and integers past float range
-        raise ContractError(f"gamma must lie in [0, 1], got {gamma}")
+    # the comparison is false for NaN, inf and integers past float range
+    if not isinstance(gamma, numbers.Real) or not 0.0 <= gamma <= 1.0:
+        raise ContractError(f"gamma must lie in [0, 1], got {gamma!r}")
+
+
+def _check_count(value, what: str, least: int) -> None:
+    """Refuse a count that ``operator.index`` refuses or that is below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ContractError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ContractError(f"{what} must be >= {least}, got {value}")
+
+
+def _real(x, what: str) -> np.ndarray:
+    """``x`` as a float array, refusing one that is not real-valued."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise ContractError(f"{what} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _pattern(v, p: int) -> tuple:
+    """``v`` as a real array of shape (p,), and ||v||^2: inf, without an
+    overflow warning, where it passes float range."""
+    v = _real(v, "v")
+    if v.shape != (p,):
+        raise ContractError(f"v must have length p={p}, got shape {v.shape}")
+    with np.errstate(over="ignore"):
+        return v, float(v @ v)
+
+
+def _check_length(a: np.ndarray, p: int, what: str) -> None:
+    if a.shape[-1:] != (p,):
+        raise ContractError(f"{what} must have length p={p} on its last axis, "
+                            f"got shape {a.shape}")
 
 
 class _Blocks:
@@ -100,11 +145,6 @@ class _SingleBlock(_Blocks):
     """A model whose p coordinates form one block, with one shared factor."""
 
     R = 1
-
-    @property
-    def canonical(self):
-        """The model of the canonical layout: a single block keeps its own."""
-        return self
 
     @property
     def block_size(self) -> int:
@@ -134,8 +174,7 @@ class Equicorrelated(_SingleBlock):
     gamma: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ContractError("p must be >= 1")
+        _check_count(self.p, "p", 1)
         _check_gamma(self.gamma)
 
     def descriptor(self) -> dict:
@@ -146,82 +185,48 @@ class Equicorrelated(_SingleBlock):
 class Grouped(_Blocks):
     """R equally sized groups, equicorrelated within, independent across.
 
-    ``labels`` maps coordinate -> group label in [0, R).  Blocks are
-    canonicalized to contiguous runs internally (group choice is immaterial
-    up to a coordinate permutation); all outputs stay in the original layout.
+    Group j is the block of the p/R consecutive coordinates from j p/R on.
     """
 
     family: ClassVar[str] = "grouped"
     p: int
     R: int
     gamma: float
-    labels: Optional[np.ndarray] = None
-    _order: np.ndarray = field(init=False, repr=False)
-    _contiguous: bool = field(init=False, repr=False)
     _block_shape: tuple = field(init=False, repr=False)  # (R, p/R)
-    # the model of this one's canonical layout (contiguous groups), built once
-    canonical: "Grouped" = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ContractError("p must be >= 1")
-        if self.R < 1 or self.p % self.R != 0:
+        _check_count(self.p, "p", 1)
+        _check_count(self.R, "R", 1)
+        if self.p % self.R != 0:
             raise ContractError(f"R must divide p, got R={self.R}, p={self.p}")
         _check_gamma(self.gamma)
-        if self.labels is None:
-            labels = np.repeat(np.arange(self.R), self.p // self.R)
-        else:
-            labels = np.asarray(self.labels, dtype=np.intp)
-            if labels.shape != (self.p,):
-                raise ContractError("labels must have length p")
-            counts = np.bincount(labels, minlength=self.R)
-            if labels.min() < 0 or labels.max() >= self.R or counts.size != self.R:
-                raise ContractError("labels must cover exactly the range [0, R)")
-            if not np.all(counts == self.p // self.R):
-                raise ContractError("every group must have exactly p/R members")
-        object.__setattr__(self, "labels", labels)
-        order = np.argsort(labels, kind="stable")
-        object.__setattr__(self, "_order", order)
-        contiguous = bool(np.all(order == np.arange(self.p)))
-        object.__setattr__(self, "_contiguous", contiguous)
         object.__setattr__(self, "_block_shape", (self.R, self.p // self.R))
-        object.__setattr__(self, "canonical",
-                           self if contiguous else Grouped(self.p, self.R, self.gamma))
 
     @property
     def block_size(self) -> int:
         return self.p // self.R
 
     def block_view(self, x: np.ndarray) -> np.ndarray:
-        """Reshape ``x`` (last axis p) into (..., R, p/R) canonical blocks."""
+        """Reshape ``x`` (last axis p) into (..., R, p/R) blocks."""
         x = np.asarray(x, dtype=float)
-        if self._contiguous:
-            return x.reshape(x.shape[:-1] + self._block_shape)
-        return x[..., self._order].reshape(x.shape[:-1] + self._block_shape)
+        return x.reshape(x.shape[:-1] + self._block_shape)
 
     def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`block_view`, restoring the original layout."""
-        flat = blocks.reshape(blocks.shape[:-2] + (self.p,))
-        if self._contiguous:
-            return flat
-        out = np.empty_like(flat)
-        out[..., self._order] = flat
-        return out
+        """Inverse of :meth:`block_view`."""
+        return blocks.reshape(blocks.shape[:-2] + (self.p,))
 
     def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per-group sums of sparse rows: one weighted bincount over
-        ``labels``, each row's groups offset by R times its row number."""
+        """Per-group sums of sparse rows: one weighted bincount over the
+        groups ``idx // (p/R)``, each row's groups offset by R times its row
+        number."""
         rows = idx.shape[:-1]
         n = math.prod(rows)
-        keys = self.labels[idx] + self.R * np.arange(n).reshape(rows + (1,))
+        keys = idx // self.block_size + self.R * np.arange(n).reshape(rows + (1,))
         sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=n * self.R)
         return sums.reshape(rows + (self.R,))
 
     def descriptor(self) -> dict:
-        d = {"family": self.family, "p": self.p, "R": self.R, "gamma": self.gamma}
-        if not self._contiguous:
-            d["labels"] = self.labels.tolist()
-        return d
+        return {"family": self.family, "p": self.p, "R": self.R, "gamma": self.gamma}
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +241,9 @@ class RankOne(_SingleBlock):
     sign_pattern: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ContractError("p must be >= 1")
+        _check_count(self.p, "p", 1)
         _check_gamma(self.gamma)
-        v = np.asarray(self.v, dtype=float)
+        v, nsq = _pattern(self.v, self.p)
         if not np.isfinite(v).all():
             raise ContractError("v must be finite")
         if v.flags.writeable or not v.flags.c_contiguous:
@@ -247,9 +251,6 @@ class RankOne(_SingleBlock):
             # contiguous v is shared as given
             v = v.copy()
             v.setflags(write=False)
-        if v.shape != (self.p,):
-            raise ContractError(f"v must have length p={self.p}, got shape {v.shape}")
-        nsq = float(v @ v)
         if abs(nsq - self.p) > 1e-9 * self.p:
             raise ContractError(
                 f"||v||^2 must equal p (got {nsq} vs {self.p}); "
@@ -272,10 +273,9 @@ class RankOne(_SingleBlock):
     @classmethod
     def renormalized(cls, p: int, gamma: float, v) -> "RankOne":
         """Construct after rescaling ``v`` so that ||v||^2 = p exactly."""
-        v = np.asarray(v, dtype=float)
-        nsq = float(v @ v)
-        if nsq <= 0:
-            raise ContractError("v must be nonzero")
+        v, nsq = _pattern(v, p)
+        if not (0.0 < nsq < math.inf and p / nsq < math.inf):  # p / nsq for a tiny norm
+            raise ContractError(f"||v||^2 must be positive, finite and not tiny, got {nsq}")
         return cls(p, gamma, v * math.sqrt(p / nsq))
 
     def descriptor(self) -> dict:
@@ -293,7 +293,9 @@ def check_family(family: str, **parameters) -> None:
     if family not in ("equicorrelated", "grouped", "rank_one"):
         raise ContractError(f"unknown family {family!r}")
     for name, value in parameters.items():
-        owner = {"R": "grouped", "v": "rank_one"}[name]
+        owner = {"R": "grouped", "v": "rank_one"}.get(name)
+        if owner is None:
+            raise ContractError(f"no family takes a parameter {name!r}")
         if value is None and family == owner:
             raise ContractError(f"the {owner} family needs {name}")
         if value is not None and family != owner:
@@ -320,9 +322,8 @@ class Observation:
     model: CorrelationModel
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.shape[-1] != self.model.p:
-            raise ContractError("observation length does not match model dimension")
+        x = _real(self.x, "observation")
+        _check_length(x, self.model.p, "observation")
         object.__setattr__(self, "x", x)
 
 
@@ -332,21 +333,22 @@ class Observation:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def canonical_layout(model: CorrelationModel, x: np.ndarray) -> tuple:
-    """Data with every exchangeable block sorted, and the model in that layout.
+def canonical_layout(model: CorrelationModel, x) -> np.ndarray:
+    """Data with every exchangeable block sorted.
 
-    Returns ``(x_c, model_c)``: blocks of ``x`` (last axis p) sorted ascending
-    and laid out one after another, with ``model_c`` describing that layout
-    (contiguous groups; the same object on every call).  Data of a model
-    without exchangeable blocks (rank-one) is returned unchanged.
+    Returns a copy of ``x`` (last axis p) with each block sorted ascending in
+    its own place, so ``model`` describes the sorted data as well.  Data of a
+    model without exchangeable blocks (rank-one) is returned unchanged.
     """
+    x = _real(x, "data")
+    _check_length(x, model.p, "data")
     if not model.exchangeable:
-        return x, model
+        return x
     # one copy, in C order: numpy reductions follow the memory layout, so rows
     # are summed the same way whatever layout the block view came in
     x_c = np.array(model.block_view(x), order="C")
     x_c.sort(axis=-1)
-    return x_c.reshape(x.shape), model.canonical
+    return x_c.reshape(x.shape)
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
@@ -362,23 +364,23 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
     for one draw per row.
     """
     p, k = model.p, model.R
+    if size is not None:
+        _check_count(size, "size", 0)
     if normals is not None:
-        normals = np.asarray(normals, dtype=float)
-        if normals.shape[-1] != k + p:
+        normals = _real(normals, "normals")
+        if normals.shape[-1:] != (k + p,):
             raise ContractError(f"normals rows must hold k + p = {k + p} values")
         draws = normals.shape[:-1]
         if size is not None and draws != (size,):
             raise ContractError(f"size={size} does not match the normals rows {draws}")
     elif rng is None:
         raise ContractError("sample needs rng or normals")
-    elif size is not None and size < 0:
-        raise ContractError(f"size must be nonnegative, got {size}")
     else:
         draws = () if size is None else (size,)
     if theta is None:
         theta = 0.0
     else:
-        theta = np.asarray(theta, dtype=float)
+        theta = _real(theta, "theta")
         if theta.shape[-1:] != (p,):
             raise ContractError("theta length must equal model dimension p")
         if theta.ndim > 1 and (theta.ndim > 2 or theta.shape[:-1] != draws):
@@ -400,12 +402,6 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
     return Observation(x=model.scatter_blocks(x), model=model)
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Observation):
-        return x.x
-    return np.asarray(x, dtype=float)
-
-
 def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] = None,
                 *, xi: Optional[np.ndarray] = None) -> np.ndarray:
     """Transform data to an identity-covariance Gaussian vector (row-wise).
@@ -416,25 +412,29 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
     (theta minus its projection on the correlation direction(s)) over
     sqrt(1-gamma); the output covariance is the identity.
 
-    ``x`` has shape (..., p).  The k injections per row are drawn from ``rng``
-    or given as ``xi`` of shape (..., k).  The projections on the loadings
-    are plain sums in the given layout; for data in canonical
-    layout (:func:`canonical_layout`) the output is bit-identical under
-    within-block permutations, and its blocks are sorted too.
+    ``x`` has shape (..., p), or is an :class:`Observation`.  The k
+    injections per row are drawn from ``rng`` or given as ``xi`` of shape
+    (..., k); one of the two is needed.  The projections on the loadings are
+    plain sums in the given layout; for sorted blocks
+    (:func:`canonical_layout`) the output is bit-identical under within-block
+    permutations, and its blocks are sorted too.
 
     Requires gamma < 1; the perfectly correlated case has its own noiseless
     test path.
     """
     if model.gamma >= 1.0:
         raise UnsupportedRegimeError("decorrelate requires gamma < 1 (use the noiseless path)")
-    x = _as_array(x)
-    if x.shape[-1] != model.p:
-        raise ContractError("data length does not match model dimension")
+    x = _real(x.x if isinstance(x, Observation) else x, "data")
+    _check_length(x, model.p, "data")
     shape = x.shape[:-1] + (model.R,)
-    if xi is None:
+    if xi is not None:
+        xi = _real(xi, "injections")
+        if xi.shape != shape:
+            raise ContractError(f"injections must have shape {shape}")
+    elif rng is None:
+        raise ContractError("decorrelate needs rng or xi")
+    else:
         xi = rng.standard_normal(shape)
-    elif xi.shape != shape:
-        raise ContractError(f"injections must have shape {shape}")
     return model.scatter_blocks(_decorrelated(model, model.block_view(x), xi))
 
 
@@ -466,9 +466,8 @@ def _precision_weights(model: CorrelationModel) -> tuple:
 def precision_apply(model: CorrelationModel, u) -> np.ndarray:
     """Apply the inverse covariance to ``u`` in O(p) via closed-form inverses."""
     one_minus, coef = _precision_weights(model)
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != model.p:
-        raise ContractError("vector length does not match model dimension")
+    u = _real(u, "vector")
+    _check_length(u, model.p, "vector")
     blocks = model.block_view(u)
     return model.scatter_blocks(blocks / one_minus
                                 - coef * model.lift(model.project(blocks)))
@@ -476,9 +475,8 @@ def precision_apply(model: CorrelationModel, u) -> np.ndarray:
 
 def covariance_apply(model: CorrelationModel, u) -> np.ndarray:
     """Apply the covariance to ``u`` in O(p) (valid for every gamma)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != model.p:
-        raise ContractError("vector length does not match model dimension")
+    u = _real(u, "vector")
+    _check_length(u, model.p, "vector")
     g = model.gamma
     blocks = model.block_view(u)
     return model.scatter_blocks((1.0 - g) * blocks + g * model.lift(model.project(blocks)))

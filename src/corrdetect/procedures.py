@@ -339,13 +339,13 @@ def _values(constituents, x: np.ndarray, model: CorrelationModel,
             xi: Optional[np.ndarray] = None) -> dict:
     """The evaluation kernel: every constituent's value on each row of ``x``.
 
-    ``x`` (n, p) must be in the canonical layout of ``model``
+    ``x`` (n, p) must have every exchangeable block of ``model`` sorted
     (``models.canonical_layout``).  The kernel views it as blocks
-    (n, k, p/k), every block sorted; rank-one data is one block in its given
-    layout.  Constituents that read decorrelated data get those blocks
-    decorrelated once with the injections ``xi`` (n, k); decorrelation is
-    monotone within a block, so they stay sorted, and blocks that are not
-    exchangeable (rank-one) are sorted here.  Each statistic is then its
+    (n, k, p/k); rank-one data is one block in its given layout.
+    Constituents that read decorrelated data get those blocks decorrelated
+    once with the injections ``xi`` (n, k); decorrelation is monotone within
+    a block, so they stay sorted, and blocks that are not exchangeable
+    (rank-one) are sorted here.  Each statistic is then its
     kind's entry of the kind table (``statistics.REDUCTIONS``) at its
     ``kernel_params``: the parts, then the combine step, with no further
     sort or check; the adaptive scans share one profile of the decorrelated
@@ -418,8 +418,8 @@ def calibrate_null_quantile(constituents, model: CorrelationModel, q: float, n_c
         # one row per replication: [k factors | p noise | k_xt injections]
         normals = rng.standard_normal((n, k + p + k_xt))
         obs = draw(model, None, normals=normals[:, :k + p])
-        x, layout = canonical_layout(model, obs.x)
-        for name, v in _values(constituents, x, layout, xi=normals[:, k + p:]).items():
+        x = canonical_layout(model, obs.x)
+        for name, v in _values(constituents, x, model, xi=normals[:, k + p:]).items():
             values[name][start:start + n] = v
     out = {}
     lo_q, hi_q = _wilson_bounds(q, n_cal)
@@ -506,11 +506,10 @@ def evaluate(test: TestProcedure, obs: Observation,
     The evaluation kernel applied to a batch of one (a view of the
     observation).  An observation of another model than the test's own
     (``TestProcedure.model``) must match it in family, p, gamma, group count
-    and pattern (to 1e-12); its groups may be laid out differently.  The
-    observation is copied once, by the canonical sort of an exchangeable
-    model, and once more by decorrelation when some constituent reads
-    decorrelated data; the decorrelation noise is then drawn fresh from
-    ``rng``.  A constituent fires when its value exceeds its threshold.
+    and pattern (to 1e-12).  The observation is copied once, by the
+    canonical sort of an exchangeable model, and once more by decorrelation
+    when some constituent reads decorrelated data; the decorrelation noise is
+    then drawn fresh from ``rng``.  A constituent fires when its value exceeds its threshold.
     Both operating modes produce bit-identical statistic values for a fixed
     draw.  A NaN value (the observation holds a NaN, or infinities that
     cancel) raises :class:`DomainError`.
@@ -521,9 +520,9 @@ def evaluate(test: TestProcedure, obs: Observation,
     if obs.x.ndim != 1:
         raise ContractError("evaluate takes a single observation vector")
     constituents = test.constituents
-    x, layout = canonical_layout(model, obs.x[None, :])
+    x = canonical_layout(model, obs.x[None, :])
     xi = rng.standard_normal((1, model.R)) if test.reads_decorrelated else None
-    values = {name: v.item() for name, v in _values(constituents, x, layout, xi).items()}
+    values = {name: v.item() for name, v in _values(constituents, x, model, xi).items()}
     if any(math.isnan(value) for value in values.values()):
         raise DomainError("a statistic is NaN: the observation holds a NaN or infinities")
     fired = tuple([c.name for c in constituents if values[c.name] > c.threshold])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -50,11 +49,6 @@ class RateResult:
     uncharacterized rank-one region (s > omega(v) with gamma < 1).
     """
 
-    family: str
-    p: int
-    s: int
-    gamma: float
-    R: Optional[int]
     value: Optional[float]
     regime: str
     components: dict = field(default_factory=dict)
@@ -69,10 +63,9 @@ def _check_ps(p: int, s: int) -> None:
         raise ContractError(f"need 1 <= s <= p, got s={s}, p={p}")
 
 
-def _cell(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,
+def _cell(p: int, s: int, gamma: float, R: Optional[int] = None,
           v: Optional[np.ndarray] = None):
-    """The result constructor of a checked cell: it takes (value, regime,
-    components)."""
+    """Refuse a cell outside the domain of the rates."""
     _check_ps(p, s)
     if R is not None and (R < 1 or p % R != 0):
         raise ContractError(f"R must divide p, got R={R}, p={p}")
@@ -80,7 +73,6 @@ def _cell(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,
         raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
     if not (0.0 <= gamma <= 1.0):
         raise ContractError("gamma must lie in [0, 1]")
-    return partial(RateResult, family, p, s, gamma, R)
 
 
 def psi1_sq(p: int, s: int, gamma: float) -> float:
@@ -101,16 +93,17 @@ def _psi2_sq(p: int, s: int, gamma: float) -> tuple:
 
 
 def rate_equicorrelated(p: int, s: int, gamma: float) -> RateResult:
-    result = _cell("equicorrelated", p, s, gamma)
+    _cell(p, s, gamma)
     if gamma == 1.0:
-        return result(0.0, "perfect-degenerate") if s < p else result(float(p), "perfect-dense")
+        return (RateResult(0.0, "perfect-degenerate") if s < p
+                else RateResult(float(p), "perfect-dense"))
     base = psi1_sq(p, s, gamma)
     root = math.sqrt(p)
     if s < root:
-        return result(base, "sparse", {"psi1_sq": base})
+        return RateResult(base, "sparse", {"psi1_sq": base})
     mean_part, kappa, cap = _psi2_sq(p, s, gamma)
-    return result(base + mean_part, "dense" if s <= p - root else "very-dense",
-                  {"psi1_sq": base, "psi2_sq": mean_part, "cap": cap, "kappa": kappa})
+    return RateResult(base + mean_part, "dense" if s <= p - root else "very-dense",
+                      {"psi1_sq": base, "psi2_sq": mean_part, "cap": cap, "kappa": kappa})
 
 
 def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
@@ -122,20 +115,20 @@ def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
     hold with exact floating-point equality.  Grouped plans, default panels
     and the boundary audit read their regime here and reduce the same way.
     """
-    result = _cell("grouped", p, s, gamma, R)
+    _cell(p, s, gamma, R)
     if R in (1, p):
         base = rate_equicorrelated(p, s, gamma if R == 1 else 0.0)
-        return result(base.value, base.regime, base.components)
+        return RateResult(base.value, base.regime, base.components)
     bs = p / R
     if gamma == 1.0:
         if s < bs:
-            return result(0.0, "perfect-degenerate")
+            return RateResult(0.0, "perfect-degenerate")
         if s < p / math.sqrt(R):
-            return result(s * math.log1p(p ** 2 / (R * s ** 2)), "perfect-average-sparse")
-        return result(p / math.sqrt(R), "perfect-average-dense")
+            return RateResult(s * math.log1p(p ** 2 / (R * s ** 2)), "perfect-average-sparse")
+        return RateResult(p / math.sqrt(R), "perfect-average-dense")
     base = psi1_sq(p, s, gamma)
     if s <= p / (4 * R):
-        return result(base, "within-group-sparse", {"psi1_sq": base})
+        return RateResult(base, "within-group-sparse", {"psi1_sq": base})
     sigma_sq = 1.0 - gamma + gamma * bs
     if s < bs:
         # scan regime: the minimum of a scan term and the group-mean cap
@@ -152,15 +145,16 @@ def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
             )
             sub = "scan-dense"
         scan = min(first, cap)
-        return result(base + scan, sub,
-                      {"psi1_sq": base, "upsilon_sq": scan, "scan_term": first, "cap": cap})
+        return RateResult(base + scan, sub,
+                          {"psi1_sq": base, "upsilon_sq": scan, "scan_term": first, "cap": cap})
     if s < p / math.sqrt(R):
         avg = sigma_sq * (R * s / p) * math.log1p(p ** 2 / (R * s ** 2))
-        return result(base + avg, "average-sparse",
-                      {"psi1_sq": base, "rho_sq": avg, "cap": sigma_sq})
+        return RateResult(base + avg, "average-sparse",
+                          {"psi1_sq": base, "rho_sq": avg, "cap": sigma_sq})
     value = (1.0 - gamma) * math.sqrt(p) + sigma_sq * math.sqrt(R)
-    return result(value, "average-dense", {"psi1_sq": (1.0 - gamma) * math.sqrt(p),
-                                           "rho_sq": sigma_sq * math.sqrt(R), "cap": sigma_sq})
+    return RateResult(value, "average-dense", {"psi1_sq": (1.0 - gamma) * math.sqrt(p),
+                                               "rho_sq": sigma_sq * math.sqrt(R),
+                                               "cap": sigma_sq})
 
 
 def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
@@ -172,20 +166,20 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     0 below the pattern's support size and p at or above it.
     """
     v = np.asarray(v, dtype=float)
-    result = _cell("rank_one", p, s, gamma, v=v)
+    _cell(p, s, gamma, v=v)
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))
         components = {"omega": w, "pattern_support": v0}
-        return (result(0.0, "perfect-degenerate", components) if s < v0
-                else result(float(p), "perfect-dense", components))
+        return (RateResult(0.0, "perfect-degenerate", components) if s < v0
+                else RateResult(float(p), "perfect-dense", components))
     if s > w:
-        return result(None, "uncharacterized", {"omega": w})
+        return RateResult(None, "uncharacterized", {"omega": w})
     if s <= math.sqrt(p):
         value = (1.0 - gamma) * s * math.log1p(p / s ** 2)
-        return result(value, "sparse", {"psi1_sq": value, "omega": w})
+        return RateResult(value, "sparse", {"psi1_sq": value, "omega": w})
     value = (1.0 - gamma) * math.sqrt(p)
-    return result(value, "dense", {"psi1_sq": value, "omega": w})
+    return RateResult(value, "dense", {"psi1_sq": value, "omega": w})
 
 
 def rate_for(family: str, p: int, s: int, gamma: float, R: Optional[int] = None,

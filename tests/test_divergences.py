@@ -635,7 +635,6 @@ MC_PRIORS = [
 MC_MODELS = [
     Equicorrelated(64, 0.4),
     Grouped(64, 4, 0.5),
-    Grouped(64, 8, 0.6, labels=np.random.default_rng(9).permutation(np.repeat(np.arange(8), 8))),
     RankOne(64, 0.5, _SIGNS64),
     RankOne.renormalized(64, 0.7, np.linspace(-1.5, 2.0, 64)),
 ]
@@ -770,18 +769,6 @@ def test_group_count_mismatch_is_enumerated():
     assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
     with pytest.raises(ContractError, match="overlap"):
         ingster_suslina_chisq(prior, model, method="hypergeometric_sum")
-
-
-@pytest.mark.parametrize("prior", [SingleGroupSparse(12, 3, 2, 0.5),
-                                   GroupSupported(12, 3, 1, 0.5)])
-def test_relabelled_groups_are_not_the_prior_groups(prior):
-    # the prior picks p/R consecutive coordinates; these model groups interleave
-    model = Grouped(12, 3, 0.4, labels=np.tile(np.arange(3), 4))
-    res = ingster_suslina_chisq(prior, model)
-    assert res.method == "exact_enumeration"
-    assert res.chi_sq == pytest.approx(brute_force_chisq(prior, model), rel=1e-10)
-    with pytest.raises(SingularCovarianceError):
-        ingster_suslina_chisq(prior, Grouped(12, 3, 1.0, labels=model.labels))
 
 
 @pytest.mark.parametrize("signs", ["plus", "match_pattern"])

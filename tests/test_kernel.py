@@ -36,7 +36,6 @@ from corrdetect.statistics import _REDUCTIONS
 from corrdetect.streams import substream
 
 P = 60  # 32768 // 60 = 546 rows per calibration block: n_cal=1000 spans two blocks
-LABELS = np.random.default_rng(0).permutation(np.repeat(np.arange(4), P // 4))
 PATTERN = np.random.default_rng(1).choice([-1.0, 1.0], size=P)
 ADAPTIVE = {"ts": np.array([0.5, 1.5, 2.5]), "shapes": np.array([3.0, 2.0, 1.0])}
 
@@ -53,8 +52,8 @@ CASES = {
          "linear": lambda x, xt, m: stats.linear_projection(x, m, "global").value,
          "adaptive": lambda x, xt, m: (stats.thresholded_profile(xt, ADAPTIVE["ts"])
                                        / ADAPTIVE["shapes"]).max()}),
-    "grouped-noncontiguous": (
-        Grouped(P, 4, 0.5, labels=LABELS),
+    "grouped": (
+        Grouped(P, 4, 0.5),
         [("chisq_scan", "chisq_scan", {}),
          ("thresholded_scan", "thresholded_scan", {"t": 1.2}),
          ("linear_scan", "linear_scan", {}), ("chisq_avg", "chisq_avg", {}),
@@ -66,8 +65,8 @@ CASES = {
          "chisq_avg": lambda x, xt, m: stats.averaged_group(x, m, "chisq").value,
          "thresholded_avg": lambda x, xt, m: stats.averaged_group(
              x, m, "thresholded", t=0.8).value}),
-    "grouped-noncontiguous-noiseless": (
-        Grouped(P, 4, 1.0, labels=LABELS),
+    "grouped-noiseless": (
+        Grouped(P, 4, 1.0),
         [("noiseless", "noiseless", {}), ("chisq_raw", "chisq_raw", {}),
          ("thresholded_avg", "thresholded_avg", {"t": 0.8})],
         {"noiseless": lambda x, xt, m: stats.noiseless_residual(x, m).value,
@@ -129,20 +128,19 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
     items = _records(plans)
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
-    x, layout = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
+    x = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
     xi = substream(11, 5).standard_normal((n, k))
-    xt = decorrelate(layout, x, xi=xi) if model.gamma < 1.0 else [None] * n
-    kernel = _values(items, x, layout, xi=xi)
+    xt = decorrelate(model, x, xi=xi) if model.gamma < 1.0 else [None] * n
+    kernel = _values(items, x, model, xi=xi)
     for name, fn in reference.items():
-        want = [fn(x[i], xt[i], layout) for i in range(n)]
+        want = [fn(x[i], xt[i], model) for i in range(n)]
         assert np.array_equal(kernel[name], want), name
 
 
 def _groups(model, a):
-    """Rows (n, p) as (n, k, p/k) by group label; one block without groups."""
-    if model.family != "grouped":
-        return a[:, None, :]
-    return np.stack([a[:, model.labels == k] for k in range(model.R)], axis=1)
+    """Rows (n, p) as (n, k, p/k), one block per group; one block without
+    groups."""
+    return model.block_view(a)
 
 
 def _tail(z, t):
@@ -200,25 +198,10 @@ def test_kernel_matches_plain_numpy_formulas(case):
     x = sample(model, theta, substream(11, 4), size=n).x
     xi = substream(11, 5).standard_normal((n, k))
     xt = decorrelate(model, x, xi=xi) if model.gamma < 1.0 else None
-    kernel = _values(items, *canonical_layout(model, x), xi=xi)
+    kernel = _values(items, canonical_layout(model, x), model, xi=xi)
     for name, kind, params in plans:
         want = PLAIN[kind](x, xt, model, params)
         assert kernel[name] == pytest.approx(want, rel=1e-12, abs=0), name
-
-
-def test_canonical_layout_model_is_built_once():
-    model, plans, _ = CASES["grouped-noncontiguous"]
-    items = _records(plans)
-    x = sample(model, None, substream(16, 0), size=5).x
-    xi = substream(16, 1).standard_normal((5, 4))
-    first, second = canonical_layout(model, x), canonical_layout(model, x)
-    assert second[1] is first[1]
-    assert first[1].descriptor() == Grouped(P, 4, 0.5).descriptor()
-    v1, v2 = _values(items, *first, xi=xi), _values(items, *second, xi=xi)
-    for name, _, _ in plans:
-        assert np.array_equal(v1[name], v2[name])
-    contiguous = Grouped(P, 4, 0.5)
-    assert canonical_layout(contiguous, x)[1] is contiguous
 
 
 def test_raw_data_plans_take_no_injections():
@@ -306,13 +289,13 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
     theta = np.where(np.arange(64) < 6, 1.5, 0.0)
     x = sample(model, theta, substream(13, 0), size=n).x
     xi = substream(13, 1).standard_normal((n, k))
-    batch = _values(items, *canonical_layout(model, x), xi=xi)
+    batch = _values(items, canonical_layout(model, x), model, xi=xi)
     for i in range(n):
-        single = _values(items, *canonical_layout(model, x[i:i + 1]), xi=xi[i:i + 1])
+        single = _values(items, canonical_layout(model, x[i:i + 1]), model, xi=xi[i:i + 1])
         # evaluate draws the row's injections from its stream
         verdict = evaluate(test, Observation(x[i], model), substream(13, 2, i))
         injections = substream(13, 2, i).standard_normal((1, k))
-        alone = _values(items, *canonical_layout(model, x[i:i + 1]), xi=injections)
+        alone = _values(items, canonical_layout(model, x[i:i + 1]), model, xi=injections)
         for c in items:
             assert single[c.name][0] == batch[c.name][i]
             assert verdict.values[c.name] == alone[c.name][0]
@@ -327,10 +310,7 @@ def _random_case(data, families=("equicorrelated", "grouped", "rank_one")):
     gamma = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
     if family == "grouped":
         R = data.draw(st.sampled_from([r for r in (2, 3, 4) if p % r == 0]))
-        labels = np.repeat(np.arange(R), p // R)
-        if data.draw(st.booleans()):  # interleaved labels
-            labels = np.random.default_rng(data.draw(st.integers(0, 99))).permutation(labels)
-        model = Grouped(p, R, gamma, labels=labels)
+        model = Grouped(p, R, gamma)
     elif family == "rank_one":
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
         signs = data.draw(st.booleans())
@@ -370,11 +350,16 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
     # the injections each evaluate call drew from its stream
     xi = np.concatenate([substream(seed, 1, i).standard_normal((1, model.R))
                          for i in range(n)]) if test.reads_decorrelated else None
-    batch = _values(items, *canonical_layout(model, x), xi=xi)
+    batch = _values(items, canonical_layout(model, x), model, xi=xi)
     for i, verdict in enumerate(verdicts):
         assert verdict.values == {name: batch[name][i].item() for name in batch}
         assert verdict.fired == tuple(c.name for c in items
                                       if batch[c.name][i] > c.threshold)
+
+
+def _within_blocks(model, rng):
+    """A permutation of the coordinates that keeps each one in its block."""
+    return rng.permuted(np.arange(model.p).reshape(model.R, -1), axis=1).ravel()
 
 
 # a batch of one is sorted again by each sum; a batch of 50 is only
@@ -387,12 +372,11 @@ def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     test = build_test("grouped", p, s, gamma, R=R, mode="paper_constants", C=3.0)
     items = test.constituents
     base = Grouped(p, R, gamma)
-    perm = substream(14, 0).permutation(p)
-    relabeled = Grouped(p, R, gamma, labels=base.labels[perm])
+    perm = _within_blocks(base, substream(14, 0))
     x = sample(base, None, substream(14, 1), size=n).x
     xi = substream(14, 2).standard_normal((n, R))
-    v1 = _values(items, *canonical_layout(base, x), xi=xi)
-    v2 = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
+    v1 = _values(items, canonical_layout(base, x), base, xi=xi)
+    v2 = _values(items, canonical_layout(base, x[:, perm]), base, xi=xi)
     for c in items:
         assert np.array_equal(v1[c.name], v2[c.name])
 
@@ -400,21 +384,19 @@ def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_batched_values_invariant_under_within_block_permutations(data):
-    """Any permutation of the coordinates, with the group labels permuted
-    alike, leaves every kernel value bit-identical: an equicorrelated model
-    is one block, and a grouped one has contiguous or interleaved labels."""
+    """Any permutation of the coordinates within each block leaves every
+    kernel value bit-identical: an equicorrelated model is one block of all
+    p coordinates, and a grouped one a block per group."""
     model, test, seed = _random_case(data, families=("equicorrelated", "grouped"))
     p, n = model.p, data.draw(st.integers(1, 16))
-    perm = substream(seed, 0).permutation(p)
-    relabeled = (Grouped(p, model.R, model.gamma, labels=model.labels[perm])
-                 if model.family == "grouped" else model)
+    perm = _within_blocks(model, substream(seed, 0))
     theta = np.zeros(p)
     theta[:data.draw(st.integers(0, p))] = data.draw(st.floats(-2.0, 2.0))
     x = sample(model, theta, substream(seed, 1), size=n).x
     items = test.constituents
     xi = substream(seed, 2).standard_normal((n, model.R)) if test.reads_decorrelated else None
-    values = _values(items, *canonical_layout(model, x), xi=xi)
-    permuted = _values(items, *canonical_layout(relabeled, x[:, perm]), xi=xi)
+    values = _values(items, canonical_layout(model, x), model, xi=xi)
+    permuted = _values(items, canonical_layout(model, x[:, perm]), model, xi=xi)
     for name in values:
         assert np.array_equal(values[name], permuted[name])
 

@@ -8,19 +8,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from corrdetect.errors import ContractError, SingularCovarianceError, UnsupportedRegimeError
+from corrdetect import models
+from corrdetect.errors import (
+    ContractError,
+    CorrdetectError,
+    SingularCovarianceError,
+    UnsupportedRegimeError,
+)
 from corrdetect.models import (
     Equicorrelated,
     Grouped,
+    Observation,
     RankOne,
+    canonical_layout,
+    check_family,
     covariance_apply,
     decorrelate,
     model_from,
     precision_apply,
     sample,
 )
+from corrdetect.procedures import build_test
 
 
 def dense_covariance(model) -> np.ndarray:
@@ -31,7 +43,7 @@ def dense_covariance(model) -> np.ndarray:
     if isinstance(model, Grouped):
         sigma = (1 - g) * np.eye(p)
         for k in range(model.R):
-            ind = (model.labels == k).astype(float)
+            ind = (np.arange(p) // model.block_size == k).astype(float)
             sigma += g * np.outer(ind, ind)
         return sigma
     return (1 - g) * np.eye(p) + g * np.outer(model.v, model.v)
@@ -41,10 +53,6 @@ class TestConstruction:
     def test_grouped_requires_divisibility(self):
         with pytest.raises(ContractError):
             Grouped(10, 3, 0.5)
-
-    def test_grouped_labels_must_balance(self):
-        with pytest.raises(ContractError):
-            Grouped(4, 2, 0.5, labels=np.array([0, 0, 0, 1]))
 
     def test_rank_one_normalization_enforced(self):
         with pytest.raises(ContractError):
@@ -77,6 +85,24 @@ class TestConstruction:
         # an integer beyond float range is refused as NaN and infinities are
         with pytest.raises(ContractError, match="gamma must lie in"):
             build(gamma)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Equicorrelated(16.5, 0.5),
+        lambda: Equicorrelated(math.nan, 0.5),
+        lambda: Equicorrelated(16.0, 0.5),
+        lambda: Grouped(16, 4.0, 0.5),
+        lambda: Grouped(16.0, 4, 0.5),
+        lambda: RankOne(16.0, 0.5, np.ones(16)),
+        lambda: build_test("equicorrelated", 8.0, 2, 0.5, mode="paper_constants", C=1.0),
+    ], ids=["equicorrelated-p", "equicorrelated-nan", "equicorrelated-float", "grouped-R",
+            "grouped-p", "rank-one-p", "build-test-p"])
+    def test_dimensions_must_be_integers(self, build):
+        with pytest.raises(ContractError, match="must be an integer"):
+            build()
+
+    def test_integer_types_are_dimensions(self):
+        assert Grouped(np.int64(16), np.int32(4), 0.5).block_size == 4
+        assert Equicorrelated(np.uint8(16), 0.5).p == 16
 
     def test_rank_one_leaves_caller_pattern_writeable(self):
         v = np.ones(16)
@@ -160,27 +186,25 @@ class TestSampler:
         for j in range(p):
             assert ks_2samp(x_grouped[:, j], x_iid[:, j]).pvalue > 0.001
 
-    @pytest.mark.parametrize("model,labels,loadings", [
+    @pytest.mark.parametrize("model,groups,loadings", [
         (Equicorrelated(12, 0.3), np.zeros(12, dtype=int), 1.0),
         (Grouped(12, 3, 0.4), np.repeat(np.arange(3), 4), 1.0),
-        (Grouped(12, 3, 0.4, labels=[2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]),
-         np.array([2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]), 1.0),
         (RankOne(12, 0.6, np.tile([1.0, -1.0], 6)), np.zeros(12, dtype=int),
          np.tile([1.0, -1.0], 6)),
         (RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)), np.zeros(12, dtype=int),
          RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)).v),
     ])
     @pytest.mark.parametrize("signal", [False, True])
-    def test_fixed_normals_follow_the_coordinatewise_formula(self, model, labels,
+    def test_fixed_normals_follow_the_coordinatewise_formula(self, model, groups,
                                                              loadings, signal):
-        # x_i = theta_i + sqrt(g) * w[label_i] * loading_i + sqrt(1 - g) * z_i,
+        # x_i = theta_i + sqrt(g) * w[group_i] * loading_i + sqrt(1 - g) * z_i,
         # bit for bit
         k, p, g = model.R, model.p, model.gamma
         normals = np.random.default_rng(4).standard_normal((5, k + p))
         w, z = normals[:, :k], normals[:, k:]
         theta = np.linspace(-1.0, 2.0, p) if signal else None
         want = ((0.0 if theta is None else theta)
-                + (np.sqrt(g) * w)[:, labels] * loadings + np.sqrt(1.0 - g) * z)
+                + (np.sqrt(g) * w)[:, groups] * loadings + np.sqrt(1.0 - g) * z)
         assert np.array_equal(sample(model, theta, normals=normals).x, want)
         assert np.array_equal(sample(model, theta, normals=normals[2]).x, want[2])
 
@@ -204,7 +228,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("model", [
         Equicorrelated(12, 0.3),
-        Grouped(12, 3, 0.4, labels=[2, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]),
+        Grouped(12, 3, 0.4),
         RankOne.renormalized(12, 0.6, np.linspace(0.5, 2.0, 12)),
     ])
     def test_theta_rows_equal_single_draws(self, model):
@@ -257,16 +281,6 @@ class TestDecorrelate:
         model = Equicorrelated(4, 1.0)
         with pytest.raises(UnsupportedRegimeError):
             decorrelate(model, np.zeros(4), np.random.default_rng(0))
-
-    def test_noncontiguous_groups_match_permuted_contiguous(self):
-        labels = np.array([1, 0, 1, 0, 0, 1])
-        model = Grouped(6, 2, 0.5, labels=labels)
-        x = np.random.default_rng(8).standard_normal(6)
-        out = decorrelate(model, x, np.random.default_rng(9))
-        order = np.argsort(labels, kind="stable")
-        contiguous = Grouped(6, 2, 0.5)
-        out_c = decorrelate(contiguous, x[order], np.random.default_rng(9))
-        assert np.allclose(out[order], out_c, rtol=0, atol=1e-12)
 
 
 class TestPrecision:
@@ -321,3 +335,102 @@ class TestPrecision:
     def test_singular_at_gamma_one(self):
         with pytest.raises(SingularCovarianceError):
             precision_apply(Equicorrelated(4, 1.0), np.ones(4))
+
+
+_MODEL = Grouped(4, 2, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decorrelate(_MODEL, np.ones(4)),  # neither rng nor xi
+    lambda: decorrelate(_MODEL, np.ones(4), xi=[0.0]),
+    lambda: precision_apply(_MODEL, 1.0),
+    lambda: covariance_apply(_MODEL, 1.0),
+    lambda: Observation(1.0, _MODEL),
+    lambda: canonical_layout(_MODEL, np.ones(3)),
+    lambda: sample(_MODEL, None, np.random.default_rng(0), size=2.5),
+    lambda: RankOne(4, 0.5, "abcd"),
+    lambda: RankOne.renormalized(4, 0.5, [1e200, 1, 1, 1]),  # no overflow warning first
+    lambda: check_family("grouped", w=3),
+], ids=["decorrelate-no-stream", "decorrelate-xi-list", "precision-0d", "covariance-0d",
+        "observation-0d", "canonical-layout-length", "sample-size", "rank-one-text",
+        "renormalized-overflow", "check-family-stray"])
+def test_bad_arguments_raise_contract_errors(call):
+    with pytest.raises(ContractError):
+        call()
+
+
+# Arguments for every entry point of ``models``: valid values, and bad
+# dimensions, gammas and arrays.  Huge integers go to the constructors only,
+# which allocate nothing p-sized before refusing them.
+_BAD_DIMS = [0, -3, 16.5, 4.0, math.nan, "8", None]
+_HUGE = [2 ** 70, 10 ** 30]
+_GAMMAS = st.sampled_from([0.0, 0.3, 1.0, -0.1, 1.5, math.nan, math.inf, 2 ** 70, "0.5", None])
+_SIZES = st.sampled_from([None, 0, 1, 3, -1, 2.5, math.nan, "2"])
+
+
+def _dims(huge=False):
+    return st.one_of(st.integers(1, 64), st.sampled_from(_BAD_DIMS + (_HUGE if huge else [])))
+
+
+def _arrays(p):
+    """p reals (one row, or two), or an array that is 0-d, of another length,
+    not real-valued or with an entry whose square overflows."""
+    good = st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p).map(np.array)
+    return st.one_of(good, st.sampled_from([
+        np.float64(1.0), np.ones(p + 1), np.ones((2, p)), np.r_[1e200, np.ones(p - 1)],
+        ["a"] * p, [None] * p, np.full(p, 1j), "abcd", None]))
+
+
+@st.composite
+def _valid_models(draw):
+    family = draw(st.sampled_from(["equicorrelated", "grouped", "rank_one"]))
+    p = draw(st.sampled_from([4, 12, 64]))
+    return model_from(family, p, draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      R=2 if family == "grouped" else None,
+                      v=np.ones(p) if family == "rank_one" else None)
+
+
+@st.composite
+def _calls(draw):
+    """One entry point and the arguments it is called with."""
+    model, q = draw(_valid_models()), draw(st.integers(1, 16))
+    p, rng = model.p, np.random.default_rng(0)
+
+    def maybe(strategy):
+        return draw(st.one_of(st.none(), strategy))
+
+    calls = {
+        "Equicorrelated": lambda: (Equicorrelated, draw(_dims(True)), draw(_GAMMAS)),
+        "Grouped": lambda: (Grouped, draw(_dims(True)), draw(_dims(True)), draw(_GAMMAS)),
+        "RankOne": lambda: (RankOne, draw(_dims(True)), draw(_GAMMAS), draw(_arrays(q))),
+        "RankOne.renormalized": lambda: (RankOne.renormalized, draw(_dims()), draw(_GAMMAS),
+                                         draw(_arrays(q))),
+        "Observation": lambda: (Observation, draw(_arrays(p)), model),
+        "check_family": lambda: (check_family, draw(st.sampled_from(
+            ["equicorrelated", "grouped", "rank_one", "independent", None, 3])),
+            {"R": maybe(_dims()), "v": maybe(_arrays(q))}),
+        "model_from": lambda: (model_from, draw(st.sampled_from(
+            ["equicorrelated", "grouped", "rank_one", "independent"])), draw(_dims(True)),
+            draw(_GAMMAS), {"R": maybe(_dims(True)), "v": maybe(_arrays(q))}),
+        "canonical_layout": lambda: (canonical_layout, model, draw(_arrays(p))),
+        "sample": lambda: (sample, model, maybe(_arrays(p)), maybe(st.just(rng)),
+                           {"size": draw(_SIZES), "normals": maybe(_arrays(model.R + p))}),
+        "decorrelate": lambda: (decorrelate, model, draw(_arrays(p)), maybe(st.just(rng)),
+                                {"xi": maybe(_arrays(model.R))}),
+        "precision_apply": lambda: (precision_apply, model, draw(_arrays(p))),
+        "covariance_apply": lambda: (covariance_apply, model, draw(_arrays(p))),
+    }
+    assert set(calls) >= set(models.__all__) - {"CorrelationModel"}  # a type, not a call
+    f, *args = calls[draw(st.sampled_from(sorted(calls)))]()
+    kwargs = args.pop() if args and isinstance(args[-1], dict) else {}
+    return f, args, kwargs
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_calls())
+def test_every_entry_point_returns_or_raises_a_package_error(call):
+    f, args, kwargs = call
+    try:
+        f(*args, **kwargs)
+    except CorrdetectError:
+        pass

@@ -4,8 +4,7 @@ The Monte Carlo route forms each pair term from the two supports alone
 (``divergences._pair_terms``).  Here it must equal the dense form
 <theta, Sigma^-1 theta~> for random priors (every sign rule, with and
 without a universe, single groups and whole groups, p <= 64) under random
-models (interleaved group labels and rank-one patterns that are not sign
-patterns included).
+models (rank-one patterns that are not sign patterns included).
 """
 
 import numpy as np
@@ -57,19 +56,14 @@ def priors(draw, p):
 
 @st.composite
 def models(draw, p):
-    kind = draw(st.sampled_from(["equicorrelated", "grouped", "interleaved",
-                                 "sign_pattern", "rank_one"]))
+    kind = draw(st.sampled_from(["equicorrelated", "grouped", "sign_pattern", "rank_one"]))
     gamma = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
     if kind == "equicorrelated":
         return Equicorrelated(p, gamma)
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
-    if kind in ("grouped", "interleaved"):
-        R = draw(st.sampled_from(_divisors(p)))
-        labels = None
-        if kind == "interleaved":
-            labels = rng.permutation(np.repeat(np.arange(R), p // R))
-        return Grouped(p, R, gamma, labels=labels)
+    if kind == "grouped":
+        return Grouped(p, draw(st.sampled_from(_divisors(p))), gamma)
     if kind == "sign_pattern":
         return RankOne(p, gamma, rng.choice([-1.0, 1.0], size=p))
     return RankOne.renormalized(p, gamma, rng.standard_normal(p) + 0.1)

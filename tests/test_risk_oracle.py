@@ -43,10 +43,6 @@ def _centred_energy(theta, members, loadings):
                      for m in members])
 
 
-def _groups(labels):
-    return [np.flatnonzero(labels == g) for g in range(labels.max() + 1)]
-
-
 def _check(rate, se, exact):
     assert abs(rate - exact) <= 4.0 * se, (rate, exact, se)
 
@@ -74,16 +70,16 @@ def test_equicorrelated_chisq_under_a_signal_and_a_plus_sign_prior():
                 chi2.sf(c.threshold, p), [exact_ii, exact_ii], seed=7)
 
 
-def test_grouped_chisq_with_interleaved_labels_and_a_calibrated_threshold():
+def test_grouped_chisq_with_a_signal_in_every_group_and_a_calibrated_threshold():
     p, R, gamma = 64, 4, 0.3
     test = build_test("grouped", p, 16, gamma, R=R, mode="calibrated", eta=0.4,
                       n_cal=4000, rng=substream(5, 0))
     [c] = [c for c in test.constituents if c.kind == "chisq"]
     one = dataclasses.replace(test, constituents=(c,))
-    labels = np.arange(p) % R
-    theta = np.r_[np.full(16, 0.5), np.zeros(p - 16)]  # four entries per group
-    lam = _centred_energy(theta, _groups(labels), np.ones(p)).sum() / (1.0 - gamma)
-    _check_risk(one, Grouped(p, R, gamma, labels=labels), [PointMass(theta)],
+    groups = np.arange(p).reshape(R, p // R)
+    theta = np.where(np.arange(p) % (p // R) < 4, 0.5, 0.0)  # four entries per group
+    lam = _centred_energy(theta, groups, np.ones(p)).sum() / (1.0 - gamma)
+    _check_risk(one, Grouped(p, R, gamma), [PointMass(theta)],
                 chi2.sf(c.threshold, p), [ncx2.cdf(c.threshold, p, lam)], seed=8)
 
 

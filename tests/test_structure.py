@@ -16,12 +16,12 @@ omega(v) of their own, and the acceptance module's ``_certificate_prior``
 only delegates to ``risk.certificate_prior``: it neither branches nor names a
 prior class.  ``divergences._log_sum_exp`` is the only log-sum-exp.  No
 module imports a name it does not use, and every defaulted parameter of a
-``src`` function is passed by some call, other than those an interface's
-signature fixes.  The runtime needs numpy only: no module imports
-scipy, eagerly or on first use.  The acceptance module, which the benchmark
-loads as its grid table, imports neither scipy nor pytest when it is loaded,
-and building every grid cell's alternatives and certificate prior does not
-load ``numpy.ma``."""
+``src`` function, and every defaulted dataclass or ``NamedTuple`` field, is
+passed by some call, other than those an interface's signature fixes.  The
+runtime needs numpy only: no module imports scipy, eagerly or on first use.
+The acceptance module, which the benchmark loads as its grid table, imports
+neither scipy nor pytest when it is loaded, and building every grid cell's
+alternatives and certificate prior does not load ``numpy.ma``."""
 
 import ast
 import os
@@ -364,15 +364,60 @@ INTERFACE_DEFAULTS = {"streams._Seeds.generate_state(dtype)", "statistics._chisq
                       "statistics._chisq(params)"}
 
 
+def _field_keywords(node) -> dict:
+    """The keywords of a ``field(...)`` value, or None for another value."""
+    value = node.value
+    if isinstance(value, ast.Call) and _called(value.func) == "field":
+        return {kw.arg: kw.value for kw in value.keywords}
+    return None
+
+
+def _init_field(node) -> bool:
+    """A class-body ``name: annotation [= value]`` that ``__init__`` takes:
+    not a ``ClassVar`` and not ``field(init=False)``."""
+    if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+        return False
+    annotation = node.annotation
+    init = (_field_keywords(node) or {}).get("init")
+    return (_called(getattr(annotation, "value", annotation)) != "ClassVar"
+            and not (isinstance(init, ast.Constant) and init.value is False))
+
+
+def _has_default(node) -> bool:
+    keywords = _field_keywords(node)
+    if keywords is None:
+        return node.value is not None
+    return "default" in keywords or "default_factory" in keywords
+
+
+def _defaulted_fields(scope) -> list:
+    """``_defaulted_params`` entries of a dataclass or ``NamedTuple`` class's
+    defaulted fields (a value other than ``field(...)``, or a ``field`` with
+    a default or a default factory): the class is called by its name, or by
+    ``dataclasses.replace`` with the field by name.  Positions count the
+    class's own ``__init__`` fields in order (no field is inherited in
+    ``src``)."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in scope.decorator_list]
+    if not ("dataclass" in map(_called, decorators)
+            or "NamedTuple" in map(_called, scope.bases)):
+        return []
+    fields = [node for node in scope.body if _init_field(node)]
+    return [(scope.name, (scope.name, "replace"), node, index, node.target.id)
+            for index, node in enumerate(fields) if _has_default(node)]
+
+
 def _defaulted_params(tree) -> list:
-    """(name, callee, definition, positional index or None, parameter) for
-    each defaulted parameter of a module-level function or method; a method's
-    index counts from its first argument after ``self``, and ``__init__`` is
-    called by its class name."""
+    """(name, callees, definition, positional index or None, parameter) for
+    each defaulted parameter of a module-level function or method, and each
+    defaulted dataclass or ``NamedTuple`` field; a method's index counts from
+    its first argument after ``self``, and ``__init__`` is called by its
+    class name."""
     out = []
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.Module, ast.ClassDef)):
             continue
+        if isinstance(scope, ast.ClassDef):
+            out += _defaulted_fields(scope)
         for node in scope.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
@@ -383,9 +428,9 @@ def _defaulted_params(tree) -> list:
             callee = scope.name if node.name == "__init__" else node.name
             positional = node.args.posonlyargs + node.args.args
             first = len(positional) - len(node.args.defaults)
-            out += [(name, callee, node, i - method, arg.arg)
+            out += [(name, (callee,), node, i - method, arg.arg)
                     for i, arg in enumerate(positional) if i >= first]
-            out += [(name, callee, node, None, arg.arg)
+            out += [(name, (callee,), node, None, arg.arg)
                     for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                     if default is not None]
     return out
@@ -393,11 +438,14 @@ def _defaulted_params(tree) -> list:
 
 def _calls(tree):
     """(call, callee name, positional args, keywords); ``partial(f, ...)``
-    counts as a call of ``f``."""
+    counts as a call of ``f``, and ``replace(obj, ...)`` passes only its
+    keywords."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             if _called(node.func) == "partial" and node.args:
                 yield node, _called(node.args[0]), node.args[1:], node.keywords
+            elif _called(node.func) == "replace":
+                yield node, "replace", node.args[1:], node.keywords
             else:
                 yield node, _called(node.func), node.args, node.keywords
 
@@ -412,14 +460,15 @@ def _passes(args, keywords, index, param) -> bool:
 def _unpassed_defaults(defining: dict, calling: list) -> list:
     """``module.function(parameter)`` for each defaulted parameter of the
     ``defining`` trees ({module: tree}) that no call in the ``calling`` trees
-    passes, calls from inside the function itself aside.  Calls are matched
-    by the function's bare name, so a namesake's call counts as a use."""
+    passes, calls from inside the function itself aside, and
+    ``module.Class(field)`` for each such field.  Calls are matched by the
+    bare name, so a namesake's call counts as a use."""
     calls = [found for tree in calling for found in _calls(tree)]
     unpassed = []
     for module, tree in defining.items():
-        for name, callee, node, index, param in _defaulted_params(tree):
+        for name, callees, node, index, param in _defaulted_params(tree):
             own = {id(sub) for sub in ast.walk(node)}
-            if not any(called == callee and id(call) not in own
+            if not any(called in callees and id(call) not in own
                        and _passes(args, keywords, index, param)
                        for call, called, args, keywords in calls):
                 unpassed.append(f"{module}.{name}({param})")
@@ -453,6 +502,33 @@ def test_default_guard_sees_every_form():
     assert _unpassed_defaults({"mod": form}, [form]) == [
         "mod.f(b)", "mod.f(c)", "mod.g(b)", "mod.g(c)", "mod.g(d)", "mod.g(e)",
         "mod.K.__init__(a)", "mod.K.__init__(b)", "mod.K.m(a)", "mod.K.m(b)", "mod.K.s(a)"]
+
+
+def test_default_guard_sees_every_field_form():
+    form = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    kind: ClassVar[str] = 'd'\n"
+        "    a: int\n"
+        "    derived: int = field(init=False)\n"
+        "    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(default=2, repr=False)\n"
+        "    e: int = 3\n"
+        "    f: int = 4\n"
+        "class T(NamedTuple):\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = 2\n"
+        "class Plain:\n"
+        "    a: int = 1\n"
+        "def g(d=1):\n    pass\n")
+    calls = ast.parse("D(0, 1)\nD(0, c=[])\nreplace(x, d=5)\npartial(D, 0, 1, 2, 3, 4)\n"
+                      "T(0, *xs)\n")
+    assert _unpassed_defaults({"mod": form}, [form, calls]) == ["mod.g(d)", "mod.D(f)"]
+    assert _unpassed_defaults({"mod": form}, [form]) == [
+        "mod.g(d)", "mod.D(b)", "mod.D(c)", "mod.D(d)", "mod.D(e)", "mod.D(f)", "mod.T(b)",
+        "mod.T(c)"]
 
 
 def _is_scipy(name) -> bool:
