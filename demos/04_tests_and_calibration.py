@@ -1,9 +1,11 @@
 """Building tests: paper-form constants versus Monte Carlo calibration.
 
-Closed-form thresholds guarantee the error budget but with very conservative
-constants; calibrating each constituent to its exact null quantile keeps the
-statistic and threshold shapes while making desk-scale experiments
-informative.  Both modes share identical statistic plans.
+Closed-form thresholds fix the order of each threshold through one constant
+C, not its level: at C = 3 they are conservative for single-random-effect
+plans and far too low for grouped ones.  Calibrating each constituent to its
+exact null quantile keeps the statistic and threshold shapes while holding
+the error budget.  Both modes share identical statistic plans, and a test
+evaluates plain data vectors of the model it was built for.
 """
 
 import math

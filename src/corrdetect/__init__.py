@@ -18,7 +18,6 @@ from .models import (
     CorrelationModel,
     Equicorrelated,
     Grouped,
-    Observation,
     RankOne,
     covariance_apply,
     decorrelate,
@@ -31,6 +30,6 @@ __all__ = [
     "CorrdetectError", "DomainError", "ContractError", "SingularCovarianceError",
     "UnsupportedRegimeError", "CalibrationError", "ConfigError",
     "alpha", "laurent_massart_upper", "thresholded_sum_tail_bound",
-    "Equicorrelated", "Grouped", "RankOne", "CorrelationModel", "Observation",
+    "Equicorrelated", "Grouped", "RankOne", "CorrelationModel",
     "sample", "decorrelate", "precision_apply", "covariance_apply",
 ]

@@ -1,4 +1,4 @@
-"""Observation models: equicorrelated, grouped random effects, rank-one.
+"""Noise models: equicorrelated, grouped random effects, rank-one.
 
 All three noise laws share the additive structure
 
@@ -10,11 +10,12 @@ pattern ``v`` with ||v||^2 = p.  Samplers always use this representation (cost
 O(p) per draw, exact at gamma = 1), never a covariance factorization.
 
 Every model is k = ``R`` blocks of p/k consecutive coordinates with one
-shared factor each (``block_view``, ``scatter_blocks``): block j holds the
-coordinates j p/k to (j + 1) p/k - 1.  A coordinate permutation does not
-change the detection problem, so where each group sits is immaterial.  The
-equicorrelated model is the grouped model with R = 1; the rank-one model is
-also a single block, with loadings ``v`` and no exchangeable order.
+shared factor each (``block_view``, ``scatter_blocks``, defined once from
+R): block j holds the coordinates j p/k to (j + 1) p/k - 1.  A coordinate
+permutation does not change the detection problem, so where each group sits
+is immaterial.  The equicorrelated model is the grouped model with R = 1;
+the rank-one model is also a single block, with loadings ``v`` and no
+exchangeable order.
 :func:`model_from` maps a family name to its model.  Each model owns its
 block algebra: ``project`` maps blocks (..., k, p/k) to their inner products
 with the loadings (..., k), ``project_support`` does the same for vectors
@@ -42,10 +43,12 @@ the decorrelated blocks come out sorted too, so the evaluation kernel sums
 them without sorting again.  Rank-one data has no exchangeable block and
 keeps its layout.
 
-Arguments are checked on entry: a dimension (p, R or a sample size) must be
-an integer that ``operator.index`` accepts, gamma a real number in [0, 1],
-and every array real-valued with the model's length on its last axis.  A
-violation raises :class:`ContractError`.
+Data are plain arrays, rows of length p; the model they are drawn from or
+tested under is passed beside them, never attached to them.  Arguments are
+checked on entry: a dimension (p, R or a sample size) must be an integer that
+``operator.index`` accepts, gamma a real number in [0, 1], and every array
+real-valued with the model's length on its last axis.  A violation raises
+:class:`ContractError`.
 
 Random stream layout.  A draw consumes k shared factors and then p noise
 coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
@@ -76,7 +79,6 @@ __all__ = [
     "Grouped",
     "RankOne",
     "CorrelationModel",
-    "Observation",
     "check_family",
     "model_from",
     "canonical_layout",
@@ -128,9 +130,23 @@ def _check_length(a: np.ndarray, p: int, what: str) -> None:
 
 
 class _Blocks:
-    """Blocks that load with weight 1 on their factor and may be sorted."""
+    """k = ``R`` blocks of p/k consecutive coordinates that load with weight 1
+    on their factor and may be sorted."""
 
     exchangeable = True
+
+    @property
+    def block_size(self) -> int:
+        return self.p // self.R
+
+    def block_view(self, x: np.ndarray) -> np.ndarray:
+        """Reshape ``x`` (last axis p) into (..., k, p/k) blocks."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape(x.shape[:-1] + (self.R, self.block_size))
+
+    def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`block_view`."""
+        return blocks.reshape(blocks.shape[:-2] + (self.p,))
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Blocks (..., k, p/k) to their inner products with the loadings."""
@@ -145,18 +161,6 @@ class _SingleBlock(_Blocks):
     """A model whose p coordinates form one block, with one shared factor."""
 
     R = 1
-
-    @property
-    def block_size(self) -> int:
-        return self.p
-
-    def block_view(self, x: np.ndarray) -> np.ndarray:
-        """``x`` (last axis p) as (..., 1, p): all coordinates form one block."""
-        return np.asarray(x, dtype=float)[..., None, :]
-
-    def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`block_view`."""
-        return blocks[..., 0, :]
 
     def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """:meth:`project` of the vectors that hold ``values`` at the
@@ -192,7 +196,6 @@ class Grouped(_Blocks):
     p: int
     R: int
     gamma: float
-    _block_shape: tuple = field(init=False, repr=False)  # (R, p/R)
 
     def __post_init__(self):
         _check_count(self.p, "p", 1)
@@ -200,20 +203,6 @@ class Grouped(_Blocks):
         if self.p % self.R != 0:
             raise ContractError(f"R must divide p, got R={self.R}, p={self.p}")
         _check_gamma(self.gamma)
-        object.__setattr__(self, "_block_shape", (self.R, self.p // self.R))
-
-    @property
-    def block_size(self) -> int:
-        return self.p // self.R
-
-    def block_view(self, x: np.ndarray) -> np.ndarray:
-        """Reshape ``x`` (last axis p) into (..., R, p/R) blocks."""
-        x = np.asarray(x, dtype=float)
-        return x.reshape(x.shape[:-1] + self._block_shape)
-
-    def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`block_view`."""
-        return blocks.reshape(blocks.shape[:-2] + (self.p,))
 
     def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-group sums of sparse rows: one weighted bincount over the
@@ -314,19 +303,6 @@ def model_from(family: str, p: int, gamma: float, R: Optional[int] = None,
     return RankOne(p, gamma, v)
 
 
-@dataclass(frozen=True, eq=False, slots=True)  # slots: one is built per replication
-class Observation:
-    """A data vector (or batch of vectors) with its generating model."""
-
-    x: np.ndarray
-    model: CorrelationModel
-
-    def __post_init__(self):
-        x = _real(self.x, "observation")
-        _check_length(x, self.model.p, "observation")
-        object.__setattr__(self, "x", x)
-
-
 # Batched kernels (null calibration, Monte Carlo divergences) work in blocks
 # of at most this many data entries, ``_BLOCK_ELEMENTS // p`` rows of length p:
 # a fixed budget, so block boundaries never depend on the worker count.
@@ -352,16 +328,16 @@ def canonical_layout(model: CorrelationModel, x) -> np.ndarray:
 
 
 def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = None,
-           size: Optional[int] = None, *, normals: Optional[np.ndarray] = None) -> Observation:
+           size: Optional[int] = None, *, normals: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw from the model via its additive random-effect representation.
 
     ``theta`` may be None (the null), one vector (p,) shared by every draw,
-    or rows (n, p), one per draw of a batch of n.  With ``size`` given,
-    returns a batch of shape (size, p).  The shared factor(s) are drawn
-    before the idiosyncratic noise, so a fixed stream reproduces
-    bit-identical observations.  Instead of ``rng``, ``normals`` (rows of
-    k = R factors then p noise coordinates) supplies the standard normals
-    for one draw per row.
+    or rows (n, p), one per draw of a batch of n.  Returns the draw, an array
+    of shape (p,), or with ``size`` given a batch of shape (size, p).  The
+    shared factor(s) are drawn before the idiosyncratic noise, so a fixed
+    stream reproduces bit-identical draws.  Instead of ``rng``, ``normals``
+    (rows of k = R factors then p noise coordinates) supplies the standard
+    normals for one draw per row.
     """
     p, k = model.p, model.R
     if size is not None:
@@ -399,7 +375,7 @@ def sample(model: CorrelationModel, theta, rng: Optional[np.random.Generator] = 
     # (theta + shared) + noise, summed into the noise (addition commutes exactly)
     x = math.sqrt(1.0 - model.gamma) * model.block_view(z)
     x += theta + model.lift(math.sqrt(model.gamma) * w)
-    return Observation(x=model.scatter_blocks(x), model=model)
+    return model.scatter_blocks(x)
 
 
 def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] = None,
@@ -412,19 +388,19 @@ def decorrelate(model: CorrelationModel, x, rng: Optional[np.random.Generator] =
     (theta minus its projection on the correlation direction(s)) over
     sqrt(1-gamma); the output covariance is the identity.
 
-    ``x`` has shape (..., p), or is an :class:`Observation`.  The k
-    injections per row are drawn from ``rng`` or given as ``xi`` of shape
-    (..., k); one of the two is needed.  The projections on the loadings are
-    plain sums in the given layout; for sorted blocks
-    (:func:`canonical_layout`) the output is bit-identical under within-block
-    permutations, and its blocks are sorted too.
+    ``x`` is an array of shape (..., p).  The k injections per row are drawn
+    from ``rng`` or given as ``xi`` of shape (..., k); one of the two is
+    needed.  The projections on the loadings are plain sums in the given
+    layout; for sorted blocks (:func:`canonical_layout`) the output is
+    bit-identical under within-block permutations, and its blocks are sorted
+    too.
 
     Requires gamma < 1; the perfectly correlated case has its own noiseless
     test path.
     """
     if model.gamma >= 1.0:
         raise UnsupportedRegimeError("decorrelate requires gamma < 1 (use the noiseless path)")
-    x = _real(x.x if isinstance(x, Observation) else x, "data")
+    x = _real(x, "data")
     _check_length(x, model.p, "data")
     shape = x.shape[:-1] + (model.R,)
     if xi is not None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import omega as pattern_omega
-from .models import check_family
+from .models import _check_count, _check_gamma, _pattern, check_family
 
 __all__ = [
     "RateResult",
@@ -59,24 +59,27 @@ class RateResult:
 
 
 def _check_ps(p: int, s: int) -> None:
-    if p < 1 or not (1 <= s <= p):
+    """Refuse a dimension or sparsity that is not an integer with 1 <= s <= p."""
+    _check_count(p, "p", 1)
+    _check_count(s, "s", 1)
+    if s > p:
         raise ContractError(f"need 1 <= s <= p, got s={s}, p={p}")
 
 
-def _cell(p: int, s: int, gamma: float, R: Optional[int] = None,
-          v: Optional[np.ndarray] = None):
-    """Refuse a cell outside the domain of the rates."""
+def _cell(p: int, s: int, gamma: float, R: Optional[int] = None) -> None:
+    """Refuse a cell outside the domain of the rates, by the rules of
+    ``models``."""
     _check_ps(p, s)
-    if R is not None and (R < 1 or p % R != 0):
-        raise ContractError(f"R must divide p, got R={R}, p={p}")
-    if v is not None and v.shape != (p,):
-        raise ContractError(f"the pattern v must have length p={p}, got shape {v.shape}")
-    if not (0.0 <= gamma <= 1.0):
-        raise ContractError("gamma must lie in [0, 1]")
+    _check_gamma(gamma)
+    if R is not None:
+        _check_count(R, "R", 1)
+        if p % R != 0:
+            raise ContractError(f"R must divide p, got R={R}, p={p}")
 
 
 def psi1_sq(p: int, s: int, gamma: float) -> float:
     """Centered-component squared rate: the sparse/dense base branch."""
+    _cell(p, s, gamma)
     if s < math.sqrt(p):
         return (1.0 - gamma) * s * math.log1p(p / s ** 2)
     return (1.0 - gamma) * math.sqrt(p)
@@ -165,8 +168,8 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     explicit uncharacterized verdict, not a number.  At gamma = 1 the rate is
     0 below the pattern's support size and p at or above it.
     """
-    v = np.asarray(v, dtype=float)
-    _cell(p, s, gamma, v=v)
+    _cell(p, s, gamma)
+    v, _ = _pattern(v, p)
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))

@@ -13,8 +13,11 @@ null calibration.  Each replication's stream is read in the order a lone
 replication reads it: the prior draw (for a prior), then the k + p standard
 normals of its ``sample`` row, then the k injections its ``evaluate`` call
 draws.  A block makes one ``sample`` call on its rows of normals (with one
-theta row per replication for a prior), then one ``evaluate`` call per row,
-so every verdict equals the per-replication loop's bit for bit.
+theta row per replication for a prior), then one ``evaluate`` call per row
+of the drawn array, so every verdict equals the per-replication loop's bit
+for bit.  Replications are drawn from the test's own model
+(``TestProcedure.model``); ``estimate_risk`` checks the model it is given
+against it once per call, not once per replication.
 
 A sweep cell is the unit of risk work: type I error does not depend on the
 separation multiplier, so ``run_sweep`` makes one ``estimate_risk`` call per
@@ -54,7 +57,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import _BLOCK_ELEMENTS, Observation, check_family, model_from, sample
+from .models import _BLOCK_ELEMENTS, check_family, model_from, sample
 from .procedures import TestProcedure, _check_mode, build_test, evaluate
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -124,11 +127,12 @@ def _alt_key(alt) -> str:
     return "prior:" + json.dumps(alt.descriptor(), sort_keys=True)
 
 
-def _reject_count_chunk(test, model, master_seed, cell_id, alt, kind, alt_code,
+def _reject_count_chunk(test, master_seed, cell_id, alt, kind, alt_code,
                         start, stop) -> int:
     # the null and fixed signals keep one theta; a prior is redrawn per replication
     prior = alt is not None and not isinstance(alt, SignalSpec)
     theta = None if alt is None or prior else alt.theta
+    model = test.model
     p, k = model.p, model.R
     rows = max(1, _BLOCK_ELEMENTS // p)
     count = 0
@@ -145,9 +149,9 @@ def _reject_count_chunk(test, model, master_seed, cell_id, alt, kind, alt_code,
             if prior:
                 theta[j] = draw_prior(alt, rng, v=getattr(model, "v", None))
             rng.standard_normal(out=normals[j])
-        x = sample(model, theta, normals=normals).x
+        x = sample(model, theta, normals=normals)
         for xj, rng in zip(x, rngs):
-            if evaluate(test, Observation(xj, model), rng).reject:
+            if evaluate(test, xj, rng).reject:
                 count += 1
     return count
 
@@ -161,8 +165,14 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
     ``alternatives`` mixes fixed SignalSpec vectors (evaluated as-is every
     replication) and PriorSpec distributions (redrawn per replication).
     Null and alternative replications use disjoint derived streams; an
-    alternative listed twice is simulated once.
+    alternative listed twice is simulated once.  Replications are drawn from
+    the test's model; ``model`` must describe it (equal ``descriptor()``:
+    family, p, gamma, R and the pattern, exactly), or the call is refused
+    before anything is drawn.
     """
+    if model.descriptor() != test.model.descriptor():
+        raise ContractError("the model does not match the test's model in family, "
+                            "p, gamma, R or pattern")
     if not alternatives:
         raise ContractError("alternatives must be nonempty")
     if n_reps < MIN_N_REPS:
@@ -195,7 +205,7 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
             (alt, kind, code, a, min(a + chunk, n_reps))
             for alt, kind, code in units for a in range(0, n_reps, chunk)))
         mapper = map if executor is None else executor.map
-        counter = partial(_reject_count_chunk, test, model, master_seed, cell_id)
+        counter = partial(_reject_count_chunk, test, master_seed, cell_id)
         for kind, code, count in zip(kinds, codes,
                                      mapper(counter, alts, kinds, codes, starts, stops)):
             counts[(kind, code)] += count

@@ -91,12 +91,12 @@ def check_tail_thresholds(seed):
 
 def check_samplers(seed):
     rng = substream(seed, 103)
-    x = sample(Equicorrelated(8, 0.0), None, rng, size=20_000).x
+    x = sample(Equicorrelated(8, 0.0), None, rng, size=20_000)
     _check(np.all(np.abs(x.var(axis=0) - 1) < 0.05), "gamma=0 variances")
-    x2 = sample(Equicorrelated(2, 0.5), None, rng, size=50_000).x
+    x2 = sample(Equicorrelated(2, 0.5), None, rng, size=50_000)
     corr = np.corrcoef(x2[:, 0], x2[:, 1])[0, 1]
     _check(abs(corr - 0.5) < 0.02, f"pair correlation {corr}")
-    x3 = sample(Equicorrelated(3, 1.0), None, rng, size=100).x
+    x3 = sample(Equicorrelated(3, 1.0), None, rng, size=100)
     _check(np.all(x3[:, 0] == x3[:, 1]) and np.all(x3[:, 0] == x3[:, 2]),
            "gamma=1 coordinates must coincide")
 
@@ -104,7 +104,7 @@ def check_samplers(seed):
 def check_decorrelation(seed):
     rng = substream(seed, 104)
     model = Grouped(24, 4, 0.75)
-    x = sample(model, None, rng, size=30_000).x
+    x = sample(model, None, rng, size=30_000)
     xt = decorrelate(model, x, rng)
     n = x.shape[0]
     _check(np.all(np.abs(xt.mean(axis=0)) <= 4 / math.sqrt(n)), "decorrelated means")
@@ -191,14 +191,14 @@ def check_statistics(seed):
     theta = np.zeros(16); theta[4:6] = 6.0
     hits = 0
     for _ in range(400):
-        x = sample(model, theta, rng).x
+        x = sample(model, theta, rng)
         xt = decorrelate(model, x, rng)
         hits += stats.scan(model.block_view(xt), "chisq").aux["argmax"] == 1
     _check(hits >= 396, f"argmax hits {hits}/400")
     m1 = Equicorrelated(4, 1.0)
-    _check(stats.noiseless_residual(sample(m1, None, rng).x, m1).value == 0.0,
+    _check(stats.noiseless_residual(sample(m1, None, rng), m1).value == 0.0,
            "noiseless null")
-    x = sample(m1, np.array([1.0, 0, 0, 0]), rng).x
+    x = sample(m1, np.array([1.0, 0, 0, 0]), rng)
     _close(stats.noiseless_residual(x, m1).value, 0.75, rel=1e-9)
 
 
@@ -226,9 +226,9 @@ def check_procedures(seed):
                     math.sqrt(m * q * (1 - q) / 4000))
     _check(rate <= 0.05 + 3 * se, f"null rejection {rate}")
     paper = build_test("equicorrelated", 48, 40, 0.5, mode="paper_constants", C=4.0)
-    obs = sample(model, None, substream(seed, 111))
-    v1 = evaluate(paper, obs, substream(seed, 112)).values
-    v2 = evaluate(cal, obs, substream(seed, 112)).values
+    x = sample(model, None, substream(seed, 111))
+    v1 = evaluate(paper, x, substream(seed, 112)).values
+    v2 = evaluate(cal, x, substream(seed, 112)).values
     _check(v1 == v2, "modes must share statistic values")
 
 

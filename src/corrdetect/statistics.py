@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .gaussian import alpha
-from .models import CorrelationModel, Observation
+from .models import CorrelationModel, _real
 
 __all__ = [
     "StatisticValue", "Reduction", "REDUCTIONS", "KINDS", "value", "resolved", "profile_input",
@@ -190,7 +190,7 @@ KINDS = {
 
 
 def _data(z) -> np.ndarray:
-    z = z.x if isinstance(z, Observation) else np.asarray(z, dtype=float)
+    z = _real(z, "data")
     if z.ndim < 1:
         raise ContractError("statistics need a coordinate axis")
     return z

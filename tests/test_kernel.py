@@ -17,7 +17,6 @@ from corrdetect.gaussian import alpha
 from corrdetect.models import (
     Equicorrelated,
     Grouped,
-    Observation,
     RankOne,
     canonical_layout,
     decorrelate,
@@ -110,7 +109,7 @@ def test_block_calibration_matches_sequential_replications(case):
     ref_rng = substream(11, 3)
     values = {name: np.empty(n_cal) for name, _, _ in plans}
     for i in range(n_cal):
-        x = sample(model, None, ref_rng).x
+        x = sample(model, None, ref_rng)
         xt = decorrelate(model, x, ref_rng) if model.gamma < 1.0 else None
         for name, fn in reference.items():
             values[name][i] = fn(x, xt, model)
@@ -128,7 +127,7 @@ def test_kernel_is_the_public_statistic_on_canonical_input(case):
     items = _records(plans)
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
-    x = canonical_layout(model, sample(model, theta, substream(11, 4), size=n).x)
+    x = canonical_layout(model, sample(model, theta, substream(11, 4), size=n))
     xi = substream(11, 5).standard_normal((n, k))
     xt = decorrelate(model, x, xi=xi) if model.gamma < 1.0 else [None] * n
     kernel = _values(items, x, model, xi=xi)
@@ -195,7 +194,7 @@ def test_kernel_matches_plain_numpy_formulas(case):
     items = _records(plans)
     n, k = 30, model.R
     theta = np.where(np.arange(P) < 6, 1.5, 0.0)
-    x = sample(model, theta, substream(11, 4), size=n).x
+    x = sample(model, theta, substream(11, 4), size=n)
     xi = substream(11, 5).standard_normal((n, k))
     xt = decorrelate(model, x, xi=xi) if model.gamma < 1.0 else None
     kernel = _values(items, canonical_layout(model, x), model, xi=xi)
@@ -287,13 +286,13 @@ def test_rows_evaluate_alone_as_in_the_batch(family, s, gamma, R):
     items = test.constituents
     n, k = 40, model.R
     theta = np.where(np.arange(64) < 6, 1.5, 0.0)
-    x = sample(model, theta, substream(13, 0), size=n).x
+    x = sample(model, theta, substream(13, 0), size=n)
     xi = substream(13, 1).standard_normal((n, k))
     batch = _values(items, canonical_layout(model, x), model, xi=xi)
     for i in range(n):
         single = _values(items, canonical_layout(model, x[i:i + 1]), model, xi=xi[i:i + 1])
         # evaluate draws the row's injections from its stream
-        verdict = evaluate(test, Observation(x[i], model), substream(13, 2, i))
+        verdict = evaluate(test, x[i], substream(13, 2, i))
         injections = substream(13, 2, i).standard_normal((1, k))
         alone = _values(items, canonical_layout(model, x[i:i + 1]), model, xi=injections)
         for c in items:
@@ -343,8 +342,8 @@ def test_kernel_rows_equal_single_evaluate_calls(data):
     n = data.draw(st.integers(1, 64))
     theta = np.zeros(model.p)
     theta[:data.draw(st.integers(0, model.p))] = data.draw(st.floats(-2.0, 2.0))
-    x = sample(model, theta, substream(seed, 0), size=n).x
-    verdicts = [evaluate(test, Observation(x[i], model), substream(seed, 1, i))
+    x = sample(model, theta, substream(seed, 0), size=n)
+    verdicts = [evaluate(test, x[i], substream(seed, 1, i))
                 for i in range(n)]
     items = test.constituents
     # the injections each evaluate call drew from its stream
@@ -373,7 +372,7 @@ def test_batched_values_invariant_under_group_relabeling(p, s, gamma, R, n):
     items = test.constituents
     base = Grouped(p, R, gamma)
     perm = _within_blocks(base, substream(14, 0))
-    x = sample(base, None, substream(14, 1), size=n).x
+    x = sample(base, None, substream(14, 1), size=n)
     xi = substream(14, 2).standard_normal((n, R))
     v1 = _values(items, canonical_layout(base, x), base, xi=xi)
     v2 = _values(items, canonical_layout(base, x[:, perm]), base, xi=xi)
@@ -392,7 +391,7 @@ def test_batched_values_invariant_under_within_block_permutations(data):
     perm = _within_blocks(model, substream(seed, 0))
     theta = np.zeros(p)
     theta[:data.draw(st.integers(0, p))] = data.draw(st.floats(-2.0, 2.0))
-    x = sample(model, theta, substream(seed, 1), size=n).x
+    x = sample(model, theta, substream(seed, 1), size=n)
     items = test.constituents
     xi = substream(seed, 2).standard_normal((n, model.R)) if test.reads_decorrelated else None
     values = _values(items, canonical_layout(model, x), model, xi=xi)

@@ -22,7 +22,6 @@ from corrdetect.errors import (
 from corrdetect.models import (
     Equicorrelated,
     Grouped,
-    Observation,
     RankOne,
     canonical_layout,
     check_family,
@@ -145,44 +144,44 @@ class TestSampler:
     def test_gamma_zero_marginals(self):
         model = Equicorrelated(8, 0.0)
         rng = np.random.default_rng(0)
-        obs = sample(model, None, rng, size=100_000)
-        var = obs.x.var(axis=0)
+        x = sample(model, None, rng, size=100_000)
+        var = x.var(axis=0)
         assert np.all(np.abs(var - 1.0) < 0.02)
-        assert np.all(np.abs(obs.x.mean(axis=0)) < 0.02)
+        assert np.all(np.abs(x.mean(axis=0)) < 0.02)
 
     def test_equicorrelated_pair_correlation(self):
         model = Equicorrelated(2, 0.5)
         rng = np.random.default_rng(1)
-        x = sample(model, None, rng, size=100_000).x
+        x = sample(model, None, rng, size=100_000)
         corr = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
         assert abs(corr - 0.5) < 0.02
 
     def test_perfect_correlation_collapses(self):
         model = Equicorrelated(3, 1.0)
         rng = np.random.default_rng(2)
-        x = sample(model, None, rng, size=200).x
+        x = sample(model, None, rng, size=200)
         assert np.all(x[:, 0] == x[:, 1])
         assert np.all(x[:, 0] == x[:, 2])
 
     def test_deterministic_given_stream(self):
         model = Grouped(12, 3, 0.4)
         theta = np.arange(12.0)
-        x1 = sample(model, theta, np.random.default_rng(99), size=5).x
-        x2 = sample(model, theta, np.random.default_rng(99), size=5).x
+        x1 = sample(model, theta, np.random.default_rng(99), size=5)
+        x2 = sample(model, theta, np.random.default_rng(99), size=5)
         assert np.array_equal(x1, x2)
 
     def test_grouped_covariance_small_p(self):
         model = Grouped(4, 2, 0.6)
         rng = np.random.default_rng(3)
-        x = sample(model, None, rng, size=200_000).x
+        x = sample(model, None, rng, size=200_000)
         emp = np.cov(x.T)
         assert np.allclose(emp, dense_covariance(model), atol=0.03)
 
     def test_grouped_R_equals_p_reduces_to_iid(self):
         # Per-coordinate two-sample KS against gamma = 0 draws.
         p = 8
-        x_grouped = sample(Grouped(p, p, 0.7), None, np.random.default_rng(11), size=10_000).x
-        x_iid = sample(Equicorrelated(p, 0.0), None, np.random.default_rng(12), size=10_000).x
+        x_grouped = sample(Grouped(p, p, 0.7), None, np.random.default_rng(11), size=10_000)
+        x_iid = sample(Equicorrelated(p, 0.0), None, np.random.default_rng(12), size=10_000)
         for j in range(p):
             assert ks_2samp(x_grouped[:, j], x_iid[:, j]).pvalue > 0.001
 
@@ -205,8 +204,8 @@ class TestSampler:
         theta = np.linspace(-1.0, 2.0, p) if signal else None
         want = ((0.0 if theta is None else theta)
                 + (np.sqrt(g) * w)[:, groups] * loadings + np.sqrt(1.0 - g) * z)
-        assert np.array_equal(sample(model, theta, normals=normals).x, want)
-        assert np.array_equal(sample(model, theta, normals=normals[2]).x, want[2])
+        assert np.array_equal(sample(model, theta, normals=normals), want)
+        assert np.array_equal(sample(model, theta, normals=normals[2]), want[2])
 
     def test_theta_dimension_guard(self):
         with pytest.raises(ContractError):
@@ -237,8 +236,8 @@ class TestSampler:
         theta = np.random.default_rng(3).standard_normal((n, 12))
         normals = np.array([np.random.default_rng(j).standard_normal(k + 12)
                             for j in range(n)])
-        want = [sample(model, theta[j], np.random.default_rng(j)).x for j in range(n)]
-        assert np.array_equal(sample(model, theta, normals=normals).x, want)
+        want = [sample(model, theta[j], np.random.default_rng(j)) for j in range(n)]
+        assert np.array_equal(sample(model, theta, normals=normals), want)
 
 
 class TestDecorrelate:
@@ -249,7 +248,7 @@ class TestDecorrelate:
     ])
     def test_null_output_standard_normal(self, model):
         rng = np.random.default_rng(42)
-        x = sample(model, None, rng, size=100_000).x
+        x = sample(model, None, rng, size=100_000)
         xt = decorrelate(model, x, rng)
         n = x.shape[0]
         assert np.all(np.abs(xt.mean(axis=0)) <= 4.0 / np.sqrt(n))
@@ -345,14 +344,13 @@ _MODEL = Grouped(4, 2, 0.5)
     lambda: decorrelate(_MODEL, np.ones(4), xi=[0.0]),
     lambda: precision_apply(_MODEL, 1.0),
     lambda: covariance_apply(_MODEL, 1.0),
-    lambda: Observation(1.0, _MODEL),
     lambda: canonical_layout(_MODEL, np.ones(3)),
     lambda: sample(_MODEL, None, np.random.default_rng(0), size=2.5),
     lambda: RankOne(4, 0.5, "abcd"),
     lambda: RankOne.renormalized(4, 0.5, [1e200, 1, 1, 1]),  # no overflow warning first
     lambda: check_family("grouped", w=3),
 ], ids=["decorrelate-no-stream", "decorrelate-xi-list", "precision-0d", "covariance-0d",
-        "observation-0d", "canonical-layout-length", "sample-size", "rank-one-text",
+        "canonical-layout-length", "sample-size", "rank-one-text",
         "renormalized-overflow", "check-family-stray"])
 def test_bad_arguments_raise_contract_errors(call):
     with pytest.raises(ContractError):
@@ -405,7 +403,6 @@ def _calls(draw):
         "RankOne": lambda: (RankOne, draw(_dims(True)), draw(_GAMMAS), draw(_arrays(q))),
         "RankOne.renormalized": lambda: (RankOne.renormalized, draw(_dims()), draw(_GAMMAS),
                                          draw(_arrays(q))),
-        "Observation": lambda: (Observation, draw(_arrays(p)), model),
         "check_family": lambda: (check_family, draw(st.sampled_from(
             ["equicorrelated", "grouped", "rank_one", "independent", None, 3])),
             {"R": maybe(_dims()), "v": maybe(_arrays(q))}),

@@ -8,8 +8,8 @@ import pytest
 
 from corrdetect.errors import DomainError
 from corrdetect.gaussian import alpha
-from corrdetect.models import Equicorrelated, Grouped, Observation
-from corrdetect.procedures import build_test, evaluate, model_for
+from corrdetect.models import Equicorrelated, Grouped
+from corrdetect.procedures import build_test, evaluate
 from corrdetect.statistics import value
 from corrdetect.streams import substream
 
@@ -50,7 +50,6 @@ def test_evaluate_refuses_a_nan_observation(s):
     # a thresholded test once returned reject=False with the value 0.0
     test = build_test("equicorrelated", 4, s, 0.5, n_cal=1000, rng=substream(1, 0))
     with pytest.raises(DomainError, match="NaN"):
-        evaluate(test, Observation(_WITH_NAN, model_for(test)), substream(2, 0))
-    finite = evaluate(test, Observation(np.nan_to_num(_WITH_NAN), model_for(test)),
-                      substream(2, 0))
+        evaluate(test, _WITH_NAN, substream(2, 0))
+    finite = evaluate(test, np.nan_to_num(_WITH_NAN), substream(2, 0))
     assert all(math.isfinite(v) for v in finite.values.values())

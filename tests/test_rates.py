@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrdetect.errors import ContractError
+from corrdetect import rates
+from corrdetect.errors import ContractError, CorrdetectError
 from corrdetect.rates import (
     blessing_curse_thresholds,
     boundary_audit,
+    psi1_sq,
     rate_equicorrelated,
     rate_for,
     rate_grouped,
@@ -312,3 +314,63 @@ def test_boundary_audit_flags_only_documented_jumps(cell):
     family, p, _, gamma, R = cell
     rows = boundary_audit(family, p, gamma, R)
     assert [row for row in rows if row["flagged"] and not row["documented"]] == [], cell
+
+
+# Arguments for every entry point of ``rates``, as ``tests/test_models.py``
+# draws them for ``models``: valid counts and gammas, and counts that are not
+# integers, below 1 or huge, gammas outside [0, 1] or not numbers, patterns
+# of another length, not real or with an entry whose square overflows.
+_COUNTS = st.one_of(st.integers(1, 64),
+                    st.sampled_from([0, -3, 16.5, 4.0, math.nan, "8", None, 2 ** 70]))
+_GAMMAS = st.sampled_from([0.0, 0.3, 1.0, -0.1, 1.5, math.nan, math.inf, 2 ** 70, "a", None])
+_FAMILIES = st.sampled_from(["equicorrelated", "grouped", "rank_one", "independent", None])
+
+
+@st.composite
+def _rate_calls(draw):
+    """One entry point and the arguments it is called with."""
+    p, s, gamma = draw(_COUNTS), draw(_COUNTS), draw(_GAMMAS)
+    R = draw(st.one_of(st.none(), _COUNTS))
+    n = p if isinstance(p, int) and 1 <= p <= 64 else 4
+    v = draw(st.sampled_from([
+        np.ones(n), np.where(np.arange(n) % 2, 1.0, -1.0), np.r_[1e300, np.ones(n - 1)],
+        np.ones(n + 1), np.full(n, 1j), ["a"] * n, "abcd", None]))
+    calls = {
+        "rate_equicorrelated": (rate_equicorrelated, p, s, gamma),
+        "rate_grouped": (rate_grouped, p, s, gamma, R),
+        "rate_rank_one": (rate_rank_one, p, s, gamma, v),
+        "rate_for": (rate_for, draw(_FAMILIES), p, s, gamma, R, v),
+        "blessing_curse_thresholds": (blessing_curse_thresholds, p, s),
+        "psi1_sq": (psi1_sq, p, s, gamma),
+        "boundary_audit": (boundary_audit, draw(_FAMILIES), p, gamma, R),
+    }
+    assert set(calls) == set(rates.__all__) - {"RateResult"}  # a record, not a call
+    return calls[draw(st.sampled_from(sorted(calls)))]
+
+
+@settings(max_examples=600, **_PROPERTY)
+@given(_rate_calls())
+def test_every_entry_point_returns_or_raises_a_package_error(call):
+    f, *args = call
+    try:
+        f(*args)
+    except CorrdetectError:
+        pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rate_equicorrelated(16.5, 2, 0.5),
+    lambda: rate_equicorrelated(16, 2.5, 0.5),
+    lambda: rate_grouped(16, 2, 0.5, 4.0),
+    lambda: blessing_curse_thresholds(16.5, 2),
+    lambda: rate_equicorrelated(16, 2, "a"),
+    lambda: rate_rank_one(4, 2, 0.5, "abcd"),
+    lambda: rate_rank_one(4, 1, 0.5, [1, 1, 1, 1e300]),  # no overflow warning first
+    lambda: psi1_sq(-3, 1, 0.5),
+], ids=["p-fraction", "s-fraction", "R-float", "blessing-p-fraction", "gamma-text",
+        "pattern-text", "pattern-overflow", "psi1-negative-p"])
+def test_bad_arguments_raise_contract_errors(call):
+    # each once returned a rate or raised a bare TypeError, ValueError or
+    # overflow warning
+    with pytest.raises(ContractError):
+        call()

@@ -15,7 +15,14 @@ from corrdetect.divergences import (
 )
 from corrdetect.errors import ContractError
 from corrdetect.geometry import SignalSpec, make_sparse_signal
-from corrdetect.models import _BLOCK_ELEMENTS, Grouped, model_from, sample
+from corrdetect.models import (
+    _BLOCK_ELEMENTS,
+    Equicorrelated,
+    Grouped,
+    RankOne,
+    model_from,
+    sample,
+)
 from corrdetect.procedures import build_test, evaluate, model_for
 from corrdetect.rates import rate_equicorrelated, rate_for, rate_grouped
 from corrdetect.risk import (
@@ -382,10 +389,10 @@ class TestSharedNull:
         nulls = []  # null rows of each null ``sample`` call
 
         def counting(model, theta, rng=None, sample=risk.sample, **kw):
-            obs = sample(model, theta, rng, **kw)
+            x = sample(model, theta, rng, **kw)
             if theta is None:
-                nulls.append(len(np.atleast_2d(obs.x)))
-            return obs
+                nulls.append(len(np.atleast_2d(x)))
+            return x
 
         monkeypatch.setattr(risk, "sample", counting)
         plan = self._plan()
@@ -401,6 +408,58 @@ class TestSharedNull:
         write_rows_csv(sweep[0], p1)
         write_rows_csv(rows2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestModelCheck:
+    """``estimate_risk`` draws every replication from the test's own model,
+    and refuses, once per call, a model that does not describe it."""
+
+    @staticmethod
+    def _risk(test, model):
+        return estimate_risk(test, model, [make_sparse_signal(16, 2, 1.0)], 100,
+                             master_seed=1)
+
+    def test_gamma_mismatch_rejected(self):
+        test = build_test("equicorrelated", 16, 4, 0.5, mode="paper_constants", C=3.0)
+        with pytest.raises(ContractError):
+            self._risk(test, Equicorrelated(16, 1.0))
+
+    def test_pattern_mismatch_rejected(self):
+        v = np.array([1.0, -1.0] * 8)
+        test = build_test("rank_one", 16, 2, 0.5, v=v, mode="paper_constants", C=3.0)
+        # the test's own array and an equal one give the same estimate
+        own, equal = (self._risk(test, RankOne(16, 0.5, pattern))
+                      for pattern in (test.model.v, test.model.v.copy()))
+        assert (own.type_i, own.per_alternative) == (equal.type_i, equal.per_alternative)
+        # patterns are compared exactly: 1e-15 off was once within a 1e-12 tolerance
+        for pattern in (-test.model.v, test.model.v * (1.0 + 1e-15)):
+            with pytest.raises(ContractError):
+                self._risk(test, RankOne(16, 0.5, pattern))
+
+    @pytest.mark.parametrize("family,R,observed", [
+        ("equicorrelated", None, Grouped(16, 4, 0.5)),
+        ("grouped", 4, Equicorrelated(16, 0.5)),
+        ("equicorrelated", None, RankOne(16, 0.5, np.ones(16))),
+        ("equicorrelated", None, Equicorrelated(32, 0.5)),
+        ("grouped", 4, Grouped(32, 4, 0.5)),
+        ("grouped", 4, Grouped(16, 2, 0.5)),
+    ])
+    def test_family_dimension_and_group_count_mismatches_rejected(self, family, R,
+                                                                  observed):
+        test = build_test(family, 16, 4, 0.5, R=R, mode="paper_constants", C=3.0)
+        with pytest.raises(ContractError, match="test's model"):
+            self._risk(test, observed)
+
+    def test_refused_before_anything_is_drawn(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a replication was drawn before the model check")
+
+        for name in ("substream", "sample", "draw_prior"):
+            monkeypatch.setattr(risk, name, drawn)
+        test = build_test("equicorrelated", 16, 4, 0.5, mode="paper_constants", C=3.0)
+        with pytest.raises(ContractError, match="test's model"):
+            estimate_risk(test, Equicorrelated(16, 0.3), [UniformSparse(16, 4, 1.0)], 100,
+                          master_seed=1)
 
 
 def _sign_pattern(p):
@@ -461,7 +520,7 @@ class TestBlockEngine:
         for alt in (None, prior, make_sparse_signal(p, s, prior.magnitude)):
             want = self._reference(test, model, alt, *window)
             seen.clear()
-            count = risk._reject_count_chunk(test, model, *self.KEY[:2], alt,
+            count = risk._reject_count_chunk(test, *self.KEY[:2], alt,
                                              *self.KEY[2:], *window)
             assert seen == [verdict.values for verdict in want]
             assert count == sum(verdict.reject for verdict in want)

@@ -19,6 +19,7 @@ from corrdetect.statistics import (
     squared_norm,
     thresholded_profile,
     thresholded_sum,
+    value,
 )
 from corrdetect.streams import substream
 
@@ -81,7 +82,7 @@ class TestChisqAndLinear:
     def test_null_mean_of_decorrelated_energy(self):
         model = Equicorrelated(32, 0.6)
         rng = np.random.default_rng(4)
-        x = sample(model, None, rng, size=100_000).x
+        x = sample(model, None, rng, size=100_000)
         xt = decorrelate(model, x, rng)
         stats = (xt * xt).sum(axis=1)
         se = stats.std(ddof=1) / math.sqrt(len(stats))
@@ -99,7 +100,7 @@ class TestChisqAndLinear:
         # Var of the squared projection is 2 sigma^4 under the null.
         model = Equicorrelated(10, 0.5)
         rng = np.random.default_rng(5)
-        x = sample(model, None, rng, size=100_000).x
+        x = sample(model, None, rng, size=100_000)
         proj = x.sum(axis=1) / math.sqrt(10)
         stats = proj ** 2
         sigma_sq = 0.5 + 0.5 * 10
@@ -144,7 +145,7 @@ class TestScans:
         rng = np.random.default_rng(10)
         hits = 0
         n = 10_000
-        x = sample(model, theta, rng, size=n).x
+        x = sample(model, theta, rng, size=n)
         xt = decorrelate(model, x, rng)
         for row in xt:
             sv = scan(row.reshape(4, 4), "chisq")
@@ -167,7 +168,7 @@ class TestAveragedGroup:
     def test_standardized_means_are_standard_normal(self):
         model = Grouped(64, 8, 0.5)
         rng = np.random.default_rng(12)
-        x = sample(model, None, rng, size=50_000).x
+        x = sample(model, None, rng, size=50_000)
         bs = 8
         sums = x.reshape(-1, 8, bs).sum(axis=2)
         u = sums / (math.sqrt(bs) * math.sqrt(0.5 + 0.5 * bs))
@@ -183,7 +184,7 @@ class TestAveragedGroup:
         theta = np.zeros(64)
         theta[:8] = a  # group 0 constant at a
         rng = np.random.default_rng(13)
-        x = sample(model, theta, rng, size=40_000).x
+        x = sample(model, theta, rng, size=40_000)
         # Y_0 of the standardized means is ||u||^2 - R: its mean is the squared
         # shift of u_0, the other seven means being standard normal
         y0 = averaged_group(x[:5000], model, "thresholded", t=0.0).value
@@ -204,7 +205,7 @@ class TestNoiselessResidual:
     def test_null_is_exactly_zero(self):
         model = Equicorrelated(16, 1.0)
         rng = np.random.default_rng(15)
-        x = sample(model, None, rng, size=500).x
+        x = sample(model, None, rng, size=500)
         for row in x:
             assert noiseless_residual(row, model).value == 0.0
 
@@ -213,21 +214,21 @@ class TestNoiselessResidual:
         theta = np.array([1.0, 0.0, 0.0, 0.0])
         rng = np.random.default_rng(16)
         for _ in range(200):
-            x = sample(model, theta, rng).x
+            x = sample(model, theta, rng)
             assert noiseless_residual(x, model).value == pytest.approx(0.75, abs=1e-10)
 
     def test_constant_signal_invisible(self):
         model = Equicorrelated(6, 1.0)
         theta = 2.5 * np.ones(6)
         rng = np.random.default_rng(17)
-        x = sample(model, theta, rng, size=100).x
+        x = sample(model, theta, rng, size=100)
         for row in x:
             assert noiseless_residual(row, model).value == 0.0
 
     def test_grouped_null_exact_zero(self):
         model = Grouped(12, 3, 1.0)
         rng = np.random.default_rng(18)
-        x = sample(model, None, rng, size=200).x
+        x = sample(model, None, rng, size=200)
         for row in x:
             assert noiseless_residual(row, model).value == 0.0
 
@@ -239,7 +240,7 @@ class TestNoiselessResidual:
         v = np.ones(4) * 1.0
         model = RankOne(4, 1.0, v)
         rng = np.random.default_rng(19)
-        x = sample(model, None, rng, size=100).x
+        x = sample(model, None, rng, size=100)
         for row in x:
             assert noiseless_residual(row, model).value <= 1e-20
 
@@ -249,7 +250,7 @@ class TestNoiselessResidual:
         # kernel, sets to 0 within a relative tolerance of the energy
         v = np.concatenate([np.full(8, 64 ** 0.25), np.zeros(56)])
         model = RankOne(64, 1.0, v)
-        x = sample(model, None, substream(7, 0), size=200).x
+        x = sample(model, None, substream(7, 0), size=200)
         unclamped = ((x - np.outer(x @ v / 64, v)) ** 2).sum(axis=1)
         assert unclamped.max() > 0.0
         assert np.all(noiseless_residual(x, model).value == 0.0)
@@ -258,7 +259,18 @@ class TestNoiselessResidual:
         theta = np.zeros(64)
         theta[[1, 9, 20, 33, 50]] = 3.0
         theta[40:52] += 0.4
-        obs = sample(model_for(test), theta, substream(2024, 8, 0))
-        kernel = evaluate(test, obs, substream(2024, 8, 1)).values["noiseless"]
+        x = sample(model_for(test), theta, substream(2024, 8, 0))
+        kernel = evaluate(test, x, substream(2024, 8, 1)).values["noiseless"]
         assert kernel.hex() == "0x1.818f5c28f5c29p+5"
-        assert noiseless_residual(obs.x, model).value == kernel
+        assert noiseless_residual(x, model).value == kernel
+
+
+@pytest.mark.parametrize("z", [np.full(4, 1j), "abcd", ["a"] * 4, [None] * 4],
+                         ids=["complex", "text", "strings", "none"])
+def test_data_that_is_not_real_is_refused(z):
+    # complex data once lost their imaginary parts with a warning, text
+    # raised numpy's ValueError and None entries became NaN
+    for statistic in (squared_norm, lambda z: thresholded_sum(z, 1.0), lambda z: value(
+            "linear", z, Equicorrelated(4, 0.5))):
+        with pytest.raises(ContractError):
+            statistic(z)
