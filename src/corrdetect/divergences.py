@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -54,7 +55,11 @@ from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
     Equicorrelated,
+    _check_count,
+    _check_split,
     _precision_weights,
+    _store,
+    _vector,
     precision_apply,
 )
 
@@ -84,7 +89,7 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _check_magnitude(prior) -> None:
-    if not math.isfinite(prior.magnitude):
+    if not (isinstance(prior.magnitude, numbers.Real) and math.isfinite(prior.magnitude)):
         raise ContractError(f"magnitude must be finite, got {prior.magnitude!r}")
 
 
@@ -136,7 +141,7 @@ class PointMass:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        object.__setattr__(self, "theta", _vector(self.theta, "theta"))
         if not np.isfinite(self.theta).all():
             raise ContractError("point mass entries must be finite")
 
@@ -200,8 +205,8 @@ class UniformSparse(_SparsePrior):
     universe: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (1 <= self.s <= self.p):
-            raise ContractError("need 1 <= s <= p")
+        p = _check_count(self.p, "p", 1)
+        _store(self, p=p, s=_check_count(self.s, "s", 1, p))
         if self.signs not in SIGN_RULES:
             raise ContractError(f"unknown sign rule {self.signs!r}; expected one of "
                                 f"{', '.join(SIGN_RULES)}")
@@ -302,10 +307,8 @@ class SingleGroupSparse(_SparsePrior):
     magnitude: float
 
     def __post_init__(self):
-        if self.p % self.R:
-            raise ContractError("R must divide p")
-        if not (1 <= self.s <= self.p // self.R):
-            raise ContractError("need 1 <= s <= p/R")
+        p, R = _check_split(self.p, self.R)
+        _store(self, p=p, R=R, s=_check_count(self.s, "s", 1, p // R))
         _check_magnitude(self)
 
     def supports(self, rng, v=None, size=None) -> tuple:
@@ -345,10 +348,8 @@ class GroupSupported(_SparsePrior):
     magnitude: float
 
     def __post_init__(self):
-        if self.p % self.R:
-            raise ContractError("R must divide p")
-        if not (1 <= self.m <= self.R):
-            raise ContractError("need 1 <= m <= R")
+        p, R = _check_split(self.p, self.R)
+        _store(self, p=p, R=R, m=_check_count(self.m, "m", 1, R))
         _check_magnitude(self)
 
     @property
@@ -398,8 +399,8 @@ class ShiftedSparse:
     magnitude: float
 
     def __post_init__(self):
-        if not (1 <= self.s < self.p):
-            raise ContractError("need 1 <= s < p for the shifted route")
+        p = _check_count(self.p, "p", 1)
+        _store(self, p=p, s=_check_count(self.s, "s", 1, p - 1))  # the complement is not empty
         _check_magnitude(self)
 
     @property
@@ -450,6 +451,8 @@ def draw(prior: PriorSpec, rng: np.random.Generator, v=None,
     not reproduce a single draw from the same stream.  Shifted priors, which
     only :func:`risk_lower_bound` consumes, are refused.
     """
+    if size is not None:
+        size = _check_count(size, "size", 0)
     idx, values = prior.supports(rng, v, size)
     theta = np.zeros(idx.shape[:-1] + (prior.p,))
     if size is None:
@@ -469,17 +472,16 @@ class DivergenceResult:
 
     chi_sq: float
     method: str
-    tv_bound: float
-    risk_bound: float
     stderr: Optional[float] = None
     warnings: tuple = ()
 
-    @staticmethod
-    def from_chi_sq(chi_sq: float, method: str, stderr=None, warnings=()) -> "DivergenceResult":
-        tv = 0.5 * math.sqrt(max(chi_sq, 0.0))
-        return DivergenceResult(chi_sq=chi_sq, method=method, tv_bound=tv,
-                                risk_bound=min(1.0, max(0.0, 1.0 - tv)),
-                                stderr=stderr, warnings=tuple(warnings))
+    @property
+    def tv_bound(self) -> float:
+        return 0.5 * math.sqrt(max(self.chi_sq, 0.0))
+
+    @property
+    def risk_bound(self) -> float:
+        return min(1.0, max(0.0, 1.0 - self.tv_bound))
 
     def descriptor(self) -> dict:
         return {"chi_sq": self.chi_sq, "method": self.method,
@@ -541,8 +543,8 @@ def hypergeometric_mgf_bound(p: int, s: int, lam_sq: float) -> dict:
     E[Y] = s^2/p and E[exp(lam_sq Y)] <= (1 - s/p + (s/p) e^{lam_sq})^s.
     Both are +inf past the float range.
     """
-    if not (0 <= s <= p) or p < 1:
-        raise ContractError("need 0 <= s <= p")
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 0, p)
     if not lam_sq >= 0:
         raise DomainError(f"lam_sq must be nonnegative, got {lam_sq!r}")
     if s == 0:
@@ -607,7 +609,7 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
         raise ContractError("shifted priors are consumed by risk_lower_bound")
     if isinstance(prior, PointMass):
         q = _span_quadratic(model, prior.theta)
-        return DivergenceResult.from_chi_sq(_expm1(q), "closed_form")
+        return DivergenceResult(_expm1(q), "closed_form")
     if method == "closed_form":
         raise ContractError("closed_form applies to point masses only")
     if model.gamma >= 1.0 and prior.overlap_law(model, v) is None:
@@ -619,7 +621,7 @@ def ingster_suslina_chisq(prior: PriorSpec, model: CorrelationModel,
     if method in ("auto", "hypergeometric_sum"):
         law = prior.overlap_law(model, v)
         if law is not None:
-            return DivergenceResult.from_chi_sq(law.chi_sq(), "hypergeometric_sum")
+            return DivergenceResult(law.chi_sq(), "hypergeometric_sum")
         if method == "hypergeometric_sum":
             raise ContractError(
                 "the pair inner product is not a function of the support "
@@ -656,7 +658,7 @@ def _enumerate_pairs(prior, model, v) -> Optional[DivergenceResult]:
         np.put_along_axis(thetas, idx, values, axis=-1)
         gram = thetas @ precision_apply(model, thetas).T
         log_mean = _log_sum_exp(gram) - 2.0 * math.log(n)
-    return DivergenceResult.from_chi_sq(float(np.exp(log_mean)) - 1.0, "exact_enumeration")
+    return DivergenceResult(float(np.exp(log_mean)) - 1.0, "exact_enumeration")
 
 
 def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
@@ -693,8 +695,7 @@ def _pair_terms(model: CorrelationModel, idx: np.ndarray, values) -> np.ndarray:
 
 
 def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
-    if n_mc < 2:
-        raise ContractError("monte_carlo needs n_mc >= 2 for a standard error")
+    n_mc = _check_count(n_mc, "n_mc", 2)  # two pairs for a standard error
     # about 16s + R numbers per pair in flight (the keys, coordinates,
     # positions and values of 2s entries, and 2R block sums), and never fewer
     # pairs per block than a dense (2n, p) draw would take
@@ -709,7 +710,7 @@ def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
     if not peak < math.inf:
         # a pair term past the float range (+inf, or NaN from _pair_terms):
         # the mean of exp(term) is +inf, with no finite standard error
-        return DivergenceResult.from_chi_sq(math.inf, "monte_carlo", stderr=math.inf)
+        return DivergenceResult(math.inf, "monte_carlo", stderr=math.inf)
     terms = np.exp(logs - peak)
     total = float(terms.sum())
     mean = float(np.exp(peak) * total / n_mc)
@@ -722,8 +723,7 @@ def _monte_carlo_chisq(prior, model, n_mc, rng, v) -> DivergenceResult:
         warnings.append(
             f"heavy tails: top 0.1% of exp terms carry {share:.0%} of the sum; "
             "the estimate may be unstable")
-    return DivergenceResult.from_chi_sq(mean - 1.0, "monte_carlo",
-                                        stderr=stderr, warnings=warnings)
+    return DivergenceResult(mean - 1.0, "monte_carlo", stderr=stderr, warnings=tuple(warnings))
 
 
 def mean_shift_tv(model: Equicorrelated, m: float) -> float:
@@ -748,8 +748,6 @@ def risk_lower_bound(prior: PriorSpec, model: CorrelationModel,
     All bounds are clamped to [0, 1].
     """
     if isinstance(prior, ShiftedSparse):
-        if not isinstance(model, Equicorrelated):
-            raise ContractError("the shifted route is defined for the equicorrelated model")
         shift_tv = mean_shift_tv(model, prior.magnitude)
         comp = ingster_suslina_chisq(prior.complement, model, method=method,
                                      n_mc=n_mc, rng=rng, v=v)

@@ -19,12 +19,14 @@ squared coordinates of v.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError
+from .models import _check_count, _check_pattern, _check_split, _real, _store, _vector
 
 __all__ = [
     "SignalSpec",
@@ -50,17 +52,21 @@ class SignalSpec:
     support: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        support = np.sort(np.asarray(self.support, dtype=np.intp))
+        theta = _vector(self.theta, "theta")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(theta @ theta):  # NaN, or past the float range
+                raise ContractError("theta must have a finite squared norm")
+        support = np.asarray(self.support)
+        if support.ndim != 1 or support.size and support.dtype.kind not in "iu":
+            raise ContractError("support must be a list of coordinates")
+        support = np.sort(support.astype(np.intp))
         if support.size and (support[0] < 0 or support[-1] >= theta.shape[0]
                              or (support[1:] == support[:-1]).any()):
             raise ContractError("support coordinates must be distinct and in range(p)")
         if np.count_nonzero(theta[support]) != np.count_nonzero(theta):
             raise ContractError("theta must vanish off the declared support")
-        if support.size > self.s:
-            raise ContractError("support size exceeds the declared sparsity s")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "support", support)
+        _store(self, theta=theta, support=support,
+               s=_check_count(self.s, "s", support.size, theta.size))
 
     @property
     def p(self) -> int:
@@ -77,7 +83,7 @@ class SignalSpec:
 
 def signal(theta, s: Optional[int] = None) -> SignalSpec:
     """Wrap a raw vector, deriving support and (by default) exact sparsity."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _real(theta, "theta")
     support = np.flatnonzero(theta)
     return SignalSpec(theta=theta, s=support.size if s is None else s, support=support)
 
@@ -86,10 +92,10 @@ def make_sparse_signal(p: int, s: int, magnitude: float) -> SignalSpec:
     """Exactly s-sparse vector: +magnitude on coordinates 0..s-1.  A uniform
     or sign-matched support is a draw of ``divergences.UniformSparse``; an
     explicit one, a :class:`SignalSpec`."""
-    if not (1 <= s <= p):
-        raise ContractError("need 1 <= s <= p")
-    if magnitude < 0:
-        raise ContractError("magnitude must be nonnegative")
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 1, p)
+    if not (isinstance(magnitude, numbers.Real) and 0.0 <= magnitude < math.inf):
+        raise ContractError(f"magnitude must be finite and nonnegative, got {magnitude!r}")
     theta = np.zeros(p)
     theta[:s] = magnitude
     return SignalSpec(theta=theta, s=s, support=np.arange(s))
@@ -123,59 +129,45 @@ def membership(spec: SignalSpec, space: str, epsilon: float,
     """
     if space not in SPACES:
         raise ContractError(f"unknown space tag {space!r}")
-    theta = spec.theta
-    p = spec.p
+    if not isinstance(epsilon, numbers.Real):
+        raise ContractError(f"epsilon must be a real number, got {epsilon!r}")
+    theta, p = spec.theta, spec.p
     sparsity_ok = int(np.count_nonzero(theta)) <= spec.s
-    if space in ("theta", "theta_i", "theta_ii"):
-        mean = theta.mean()
-        if space == "theta":
-            witness = math.sqrt(float(theta @ theta))
-        elif space == "theta_i":
-            centered = theta - mean
-            witness = math.sqrt(float(centered @ centered))
-        else:
-            witness = math.sqrt(p) * abs(mean)
-        threshold = epsilon
-        member = sparsity_ok and witness >= threshold
-        return SpaceMembership(space, member, witness, threshold, sparsity_ok)
-    if space == "m_supp":
-        witness = largest_subset_energy(theta, spec.s)
-        threshold = epsilon ** 2
-        member = witness >= threshold
-        return SpaceMembership(space, member, witness, threshold, sparsity_ok)
-    if R is None:
-        raise ContractError(f"space {space!r} needs the group count R")
-    if p % R != 0:
-        raise ContractError("R must divide p")
-    bs = p // R
-    blocks = theta.reshape(R, bs)
-    means = blocks.mean(axis=1)
-    hits = np.count_nonzero(blocks, axis=1)
-    if space == "upsilon_i":
-        # Center only on support coordinates within each block.
-        support_mask = (blocks != 0.0)
-        centered = np.where(support_mask, blocks - means[:, None], blocks)
+    if space in ("upsilon_i", "upsilon_ii", "theta_dagger"):
+        R = _check_split(p, R)[1]  # refuses a missing R too
+        blocks = theta.reshape(R, p // R)
+        means = blocks.mean(axis=1)
+        centered = blocks - means[:, None]
+    threshold = epsilon
+    if space == "theta":
+        witness = math.sqrt(float(theta @ theta))
+    elif space == "theta_i":
+        centered = theta - theta.mean()
+        witness = math.sqrt(float(centered @ centered))
+    elif space == "theta_ii":
+        witness = math.sqrt(p) * abs(theta.mean())
+    elif space == "m_supp":  # its witness keeps to the budget s on its own
+        witness, threshold = largest_subset_energy(theta, spec.s), epsilon * epsilon
+        return SpaceMembership(space, witness >= threshold, witness, threshold, sparsity_ok)
+    elif space == "upsilon_i":  # centered on the support coordinates only
+        witness = float(np.square(np.where(blocks != 0.0, centered, blocks)).sum())
+        threshold = epsilon * epsilon / 8.0
+    elif space == "upsilon_ii":
+        heavy = np.count_nonzero(blocks, axis=1) > p / (4.0 * R)  # strict inequality
+        witness = float(p // R * np.square(means[heavy]).sum())
+        threshold = epsilon * epsilon / 8.0
+    else:  # theta_dagger: a nonzero block-centered part, so a nonzero theta
         witness = float(np.square(centered).sum())
-        threshold = epsilon ** 2 / 8.0
-        member = sparsity_ok and witness >= threshold
-        return SpaceMembership(space, member, witness, threshold, sparsity_ok)
-    if space == "upsilon_ii":
-        heavy = hits > p / (4.0 * R)  # strict inequality
-        witness = float(bs * np.square(means[heavy]).sum())
-        threshold = epsilon ** 2 / 8.0
-        member = sparsity_ok and witness >= threshold
-        return SpaceMembership(space, member, witness, threshold, sparsity_ok)
-    # theta_dagger: nonzero theta whose block-centered part is nonzero somewhere
-    centered = blocks - means[:, None]
-    witness = float(np.square(centered).sum())
-    member = sparsity_ok and np.any(theta != 0.0) and witness > 0.0
-    return SpaceMembership(space, member, witness, 0.0, sparsity_ok)
+        return SpaceMembership(space, sparsity_ok and witness > 0.0, witness, 0.0, sparsity_ok)
+    return SpaceMembership(space, sparsity_ok and witness >= threshold, witness, threshold,
+                           sparsity_ok)
 
 
+@np.errstate(over="ignore")  # +inf past the float range
 def largest_subset_energy(v, s: int) -> float:
     """max over |S| <= s of ||v_S||^2, attained by the s largest squares."""
-    sq = np.sort(np.square(np.asarray(v, dtype=float)))[::-1]
-    return float(sq[: int(s)].sum())
+    sq = np.sort(np.square(_vector(v, "v")))[::-1]
+    return float(sq[:_check_count(s, "s", 0)].sum())
 
 
 def projection_lower_bounds(spec: SignalSpec, v=None) -> dict:
@@ -189,13 +181,7 @@ def projection_lower_bounds(spec: SignalSpec, v=None) -> dict:
     """
     theta = spec.theta
     p = spec.p
-    if v is None:
-        v = np.ones(p)
-    else:
-        v = np.asarray(v, dtype=float)
-        nsq = float(v @ v)
-        if abs(nsq - p) > 1e-9 * p:
-            raise ContractError("pattern must satisfy ||v||^2 = p")
+    v = np.ones(p) if v is None else _check_pattern(v, p)
     coef = float(v @ theta) / p
     resid = theta - coef * v
     orthogonal = float(resid @ resid)
@@ -218,12 +204,6 @@ def omega(v) -> int:
 
     Requires ||v||^2 = p; consequently always strictly less than ||v||_0.
     """
-    v = np.asarray(v, dtype=float)
-    p = v.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        nsq = float(v @ v)
-    if not abs(nsq - p) <= 1e-9 * p:  # a NaN or infinite norm fails this too
-        raise ContractError("omega requires ||v||^2 = p")
-    sq = np.sort(np.square(v))[::-1]
-    prefix = np.cumsum(sq)
-    return int(np.searchsorted(prefix, p / 4.0, side="right"))
+    v = _vector(v, "v")
+    prefix = np.cumsum(np.sort(np.square(_check_pattern(v, v.size)))[::-1])
+    return int(np.searchsorted(prefix, v.size / 4.0, side="right"))

@@ -45,10 +45,13 @@ keeps its layout.
 
 Data are plain arrays, rows of length p; the model they are drawn from or
 tested under is passed beside them, never attached to them.  Arguments are
-checked on entry: a dimension (p, R or a sample size) must be an integer that
-``operator.index`` accepts, gamma a real number in [0, 1], and every array
-real-valued with the model's length on its last axis.  A violation raises
-:class:`ContractError`.
+checked on entry by rules written once here, which ``rates``, ``procedures``,
+``geometry`` and the priors call: a count (p, R, s, m or a sample size) is an
+integer in its range (``_check_count``: 1 <= s <= p), R divides p
+(``_check_split``), a pattern v is finite with ||v||^2 = p to 1e-9 relative
+(``_check_pattern``), gamma is real in [0, 1], and an array is rectangular
+and real (``_real``).  A violation raises :class:`ContractError`.  Records
+keep the Python ints the checks return, so numpy integers give the same JSON.
 
 Random stream layout.  A draw consumes k shared factors and then p noise
 coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
@@ -95,22 +98,44 @@ def _check_gamma(gamma: float) -> None:
         raise ContractError(f"gamma must lie in [0, 1], got {gamma!r}")
 
 
-def _check_count(value, what: str, least: int) -> None:
-    """Refuse a count that ``operator.index`` refuses or that is below ``least``."""
+def _check_count(value, what: str, least: int, most: Optional[int] = None) -> int:
+    """``value`` as an int: refuse one that ``operator.index`` refuses or
+    that lies outside [least, most] (no upper end when ``most`` is None)."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ContractError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ContractError(f"{what} must be >= {least}, got {value}")
+    if value < least or most is not None and value > most:
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ContractError(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+def _check_split(p, R) -> tuple:
+    """(p, R) as ints: R >= 1 groups of p/R >= 1 coordinates."""
+    p, R = _check_count(p, "p", 1), _check_count(R, "R", 1)
+    if p % R != 0:
+        raise ContractError(f"R must divide p, got R={R}, p={p}")
+    return p, R
 
 
 def _real(x, what: str) -> np.ndarray:
-    """``x`` as a float array, refusing one that is not real-valued."""
-    a = np.asarray(x)
+    """``x`` as a float array, refusing one that is ragged or not real-valued."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        raise ContractError(f"{what} must be a rectangular array") from None
     if a.dtype.kind not in "biuf":
         raise ContractError(f"{what} must hold real numbers, got dtype {a.dtype}")
     return a.astype(float, copy=False)
+
+
+def _vector(x, what: str) -> np.ndarray:
+    """``x`` as a real array of one axis, with at least one entry."""
+    a = _real(x, what)
+    if a.ndim != 1 or a.size == 0:
+        raise ContractError(f"{what} must be one nonempty vector, got shape {a.shape}")
+    return a
 
 
 def _pattern(v, p: int) -> tuple:
@@ -121,6 +146,23 @@ def _pattern(v, p: int) -> tuple:
         raise ContractError(f"v must have length p={p}, got shape {v.shape}")
     with np.errstate(over="ignore"):
         return v, float(v @ v)
+
+
+def _check_pattern(v, p: int) -> np.ndarray:
+    """``v`` as a finite real array (p,) with ||v||^2 = p to 1e-9 relative."""
+    v, nsq = _pattern(v, p)
+    if not np.isfinite(v).all():
+        raise ContractError("v must be finite")
+    if abs(nsq - p) > 1e-9 * p:
+        raise ContractError(f"||v||^2 must equal p (got {nsq} vs {p}); "
+                            "use RankOne.renormalized to rescale")
+    return v
+
+
+def _store(record, **fields) -> None:
+    """Set checked ``fields`` of the frozen dataclass ``record``."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
 
 
 def _check_length(a: np.ndarray, p: int, what: str) -> None:
@@ -178,7 +220,7 @@ class Equicorrelated(_SingleBlock):
     gamma: float
 
     def __post_init__(self):
-        _check_count(self.p, "p", 1)
+        _store(self, p=_check_count(self.p, "p", 1))
         _check_gamma(self.gamma)
 
     def descriptor(self) -> dict:
@@ -198,10 +240,8 @@ class Grouped(_Blocks):
     gamma: float
 
     def __post_init__(self):
-        _check_count(self.p, "p", 1)
-        _check_count(self.R, "R", 1)
-        if self.p % self.R != 0:
-            raise ContractError(f"R must divide p, got R={self.R}, p={self.p}")
+        p, R = _check_split(self.p, self.R)
+        _store(self, p=p, R=R)
         _check_gamma(self.gamma)
 
     def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -230,23 +270,15 @@ class RankOne(_SingleBlock):
     sign_pattern: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_count(self.p, "p", 1)
+        p = _check_count(self.p, "p", 1)
         _check_gamma(self.gamma)
-        v, nsq = _pattern(self.v, self.p)
-        if not np.isfinite(v).all():
-            raise ContractError("v must be finite")
+        v = _check_pattern(self.v, p)
         if v.flags.writeable or not v.flags.c_contiguous:
             # a frozen copy leaves the caller's array writeable; a frozen,
             # contiguous v is shared as given
             v = v.copy()
             v.setflags(write=False)
-        if abs(nsq - self.p) > 1e-9 * self.p:
-            raise ContractError(
-                f"||v||^2 must equal p (got {nsq} vs {self.p}); "
-                "use RankOne.renormalized to rescale"
-            )
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "sign_pattern", bool(np.all(np.abs(v) == 1.0)))
+        _store(self, p=p, v=v, sign_pattern=bool(np.all(np.abs(v) == 1.0)))
 
     exchangeable = False
 

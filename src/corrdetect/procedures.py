@@ -62,6 +62,7 @@ from .errors import CalibrationError, ContractError, DomainError, UnsupportedReg
 from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
+    _check_count,
     _decorrelated,
     canonical_layout,
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
@@ -468,11 +469,9 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     replications drawn from ``rng``.
     """
     _check_mode(mode, eta, C, n_cal)
-    if s != "adaptive":
-        s = int(s)
-        if not (1 <= s <= p):
-            raise ContractError("need 1 <= s <= p")
     model = model_from(family, p, gamma, R, v)
+    if s != "adaptive":
+        s = _check_count(s, "s", 1, model.p)
     items = _plan(model, s)
     calibration = None
     if mode == "paper_constants":

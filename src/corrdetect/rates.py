@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import omega as pattern_omega
-from .models import _check_count, _check_gamma, _pattern, check_family
+from .models import _check_count, _check_gamma, _check_pattern, _check_split, check_family
 
 __all__ = [
     "RateResult",
@@ -58,28 +58,11 @@ class RateResult:
         return self.value is None
 
 
-def _check_ps(p: int, s: int) -> None:
-    """Refuse a dimension or sparsity that is not an integer with 1 <= s <= p."""
-    _check_count(p, "p", 1)
-    _check_count(s, "s", 1)
-    if s > p:
-        raise ContractError(f"need 1 <= s <= p, got s={s}, p={p}")
-
-
-def _cell(p: int, s: int, gamma: float, R: Optional[int] = None) -> None:
-    """Refuse a cell outside the domain of the rates, by the rules of
-    ``models``."""
-    _check_ps(p, s)
-    _check_gamma(gamma)
-    if R is not None:
-        _check_count(R, "R", 1)
-        if p % R != 0:
-            raise ContractError(f"R must divide p, got R={R}, p={p}")
-
-
 def psi1_sq(p: int, s: int, gamma: float) -> float:
     """Centered-component squared rate: the sparse/dense base branch."""
-    _cell(p, s, gamma)
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 1, p)
+    _check_gamma(gamma)
     if s < math.sqrt(p):
         return (1.0 - gamma) * s * math.log1p(p / s ** 2)
     return (1.0 - gamma) * math.sqrt(p)
@@ -96,7 +79,9 @@ def _psi2_sq(p: int, s: int, gamma: float) -> tuple:
 
 
 def rate_equicorrelated(p: int, s: int, gamma: float) -> RateResult:
-    _cell(p, s, gamma)
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 1, p)
+    _check_gamma(gamma)
     if gamma == 1.0:
         return (RateResult(0.0, "perfect-degenerate") if s < p
                 else RateResult(float(p), "perfect-dense"))
@@ -118,7 +103,9 @@ def rate_grouped(p: int, s: int, gamma: float, R: int) -> RateResult:
     hold with exact floating-point equality.  Grouped plans, default panels
     and the boundary audit read their regime here and reduce the same way.
     """
-    _cell(p, s, gamma, R)
+    p, R = _check_split(p, R)
+    s = _check_count(s, "s", 1, p)
+    _check_gamma(gamma)
     if R in (1, p):
         base = rate_equicorrelated(p, s, gamma if R == 1 else 0.0)
         return RateResult(base.value, base.regime, base.components)
@@ -168,8 +155,10 @@ def rate_rank_one(p: int, s: int, gamma: float, v) -> RateResult:
     explicit uncharacterized verdict, not a number.  At gamma = 1 the rate is
     0 below the pattern's support size and p at or above it.
     """
-    _cell(p, s, gamma)
-    v, _ = _pattern(v, p)
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 1, p)
+    _check_gamma(gamma)
+    v = _check_pattern(v, p)
     w = pattern_omega(v)
     if gamma == 1.0:
         v0 = int(np.count_nonzero(v))
@@ -205,7 +194,8 @@ def blessing_curse_thresholds(p: int, s: int) -> dict:
     no blessing threshold is defined).  ``one_minus_gamma_lower``: the curse
     threshold; None for s < sqrt(p) where correlation is never a curse.
     """
-    _check_ps(p, s)
+    p = _check_count(p, "p", 1)
+    s = _check_count(s, "s", 1, p)
     root = math.sqrt(p)
     if s < root:
         star = 1.0

@@ -418,10 +418,10 @@ class TestRiskLowerBound:
         assert risk_lower_bound(prior, model) >= 0.8
 
     def test_result_internal_consistency(self):
-        res = DivergenceResult.from_chi_sq(0.09, "closed_form")
+        res = DivergenceResult(0.09, "closed_form")
         assert res.tv_bound == pytest.approx(0.15)
         assert res.risk_bound == pytest.approx(0.85)
-        big = DivergenceResult.from_chi_sq(100.0, "closed_form")
+        big = DivergenceResult(100.0, "closed_form")
         assert big.risk_bound == 0.0
 
 
@@ -868,5 +868,38 @@ def test_every_route_is_infinite_past_the_float_range(prior, model, method):
 
 def test_a_nan_divergence_stays_nan():
     # only the routes map inf - inf past the float range to +inf
-    res = DivergenceResult.from_chi_sq(math.nan, "monte_carlo")
+    res = DivergenceResult(math.nan, "monte_carlo")
     assert math.isnan(res.chi_sq) and math.isnan(res.tv_bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: UniformSparse(8, 2.0, 1.0),
+    lambda: UniformSparse(4.5, 1, 1.0),
+    lambda: UniformSparse(4, 1, "a"),
+    lambda: ShiftedSparse(4.5, 1, 1.0),
+    lambda: SingleGroupSparse(8, 0, 1, 1.0),
+    lambda: GroupSupported(8, 0, 1, 1.0),
+    lambda: PointMass("ab"),
+    lambda: draw(UniformSparse(8, 2, 1.0), substream(0, 0), size=2.5),
+    lambda: draw(UniformSparse(8, 2, 1.0), substream(0, 0), size=-1),
+    lambda: ingster_suslina_chisq(UniformSparse(8, 2, 1.0), Equicorrelated(8, 0.5),
+                                  method="monte_carlo", n_mc=2.5, rng=substream(0, 0)),
+    lambda: hypergeometric_mgf_bound(4.5, 1, 1.0),
+], ids=["uniform-float-s", "uniform-fraction-p", "uniform-text-magnitude",
+        "shifted-fraction-p", "single-group-zero-R", "group-supported-zero-R",
+        "point-mass-text", "draw-fraction-size", "draw-negative-size", "monte-carlo-fraction-n",
+        "mgf-fraction-p"])
+def test_bad_arguments_raise_contract_errors(call):
+    # each once built a prior (one whose draws and stream token differ from
+    # the integer one's) or raised a bare TypeError, ValueError or
+    # ZeroDivisionError
+    with pytest.raises(ContractError):
+        call()
+
+
+@pytest.mark.parametrize("model", [Grouped(8, 2, 0.5), RankOne(8, 0.5, np.ones(8))],
+                         ids=lambda m: m.family)
+def test_the_shifted_route_refuses_a_model_that_is_not_equicorrelated(model):
+    # mean_shift_tv's refusal, which risk_lower_bound no longer copies
+    with pytest.raises(ContractError, match="equicorrelated"):
+        risk_lower_bound(ShiftedSparse(8, 3, 0.5), model)

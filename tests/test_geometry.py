@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrdetect.errors import ContractError
+from corrdetect import geometry
+from corrdetect.errors import ContractError, CorrdetectError
 from corrdetect.geometry import (
+    SPACES,
     SignalSpec,
     largest_subset_energy,
     make_sparse_signal,
@@ -224,3 +226,92 @@ class TestConstruction:
     def test_spec_invariants_enforced(self):
         with pytest.raises(ContractError):
             SignalSpec(theta=np.array([1.0, 1.0]), s=1, support=np.array([0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: membership(signal([1.0, 0.0, 0.0, 0.0]), "upsilon_i", 1.0, R=-2),
+    lambda: membership(signal([1.0, 0.0, 0.0, 0.0]), "theta", "a"),
+    lambda: largest_subset_energy([1.0, 2.0], -1),
+    lambda: largest_subset_energy([1.0, 2.0], "a"),
+    lambda: omega("abcd"),
+    lambda: omega(np.ones((2, 2))),
+    lambda: omega(np.float64(1.0)),
+    lambda: projection_lower_bounds(make_sparse_signal(4, 1, 1.0), v=[math.nan, 1, 1, 1]),
+    lambda: make_sparse_signal(4, 1, math.nan),
+    lambda: make_sparse_signal(4.5, 1, 1.0),
+], ids=["membership-negative-R", "membership-epsilon-text", "subset-energy-negative-s",
+        "subset-energy-text-s", "omega-text", "omega-matrix", "omega-0d",
+        "projection-nan-pattern", "signal-nan-magnitude", "signal-fraction-p"])
+def test_bad_arguments_raise_contract_errors(call):
+    # each once returned a value (a NaN signal, NaN bounds, the energy of the
+    # wrong subset) or raised a bare TypeError or ValueError
+    with pytest.raises(ContractError):
+        call()
+
+
+# Arguments for every entry point of ``geometry``, as ``tests/test_models.py``
+# draws them for ``models``: valid values, and counts that are not integers,
+# below their range or huge, reals that are not finite or not numbers, and
+# vectors that are 0-d, 2-D, ragged, empty, of another length, not real, not
+# finite or with an entry whose square overflows.  Huge integers go only
+# where nothing p-sized is allocated before they are refused.
+_BAD_COUNTS = [0, -3, 4.5, 4.0, math.nan, "8", None]
+_REALS = st.sampled_from([0.0, 0.5, 2.0, -1.0, 1e200, math.nan, math.inf, 2 ** 70, "a", None])
+
+
+def _counts(huge=False):
+    return st.one_of(st.integers(1, 16),
+                     st.sampled_from(_BAD_COUNTS + ([2 ** 70, 10 ** 30] if huge else [])))
+
+
+def _vectors(p):
+    good = st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=p, max_size=p)
+    return st.one_of(good.map(np.array), st.sampled_from([
+        np.float64(1.0), np.ones(p + 1), np.ones((2, p)), [[1.0, 2.0], [3.0]], np.array([]),
+        np.r_[1e200, np.ones(p - 1)], np.r_[math.nan, np.ones(p - 1)],
+        np.r_[math.inf, np.ones(p - 1)], ["a"] * p, [None] * p, np.full(p, 1j), "abcd", None]))
+
+
+def _patterns(p):
+    return st.one_of(st.sampled_from([
+        np.ones(p), np.where(np.arange(p) % 2, 1.0, -1.0), np.r_[math.sqrt(p), np.zeros(p - 1)]]),
+        _vectors(p))
+
+
+_SUPPORTS = st.one_of(st.lists(st.integers(-2, 14), max_size=3),
+                      st.sampled_from([[0.5], [math.nan], [[0]], "a", None]))
+
+
+@st.composite
+def _geometry_calls(draw):
+    """One entry point and the arguments it is called with."""
+    p = draw(st.sampled_from([4, 8, 12]))
+    theta = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+                          min_size=p, max_size=p))
+    spec = signal(theta)
+    calls = {
+        "SignalSpec": (SignalSpec, draw(_vectors(p)), draw(_counts(True)), draw(_SUPPORTS)),
+        "signal": (signal, draw(_vectors(p)), draw(st.one_of(st.none(), _counts(True)))),
+        "make_sparse_signal": (make_sparse_signal, draw(_counts()), draw(_counts(True)),
+                               draw(_REALS)),
+        "membership": (membership, spec, draw(st.sampled_from(SPACES + ("nope", None))),
+                       draw(_REALS), draw(st.one_of(st.none(), _counts(True)))),
+        "projection_lower_bounds": (projection_lower_bounds, spec,
+                                    draw(st.one_of(st.none(), _patterns(p)))),
+        "largest_subset_energy": (largest_subset_energy, draw(_vectors(p)),
+                                  draw(st.one_of(st.just(0), _counts(True)))),
+        "omega": (omega, draw(_patterns(p))),
+    }
+    # a record and a constant, not calls
+    assert set(calls) == set(geometry.__all__) - {"SpaceMembership", "SPACES"}
+    return calls[draw(st.sampled_from(sorted(calls)))]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_geometry_calls())
+def test_every_entry_point_returns_or_raises_a_package_error(call):
+    f, *args = call
+    try:
+        f(*args)
+    except CorrdetectError:
+        pass

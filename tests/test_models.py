@@ -349,9 +349,10 @@ _MODEL = Grouped(4, 2, 0.5)
     lambda: RankOne(4, 0.5, "abcd"),
     lambda: RankOne.renormalized(4, 0.5, [1e200, 1, 1, 1]),  # no overflow warning first
     lambda: check_family("grouped", w=3),
+    lambda: canonical_layout(Equicorrelated(2, 0.5), [[1, 2], [3]]),
 ], ids=["decorrelate-no-stream", "decorrelate-xi-list", "precision-0d", "covariance-0d",
         "canonical-layout-length", "sample-size", "rank-one-text",
-        "renormalized-overflow", "check-family-stray"])
+        "renormalized-overflow", "check-family-stray", "canonical-layout-ragged"])
 def test_bad_arguments_raise_contract_errors(call):
     with pytest.raises(ContractError):
         call()
@@ -372,11 +373,11 @@ def _dims(huge=False):
 
 def _arrays(p):
     """p reals (one row, or two), or an array that is 0-d, of another length,
-    not real-valued or with an entry whose square overflows."""
+    ragged, not real-valued or with an entry whose square overflows."""
     good = st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p).map(np.array)
     return st.one_of(good, st.sampled_from([
         np.float64(1.0), np.ones(p + 1), np.ones((2, p)), np.r_[1e200, np.ones(p - 1)],
-        ["a"] * p, [None] * p, np.full(p, 1j), "abcd", None]))
+        ["a"] * p, [None] * p, np.full(p, 1j), "abcd", None, [[1.0] * p, [1.0]]]))
 
 
 @st.composite

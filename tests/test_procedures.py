@@ -133,6 +133,12 @@ class TestAssembly:
             with pytest.raises(ContractError, match=message):
                 build_test("equicorrelated", 16, s, gamma, rng=_rng(0), **kw)
 
+    @pytest.mark.parametrize("s", [2.7, "3"])
+    def test_a_sparsity_that_is_not_an_integer_is_refused(self, s):
+        # 2.7 once built the s = 2 test and "3" the s = 3 one; the rates refused both
+        with pytest.raises(ContractError, match="s must be an integer"):
+            build_test("equicorrelated", 64, s, 0.5, mode="paper_constants", C=3.0)
+
     def test_descriptor_roundtrip_json(self):
         import json
         t = build_test("equicorrelated", 50, 3, 0.2, mode="paper_constants", C=4.0)

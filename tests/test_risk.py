@@ -1,5 +1,6 @@
 """Risk engine: determinism, seed hygiene, and canonical risk values."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from corrdetect import risk
 from corrdetect.divergences import (
+    GroupSupported,
     PointMass,
     ShiftedSparse,
+    SingleGroupSparse,
     UniformSparse,
     draw,
     risk_lower_bound,
@@ -524,3 +527,29 @@ class TestBlockEngine:
                                              *self.KEY[2:], *window)
             assert seen == [verdict.values for verdict in want]
             assert count == sum(verdict.reject for verdict in want)
+
+
+def test_numpy_integer_dimensions_build_what_python_ints_build():
+    # records kept numpy integers as given, so their JSON raised TypeError,
+    # and so did the stream tokens of estimate_risk on such a cell
+    n = np.int64
+    pairs = [(build(n), build(int)) for build in [
+        lambda i: Equicorrelated(i(16), 0.5),
+        lambda i: Grouped(i(16), i(4), 0.5),
+        lambda i: RankOne(i(16), 0.5, np.ones(16)),
+        lambda i: UniformSparse(i(16), i(3), 0.5),
+        lambda i: SingleGroupSparse(i(16), i(4), i(2), 0.5),
+        lambda i: GroupSupported(i(16), i(4), i(2), 0.5),
+        lambda i: ShiftedSparse(i(16), i(3), 0.5),
+        lambda i: make_sparse_signal(i(16), i(3), 0.5),
+        lambda i: SignalSpec(np.r_[1.0, np.zeros(15)], i(3), [i(0)]),
+        lambda i: build_test("equicorrelated", i(16), i(3), 0.5, mode="paper_constants", C=3.0),
+    ]]
+    for built, expected in pairs:
+        assert built.descriptor() == expected.descriptor()
+        assert json.dumps(built.descriptor()) == json.dumps(expected.descriptor())
+    estimates = [estimate_risk(test, test.model, default_alternatives(
+        "equicorrelated", i(16), i(3), 0.5, None, None, 10.0), 100, master_seed=0)
+        for test, i in [(pairs[-1][0], n), (pairs[-1][1], int)]]
+    assert estimates[0].total == estimates[1].total
+    assert estimates[0].per_alternative == estimates[1].per_alternative

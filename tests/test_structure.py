@@ -1,8 +1,10 @@
 """Structure guards for one dispatch point per concept: the statistic table
-stays private to ``statistics``, and the only branches on the model class are
-the shifted route's two equicorrelated requirements in ``divergences`` (every
-other route asks the model for its block count, exchangeable blocks and block
-sums).  The only branches on the prior class are the shifted route (in
+stays private to ``statistics``, and the only branch on the model class is
+the shifted route's equicorrelated requirement in ``divergences.mean_shift_tv``
+(every other route asks the model for its block count, exchangeable blocks and
+block sums).  Whether R divides p, and whether ||v||^2 = p within a tolerance,
+is tested only in ``models`` and in the CLI's config checks, which report
+field paths.  The only branches on the prior class are the shifted route (in
 ``ingster_suslina_chisq``, ``risk_lower_bound`` and the CLI) and the point
 mass closed form; every other route asks the prior for its support law, and
 no prior's sign rule is compared outside the prior classes.  Each kind's
@@ -32,7 +34,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corrdetect"
 MODEL_ISINSTANCE = re.compile(r"isinstance\(\s*[\w.]+\s*,\s*\(?\s*(Equicorrelated|Grouped|RankOne)\b")
-MAX_MODEL_ISINSTANCE = 2
+MAX_MODEL_ISINSTANCE = 1
 PRIORS = {"PointMass", "UniformSparse", "SingleGroupSparse", "GroupSupported", "ShiftedSparse"}
 MAX_PRIOR_ISINSTANCE = 4
 # a private of ``statistics`` named through the module or imported from it
@@ -58,6 +60,51 @@ def test_model_isinstance_checks_stay_few():
     counts = {path.name: len(MODEL_ISINSTANCE.findall(path.read_text())) for path in _sources()}
     assert counts["statistics.py"] == 0
     assert sum(counts.values()) <= MAX_MODEL_ISINSTANCE, counts
+
+
+def _is_named(node, name: str) -> bool:
+    """``name`` itself, or an attribute ``<anything>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _split_and_norm_rules(tree) -> list:
+    """Lines that test whether R divides p (``p % R``, ``divmod(p, R)``) or
+    compare with p within a tolerance (``abs(nsq - p)``, ``isclose(nsq, p)``)."""
+    lines = []
+    for node in ast.walk(tree):
+        operands = []
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            operands = [node.left] if _is_named(node.right, "R") else []
+        elif isinstance(node, ast.Call) and node.args:
+            name, first = _called(node.func), node.args[0]
+            if name in ("abs", "fabs", "absolute") and isinstance(first, ast.BinOp):
+                operands = [first.left, first.right]
+            elif name == "divmod" and _is_named(node.args[-1], "R"):
+                operands = [first]
+            elif name == "isclose":
+                operands = node.args
+        if any(_is_named(operand, "p") for operand in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_split_and_norm_rules_live_in_models():
+    offenders = [f"{path.name}:{line}" for path in _sources()
+                 if path.name not in ("models.py", "cli.py")
+                 for line in _split_and_norm_rules(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
+def test_split_and_norm_guard_sees_every_form():
+    form = ("if p % R != 0:\n"
+            "    pass\n"
+            "ok = self.p % self.R == 0 or divmod(model.p, R)[1]\n"
+            "if abs(nsq - p) > 1e-9 * p or np.abs(p - v @ v) > tol:\n"
+            "    pass\n"
+            "close = math.isclose(float(v @ v), spec.p, rel_tol=1e-9)\n"
+            "fine = p % 2, abs(x - y), divmod(p, 2), abs(p), isclose(a, b)\n")
+    assert _split_and_norm_rules(ast.parse(form)) == [1, 3, 3, 4, 4, 6]
 
 
 def _names(node) -> set:
