@@ -5,7 +5,9 @@ and serialize a calibrated test), ``risk`` (one risk estimate from a config),
 ``sweep`` (grid of risk estimates -> CSV + JSON manifest), ``divergence``
 (prior divergence reports as JSON rows), and ``selftest``.  The flags of
 ``rate``, ``calibrate`` and ``divergence`` go, as ``model.*``, ``test.*`` and
-``prior.*`` fields, through the validators of the configs.
+``prior.*`` fields, through the validators of the configs: these check JSON
+shapes, and a library refusal of a value is reported, with its message, at
+the value's field path (``ContractError.argument`` names it).
 
 Exit codes: 0 success, 2 configuration error (with a field-path diagnostic),
 1 runtime failure (for ``sweep``: some cell failed; the CSV and manifest are
@@ -16,8 +18,8 @@ back to CORRDETECT_SEED; it must be an integer in [0, 2**128).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
 
@@ -35,11 +37,10 @@ from .divergences import (
     ingster_suslina_chisq,
     risk_lower_bound,
 )
-from .models import RankOne, check_family, model_from
-from .procedures import MIN_N_CAL, build_test
+from .models import _check_count, check_family, model_from
+from .procedures import build_test
 from .rates import rate_for
 from .risk import (
-    MIN_N_REPS,
     SweepPlan,
     _atomic_write,
     default_alternatives,
@@ -55,30 +56,38 @@ _FAMILIES = {"eq": "equicorrelated", "equicorrelated": "equicorrelated",
 
 # one constructor per divergence prior, from validated flags (a: the magnitude)
 _PRIORS = {
-    "point_mass": lambda p, s, a, **_: PointMass(np.r_[np.full(s, a), np.zeros(p - s)]),
+    "point_mass": lambda p, s, a, **_: PointMass(
+        np.r_[np.full(_check_count(s, "s", 1, p), a), np.zeros(p - s)]),
     "uniform_sparse": lambda p, s, a, signs, **_: UniformSparse(p, s, a, signs=signs),
     "single_group_sparse": lambda p, R, s, a, **_: SingleGroupSparse(p, R, s, a),
     "group_supported": lambda p, R, m, a, **_: GroupSupported(p, R, m, a),
     "shifted_sparse": lambda p, s, a, **_: ShiftedSparse(p, s, a),
 }
 _GROUP_PRIORS = ("single_group_sparse", "group_supported")
+# the config field of each argument that a library rule names in a refusal
+_MODEL_FIELDS = dict({k: f"model.{k}" for k in ("family", "p", "gamma", "R")}, v="model.v_file")
+_TEST_FIELDS = {key: f"test.{key}" for key in ("mode", "eta", "n_cal", "C", "s")}
 
 
-def _load_pattern(path: str, p_grid) -> np.ndarray:
-    """The pattern in ``path``, checked against the rank-one pattern rules
-    (``models.RankOne``) for every p."""
+@contextlib.contextmanager
+def _fields(paths: dict):
+    """Library calls; a refusal of an argument in ``paths`` is a config error at its path."""
     try:
-        v = np.loadtxt(path, dtype=float, ndmin=1)
+        yield
+    except ContractError as exc:
+        if exc.argument not in paths:
+            raise
+        raise ConfigError(paths[exc.argument], str(exc)) from None
+
+
+def _load_pattern(path: str) -> np.ndarray:
+    """The pattern in ``path``, as numbers (the models check it against p)."""
+    try:
+        return np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
         raise ConfigError("model.v_file", str(exc))
     except ValueError as exc:  # a non-numeric entry
         raise ConfigError("model.v_file", f"pattern is not numeric: {exc}")
-    for p in p_grid:
-        try:
-            RankOne(p, 0.0, v)
-        except ContractError as exc:
-            raise ConfigError("model.v_file", str(exc)) from None
-    return v
 
 
 def _master_seed(value) -> int:
@@ -120,18 +129,17 @@ def _reject_unknown(block: dict, path: str, allowed) -> None:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
-def _integer(value, path, low=1) -> int:
-    """``value`` if it is an integer of at least ``low``; a bool, a float
-    (even a whole one) or anything else is refused at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(path, f"expected an integer >= {low}, got {value!r}")
+def _integer(value, path) -> int:
+    """``value`` if it is a positive int, not a bool or a float; else refused at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
     return value
 
 
 def _finite(value, path) -> float:
-    """``value`` as a float if it is a finite number (not a bool)."""
+    """``value`` as a float if it is a finite number, not a bool (compared exactly)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -146,29 +154,11 @@ def _positive(value, path) -> float:
 
 def _grid(value, path, check) -> list:
     """A grid: one value or a nonempty list of them, each passed through
-    ``check`` (:func:`_integer`, :func:`_finite` or :func:`_positive`)."""
+    ``check`` (:func:`_integer` or :func:`_finite`)."""
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(path, "expected a nonempty list")
     return [check(x, path) for x in values]
-
-
-def _sparsities(value, p_grid, path) -> list:
-    """A sparsity grid: integers in [1, p] for every p in ``p_grid``."""
-    s_grid = _grid(value, path, _integer)
-    if max(s_grid) > min(p_grid):
-        raise ConfigError(path, f"{max(s_grid)} outside [1, {min(p_grid)}]")
-    return s_grid
-
-
-def _group_counts(value, p_grid, path) -> list:
-    """A group-count grid: integers that divide every p in ``p_grid``."""
-    R_grid = _grid(value, path, _integer)
-    for p in p_grid:
-        for R in R_grid:
-            if p % R:
-                raise ConfigError(path, f"R={R} does not divide p={p}")
-    return R_grid
 
 
 def load_config(path: str) -> dict:
@@ -197,40 +187,25 @@ def _validate_model_grids(cfg: dict):
     p_grid = _grid(_require(model, "model", "p", (int, list)), "model.p", _integer)
     gamma_grid = _grid(_require(model, "model", "gamma", (int, float, list)), "model.gamma",
                        _finite)
-    for g in gamma_grid:
-        if not 0.0 <= g <= 1.0:
-            raise ConfigError("model.gamma", f"gamma={g} outside [0, 1]")
-    for key, name in (("R", "R"), ("v_file", "v")):
-        try:
-            check_family(family, **{name: model.get(key)})
-        except ContractError as exc:
-            raise ConfigError(f"model.{key}", str(exc)) from None
-    R_grid = (_group_counts(_require(model, "model", "R", (int, list)), p_grid, "model.R")
+    with _fields(_MODEL_FIELDS):
+        check_family(family, R=model.get("R"), v=model.get("v_file"))
+    R_grid = (_grid(_require(model, "model", "R", (int, list)), "model.R", _integer)
               if family == "grouped" else [None])
-    v = (_load_pattern(_require(model, "model", "v_file", str), p_grid)
-         if family == "rank_one" else None)
+    v = _load_pattern(_require(model, "model", "v_file", str)) if family == "rank_one" else None
     return family, p_grid, gamma_grid, R_grid, v
 
 
-def _validate_test(cfg: dict, p_grid):
+def _validate_test(cfg: dict):
     test = _require(cfg, "(root)", "test", dict, optional=True, default={})
     _reject_unknown(test, "test", {"mode", "eta", "n_cal", "C", "s"})
     mode = _require(test, "test", "mode", str, optional=True, default="calibrated")
-    if mode not in ("calibrated", "paper_constants"):
-        raise ConfigError("test.mode", f"unknown mode {mode!r}")
-    eta = float(_require(test, "test", "eta", (int, float), optional=True, default=0.1))
-    if not 0.0 < eta < 1.0:
-        raise ConfigError("test.eta", "eta must lie in (0, 1)")
+    eta = _require(test, "test", "eta", (int, float), optional=True, default=0.1)
     n_cal = _integer(_require(test, "test", "n_cal", int, optional=True, default=4000),
-                     "test.n_cal", low=MIN_N_CAL if mode == "calibrated" else 1)
+                     "test.n_cal")
     C = _require(test, "test", "C", (int, float), optional=True)
-    if (mode == "paper_constants") != (C is not None):
-        raise ConfigError("test.C", "paper_constants mode needs C, and only it uses C")
     s = _require(test, "test", "s", (int, str), optional=True)
-    if isinstance(s, str) and s != "adaptive":
-        raise ConfigError("test.s", "s must be an integer or 'adaptive'")
-    if s is not None and not isinstance(s, str):
-        [s] = _sparsities(s, p_grid, "test.s")
+    if s is not None and s != "adaptive":
+        s = _integer(s, "test.s")
     return mode, eta, n_cal, None if C is None else _finite(C, "test.C"), s
 
 
@@ -239,7 +214,7 @@ def _validate_front(cfg: dict, command: str, keys, seed, workers):
     command's own block (its keys), and seed and workers (a flag wins)."""
     _reject_unknown(cfg, "(root)", {"command", "model", "test", command, "out", "seed", "workers"})
     model = _validate_model_grids(cfg)
-    test = _validate_test(cfg, p_grid=model[1])
+    test = _validate_test(cfg)
     block = _require(cfg, "(root)", command, dict)
     _reject_unknown(block, command, keys)
     seed = _master_seed(seed if seed is not None else cfg.get("seed"))
@@ -257,22 +232,19 @@ def build_sweep_plan(cfg: dict, seed=None, workers=None) -> SweepPlan:
         raise ConfigError("test.s", "a sweep takes its sparsities from sweep.s and its "
                                     "adaptive test from sweep.adaptive")
     adaptive = _require(sweep, "sweep", "adaptive", bool, optional=True, default=False)
-    s_grid = _sparsities(_require(sweep, "sweep", "s", list), p_grid, "sweep.s")
+    s_grid = _grid(_require(sweep, "sweep", "s", list), "sweep.s", _integer)
     multipliers = _grid(_require(sweep, "sweep", "multipliers", list), "sweep.multipliers",
-                        _positive)
+                        _finite)
     n_reps = _integer(_require(sweep, "sweep", "n_reps", int, optional=True, default=1000),
-                      "sweep.n_reps", low=MIN_N_REPS)
+                      "sweep.n_reps")
     sep = _require(sweep, "sweep", "separation_reference", str, optional=True, default="cell")
-    if sep not in ("cell", "gamma0"):
-        raise ConfigError("sweep.separation_reference", "must be 'cell' or 'gamma0'")
-    try:
+    own = {key: f"sweep.{key}" for key in ("s", "multipliers", "n_reps", "separation_reference")}
+    with _fields({**_MODEL_FIELDS, **_TEST_FIELDS, **own, "workers": "workers"}):
         return SweepPlan(family=family, p_grid=tuple(p_grid), s_grid=tuple(s_grid),
                          gamma_grid=tuple(gamma_grid), multipliers=tuple(multipliers),
                          n_reps=n_reps, master_seed=seed, R_grid=tuple(R_grid), v=v,
                          mode=mode, eta=eta, C=C, n_cal=n_cal, separation_reference=sep,
                          workers=workers, adaptive=adaptive)
-    except CorrdetectError as exc:
-        raise ConfigError("sweep", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +269,8 @@ def _emit(payload: str, out) -> None:
 
 def _cmd_rate(args) -> int:
     family, p, gamma, R, v = _flag_model(args, args.R)
-    [s] = _sparsities(args.s, [p], "s")
-    result = rate_for(family, p, s, gamma, R, v)
+    with _fields({**_MODEL_FIELDS, "s": "s"}):
+        result = rate_for(family, p, args.s, gamma, R, v)
     print(f"regime {result.regime}")
     print("rate_sq uncharacterized" if result.uncharacterized
           else f"rate_sq {result.value:.4f}")
@@ -310,10 +282,11 @@ def _cmd_calibrate(args) -> int:
     if args.adaptive == (args.s is not None):
         raise ConfigError("test.s", "give one of --s and --adaptive")
     block = {"eta": args.eta, "n_cal": args.n_cal, "s": "adaptive" if args.adaptive else args.s}
-    mode, eta, n_cal, _, s = _validate_test({"test": block}, [p])
+    mode, eta, n_cal, _, s = _validate_test({"test": block})
     seed = _master_seed(args.seed)
-    test = build_test(family, p, s, gamma, R=R, v=v, mode=mode, eta=eta, n_cal=n_cal,
-                      rng=substream(seed, 0), seed_label=f"seed={seed}")
+    with _fields({**_MODEL_FIELDS, **_TEST_FIELDS}):
+        test = build_test(family, p, s, gamma, R=R, v=v, mode=mode, eta=eta, n_cal=n_cal,
+                          rng=substream(seed, 0), seed_label=f"seed={seed}")
     _emit(test.to_json(indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -326,21 +299,21 @@ def _cmd_risk(args) -> int:
     if len(p_grid) != 1 or len(gamma_grid) != 1 or len(R_grid) != 1:
         raise ConfigError("model", "risk runs need scalar model parameters")
     (p,), (gamma,), (R,) = p_grid, gamma_grid, R_grid
-    s_true = _require(block, "risk", "s", int, optional=True,
-                      default=s if isinstance(s, int) else None)
-    if s_true is None:
-        raise ConfigError("risk.s", "missing sparsity")
-    [s_true] = _sparsities(s_true, [p], "risk.s")
+    s_true = _integer(_require(block, "risk", "s", int, optional=isinstance(s, int), default=s),
+                      "risk.s")
     mult = _positive(_require(block, "risk", "multiplier", (int, float)), "risk.multiplier")
     n_reps = _integer(_require(block, "risk", "n_reps", int, optional=True, default=1000),
-                      "risk.n_reps", low=MIN_N_REPS)
-    rate = rate_for(family, p, s_true, gamma, R, v)
+                      "risk.n_reps")
+    with _fields({**_MODEL_FIELDS, "s": "risk.s"}):
+        rate = rate_for(family, p, s_true, gamma, R, v)
     if rate.uncharacterized:
         raise ConfigError("risk.s", "rate uncharacterized for this configuration")
-    test = build_test(family, p, s_true if s is None else s, gamma, R=R, v=v, mode=mode,
-                      eta=eta, n_cal=n_cal, C=C, rng=substream(seed, 0))
+    with _fields({**_MODEL_FIELDS, **_TEST_FIELDS}):
+        test = build_test(family, p, s_true if s is None else s, gamma, R=R, v=v, mode=mode,
+                          eta=eta, n_cal=n_cal, C=C, rng=substream(seed, 0))
     alts = default_alternatives(family, p, s_true, gamma, R, v, mult * rate.value)
-    est = estimate_risk(test, test.model, alts, n_reps, seed, workers=workers)
+    with _fields({"n_reps": "risk.n_reps", "workers": "workers"}):
+        est = estimate_risk(test, test.model, alts, n_reps, seed, workers=workers)
     _emit(json.dumps({"rate": {"regime": rate.regime, "rate_sq": rate.value},
                       "multiplier": mult, "estimate": est.descriptor()},
                      indent=2, sort_keys=True) + "\n", args.out)
@@ -365,7 +338,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _prior(args, p: int, v):
-    """The divergence prior of the flags, each checked at its ``prior.*`` path.
+    """The divergence prior of the flags, each refused at its ``prior.*`` path.
     A ``group_supported`` prior takes ``--m`` (its number of whole groups),
     every other prior ``--s``; the other of the two is refused, not dropped."""
     magnitude = _finite(args.magnitude, "prior.magnitude")
@@ -373,27 +346,25 @@ def _prior(args, p: int, v):
         raise ConfigError("prior.signs", f"{args.prior} has no sign rule; its signs are plus")
     if args.signs == "match_pattern" and v is None:
         raise ConfigError("prior.signs", "match_pattern needs the rank-one pattern")
-    R, size, stray, top = None, "s", "m", p - 1 if args.prior == "shifted_sparse" else p
-    if args.prior in _GROUP_PRIORS:
-        if args.R is None:
-            raise ConfigError("model.R", "this prior needs --R")
-        [R] = _group_counts(args.R, [p], "prior.R")
-        top = p // R
-        if args.prior == "group_supported":
-            size, stray, top = "m", "s", R
+    if args.prior in _GROUP_PRIORS and args.R is None:
+        raise ConfigError("model.R", "this prior needs --R")
+    size, stray = ("m", "s") if args.prior == "group_supported" else ("s", "m")
     if getattr(args, size) is None:
         raise ConfigError(f"prior.{size}", f"{args.prior} needs --{size}")
-    [count] = _sparsities(getattr(args, size), [top], f"prior.{size}")
+    with _fields({key: f"prior.{key}" for key in ("R", "s", "m", "magnitude")}):
+        prior = _PRIORS[args.prior](p=p, R=args.R, a=magnitude, signs=args.signs,
+                                    **{size: getattr(args, size)})
     if getattr(args, stray) is not None:
         raise ConfigError(f"prior.{stray}", f"{args.prior} takes no --{stray}")
-    return _PRIORS[args.prior](p=p, R=R, a=magnitude, signs=args.signs, **{size: count})
+    return prior
 
 
 def _cmd_divergence(args) -> int:
     in_model = args.prior not in _GROUP_PRIORS or _FAMILIES[args.family] == "grouped"
     family, p, gamma, R, v = _flag_model(args, args.R if in_model else None)
+    with _fields(_MODEL_FIELDS):
+        model = model_from(family, p, gamma, R, v)
     prior = _prior(args, p, v)
-    model = model_from(family, p, gamma, R, v)
     kwargs = dict(method=args.method, n_mc=args.n_mc, rng=substream(_master_seed(args.seed), 0),
                   v=v)
     row = {"prior": prior.descriptor(), "model": model.descriptor(), "method": args.method}

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -55,7 +54,9 @@ from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
     Equicorrelated,
+    _check_coordinates,
     _check_count,
+    _check_real,
     _check_split,
     _precision_weights,
     _store,
@@ -86,11 +87,6 @@ METHODS = ("auto", "closed_form", "hypergeometric_sum", "exact_enumeration", "mo
 SIGN_RULES = ("plus", "match_pattern", "rademacher")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
-
-
-def _check_magnitude(prior) -> None:
-    if not (isinstance(prior.magnitude, numbers.Real) and math.isfinite(prior.magnitude)):
-        raise ContractError(f"magnitude must be finite, got {prior.magnitude!r}")
 
 
 def _expm1(x: float) -> float:
@@ -206,17 +202,18 @@ class UniformSparse(_SparsePrior):
 
     def __post_init__(self):
         p = _check_count(self.p, "p", 1)
-        _store(self, p=p, s=_check_count(self.s, "s", 1, p))
+        _store(self, p=p, s=_check_count(self.s, "s", 1, p),
+               magnitude=_check_real(self.magnitude, "magnitude"))
         if self.signs not in SIGN_RULES:
             raise ContractError(f"unknown sign rule {self.signs!r}; expected one of "
-                                f"{', '.join(SIGN_RULES)}")
-        _check_magnitude(self)
+                                f"{', '.join(SIGN_RULES)}", argument="signs")
         if self.universe is not None:
-            # sorted, repeats dropped: np.unique's result, without loading numpy.ma
-            uni = np.sort(np.asarray(self.universe, dtype=np.intp), axis=None)
+            # repeats dropped: np.unique's result, without loading numpy.ma
+            uni = _check_coordinates(self.universe, p, "universe")
             uni = uni[np.diff(uni, prepend=uni[:1] - 1) != 0]
-            if uni.size < self.s or uni.min() < 0 or uni.max() >= self.p:
-                raise ContractError("universe must hold at least s valid coordinates")
+            if uni.size < self.s:
+                raise ContractError(f"universe must hold at least s={self.s} coordinates",
+                                    argument="universe")
             object.__setattr__(self, "universe", uni)
 
     @property
@@ -308,8 +305,8 @@ class SingleGroupSparse(_SparsePrior):
 
     def __post_init__(self):
         p, R = _check_split(self.p, self.R)
-        _store(self, p=p, R=R, s=_check_count(self.s, "s", 1, p // R))
-        _check_magnitude(self)
+        _store(self, p=p, R=R, s=_check_count(self.s, "s", 1, p // R),
+               magnitude=_check_real(self.magnitude, "magnitude"))
 
     def supports(self, rng, v=None, size=None) -> tuple:
         bs = self.p // self.R
@@ -349,8 +346,8 @@ class GroupSupported(_SparsePrior):
 
     def __post_init__(self):
         p, R = _check_split(self.p, self.R)
-        _store(self, p=p, R=R, m=_check_count(self.m, "m", 1, R))
-        _check_magnitude(self)
+        _store(self, p=p, R=R, m=_check_count(self.m, "m", 1, R),
+               magnitude=_check_real(self.magnitude, "magnitude"))
 
     @property
     def support_size(self) -> int:
@@ -400,8 +397,8 @@ class ShiftedSparse:
 
     def __post_init__(self):
         p = _check_count(self.p, "p", 1)
-        _store(self, p=p, s=_check_count(self.s, "s", 1, p - 1))  # the complement is not empty
-        _check_magnitude(self)
+        _store(self, p=p, s=_check_count(self.s, "s", 1, p - 1),  # the complement is not empty
+               magnitude=_check_real(self.magnitude, "magnitude"))
 
     @property
     def complement(self) -> UniformSparse:
@@ -523,8 +520,9 @@ def hypergeometric_logpmf(population: int, draw1: int, draw2: int) -> tuple:
     The log-pmf is the normalized running sum of log(pmf(k+1)/pmf(k)), so no
     term near log(population!) forms and cancels.
     """
-    if not (0 <= draw1 <= population and 0 <= draw2 <= population):
-        raise ContractError("need 0 <= draw1, draw2 <= population")
+    population = _check_count(population, "population", 0)
+    draw1 = _check_count(draw1, "draw1", 0, population)
+    draw2 = _check_count(draw2, "draw2", 0, population)
     lo = max(0, draw1 + draw2 - population)
     hi = min(draw1, draw2)
     ks = np.arange(lo, hi + 1)
@@ -733,7 +731,7 @@ def mean_shift_tv(model: Equicorrelated, m: float) -> float:
         raise ContractError("mean_shift_tv is defined for the equicorrelated model")
     if model.gamma >= 1.0:
         raise SingularCovarianceError("needs gamma < 1")
-    g, p = model.gamma, model.p
+    g, p, m = model.gamma, model.p, _check_real(m, "m")
     return 0.5 * math.sqrt(_expm1(p * m * m / (1.0 - g + g * p)))
 
 

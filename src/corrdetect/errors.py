@@ -10,7 +10,12 @@ class DomainError(CorrdetectError, ValueError):
 
 
 class ContractError(CorrdetectError, ValueError):
-    """Arguments violate a structural precondition (shapes, ranges, pairing)."""
+    """Arguments violate a structural precondition (shapes, ranges, pairing).
+    ``argument`` names the parameter refused (``"p"``, ``"s"``, ...), if any."""
+
+    def __init__(self, message: str, argument=None):
+        self.argument = argument
+        super().__init__(message)
 
 
 class SingularCovarianceError(ContractError):

@@ -19,14 +19,14 @@ squared coordinates of v.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError
-from .models import _check_count, _check_pattern, _check_split, _real, _store, _vector
+from .models import (_check_coordinates, _check_count, _check_pattern, _check_real,
+                     _check_split, _real, _store, _vector)
 
 __all__ = [
     "SignalSpec",
@@ -55,16 +55,12 @@ class SignalSpec:
         theta = _vector(self.theta, "theta")
         with np.errstate(over="ignore"):
             if not math.isfinite(theta @ theta):  # NaN, or past the float range
-                raise ContractError("theta must have a finite squared norm")
-        support = np.asarray(self.support)
-        if support.ndim != 1 or support.size and support.dtype.kind not in "iu":
-            raise ContractError("support must be a list of coordinates")
-        support = np.sort(support.astype(np.intp))
-        if support.size and (support[0] < 0 or support[-1] >= theta.shape[0]
-                             or (support[1:] == support[:-1]).any()):
-            raise ContractError("support coordinates must be distinct and in range(p)")
+                raise ContractError("theta must have a finite squared norm", argument="theta")
+        support = _check_coordinates(self.support, theta.shape[0], "support")
+        if (support[1:] == support[:-1]).any():
+            raise ContractError("support coordinates must be distinct", argument="support")
         if np.count_nonzero(theta[support]) != np.count_nonzero(theta):
-            raise ContractError("theta must vanish off the declared support")
+            raise ContractError("theta must vanish off the declared support", argument="theta")
         _store(self, theta=theta, support=support,
                s=_check_count(self.s, "s", support.size, theta.size))
 
@@ -94,8 +90,8 @@ def make_sparse_signal(p: int, s: int, magnitude: float) -> SignalSpec:
     explicit one, a :class:`SignalSpec`."""
     p = _check_count(p, "p", 1)
     s = _check_count(s, "s", 1, p)
-    if not (isinstance(magnitude, numbers.Real) and 0.0 <= magnitude < math.inf):
-        raise ContractError(f"magnitude must be finite and nonnegative, got {magnitude!r}")
+    if _check_real(magnitude, "magnitude") < 0.0:
+        raise ContractError(f"magnitude must be >= 0, got {magnitude!r}", argument="magnitude")
     theta = np.zeros(p)
     theta[:s] = magnitude
     return SignalSpec(theta=theta, s=s, support=np.arange(s))
@@ -128,9 +124,8 @@ def membership(spec: SignalSpec, space: str, epsilon: float,
     blocks of size p/R; the group layout is immaterial up to permutation.
     """
     if space not in SPACES:
-        raise ContractError(f"unknown space tag {space!r}")
-    if not isinstance(epsilon, numbers.Real):
-        raise ContractError(f"epsilon must be a real number, got {epsilon!r}")
+        raise ContractError(f"unknown space tag {space!r}", argument="space")
+    epsilon = _check_real(epsilon, "epsilon")
     theta, p = spec.theta, spec.p
     sparsity_ok = int(np.count_nonzero(theta)) <= spec.s
     if space in ("upsilon_i", "upsilon_ii", "theta_dagger"):

@@ -46,12 +46,15 @@ keeps its layout.
 Data are plain arrays, rows of length p; the model they are drawn from or
 tested under is passed beside them, never attached to them.  Arguments are
 checked on entry by rules written once here, which ``rates``, ``procedures``,
-``geometry`` and the priors call: a count (p, R, s, m or a sample size) is an
-integer in its range (``_check_count``: 1 <= s <= p), R divides p
-(``_check_split``), a pattern v is finite with ||v||^2 = p to 1e-9 relative
-(``_check_pattern``), gamma is real in [0, 1], and an array is rectangular
-and real (``_real``).  A violation raises :class:`ContractError`.  Records
-keep the Python ints the checks return, so numpy integers give the same JSON.
+``geometry``, the priors and ``risk`` call, and through them the command line:
+a count (p, R, s, m or a sample size) is an integer in its range
+(``_check_count``: 1 <= s <= p), R divides p (``_check_split``), a pattern v
+is finite with ||v||^2 = p to 1e-9 relative (``_check_pattern``), gamma is
+real in [0, 1], another real is finite (``_check_real``), coordinates are
+integers in range(p), and an array is rectangular and real (``_real``).  A
+violation raises :class:`ContractError`, naming the parameter in ``argument``.
+Records keep the Python ints and floats the checks return, so numpy scalars
+give the same JSON.
 
 Random stream layout.  A draw consumes k shared factors and then p noise
 coordinates (k = R for the grouped model, 1 otherwise); decorrelation then
@@ -92,10 +95,22 @@ __all__ = [
 ]
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_real(value, what: str) -> float:
+    """``value`` as a float, refusing NaN, infinities, an integer past the
+    float range and anything that is not a real number."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # math.isfinite of an integer past the float range
+        pass
+    raise ContractError(f"{what} must be a finite real number, got {value!r}", argument=what)
+
+
+def _check_gamma(gamma) -> float:
     # the comparison is false for NaN, inf and integers past float range
     if not isinstance(gamma, numbers.Real) or not 0.0 <= gamma <= 1.0:
-        raise ContractError(f"gamma must lie in [0, 1], got {gamma!r}")
+        raise ContractError(f"gamma must lie in [0, 1], got {gamma!r}", argument="gamma")
+    return float(gamma)
 
 
 def _check_count(value, what: str, least: int, most: Optional[int] = None) -> int:
@@ -104,10 +119,10 @@ def _check_count(value, what: str, least: int, most: Optional[int] = None) -> in
     try:
         value = operator.index(value)
     except TypeError:
-        raise ContractError(f"{what} must be an integer, got {value!r}") from None
+        raise ContractError(f"{what} must be an integer, got {value!r}", argument=what) from None
     if value < least or most is not None and value > most:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
-        raise ContractError(f"{what} must be {bounds}, got {value}")
+        raise ContractError(f"{what} must be {bounds}, got {value}", argument=what)
     return value
 
 
@@ -115,18 +130,22 @@ def _check_split(p, R) -> tuple:
     """(p, R) as ints: R >= 1 groups of p/R >= 1 coordinates."""
     p, R = _check_count(p, "p", 1), _check_count(R, "R", 1)
     if p % R != 0:
-        raise ContractError(f"R must divide p, got R={R}, p={p}")
+        raise ContractError(f"R must divide p, got R={R}, p={p}", argument="R")
     return p, R
+
+
+def _array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        raise ContractError(f"{what} must be a rectangular array", argument=what) from None
 
 
 def _real(x, what: str) -> np.ndarray:
     """``x`` as a float array, refusing one that is ragged or not real-valued."""
-    try:
-        a = np.asarray(x)
-    except ValueError:  # a ragged nested sequence
-        raise ContractError(f"{what} must be a rectangular array") from None
+    a = _array(x, what)
     if a.dtype.kind not in "biuf":
-        raise ContractError(f"{what} must hold real numbers, got dtype {a.dtype}")
+        raise ContractError(f"{what} must hold real numbers, got dtype {a.dtype}", argument=what)
     return a.astype(float, copy=False)
 
 
@@ -134,7 +153,18 @@ def _vector(x, what: str) -> np.ndarray:
     """``x`` as a real array of one axis, with at least one entry."""
     a = _real(x, what)
     if a.ndim != 1 or a.size == 0:
-        raise ContractError(f"{what} must be one nonempty vector, got shape {a.shape}")
+        raise ContractError(f"{what} must be a nonempty vector, got {a.shape}", argument=what)
+    return a
+
+
+def _check_coordinates(x, p: int, what: str) -> np.ndarray:
+    """``x`` as a sorted int vector of coordinates in range(p), repeats kept."""
+    a = _array(x, what)
+    if a.ndim != 1 or a.size and a.dtype.kind not in "iu":
+        raise ContractError(f"{what} must be a list of integer coordinates", argument=what)
+    a = np.sort(a.astype(np.intp))
+    if a.size and (a[0] < 0 or a[-1] >= p):
+        raise ContractError(f"{what} coordinates must lie in range(p={p})", argument=what)
     return a
 
 
@@ -143,7 +173,7 @@ def _pattern(v, p: int) -> tuple:
     overflow warning, where it passes float range."""
     v = _real(v, "v")
     if v.shape != (p,):
-        raise ContractError(f"v must have length p={p}, got shape {v.shape}")
+        raise ContractError(f"v must have length p={p}, got shape {v.shape}", argument="v")
     with np.errstate(over="ignore"):
         return v, float(v @ v)
 
@@ -152,10 +182,10 @@ def _check_pattern(v, p: int) -> np.ndarray:
     """``v`` as a finite real array (p,) with ||v||^2 = p to 1e-9 relative."""
     v, nsq = _pattern(v, p)
     if not np.isfinite(v).all():
-        raise ContractError("v must be finite")
+        raise ContractError("v must be finite", argument="v")
     if abs(nsq - p) > 1e-9 * p:
         raise ContractError(f"||v||^2 must equal p (got {nsq} vs {p}); "
-                            "use RankOne.renormalized to rescale")
+                            "use RankOne.renormalized to rescale", argument="v")
     return v
 
 
@@ -168,7 +198,7 @@ def _store(record, **fields) -> None:
 def _check_length(a: np.ndarray, p: int, what: str) -> None:
     if a.shape[-1:] != (p,):
         raise ContractError(f"{what} must have length p={p} on its last axis, "
-                            f"got shape {a.shape}")
+                            f"got shape {a.shape}", argument=what)
 
 
 class _Blocks:
@@ -220,8 +250,7 @@ class Equicorrelated(_SingleBlock):
     gamma: float
 
     def __post_init__(self):
-        _store(self, p=_check_count(self.p, "p", 1))
-        _check_gamma(self.gamma)
+        _store(self, p=_check_count(self.p, "p", 1), gamma=_check_gamma(self.gamma))
 
     def descriptor(self) -> dict:
         return {"family": self.family, "p": self.p, "gamma": self.gamma}
@@ -241,8 +270,7 @@ class Grouped(_Blocks):
 
     def __post_init__(self):
         p, R = _check_split(self.p, self.R)
-        _store(self, p=p, R=R)
-        _check_gamma(self.gamma)
+        _store(self, p=p, R=R, gamma=_check_gamma(self.gamma))
 
     def project_support(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-group sums of sparse rows: one weighted bincount over the
@@ -270,15 +298,14 @@ class RankOne(_SingleBlock):
     sign_pattern: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = _check_count(self.p, "p", 1)
-        _check_gamma(self.gamma)
+        p, gamma = _check_count(self.p, "p", 1), _check_gamma(self.gamma)
         v = _check_pattern(self.v, p)
         if v.flags.writeable or not v.flags.c_contiguous:
             # a frozen copy leaves the caller's array writeable; a frozen,
             # contiguous v is shared as given
             v = v.copy()
             v.setflags(write=False)
-        _store(self, p=p, v=v, sign_pattern=bool(np.all(np.abs(v) == 1.0)))
+        _store(self, p=p, gamma=gamma, v=v, sign_pattern=bool(np.all(np.abs(v) == 1.0)))
 
     exchangeable = False
 
@@ -312,15 +339,15 @@ def check_family(family: str, **parameters) -> None:
     family the pattern v, and the equicorrelated family neither.  A parameter
     left out is not checked."""
     if family not in ("equicorrelated", "grouped", "rank_one"):
-        raise ContractError(f"unknown family {family!r}")
+        raise ContractError(f"unknown family {family!r}", argument="family")
     for name, value in parameters.items():
         owner = {"R": "grouped", "v": "rank_one"}.get(name)
         if owner is None:
-            raise ContractError(f"no family takes a parameter {name!r}")
+            raise ContractError(f"no family takes a parameter {name!r}", argument=name)
         if value is None and family == owner:
-            raise ContractError(f"the {owner} family needs {name}")
+            raise ContractError(f"the {owner} family needs {name}", argument=name)
         if value is not None and family != owner:
-            raise ContractError(f"{name} applies to the {owner} family only, not {family}")
+            raise ContractError(f"{name} applies to the {owner} family only", argument=name)
 
 
 def model_from(family: str, p: int, gamma: float, R: Optional[int] = None,

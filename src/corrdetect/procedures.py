@@ -63,6 +63,7 @@ from .models import (
     _BLOCK_ELEMENTS,
     CorrelationModel,
     _check_count,
+    _check_real,
     _decorrelated,
     canonical_layout,
     decorrelate,  # noqa: F401  benchmarks/bench_tracer.py wraps procedures.decorrelate
@@ -405,8 +406,7 @@ def calibrate_null_quantile(constituents, model: CorrelationModel, q: float, n_c
     """
     if not (0.0 < q < 1.0):
         raise ContractError("quantile level must lie in (0, 1)")
-    if n_cal < MIN_N_CAL:
-        raise ContractError(f"n_cal must be at least {MIN_N_CAL}")
+    n_cal = _check_count(n_cal, "n_cal", MIN_N_CAL)
     expected_tail = n_cal * (1.0 - q)
     # relative slack: 1600 * (1 - 0.9875) rounds to 19.999...
     if expected_tail < _MIN_TAIL * (1.0 - 1e-9):
@@ -442,17 +442,17 @@ def calibrate_null_quantile(constituents, model: CorrelationModel, q: float, n_c
 # public construction / evaluation
 
 
-def _check_mode(mode: str, eta: float, C: Optional[float], n_cal: int) -> None:
-    """Refuse operating-mode settings that every threshold of a test would
-    fail on (``SweepPlan`` checks its own with this too)."""
+def _check_mode(mode: str, eta: float, C: Optional[float], n_cal: int) -> tuple:
+    """(eta, n_cal), checked as a float and an int, for ``build_test`` and ``SweepPlan``."""
     if mode not in ("calibrated", "paper_constants"):
-        raise ContractError(f"unknown mode {mode!r}")
-    if mode == "paper_constants" and C is None:
-        raise ContractError("paper_constants mode needs the constant C")
+        raise ContractError(f"unknown mode {mode!r}", argument="mode")
+    if (mode == "paper_constants") != (C is not None):
+        raise ContractError("paper_constants mode needs the constant C, and only it uses C",
+                            argument="C")
+    eta = _check_real(eta, "eta")
     if not 0.0 < eta < 1.0:
-        raise ContractError("eta must lie in (0, 1)")
-    if mode == "calibrated" and n_cal < MIN_N_CAL:
-        raise ContractError(f"n_cal must be at least {MIN_N_CAL}")
+        raise ContractError("eta must lie in (0, 1)", argument="eta")
+    return eta, _check_count(n_cal, "n_cal", MIN_N_CAL if mode == "calibrated" else 1)
 
 
 def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
@@ -468,7 +468,7 @@ def build_test(family: str, p: int, s, gamma: float, *, R: Optional[int] = None,
     null gets the empirical (1 - eta/(2 m)) null quantile from ``n_cal``
     replications drawn from ``rng``.
     """
-    _check_mode(mode, eta, C, n_cal)
+    eta, n_cal = _check_mode(mode, eta, C, n_cal)
     model = model_from(family, p, gamma, R, v)
     if s != "adaptive":
         s = _check_count(s, "s", 1, model.p)

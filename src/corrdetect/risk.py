@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -57,7 +58,7 @@ from .divergences import (
 )
 from .errors import ContractError, CorrdetectError
 from .geometry import SignalSpec, make_sparse_signal
-from .models import _BLOCK_ELEMENTS, check_family, model_from, sample
+from .models import _BLOCK_ELEMENTS, _check_count, _check_real, _store, model_from, sample
 from .procedures import TestProcedure, _check_mode, build_test, evaluate
 from .rates import rate_for
 from .streams import stable_token, substream
@@ -172,13 +173,11 @@ def estimate_risk(test: TestProcedure, model, alternatives: Sequence,
     """
     if model.descriptor() != test.model.descriptor():
         raise ContractError("the model does not match the test's model in family, "
-                            "p, gamma, R or pattern")
+                            "p, gamma, R or pattern", argument="model")
     if not alternatives:
-        raise ContractError("alternatives must be nonempty")
-    if n_reps < MIN_N_REPS:
-        raise ContractError(f"n_reps must be at least {MIN_N_REPS}")
-    if workers < 1:
-        raise ContractError("workers must be at least 1")
+        raise ContractError("alternatives must be nonempty", argument="alternatives")
+    n_reps = _check_count(n_reps, "n_reps", MIN_N_REPS)
+    workers = _check_count(workers, "workers", 1)
     start_time = time.perf_counter()
     keys = {}  # stream token -> descriptor key, in first-seen order
     units = [(None, _NULL_STREAM, 0)]
@@ -296,6 +295,7 @@ class SweepPlan:
     ``separation_reference``: "cell" anchors multipliers at each cell's own
     rate; "gamma0" anchors at the gamma = 0 rate of the same (p, s[, R]),
     which is how blessing/curse comparisons fix the signal across gamma.
+    A plan refuses a malformed cell (by ``rate_for``) when built, and keeps checked ints.
     """
 
     family: str
@@ -316,19 +316,22 @@ class SweepPlan:
     adaptive: bool = False
 
     def __post_init__(self):
-        if not (self.p_grid and self.s_grid and self.gamma_grid and self.multipliers):
-            raise ContractError("sweep grids must be nonempty")
-        if any(m <= 0 for m in self.multipliers):
-            raise ContractError("multipliers must be positive")
-        if self.n_reps < MIN_N_REPS:
-            raise ContractError(f"n_reps must be at least {MIN_N_REPS}")
-        _check_mode(self.mode, self.eta, self.C, self.n_cal)
-        if self.workers < 1:
-            raise ContractError("workers must be at least 1")
+        for name in ("p_grid", "R_grid", "s_grid", "gamma_grid", "multipliers"):
+            if not len(getattr(self, name)):
+                raise ContractError(f"{name} must be nonempty", argument=name)
+        if not all(_check_real(m, "multipliers") > 0.0 for m in self.multipliers):
+            raise ContractError("multipliers must be positive", argument="multipliers")
+        eta, n_cal = _check_mode(self.mode, self.eta, self.C, self.n_cal)
         if self.separation_reference not in ("cell", "gamma0"):
-            raise ContractError("separation_reference must be 'cell' or 'gamma0'")
-        for R in self.R_grid:
-            check_family(self.family, R=R, v=self.v)
+            raise ContractError("separation_reference must be 'cell' or 'gamma0'",
+                                argument="separation_reference")
+        counts = {name: tuple(n if n is None else _check_count(n, name, 1) for n in grid)
+                  for name, grid in (("p", self.p_grid), ("R", self.R_grid), ("s", self.s_grid))}
+        for p, R, s, gamma in itertools.product(*counts.values(), self.gamma_grid):
+            rate_for(self.family, p, s, gamma, R, self.v)  # refuses a malformed cell
+        _store(self, p_grid=counts["p"], R_grid=counts["R"], s_grid=counts["s"], eta=eta,
+               n_cal=n_cal, n_reps=_check_count(self.n_reps, "n_reps", MIN_N_REPS),
+               workers=_check_count(self.workers, "workers", 1))
 
     def descriptor(self) -> dict:
         return {

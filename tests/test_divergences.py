@@ -323,8 +323,9 @@ def test_hypergeometric_logpmf_matches_exact_binomials(population, draw1, draw2)
 
 @pytest.mark.parametrize("population,draw1,draw2", [(5, 7, 2), (5, 2, 6), (5, -1, 2)])
 def test_hypergeometric_logpmf_refuses_draws_outside_the_population(population, draw1, draw2):
-    with pytest.raises(ContractError, match="population"):
+    with pytest.raises(ContractError, match=r"draw[12] must be in \[0, 5\]") as caught:
         hypergeometric_logpmf(population, draw1, draw2)
+    assert caught.value.argument == ("draw1" if draw1 != 2 else "draw2")
 
 
 @st.composite
@@ -885,14 +886,27 @@ def test_a_nan_divergence_stays_nan():
     lambda: ingster_suslina_chisq(UniformSparse(8, 2, 1.0), Equicorrelated(8, 0.5),
                                   method="monte_carlo", n_mc=2.5, rng=substream(0, 0)),
     lambda: hypergeometric_mgf_bound(4.5, 1, 1.0),
+    lambda: UniformSparse(4, 1, 1.0, universe=[0.5, 1.7]),
+    lambda: UniformSparse(4, 1, 1.0, universe=["a"]),
+    lambda: UniformSparse(4, 1, 1.0, universe=[[0, 1], [2]]),
+    lambda: UniformSparse(4, 1, 10 ** 400),
+    lambda: SingleGroupSparse(8, 2, 1, -10 ** 400),
+    lambda: hypergeometric_logpmf(4.5, 1, 1),
+    lambda: hypergeometric_logpmf(5, 1.5, 1),
+    lambda: mean_shift_tv(Equicorrelated(4, 0.5), 10 ** 400),
+    lambda: mean_shift_tv(Equicorrelated(4, 0.5), "a"),
 ], ids=["uniform-float-s", "uniform-fraction-p", "uniform-text-magnitude",
         "shifted-fraction-p", "single-group-zero-R", "group-supported-zero-R",
         "point-mass-text", "draw-fraction-size", "draw-negative-size", "monte-carlo-fraction-n",
-        "mgf-fraction-p"])
+        "mgf-fraction-p", "universe-fractions", "universe-text", "universe-ragged",
+        "magnitude-past-float-range", "group-magnitude-past-float-range",
+        "logpmf-fraction-population", "logpmf-fraction-draw", "shift-past-float-range",
+        "shift-text"])
 def test_bad_arguments_raise_contract_errors(call):
     # each once built a prior (one whose draws and stream token differ from
-    # the integer one's) or raised a bare TypeError, ValueError or
-    # ZeroDivisionError
+    # the integer one's, or whose universe truncated [0.5, 1.7] to [0, 1]),
+    # returned a log-pmf, or raised a bare TypeError, ValueError,
+    # OverflowError or ZeroDivisionError
     with pytest.raises(ContractError):
         call()
 

@@ -239,14 +239,26 @@ class TestConstruction:
     lambda: projection_lower_bounds(make_sparse_signal(4, 1, 1.0), v=[math.nan, 1, 1, 1]),
     lambda: make_sparse_signal(4, 1, math.nan),
     lambda: make_sparse_signal(4.5, 1, 1.0),
+    lambda: make_sparse_signal(4, 1, 10 ** 400),
+    lambda: membership(signal([1.0, 0.0, 0.0, 0.0]), "upsilon_i", 10 ** 400, R=2),
 ], ids=["membership-negative-R", "membership-epsilon-text", "subset-energy-negative-s",
         "subset-energy-text-s", "omega-text", "omega-matrix", "omega-0d",
-        "projection-nan-pattern", "signal-nan-magnitude", "signal-fraction-p"])
+        "projection-nan-pattern", "signal-nan-magnitude", "signal-fraction-p",
+        "signal-magnitude-past-float-range", "membership-epsilon-past-float-range"])
 def test_bad_arguments_raise_contract_errors(call):
     # each once returned a value (a NaN signal, NaN bounds, the energy of the
-    # wrong subset) or raised a bare TypeError or ValueError
+    # wrong subset) or raised a bare TypeError, ValueError or OverflowError
     with pytest.raises(ContractError):
         call()
+
+
+@pytest.mark.parametrize("space", ["theta", "upsilon_i", "upsilon_ii", "m_supp"])
+def test_an_integer_epsilon_is_the_float_it_equals(space):
+    # 10**200 raised OverflowError where epsilon is squared; as the float
+    # 1e200, its square is inf and no finite witness reaches it
+    spec = signal([1.0, 0.0, 0.0, 0.0])
+    assert membership(spec, space, 10 ** 200, R=2) == membership(spec, space, 1e200, R=2)
+    assert not membership(spec, space, 10 ** 200, R=2).member
 
 
 # Arguments for every entry point of ``geometry``, as ``tests/test_models.py``

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from corrdetect import models
+from corrdetect.divergences import PointMass, UniformSparse
 from corrdetect.errors import (
     ContractError,
     CorrdetectError,
@@ -31,6 +32,7 @@ from corrdetect.models import (
     precision_apply,
     sample,
 )
+from corrdetect.geometry import SignalSpec
 from corrdetect.procedures import build_test
 
 
@@ -356,6 +358,29 @@ _MODEL = Grouped(4, 2, 0.5)
 def test_bad_arguments_raise_contract_errors(call):
     with pytest.raises(ContractError):
         call()
+
+
+@pytest.mark.parametrize("call,argument", [
+    (lambda: Equicorrelated(16.5, 0.5), "p"),  # _check_count
+    (lambda: Grouped(16, 3, 0.5), "R"),  # _check_split
+    (lambda: Equicorrelated(16, 1.5), "gamma"),  # _check_gamma
+    (lambda: RankOne(4, 0.5, [1.0, 1.0, 1.0, 2.0]), "v"),  # _check_pattern
+    (lambda: canonical_layout(Equicorrelated(2, 0.5), [[1, 2], [3]]), "data"),  # _real
+    (lambda: PointMass(np.ones((2, 2))), "theta"),  # _vector
+    (lambda: model_from("bogus", 16, 0.5), "family"),  # check_family
+    (lambda: model_from("grouped", 16, 0.5), "R"),
+    (lambda: build_test("equicorrelated", 16, 3, 0.5, mode="paper"), "mode"),  # _check_mode
+    (lambda: build_test("equicorrelated", 16, 3, 0.5, eta=1.5), "eta"),
+    (lambda: build_test("equicorrelated", 16, 3, 0.5, n_cal=999), "n_cal"),
+    (lambda: build_test("equicorrelated", 16, 3, 0.5, C=2.0), "C"),
+    (lambda: UniformSparse(4, 1, math.inf), "magnitude"),  # _check_real
+    (lambda: UniformSparse(4, 1, 1.0, universe=[4]), "universe"),  # _check_coordinates
+    (lambda: SignalSpec(np.r_[1.0, 0.0], 1, [0, 0]), "support"),
+])
+def test_each_shared_rule_names_the_argument_it_refuses(call, argument):
+    with pytest.raises(ContractError) as caught:
+        call()
+    assert caught.value.argument == argument
 
 
 # Arguments for every entry point of ``models``: valid values, and bad

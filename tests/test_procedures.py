@@ -126,6 +126,11 @@ class TestAssembly:
         ({"eta": -0.1}, "eta"),
         ({"mode": "paper_constants", "C": 3.0, "eta": 1.0}, "eta"),
         ({"n_cal": 999}, "n_cal"),
+        # each was accepted (a test recording a C it never used, or at gamma = 1
+        # a fractional n_cal) or raised a bare TypeError
+        ({"C": 2.0}, "only it uses C"),
+        ({"n_cal": 1000.5}, "n_cal must be an integer"),
+        ({"eta": "x"}, "eta must be a finite real number"),
     ])
     def test_refuses_a_mode_every_threshold_would_fail_on(self, kw, message):
         # the noiseless test calibrates nothing, so only the refusal can catch these

@@ -230,19 +230,37 @@ class TestSweep:
         with pytest.raises(ContractError, match="workers"):
             self._tiny_plan(workers=workers)
 
-    @pytest.mark.parametrize("change,message", [
-        ({"n_reps": 50}, "n_reps"),
-        ({"mode": "bogus"}, "unknown mode"),
-        ({"mode": "paper_constants"}, "needs the constant C"),
-        ({"eta": 1.5}, "eta"),
-        ({"eta": 0.0}, "eta"),
-        ({"n_cal": 999}, "n_cal"),
+    @pytest.mark.parametrize("change,message,argument", [
+        ({"n_reps": 50}, "n_reps", "n_reps"),
+        ({"mode": "bogus"}, "unknown mode", "mode"),
+        ({"mode": "paper_constants"}, "needs the constant C", "C"),
+        ({"eta": 1.5}, "eta", "eta"),
+        ({"eta": 0.0}, "eta", "eta"),
+        ({"n_cal": 999}, "n_cal", "n_cal"),
+        # each below was built (run_sweep then wrote NaN rows, or took a
+        # fractional n_reps) or raised a bare TypeError
+        ({"family": "grouped", "R_grid": (5,)}, "R must divide p", "R"),
+        ({"s_grid": (40,)}, r"s must be in \[1, 32\]", "s"),
+        ({"gamma_grid": (1.5,)}, "gamma must lie in", "gamma"),
+        ({"p_grid": (32.0,)}, "p must be an integer", "p"),
+        ({"multipliers": (math.nan,)}, "multipliers must be a finite", "multipliers"),
+        ({"multipliers": (math.inf,)}, "multipliers must be a finite", "multipliers"),
+        ({"multipliers": ("a",)}, "multipliers must be a finite", "multipliers"),
+        ({"n_reps": 200.5}, "n_reps must be an integer", "n_reps"),
+        ({"n_reps": "200"}, "n_reps must be an integer", "n_reps"),
+        ({"eta": "x"}, "eta must be a finite", "eta"),
+        ({"workers": 1.5}, "workers must be an integer", "workers"),
+        ({"separation_reference": "gamma1"}, "separation_reference", "separation_reference"),
+        ({"family": "grouped", "R_grid": (5,), "s_grid": (40,), "gamma_grid": (1.5,),
+          "multipliers": (math.nan,), "mode": "paper_constants", "C": 3.0}, "multipliers",
+         "multipliers"),
     ])
-    def test_plan_refuses_what_every_cell_would_fail_on(self, change, message):
+    def test_plan_refuses_what_every_cell_would_fail_on(self, change, message, argument):
         fields = dict(family="equicorrelated", p_grid=(32,), s_grid=(3,), gamma_grid=(0.5,),
                       multipliers=(1.0,), n_reps=200, master_seed=0, n_cal=1000)
-        with pytest.raises(ContractError, match=message):
+        with pytest.raises(ContractError, match=message) as caught:
             SweepPlan(**dict(fields, **change))
+        assert caught.value.argument == argument
 
     def test_paper_plan_takes_any_n_cal(self):
         SweepPlan(family="equicorrelated", p_grid=(32,), s_grid=(3,), gamma_grid=(0.5,),
@@ -553,3 +571,46 @@ def test_numpy_integer_dimensions_build_what_python_ints_build():
         for test, i in [(pairs[-1][0], n), (pairs[-1][1], int)]]
     assert estimates[0].total == estimates[1].total
     assert estimates[0].per_alternative == estimates[1].per_alternative
+
+
+def test_numpy_floats_are_kept_as_floats():
+    # records kept a float32 gamma or magnitude as given: their JSON raised TypeError
+    half = np.float32(0.5)
+    models = [Equicorrelated(8, half), Grouped(8, 2, half), RankOne(8, half, np.ones(8))]
+    priors = [UniformSparse(8, 2, half), SingleGroupSparse(8, 2, 1, half),
+              GroupSupported(8, 2, 1, half), ShiftedSparse(8, 2, half)]
+    for record in models + priors:
+        json.dumps(record.descriptor())
+    assert all(type(model.gamma) is float for model in models)
+    assert all(type(prior.magnitude) is float for prior in priors)
+
+
+def test_a_plan_of_numpy_integers_writes_its_manifest(tmp_path):
+    # the descriptor kept np.int64 counts, so write_manifest raised TypeError
+    # after the whole sweep had run
+    n = np.int64
+    plans = [SweepPlan(family="grouped", p_grid=(i(16),), R_grid=(i(4),), s_grid=(i(2),),
+                       gamma_grid=(0.5,), multipliers=(1.0,), n_reps=i(100), master_seed=0,
+                       mode="paper_constants", C=3.0, n_cal=i(10), workers=i(1))
+             for i in (n, int)]
+    manifests = []
+    for k, plan in enumerate(plans):
+        (tmp_path / str(k)).mkdir()
+        rows, reports = run_sweep(plan)
+        write_rows_csv(rows, tmp_path / str(k) / "sweep.csv")
+        risk.write_manifest(plan, reports, tmp_path / str(k) / "sweep.csv",
+                            tmp_path / str(k) / "manifest.json")
+        manifests.append((tmp_path / str(k) / "manifest.json").read_text())
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("kw,argument", [
+    ({"n_reps": 100.5}, "n_reps"), ({"n_reps": 99}, "n_reps"), ({"workers": 0}, "workers"),
+    ({"alternatives": []}, "alternatives"), ({"model": Equicorrelated(16, 0.4)}, "model")])
+def test_a_risk_estimate_names_the_argument_it_refuses(kw, argument):
+    test = build_test("equicorrelated", 16, 3, 0.5, mode="paper_constants", C=3.0)
+    call = dict(test=test, model=test.model, alternatives=[make_sparse_signal(16, 3, 1.0)],
+                n_reps=100, master_seed=0)
+    with pytest.raises(ContractError) as caught:
+        estimate_risk(**dict(call, **kw))
+    assert caught.value.argument == argument
